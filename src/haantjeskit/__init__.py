@@ -16,10 +16,9 @@ from .charts import (BivectorField, Chart, ChartError, ChartMap,
                      compose_operators, constant_operator, constant_scalar,
                      constant_vector, coordinate_function, differential,
                      exterior_derivative, identity_operator, lie_bracket,
-                     operator_polynomial, pairing, partial_derivative,
-                     scale_field, wedge)
-from .torsion import (SampledResidual, TorsionValue, haantjes_torsion,
-                      is_haantjes, is_nijenhuis, nijenhuis_torsion)
+                     operator_polynomial, pairing, scale_field, wedge)
+from .torsion import (TorsionValue, haantjes_torsion, is_haantjes,
+                      is_nijenhuis, nijenhuis_torsion)
 from .algebra import (HaantjesAlgebra, MinimalPolynomial, algebra_rank,
                       check_abelian, check_module_condition,
                       check_ring_condition, cyclic_algebra,
@@ -31,7 +30,7 @@ from .poisson import (MagriChain, PoissonStructure, build_chain_oneforms,
                       lie_derivative_oneform, lie_derivative_operator,
                       poisson_bracket, r_tensor, verify_poisson)
 from .sampling import sample_points
-from .report import Check, VerificationReport
+from .report import Check, SampledResidual, VerificationReport
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from . import lagrange
 
@@ -45,7 +44,7 @@ __all__ = [
     "constant_operator", "constant_scalar", "constant_vector",
     "coordinate_function", "differential", "exterior_derivative",
     "identity_operator", "lie_bracket", "operator_polynomial", "pairing",
-    "partial_derivative", "scale_field", "wedge",
+    "scale_field", "wedge",
     "SampledResidual", "TorsionValue", "haantjes_torsion", "is_haantjes",
     "is_nijenhuis", "nijenhuis_torsion",
     "HaantjesAlgebra", "MinimalPolynomial", "algebra_rank", "check_abelian",

@@ -9,7 +9,8 @@ import numpy as np
 
 from .charts import (OperatorField, Point, ScalarField, add_fields,
                      compose_operators, operator_polynomial, scale_field)
-from .torsion import SampledResidual, haantjes_torsion, is_haantjes
+from .report import SampledResidual, _max_abs, merge, sampled
+from .torsion import is_haantjes
 
 __all__ = [
     "HaantjesAlgebra", "MinimalPolynomial",
@@ -65,24 +66,18 @@ def check_module_condition(Ki: OperatorField, Kj: OperatorField,
 def check_ring_condition(Ki: OperatorField, Kj: OperatorField, sample,
                          tol: float = 1e-9) -> SampledResidual:
     """Worst Haantjes residual of the two composition orders."""
-    a = is_haantjes(compose_operators(Ki, Kj), sample, tol)
-    b = is_haantjes(compose_operators(Kj, Ki), sample, tol)
-    return SampledResidual(max(a.residual, b.residual), tol,
-                           max(a.scale, b.scale), len(sample))
+    return merge([is_haantjes(compose_operators(Ki, Kj), sample, tol),
+                  is_haantjes(compose_operators(Kj, Ki), sample, tol)])
 
 
 def check_abelian(Ki: OperatorField, Kj: OperatorField, sample,
                   tol: float = 1e-12) -> SampledResidual:
-    if not sample:
-        raise ValueError("empty sample")
-    res = 0.0
-    scale = 1.0
-    for p in sample:
+    def at(p):
         a, b = Ki(p), Kj(p)
-        res = max(res, float(np.max(np.abs(a @ b - b @ a))))
-        scale = max(scale, (1.0 + float(np.max(np.abs(a))))
-                    * (1.0 + float(np.max(np.abs(b)))))
-    return SampledResidual(res, tol, scale, len(sample))
+        return (_max_abs(a @ b - b @ a),
+                (1.0 + _max_abs(a)) * (1.0 + _max_abs(b)))
+
+    return sampled(sample, at, tol)
 
 
 def _vec_powers(m: np.ndarray, count: int):
@@ -149,27 +144,17 @@ def verify_algebra(generators, sample, tol: float = 1e-9,
         raise ValueError("empty sample")
     alg = HaantjesAlgebra(generators=list(generators))
 
-    gen_res = [is_haantjes(K, sample, tol) for K in generators]
-    alg.haantjes = SampledResidual(
-        max(r.residual for r in gen_res), tol,
-        max(r.scale for r in gen_res), len(sample))
-
-    worst = lambda results: SampledResidual(
-        max(r.residual for r in results), results[0].tolerance,
-        max(r.scale for r in results), len(sample))
-
+    alg.haantjes = merge(is_haantjes(K, sample, tol) for K in generators)
     pairs = [(a, b) for i, a in enumerate(generators)
              for b in generators[i:]]
-    ring = [check_ring_condition(a, b, sample, tol) for a, b in pairs]
-    abel = [check_abelian(a, b, sample) for a, b in pairs]
-    alg.ring = worst(ring)
-    alg.abelian = worst(abel)
+    alg.ring = merge(check_ring_condition(a, b, sample, tol)
+                     for a, b in pairs)
+    alg.abelian = merge(check_abelian(a, b, sample) for a, b in pairs)
 
     if module_coeffs is not None:
         f, g = module_coeffs
-        mod = [check_module_condition(a, b, f, g, sample, tol)
-               for a, b in pairs]
-        alg.module = worst(mod)
+        alg.module = merge(check_module_condition(a, b, f, g, sample, tol)
+                           for a, b in pairs)
     else:
         alg.module = alg.haantjes
 

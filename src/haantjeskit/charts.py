@@ -26,7 +26,7 @@ __all__ = [
     "Chart", "Point", "ChartError", "ChartMismatchError", "SingularPointError",
     "ScalarField", "VectorField", "OneFormField", "OperatorField",
     "BivectorField", "ChartMap",
-    "partial_derivative", "differential", "exterior_derivative", "wedge",
+    "differential", "exterior_derivative", "wedge",
     "apply_operator", "apply_transpose", "lie_bracket", "pairing",
     "add_fields", "scale_field", "compose_operators", "operator_polynomial",
     "identity_operator", "constant_operator", "constant_vector",
@@ -133,11 +133,6 @@ class ScalarField(_Field):
         r = self.fn(jets.seed(list(p.coords)))
         return _strip_vector(jets.gradient(r, n))
 
-    def partial(self, p: Point, k: int) -> complex:
-        if not 0 <= k < self.chart.dim:
-            raise IndexError(f"coordinate index {k} out of range")
-        return complex(self.gradient(p)[k])
-
 
 class _VectorLike(_Field):
 
@@ -154,11 +149,6 @@ class _VectorLike(_Field):
         return np.array([[complex(jets.value(g))
                           for g in jets.gradient(c, n)] for c in comps],
                         dtype=complex)
-
-    def partial(self, p: Point, k: int) -> np.ndarray:
-        if not 0 <= k < self.chart.dim:
-            raise IndexError(f"coordinate index {k} out of range")
-        return self.jacobian(p)[:, k]
 
 
 class VectorField(_VectorLike):
@@ -185,33 +175,16 @@ class _MatrixLike(_Field):
             [[[complex(jets.value(g)) for g in jets.gradient(c, n)]
               for c in row] for row in rows], dtype=complex)
 
-    def partial(self, p: Point, k: int) -> np.ndarray:
-        if not 0 <= k < self.chart.dim:
-            raise IndexError(f"coordinate index {k} out of range")
-        return self.jacobian(p)[:, :, k]
-
 
 class OperatorField(_MatrixLike):
     pass
 
 
 class BivectorField(_MatrixLike):
-
-    def skew_residual(self, p: Point) -> float:
-        m = self(p)
-        return float(np.max(np.abs(m + m.T)))
-
-
-def partial_derivative(f, p: Point, k: int):
-    """k-th partial derivative of any field kind at ``p``."""
-    return f.partial(p, k)
+    pass
 
 
 # -- jet-generic internal evaluation (inputs may already be jets) -----------
-
-def _eval_scalar(f: ScalarField, x):
-    return f.fn(x)
-
 
 def _grad_scalar(f: ScalarField, x):
     n = len(x)
@@ -459,19 +432,6 @@ class ChartMap:
             return [_zip_dot(row, v) for row in J]
 
         return VectorField(self.dst, fn)
-
-    def push_oneform(self, alpha: OneFormField) -> OneFormField:
-        _same_chart(self.src, alpha.chart)
-
-        def fn(xi):
-            x = self.inverse(xi)
-            Jinv = self._inv_jac(xi)  # [src_i][dst_j]
-            a = _eval_vector(alpha, x)
-            n = len(xi)
-            return [sum(a[i] * Jinv[i][j] for i in range(len(a)))
-                    for j in range(n)]
-
-        return OneFormField(self.dst, fn)
 
     def push_bivector(self, P: BivectorField) -> BivectorField:
         _same_chart(self.src, P.chart)

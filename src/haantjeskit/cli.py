@@ -11,6 +11,7 @@ failed, 2 usage error, 3 I/O error, 4 numerical blow-up.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -56,13 +57,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _positive(x: float) -> bool:
+    """Finite and strictly positive; NaN fails."""
+    return math.isfinite(x) and x > 0
+
+
 def _cmd_verify(args) -> int:
     if args.points <= 0:
-        print("error: --points must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    if args.tol_exact <= 0 or args.tol_deriv <= 0:
-        print("error: tolerances must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--points must be positive")
+    if args.seed < 0:
+        return _usage_error("--seed must be non-negative")
+    if not (_positive(args.tol_exact) and _positive(args.tol_deriv)):
+        return _usage_error("tolerances must be finite and positive")
+    if not _positive(args.c):
+        return _usage_error("--c must be finite and positive")
     cfg = SuiteConfig(seed=args.seed, points=args.points,
                       tol_exact=args.tol_exact, tol_deriv=args.tol_deriv,
                       c=args.c)
@@ -87,17 +100,16 @@ def _cmd_integrate(args) -> int:
     try:
         values = [float(v) for v in args.init.split(",")]
     except ValueError:
-        print("error: --init must be six comma-separated numbers",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--init must be six comma-separated numbers")
     if len(values) != 6:
-        print("error: --init must have exactly six components",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.dt <= 0 or args.tmax < 0:
-        print("error: --dt must be positive and --tmax non-negative",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("--init must have exactly six components")
+    if not all(math.isfinite(v) for v in values):
+        return _usage_error("--init must be finite")
+    if not (_positive(args.dt) and math.isfinite(args.tmax)
+            and args.tmax >= 0):
+        return _usage_error("--dt must be positive and --tmax non-negative")
+    if not _positive(args.c):
+        return _usage_error("--c must be finite and positive")
     params = TopParams(c=args.c)
     try:
         traj = integrate_flow(params, np.array(values), args.dt, args.tmax)

@@ -4,11 +4,9 @@ bi-Hamiltonian ladder built on them."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..charts import BivectorField, Chart, ScalarField, VectorField
 from ..poisson import hamiltonian_field
-from ..torsion import SampledResidual
+from ..report import _max_abs, sampled
 from .params import TopParams
 
 W1, W2, W3, G1, G2, G3 = range(6)
@@ -129,8 +127,6 @@ def bihamiltonian_fields(params: TopParams):
 def gz_chain_check(params: TopParams, sample, tol: float = 1e-9) -> dict:
     """Residuals of the two-Casimir ladder built on the first two Poisson
     bivectors, plus the decomposition of the flow field over the ladder."""
-    if not sample:
-        raise ValueError("empty sample")
     P0, P1, _ = poisson_bivectors(params)
     F = integrals(params)
     X1, X2 = bihamiltonian_fields(params)
@@ -151,22 +147,20 @@ def gz_chain_check(params: TopParams, sample, tol: float = 1e-9) -> dict:
         "P0_dF2_zero": (hamiltonian_field(P0, F["F2"]), None),
     }
 
-    out = {}
-    for name, (a, b) in pairs.items():
-        res, scale = 0.0, 1.0
-        for p in sample:
+    def pair_at(a, b):
+        def at(p):
             av = a(p)
-            bv = b(p) if b is not None else np.zeros(6)
-            res = max(res, float(np.max(np.abs(av - bv))))
-            scale = max(scale, 1.0 + float(np.max(np.abs(av))))
-        out[name] = SampledResidual(res, tol, scale, len(sample))
+            bv = 0.0 if b is None else b(p)
+            return _max_abs(av - bv), 1.0 + _max_abs(av)
+        return at
 
-    res, scale = 0.0, 1.0
-    for p in sample:
-        f1 = complex(F["F1"](p))
-        v = XL(p) - (X1(p) - (c - 1.0) * f1 * X2(p))
-        res = max(res, float(np.max(np.abs(v))))
-        scale = max(scale, 1.0 + float(np.max(np.abs(XL(p)))))
-    out["XL_ladder_decomposition"] = SampledResidual(res, tol, scale,
-                                                     len(sample))
+    out = {name: sampled(sample, pair_at(a, b), tol)
+           for name, (a, b) in pairs.items()}
+
+    def ladder_at(p):
+        xl = XL(p)
+        v = xl - (X1(p) - (c - 1.0) * complex(F["F1"](p)) * X2(p))
+        return _max_abs(v), 1.0 + _max_abs(xl)
+
+    out["XL_ladder_decomposition"] = sampled(sample, ladder_at, tol)
     return out

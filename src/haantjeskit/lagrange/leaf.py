@@ -8,12 +8,11 @@ with the two Casimir levels pinned to constants.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..charts import (BivectorField, Chart, ChartMap, OneFormField,
                       OperatorField, Point, ScalarField, VectorField,
                       identity_operator)
 from ..jets import sqrt_
+from ..report import _max_abs, sampled
 from .complex_chart import complex_chart, nijenhuis_operator
 from .params import TopParams
 
@@ -44,9 +43,10 @@ def restrict_to_leaf(field, params: TopParams, C1, C4, *,
                      sample=None, tol: float = 1e-12):
     """Pin the Casimir levels and drop the transversal slots.
 
-    For operators and bivectors the transversal off-blocks are checked to
-    vanish on ``sample`` (when given); a nonvanishing coupling means the
-    field does not restrict and raises :class:`LeafRestrictionError`.
+    For vector fields the transversal components, and for operators and
+    bivectors the transversal off-blocks, are checked to vanish on
+    ``sample`` (when given); a nonvanishing coupling means the field does
+    not restrict and raises :class:`LeafRestrictionError`.
     """
     chart = leaf_chart(params, C1, C4)
 
@@ -58,42 +58,35 @@ def restrict_to_leaf(field, params: TopParams, C1, C4, *,
     if isinstance(field, VectorField):
         out = VectorField(
             chart, lambda x: list(field.fn(_embed(x, C1, C4)))[:4])
-        if sample is not None:
-            _check_vector_tangency(field, params, C1, C4, sample, tol)
-        return out
-    if isinstance(field, (OperatorField, BivectorField)):
+    elif isinstance(field, (OperatorField, BivectorField)):
         kind = OperatorField if isinstance(field, OperatorField) \
             else BivectorField
         out = kind(chart, lambda x: [row[:4] for row in
                                      field.fn(_embed(x, C1, C4))[:4]])
-        if sample is not None:
-            _check_block_structure(field, params, C1, C4, sample, tol)
-        return out
-    raise TypeError(f"cannot restrict field of type {type(field).__name__}")
+    else:
+        raise TypeError(
+            f"cannot restrict field of type {type(field).__name__}")
+    if sample is not None:
+        _check_restricts(field, params, C1, C4, sample, tol)
+    return out
 
 
-def _leaf_points_to_full(params, C1, C4, sample):
+def _check_restricts(field, params, C1, C4, sample, tol):
+    """Raise unless the transversal part of ``field`` (components of a
+    vector, off-blocks of a matrix) vanishes at every sample point,
+    relative to ``1 + |field|`` at that point."""
     full = complex_chart(params)
-    return [Point(full, tuple(list(p.coords) + [C1, C4])) for p in sample]
 
+    def coupling(p):
+        v = field(Point(full, tuple(_embed(p.coords, C1, C4))))
+        part = (v[4:],) if v.ndim == 1 else (v[:4, 4:], v[4:, :4])
+        return _max_abs(*part) / (1.0 + _max_abs(v)), 1.0
 
-def _check_vector_tangency(field, params, C1, C4, sample, tol):
-    for q in _leaf_points_to_full(params, C1, C4, sample):
-        v = field(q)
-        r = float(np.max(np.abs(v[4:])))
-        if r > tol * (1.0 + float(np.max(np.abs(v)))):
-            raise LeafRestrictionError(
-                f"transversal components do not vanish (residual {r:.3e})")
-
-
-def _check_block_structure(field, params, C1, C4, sample, tol):
-    for q in _leaf_points_to_full(params, C1, C4, sample):
-        m = field(q)
-        r = max(float(np.max(np.abs(m[:4, 4:]))),
-                float(np.max(np.abs(m[4:, :4]))))
-        if r > tol * (1.0 + float(np.max(np.abs(m)))):
-            raise LeafRestrictionError(
-                f"transversal off-blocks do not vanish (residual {r:.3e})")
+    sr = sampled(sample, coupling, tol)
+    if not sr.passed:
+        raise LeafRestrictionError(
+            "field couples the leaf to the transversal directions "
+            f"(relative residual {sr.residual:.3e})")
 
 
 def leaf_structures(params: TopParams, C1, C4, sample=None) -> dict:
@@ -139,16 +132,29 @@ def _eigenvalues(x1, x2):
     return (x1 - d) / (2.0 * x2), (x1 + d) / (2.0 * x2)
 
 
+def _separation(x):
+    """Jet-generic separation variables ``(l1, l2, m1, m2)`` of leaf
+    coordinates."""
+    x1, x2, y1, y2 = x
+    l1, l2 = _eigenvalues(x1, x2)
+    m1 = -(y1 - l1 * y2) / l1 ** 2
+    m2 = -(y1 - l2 * y2) / l2 ** 2
+    return [l1, l2, m1, m2]
+
+
+def _printed_momenta(x):
+    x1, x2, y1, y2 = x
+    l1, l2 = _eigenvalues(x1, x2)
+    return [(l2 * y1 + y2) / l1, (l1 * y1 + y2) / l2]
+
+
 def separation_coordinates(p: Point):
     """Separation variables of a leaf point: the double eigenvalues of the
     restricted operator family and canonically conjugate momenta whose
     gradients are eigenforms."""
-    x1, x2, y1, y2 = p.coords
-    l1, l2 = _eigenvalues(x1, x2)
+    l1, l2, m1, m2 = _separation(p.coords)
     if abs(l1 - l2) < 1e-13:
         raise ValueError("coincident eigenvalues: separation chart breaks down")
-    m1 = -(y1 - l1 * y2) / l1 ** 2
-    m2 = -(y1 - l2 * y2) / l2 ** 2
     return l1, l2, m1, m2
 
 
@@ -156,21 +162,22 @@ def printed_momenta(p: Point):
     """The momenta in the form they circulate in the source construction;
     kept for the reported comparison, not used by the chart map (their
     gradients fail to be eigenforms; see the reduced suite finding)."""
-    x1, x2, y1, y2 = p.coords
-    l1, l2 = _eigenvalues(x1, x2)
-    return (l2 * y1 + y2) / l1, (l1 * y1 + y2) / l2
+    return tuple(_printed_momenta(p.coords))
+
+
+def separation_fields(params: TopParams, C1, C4, printed: bool = False):
+    """The separation variables ``(l1, l2, m1, m2)`` as scalar fields on the
+    leaf chart, so brackets and differentials come from jets; with
+    ``printed`` the momenta are the circulated ones."""
+    chart = leaf_chart(params, C1, C4)
+    fns = _separation if not printed else (
+        lambda x: _separation(x)[:2] + _printed_momenta(x))
+    return [ScalarField(chart, lambda x, a=a: fns(x)[a]) for a in range(4)]
 
 
 def separation_map(params: TopParams, C1, C4) -> ChartMap:
     src = leaf_chart(params, C1, C4)
     dst = separation_chart_def(params, C1, C4)
-
-    def forward(x):
-        x1, x2, y1, y2 = x
-        l1, l2 = _eigenvalues(x1, x2)
-        m1 = -(y1 - l1 * y2) / l1 ** 2
-        m2 = -(y1 - l2 * y2) / l2 ** 2
-        return [l1, l2, m1, m2]
 
     def inverse(s):
         l1, l2, m1, m2 = s
@@ -181,4 +188,4 @@ def separation_map(params: TopParams, C1, C4) -> ChartMap:
         y1 = l1 * y2 - m1 * l1 ** 2
         return [x1, x2, y1, y2]
 
-    return ChartMap(src, dst, forward, inverse)
+    return ChartMap(src, dst, _separation, inverse)

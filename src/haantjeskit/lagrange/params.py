@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class TopParams:
-    """Inertia ratio ``c`` (symmetry axis over equatorial), equatorial
-    moment ``A``, and the unit normalization of the torque scale.
+    """Inertia ratio ``c`` (symmetry axis over equatorial) and equatorial
+    moment ``A``; the torque scale is fixed to ``A``.
 
     ``c = 1`` is the degenerate spherically-symmetric case; generic runs
     keep ``c != 1``.
@@ -16,7 +16,6 @@ class TopParams:
 
     c: float = 2.0
     A: float = 1.0
-    normalized: bool = True  # torque scale mu*g*a fixed to A
 
     def __post_init__(self):
         if self.c <= 0:

@@ -14,9 +14,9 @@ import numpy as np
 
 from .charts import (BivectorField, OneFormField, OperatorField, Point,
                      ScalarField, VectorField, _eval_matrix, _eval_vector,
-                     _grad_scalar, _same_chart, apply_operator,
-                     apply_transpose, exterior_derivative, lie_bracket)
-from .torsion import SampledResidual
+                     _same_chart, apply_operator, apply_transpose,
+                     differential, lie_bracket)
+from .report import SampledResidual, _max_abs, sampled
 
 __all__ = [
     "PoissonStructure", "MagriChain",
@@ -39,28 +39,31 @@ class PoissonStructure:
         return self.skew.passed and self.jacobi.passed
 
 
+def _jacobi(Pc: np.ndarray, Pd: np.ndarray) -> float:
+    # Pd[i, j, l] = d_l P^{ij}
+    term = np.einsum("il,jkl->ijk", Pc, Pd)
+    return _max_abs(term + term.transpose(1, 2, 0) + term.transpose(2, 0, 1))
+
+
 def jacobi_residual(P: BivectorField, p: Point) -> float:
     """Max over index triples of the cyclic Schouten sum."""
-    Pc = P(p)
-    Pd = P.jacobian(p)  # [i, j, l] = d_l P^{ij}
-    term = np.einsum("il,jkl->ijk", Pc, Pd)
-    total = term + term.transpose(1, 2, 0) + term.transpose(2, 0, 1)
-    return float(np.max(np.abs(total)))
+    return _jacobi(P(p), P.jacobian(p))
 
 
 def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
                    tol_deriv: float = 1e-9) -> PoissonStructure:
-    if not sample:
-        raise ValueError("empty sample")
-    skew = max(P.skew_residual(p) for p in sample)
-    jac = max(jacobi_residual(P, p) for p in sample)
-    m = max(float(np.max(np.abs(P(p)))) for p in sample)
-    d = max(float(np.max(np.abs(P.jacobian(p)))) for p in sample)
-    return PoissonStructure(
-        P,
-        skew=SampledResidual(skew, tol_exact, 1.0 + m, len(sample)),
-        jacobi=SampledResidual(jac, tol_deriv, (1.0 + m) * (1.0 + d),
-                               len(sample)))
+    """Skew residual against ``1+m`` and Jacobi residual against
+    ``(1+m)(1+d)``, with ``m`` and ``d`` the sample-wide maxima of ``|P|``
+    and ``|dP|``."""
+    def at(p):
+        Pc, Pd = P(p), P.jacobian(p)
+        return (_max_abs(Pc + Pc.T), _jacobi(Pc, Pd), _max_abs(Pc),
+                _max_abs(Pd))
+
+    skew, jacobi = sampled(
+        sample, at, (tol_exact, tol_deriv),
+        scale=lambda m, d: (1.0 + m, (1.0 + m) * (1.0 + d)))
+    return PoissonStructure(P, skew=skew, jacobi=jacobi)
 
 
 def poisson_bracket(P: BivectorField, f: ScalarField, g: ScalarField,
@@ -73,31 +76,33 @@ def poisson_bracket(P: BivectorField, f: ScalarField, g: ScalarField,
     return complex(df @ P(p) @ dg)
 
 
-def hamiltonian_field(P: BivectorField, f: ScalarField) -> VectorField:
-    """``P df`` as a differentiable vector field."""
-    _same_chart(P.chart, f.chart)
+def _contract(P: BivectorField, alpha: OneFormField) -> VectorField:
+    """``P alpha`` for any one-form, as a differentiable vector field."""
+    _same_chart(P.chart, alpha.chart)
 
     def fn(x):
         m = _eval_matrix(P, x)
-        df = _grad_scalar(f, x)
+        a = _eval_vector(alpha, x)
         n = len(x)
-        return [sum(m[i][j] * df[j] for j in range(n)) for i in range(n)]
+        return [sum(m[i][j] * a[j] for j in range(n)) for i in range(n)]
 
     return VectorField(P.chart, fn)
+
+
+def hamiltonian_field(P: BivectorField, f: ScalarField) -> VectorField:
+    """``P df`` as a differentiable vector field."""
+    return _contract(P, differential(f))
 
 
 def check_compatibility(K: OperatorField, P: BivectorField, sample,
                         tol: float = 1e-12) -> SampledResidual:
     """Residual of ``K P = P K^T`` over the sample."""
-    if not sample:
-        raise ValueError("empty sample")
-    res, scale = 0.0, 1.0
-    for p in sample:
+    def at(p):
         k, m = K(p), P(p)
-        res = max(res, float(np.max(np.abs(k @ m - m @ k.T))))
-        scale = max(scale, (1.0 + float(np.max(np.abs(k))))
-                    * (1.0 + float(np.max(np.abs(m)))))
-    return SampledResidual(res, tol, scale, len(sample))
+        return (_max_abs(k @ m - m @ k.T),
+                (1.0 + _max_abs(k)) * (1.0 + _max_abs(m)))
+
+    return sampled(sample, at, tol)
 
 
 def check_skew_compositions(Ki: OperatorField, Kj: OperatorField,
@@ -105,29 +110,21 @@ def check_skew_compositions(Ki: OperatorField, Kj: OperatorField,
                             sample, tol: float = 1e-12) -> dict:
     """Skew residuals of ``Ki P``, ``Ki P Kj^T`` and ``(Ki - f I)^s P`` for
     ``s = 1..r``."""
-    if not sample:
-        raise ValueError("empty sample")
     n = Ki.chart.dim
-    out = {"KiP": 0.0, "KiPKjT": 0.0}
-    for s in range(1, r + 1):
-        out[f"(Ki-fI)^{s}P"] = 0.0
-    scale = 1.0
-    for p in sample:
+    names = ["KiP", "KiPKjT"] + [f"(Ki-fI)^{s}P" for s in range(1, r + 1)]
+
+    def at(p):
         ki, kj, m = Ki(p), Kj(p), P(p)
-        fv = complex(f(p))
-        skew = lambda a: float(np.max(np.abs(a + a.T)))
-        out["KiP"] = max(out["KiP"], skew(ki @ m))
-        out["KiPKjT"] = max(out["KiPKjT"], skew(ki @ m @ kj.T))
-        shifted = ki - fv * np.eye(n)
+        skew = lambda a: _max_abs(a + a.T)
+        out = [skew(ki @ m), skew(ki @ m @ kj.T)]
+        shifted = ki - complex(f(p)) * np.eye(n)
         power = np.eye(n, dtype=complex)
-        for s in range(1, r + 1):
+        for _ in range(r):
             power = power @ shifted
-            out[f"(Ki-fI)^{s}P"] = max(out[f"(Ki-fI)^{s}P"],
-                                       skew(power @ m))
-        mag = max(float(np.max(np.abs(a))) for a in (ki, kj, m))
-        scale = max(scale, (1.0 + mag) ** (r + 2))
-    return {name: SampledResidual(v, tol, scale, len(sample))
-            for name, v in out.items()}
+            out.append(skew(power @ m))
+        return (*out, (1.0 + _max_abs(ki, kj, m)) ** (r + 2))
+
+    return dict(zip(names, sampled(sample, at, (tol,) * len(names))))
 
 
 # -- Lie derivatives (pointwise) -------------------------------------------
@@ -174,25 +171,12 @@ def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
     ``L_{P a}(N) Y - P (L_Y (N^T a) - L_{N Y} a)``."""
     for f in (N, alpha, Y):
         _same_chart(P.chart, f.chart)
-    Pa = hamiltonian_like(P, alpha)
+    Pa = _contract(P, alpha)
     NY = apply_operator(N, Y)
     NTa = apply_transpose(N, alpha)
     first = lie_derivative_operator(Pa, N, p) @ Y(p)
     inner = lie_derivative_oneform(Y, NTa, p) - lie_derivative_oneform(NY, alpha, p)
     return first - P(p) @ inner
-
-
-def hamiltonian_like(P: BivectorField, alpha: OneFormField) -> VectorField:
-    """``P alpha`` for an arbitrary one-form (not necessarily exact)."""
-    _same_chart(P.chart, alpha.chart)
-
-    def fn(x):
-        m = _eval_matrix(P, x)
-        a = _eval_vector(alpha, x)
-        n = len(x)
-        return [sum(m[i][j] * a[j] for j in range(n)) for i in range(n)]
-
-    return VectorField(P.chart, fn)
 
 
 # -- Magri chains -----------------------------------------------------------
@@ -213,17 +197,17 @@ def build_chain_oneforms(generators, H: ScalarField, sample,
     """Elements ``K_i^T dH`` with pointwise-closedness residuals."""
     if not sample:
         raise ValueError("empty sample")
-    from .charts import differential
     dH = differential(H)
     chain = MagriChain("one-forms", [])
     for K in generators:
         el = apply_transpose(K, dH)
-        res, scale = 0.0, 1.0
-        for p in sample:
-            res = max(res, float(np.max(np.abs(exterior_derivative(el, p)))))
-            scale = max(scale, 1.0 + float(np.max(np.abs(el.jacobian(p)))))
+
+        def at(p, el=el):
+            J = el.jacobian(p)  # d(el) = J^T - J
+            return _max_abs(J.T - J), 1.0 + _max_abs(J)
+
         chain.elements.append(el)
-        chain.residuals.append(SampledResidual(res, tol, scale, len(sample)))
+        chain.residuals.append(sampled(sample, at, tol))
     chain.ok = all(r.passed for r in chain.residuals)
     return chain
 
@@ -238,13 +222,10 @@ def build_chain_vectorfields(generators, Y: VectorField, sample,
     for i, a in enumerate(elements):
         for b in elements[i + 1:]:
             br = lie_bracket(a, b)
-            res, scale = 0.0, 1.0
-            for p in sample:
-                res = max(res, float(np.max(np.abs(br(p)))))
-                scale = max(scale,
-                            (1.0 + float(np.max(np.abs(a(p)))))
-                            * (1.0 + float(np.max(np.abs(b.jacobian(p))))))
-            chain.residuals.append(SampledResidual(res, tol, scale,
-                                                   len(sample)))
+            chain.residuals.append(sampled(
+                sample, lambda p, a=a, b=b, br=br: (
+                    _max_abs(br(p)),
+                    (1.0 + _max_abs(a(p))) * (1.0 + _max_abs(b.jacobian(p)))),
+                tol))
     chain.ok = all(r.passed for r in chain.residuals)
     return chain

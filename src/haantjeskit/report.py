@@ -1,18 +1,114 @@
-"""Verification reports: named checks with residuals, tolerances and a
-pass/fail/finding status, serializable to deterministic JSON."""
+"""Sampled identities and verification reports.
+
+An identity is judged over a sample by one primitive, :func:`sampled`: a
+per-point function returns the residual at the point and the magnitudes
+that set the scale, the primitive takes the maximum of each over the
+sample, and the result is a :class:`SampledResidual`.  Named checks carry
+the residual, the scaled tolerance and a pass/fail/finding status, and
+serialize to deterministic JSON.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 
-from .torsion import SampledResidual
+import numpy as np
 
-__all__ = ["Check", "VerificationReport", "check_from_residual"]
+__all__ = ["SampledResidual", "sampled", "merge", "worst", "Check",
+           "VerificationReport", "check_from_residual", "identity_check"]
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_FINDING = "finding"
+
+
+@dataclass(frozen=True)
+class SampledResidual:
+    """Outcome of a sampled identity check.
+
+    ``residual`` is the raw maximum over the sample; the identity counts as
+    satisfied when ``residual <= tolerance * scale``, where ``scale`` grows
+    with the magnitude of the inputs entering the identity (1 for checks on
+    bounded data).  A NaN residual or scale never passes.
+    """
+
+    residual: float
+    tolerance: float
+    scale: float = 1.0
+    points: int = 0
+
+    @property
+    def effective_tolerance(self) -> float:
+        return self.tolerance * self.scale
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.effective_tolerance
+
+
+def _max_abs(*values) -> float:
+    """Largest absolute entry of several arrays or numbers; NaN propagates
+    (Python's ``max`` would drop a NaN that is not first).  Numbers keep
+    their own ``abs``: numpy's complex ``abs`` can differ from Python's in
+    the last bit, which would change reported residuals."""
+    return float(np.max([np.max(np.abs(v)) if isinstance(v, np.ndarray)
+                         else abs(v) for v in values]))
+
+
+def sampled(sample, at, tol, scale=None):
+    """Judge an identity over a sample.
+
+    ``at(p)`` returns the residual at ``p`` followed by the magnitudes that
+    set the scale.  Each entry is maximized over the sample, and a NaN in
+    any of them propagates into the result, so the check fails.  The scale
+    follows one of two rules:
+
+    * ``scale=None``, maximum of a pointwise scale: ``at`` returns
+      ``(residual, s1, s2, ...)`` and the scale is the largest of 1 and
+      every ``sk`` over the sample;
+    * ``scale=f``, function of sample-wide maxima: ``at`` returns
+      ``(residual, m1, m2, ...)`` and the scale is ``f(M1, M2, ...)`` with
+      ``Mk`` the maximum of ``mk`` over the sample.
+
+    Several residuals read from one evaluation pass are judged together by
+    passing a tuple of tolerances: ``at`` then returns that many residuals
+    before the magnitudes, ``scale`` (if given) returns that many scales,
+    and a tuple of results comes back.  Under the pointwise rule they share
+    the one scale.
+    """
+    if not sample:
+        raise ValueError("empty sample")
+    many = isinstance(tol, tuple)
+    tols = tol if many else (tol,)
+    k = len(tols)
+    top = np.max(np.array([at(p) for p in sample], dtype=float), axis=0)
+    if scale is None:
+        scales = [float(np.maximum(1.0, np.max(top[k:])))] * k
+    else:
+        mags = [float(m) for m in top[k:]]
+        scales = scale(*mags) if many else [scale(*mags)]
+    out = tuple(SampledResidual(float(r), t, s, len(sample))
+                for r, t, s in zip(top[:k], tols, scales))
+    return out if many else out[0]
+
+
+def merge(results, points: int | None = None) -> SampledResidual:
+    """Several results judged at one tolerance as one: the largest residual
+    against the largest scale.  ``points`` defaults to the first result's
+    sample size."""
+    results = list(results)
+    first = results[0]
+    return SampledResidual(
+        float(np.max([r.residual for r in results])), first.tolerance,
+        float(np.max([r.scale for r in results])),
+        first.points if points is None else points)
+
+
+def worst(results) -> SampledResidual:
+    """The result with the largest residual, judged at its own scale; a NaN
+    residual counts as the largest."""
+    return max(results, key=lambda r: (r.residual != r.residual, r.residual))
 
 
 @dataclass(frozen=True)
@@ -51,6 +147,14 @@ def check_from_residual(check_id: str, description: str, reference: str,
     return Check(check_id, description, reference, status,
                  float(sr.residual), float(sr.effective_tolerance),
                  sr.points)
+
+
+def identity_check(check_id: str, description: str, reference: str, sample,
+                   at, tol: float, finding: bool = False) -> Check:
+    """A check straight from an identity: :func:`sampled` over ``sample``
+    with the pointwise scale rule, then :func:`check_from_residual`."""
+    return check_from_residual(check_id, description, reference,
+                               sampled(sample, at, tol), finding)
 
 
 @dataclass

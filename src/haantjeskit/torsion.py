@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import OperatorField, Point
+from .report import SampledResidual, _max_abs, sampled
 
 __all__ = [
-    "TorsionValue", "SampledResidual",
+    "TorsionValue",
     "nijenhuis_torsion", "haantjes_torsion",
     "is_nijenhuis", "is_haantjes",
 ]
@@ -38,30 +39,6 @@ class TorsionValue:
         return float(np.max(np.abs(t + t.transpose(0, 2, 1))))
 
 
-@dataclass(frozen=True)
-class SampledResidual:
-    """Outcome of a sampled identity check.
-
-    ``residual`` is the raw maximum over the sample; the identity counts as
-    satisfied when ``residual <= tolerance * scale``, where ``scale`` grows
-    with the magnitude of the inputs entering the identity (1 for checks on
-    bounded data).
-    """
-
-    residual: float
-    tolerance: float
-    scale: float = 1.0
-    points: int = 0
-
-    @property
-    def effective_tolerance(self) -> float:
-        return self.tolerance * self.scale
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.effective_tolerance
-
-
 def _nijenhuis_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
     # Lc[i, j] operator entries, Ld[i, j, a] their a-th partials.
     t1 = np.einsum("ika,aj->ijk", Ld, Lc)
@@ -70,46 +47,43 @@ def _nijenhuis_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
     return t1 - t2 + t3
 
 
+def _haantjes_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
+    T = _nijenhuis_components(Lc, Ld)
+    return (np.einsum("ia,ab,bjk->ijk", Lc, Lc, T)
+            + np.einsum("iab,aj,bk->ijk", T, Lc, Lc)
+            - np.einsum("ia,abk,bj->ijk", Lc, T, Lc)
+            - np.einsum("ia,ajb,bk->ijk", Lc, T, Lc))
+
+
 def nijenhuis_torsion(L: OperatorField, p: Point) -> TorsionValue:
-    Lc = L(p)
-    Ld = L.jacobian(p)
-    return TorsionValue(p, _nijenhuis_components(Lc, Ld))
+    return TorsionValue(p, _nijenhuis_components(L(p), L.jacobian(p)))
 
 
 def haantjes_torsion(L: OperatorField, p: Point) -> TorsionValue:
     """Haantjes torsion; only first derivatives of ``L`` are needed because
     the Nijenhuis torsion enters algebraically."""
-    Lc = L(p)
-    Ld = L.jacobian(p)
-    T = _nijenhuis_components(Lc, Ld)
-    H = (np.einsum("ia,ab,bjk->ijk", Lc, Lc, T)
-         + np.einsum("iab,aj,bk->ijk", T, Lc, Lc)
-         - np.einsum("ia,abk,bj->ijk", Lc, T, Lc)
-         - np.einsum("ia,ajb,bk->ijk", Lc, T, Lc))
-    return TorsionValue(p, H)
+    return TorsionValue(p, _haantjes_components(L(p), L.jacobian(p)))
 
 
-def _operator_scales(L: OperatorField, sample):
-    m = max(float(np.max(np.abs(L(p)))) for p in sample)
-    d = max(float(np.max(np.abs(L.jacobian(p)))) for p in sample)
-    return m, d
+def _sampled_torsion(L: OperatorField, sample, tol: float, components,
+                     scale) -> SampledResidual:
+    """Max torsion over the sample against ``scale(m, d)``, with ``m`` and
+    ``d`` the sample-wide maxima of ``|L|`` and ``|dL|``; ``L`` and its
+    jacobian are read once per point for both."""
+    def at(p):
+        Lc, Ld = L(p), L.jacobian(p)
+        return _max_abs(components(Lc, Ld)), _max_abs(Lc), _max_abs(Ld)
+
+    return sampled(sample, at, tol, scale)
 
 
 def is_nijenhuis(L: OperatorField, sample, tol: float = 1e-9) -> SampledResidual:
     """Max Nijenhuis-torsion residual over the sample, scaled by the
     magnitude of the terms of the local formula."""
-    if not sample:
-        raise ValueError("empty sample")
-    res = max(nijenhuis_torsion(L, p).max_abs() for p in sample)
-    m, d = _operator_scales(L, sample)
-    scale = (1.0 + m) * (1.0 + d)
-    return SampledResidual(res, tol, scale, len(sample))
+    return _sampled_torsion(L, sample, tol, _nijenhuis_components,
+                            lambda m, d: (1.0 + m) * (1.0 + d))
 
 
 def is_haantjes(L: OperatorField, sample, tol: float = 1e-9) -> SampledResidual:
-    if not sample:
-        raise ValueError("empty sample")
-    res = max(haantjes_torsion(L, p).max_abs() for p in sample)
-    m, d = _operator_scales(L, sample)
-    scale = (1.0 + m) ** 3 * (1.0 + d)
-    return SampledResidual(res, tol, scale, len(sample))
+    return _sampled_torsion(L, sample, tol, _haantjes_components,
+                            lambda m, d: (1.0 + m) ** 3 * (1.0 + d))

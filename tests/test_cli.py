@@ -85,6 +85,25 @@ def test_usage_errors_exit_2():
     assert main(["integrate", "--init", "1,2,3,4,5,6", "--dt", "-1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--c", "-1"],
+    ["verify", "--c", "0"],
+    ["verify", "--suite", "all", "--c", "inf"],
+    ["verify", "--c", "nan"],
+    ["verify", "--seed", "-1"],
+    ["verify", "--tol-exact", "nan"],
+    ["verify", "--tol-deriv", "inf"],
+    ["integrate", "--init", "nan,2,3,4,5,6"],
+    ["integrate", "--init", "1,2,3,4,5,6", "--c", "-1"],
+    ["integrate", "--init", "1,2,3,4,5,6", "--c", "inf"],
+    ["integrate", "--init", "1,2,3,4,5,6", "--dt", "nan"],
+    ["integrate", "--init", "1,2,3,4,5,6", "--tmax", "inf"],
+])
+def test_bad_numbers_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2():
     r = run_cli("verify", "--nonsense")
     assert r.returncode == 2
