@@ -140,15 +140,17 @@ class _VectorLike(_Field):
         self._require(p)
         return _strip_vector(self.fn(list(p.coords)))
 
-    def jacobian(self, p: Point) -> np.ndarray:
-        """Component derivatives; ``[i, k]`` is the k-th partial of the i-th
-        component."""
+    def jet(self, p: Point) -> tuple:
+        """Components and their derivatives from one seeded pass; the
+        jacobian's ``[i, k]`` is the k-th partial of the i-th component."""
         self._require(p)
         n = self.chart.dim
-        comps = self.fn(jets.seed(list(p.coords)))
-        return np.array([[complex(jets.value(g))
-                          for g in jets.gradient(c, n)] for c in comps],
-                        dtype=complex)
+        comps = _eval_vector(self, jets.seed(list(p.coords)))
+        return (_strip_vector(comps),
+                _strip_matrix([jets.gradient(c, n) for c in comps]))
+
+    def jacobian(self, p: Point) -> np.ndarray:
+        return self.jet(p)[1]
 
 
 class VectorField(_VectorLike):
@@ -165,15 +167,19 @@ class _MatrixLike(_Field):
         self._require(p)
         return _strip_matrix(self.fn(list(p.coords)))
 
-    def jacobian(self, p: Point) -> np.ndarray:
-        """Component derivatives; ``[i, j, k]`` is the k-th partial of the
-        ``(i, j)`` component."""
+    def jet(self, p: Point) -> tuple:
+        """Components and their derivatives from one seeded pass; the
+        jacobian's ``[i, j, k]`` is the k-th partial of the ``(i, j)``
+        component."""
         self._require(p)
         n = self.chart.dim
-        rows = self.fn(jets.seed(list(p.coords)))
-        return np.array(
+        rows = _eval_matrix(self, jets.seed(list(p.coords)))
+        return (_strip_matrix(rows), np.array(
             [[[complex(jets.value(g)) for g in jets.gradient(c, n)]
-              for c in row] for row in rows], dtype=complex)
+              for c in row] for row in rows], dtype=complex))
+
+    def jacobian(self, p: Point) -> np.ndarray:
+        return self.jet(p)[1]
 
 
 class OperatorField(_MatrixLike):
@@ -298,17 +304,21 @@ def scale_field(s, f):
     """Multiply a field by a constant or by a scalar field."""
     if isinstance(s, ScalarField):
         _same_chart(s.chart, f.chart)
-        sval = lambda x: s.fn(x)
+        sval = s.fn
     else:
         sval = lambda x: s
     if isinstance(f, ScalarField):
         return ScalarField(f.chart, lambda x: sval(x) * f.fn(x))
     if isinstance(f, _VectorLike):
-        return type(f)(f.chart,
-                       lambda x: [sval(x) * v for v in _eval_vector(f, x)])
-    return type(f)(f.chart,
-                   lambda x: [[sval(x) * v for v in row]
-                              for row in _eval_matrix(f, x)])
+        def fn(x):
+            c = sval(x)
+            return [c * v for v in _eval_vector(f, x)]
+        return type(f)(f.chart, fn)
+
+    def fn(x):
+        c = sval(x)
+        return [[c * v for v in row] for row in _eval_matrix(f, x)]
+    return type(f)(f.chart, fn)
 
 
 def compose_operators(L: OperatorField, M: OperatorField) -> OperatorField:

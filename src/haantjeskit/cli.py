@@ -5,7 +5,9 @@ per check; ``haantjeskit integrate`` runs the fixed-step flow integrator and
 reports the worst invariant drift.
 
 Exit codes: 0 all checks pass (findings do not fail), 1 at least one check
-failed, 2 usage error, 3 I/O error, 4 numerical blow-up.
+failed, 2 usage error, 3 I/O error, 4 numerical failure: the flow blew up,
+or a check raised a chart error (such as a singular point), a linear-algebra
+error or a value error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 
 import numpy as np
 
+from .charts import ChartError
 from .lagrange import TopParams, integrate_flow, max_relative_drift, write_csv
 from .lagrange.flow import FlowBlowupError
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -24,7 +27,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_BLOWUP = 4
+EXIT_NUMERICAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +82,12 @@ def _cmd_verify(args) -> int:
     cfg = SuiteConfig(seed=args.seed, points=args.points,
                       tol_exact=args.tol_exact, tol_deriv=args.tol_deriv,
                       c=args.c)
-    report = run_suite(args.suite, cfg)
+    try:
+        report = run_suite(args.suite, cfg)
+    except (ChartError, np.linalg.LinAlgError, ValueError) as exc:
+        print(f"error: suite {args.suite}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     for line in report.summary_lines():
         print(line)
     n_fail = len(report.failed)
@@ -115,7 +123,7 @@ def _cmd_integrate(args) -> int:
         traj = integrate_flow(params, np.array(values), args.dt, args.tmax)
     except FlowBlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+        return EXIT_NUMERICAL
     drift = max_relative_drift(traj)
     print(f"integrated {len(traj.times) - 1} steps to t = "
           f"{traj.times[-1]:.6g}; max relative invariant drift "

@@ -47,7 +47,7 @@ def _jacobi(Pc: np.ndarray, Pd: np.ndarray) -> float:
 
 def jacobi_residual(P: BivectorField, p: Point) -> float:
     """Max over index triples of the cyclic Schouten sum."""
-    return _jacobi(P(p), P.jacobian(p))
+    return _jacobi(*P.jet(p))
 
 
 def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
@@ -56,7 +56,7 @@ def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
     ``(1+m)(1+d)``, with ``m`` and ``d`` the sample-wide maxima of ``|P|``
     and ``|dP|``."""
     def at(p):
-        Pc, Pd = P(p), P.jacobian(p)
+        Pc, Pd = P.jet(p)
         return (_max_abs(Pc + Pc.T), _jacobi(Pc, Pd), _max_abs(Pc),
                 _max_abs(Pd))
 
@@ -132,10 +132,8 @@ def check_skew_compositions(Ki: OperatorField, Kj: OperatorField,
 def lie_derivative_operator(Z: VectorField, N: OperatorField,
                             p: Point) -> np.ndarray:
     """``(L_Z N)^i_j = Z^k d_k N^i_j - N^k_j d_k Z^i + N^i_k d_j Z^k``."""
-    Zc = Z(p)
-    Zd = Z.jacobian(p)
-    Nc = N(p)
-    Nd = N.jacobian(p)
+    Zc, Zd = Z.jet(p)
+    Nc, Nd = N.jet(p)
     return (np.einsum("k,ijk->ij", Zc, Nd)
             - np.einsum("kj,ik->ij", Nc, Zd)
             + np.einsum("ik,kj->ij", Nc, Zd))
@@ -145,20 +143,16 @@ def lie_derivative_oneform(Y: VectorField, alpha: OneFormField,
                            p: Point) -> np.ndarray:
     """Cartan formula in components:
     ``(L_Y a)_i = Y^k d_k a_i + a_k d_i Y^k``."""
-    Yc = Y(p)
-    Yd = Y.jacobian(p)
-    Ac = alpha(p)
-    Ad = alpha.jacobian(p)
+    Yc, Yd = Y.jet(p)
+    Ac, Ad = alpha.jet(p)
     return np.einsum("k,ik->i", Yc, Ad) + np.einsum("k,ki->i", Ac, Yd)
 
 
 def lie_derivative_bivector(Z: VectorField, P: BivectorField,
                             p: Point) -> np.ndarray:
     """``(L_Z P)^{ij} = Z^k d_k P^{ij} - P^{kj} d_k Z^i - P^{ik} d_k Z^j``."""
-    Zc = Z(p)
-    Zd = Z.jacobian(p)
-    Pc = P(p)
-    Pd = P.jacobian(p)
+    Zc, Zd = Z.jet(p)
+    Pc, Pd = P.jet(p)
     return (np.einsum("k,ijk->ij", Zc, Pd)
             - np.einsum("kj,ik->ij", Pc, Zd)
             - np.einsum("ik,jk->ij", Pc, Zd))

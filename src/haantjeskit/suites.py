@@ -29,7 +29,8 @@ from .report import (VerificationReport, _max_abs as _mag,
                      check_from_residual, identity_check, merge, sampled,
                      worst)
 from .sampling import sample_points
-from .torsion import (haantjes_torsion, is_haantjes, is_nijenhuis,
+from .torsion import (TorsionValue, _haantjes_components,
+                      _nijenhuis_components, is_haantjes, is_nijenhuis,
                       nijenhuis_torsion)
 from .lagrange import (TopParams, benenti_operators, body_chart,
                        body_to_complex, complex_chart, complex_integrals,
@@ -121,6 +122,16 @@ def _random_oneform(rng, chart) -> OneFormField:
     return OneFormField(chart, lambda x: [f(x) for f in fns])
 
 
+def _matches(F, G):
+    """Per-point function of the identity ``F = G``: residual
+    ``|F - G|`` against the scale ``1 + |G|``, each field read once."""
+    def at(p):
+        g = G(p)
+        return _mag(F(p) - g), 1.0 + _mag(g)
+
+    return at
+
+
 # -- definitional torsion oracle (vector-field brackets) --------------------
 
 def _bracket_nijenhuis(L, X, Y) -> VectorField:
@@ -156,23 +167,32 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     checks = []
 
     def torsions(L, p):
-        return nijenhuis_torsion(L, p), haantjes_torsion(L, p)
+        """Both torsions of ``L`` at ``p``, then ``L(p)`` and ``dL(p)``,
+        all from one jet pass."""
+        Lc, Ld = L.jet(p)
+        return (TorsionValue(p, _nijenhuis_components(Lc, Ld)),
+                TorsionValue(p, _haantjes_components(Lc, Ld)), Lc, Ld)
 
     ident = identity_operator(chart3)
     checks.append(identity_check(
         "identity_torsion", "both torsions of the identity operator vanish",
         "T(I) = 0 and H(I) = 0", sample3,
-        lambda p: (_mag(*(t.max_abs() for t in torsions(ident, p))), 1.0),
+        lambda p: (_mag(*(t.max_abs() for t in torsions(ident, p)[:2])),
+                   1.0),
         cfg.tol_exact))
 
     const = constant_operator(
         chart3, [[_rand_coeff(rng) for _ in range(3)] for _ in range(3)])
+
+    def constant_torsions(p):
+        T, H, Lc, _ = torsions(const, p)
+        return _mag(T.max_abs(), H.max_abs()), (1.0 + _mag(Lc)) ** 3
+
     checks.append(identity_check(
         "constant_operator_torsion",
         "both torsions of a random constant operator vanish",
-        "T(L) = 0 and H(L) = 0 for dL = 0", sample3,
-        lambda p: (_mag(*(t.max_abs() for t in torsions(const, p))),
-                   (1.0 + _mag(const(p))) ** 3), cfg.tol_exact))
+        "T(L) = 0 and H(L) = 0 for dL = 0", sample3, constant_torsions,
+        cfg.tol_exact))
 
     diagonal = []
     for dim in (2, 3, 4):
@@ -196,22 +216,28 @@ def suite_torsion(cfg: SuiteConfig) -> list:
         lambda p: (np.maximum(
             0.0, 1e-3 - nijenhuis_torsion(swap, p).max_abs()), 1.0),
         cfg.tol_exact))
+
+    def swapped_haantjes(p):
+        _, H, Lc, _ = torsions(swap, p)
+        return H.max_abs(), (1.0 + _mag(Lc)) ** 3
+
     checks.append(identity_check(
         "swapped_diagonal_haantjes",
         "Haantjes torsion of diag(x2, x1) vanishes", "H(L) = 0", sample2,
-        lambda p: (haantjes_torsion(swap, p).max_abs(),
-                   (1.0 + _mag(swap(p))) ** 3), cfg.tol_deriv))
+        swapped_haantjes, cfg.tol_deriv))
 
     L = _random_operator(rng, chart3)
+
+    def antisymmetry(p):
+        T, H, Lc, Ld = torsions(L, p)
+        return (_mag(T.antisymmetry_residual(), H.antisymmetry_residual()),
+                (1.0 + _mag(Lc)) ** 3 * (1.0 + _mag(Ld)))
+
     checks.append(identity_check(
         "torsion_antisymmetry",
         "both torsions of a random operator field are antisymmetric in the "
         "lower index pair", "T^i_{jk} = -T^i_{kj}, H^i_{jk} = -H^i_{kj}",
-        sample3,
-        lambda p: (_mag(*(t.antisymmetry_residual()
-                          for t in torsions(L, p))),
-                   (1.0 + _mag(L(p))) ** 3 * (1.0 + _mag(L.jacobian(p)))),
-        cfg.tol_exact))
+        sample3, antisymmetry, cfg.tol_exact))
 
     # definitional oracle on a small subsample: the component formula against
     # the vector-field bracket form applied to random fields
@@ -220,10 +246,11 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     fields = (_bracket_nijenhuis(L, X, Y), _bracket_haantjes(L, X, Y))
 
     def definitional(p):
+        T, H, Lc, _ = torsions(L, p)
         Xc, Yc = X(p), Y(p)
         res = (np.einsum("ijk,j,k->i", t.components, Xc, Yc) - f(p)
-               for t, f in zip(torsions(L, p), fields))
-        m = _mag(L(p)) + _mag(Xc) + _mag(Yc)
+               for t, f in zip((T, H), fields))
+        m = _mag(Lc) + _mag(Xc) + _mag(Yc)
         return _mag(*res), (1.0 + m) ** 5
 
     checks.append(identity_check(
@@ -335,8 +362,7 @@ def suite_euler(cfg: SuiteConfig) -> list:
     checks.append(identity_check(
         "chain_identity",
         "the identity maps the energy differential to itself",
-        "K1^T dH = dH", sample,
-        lambda p: (_mag(el1(p) - dH(p)), 1.0 + _mag(dH(p))), cfg.tol_exact))
+        "K1^T dH = dH", sample, _matches(el1, dH), cfg.tol_exact))
 
     el2 = apply_transpose(k2, dH)
     target2 = np.array([0, 0, 0, 1, 0, 0], dtype=complex)
@@ -348,13 +374,14 @@ def suite_euler(cfg: SuiteConfig) -> list:
         lambda p: (_mag(el2(p) - target2), 1.0 + _mag(k2(p)) + _mag(dH(p))),
         cfg.tol_deriv))
 
+    def chain_closed(p):
+        J2 = el2.jacobian(p)  # d(el2) = J2^T - J2
+        return _mag(exterior_derivative(el1, p), J2.T - J2), 1.0 + _mag(J2)
+
     checks.append(identity_check(
         "chain_closedness",
         "the first two chain elements are closed one-forms",
-        "d(Ki^T dH) = 0", sample,
-        lambda p: (_mag(exterior_derivative(el1, p),
-                        exterior_derivative(el2, p)),
-                   1.0 + _mag(el2.jacobian(p))), cfg.tol_deriv))
+        "d(Ki^T dH) = 0", sample, chain_closed, cfg.tol_deriv))
 
     # Open adjudication: the third operator does not reproduce the
     # differential of the axial momentum.  Report the residual and what the
@@ -467,26 +494,29 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         "complex_p1_transform",
         "the transported first bivector matches its closed form in the "
         "adapted chart", "phi_* P1 = P1_adapted", csample,
-        lambda p: (_mag(pushed1(p) - P1c(p)), 1.0 + _mag(P1c(p))),
-        cfg.tol_exact))
+        _matches(pushed1, P1c), cfg.tol_exact))
 
     pushed0 = to_cx.push_bivector(P0)
     checks.append(identity_check(
         "complex_p0_transform",
         "the transported second bivector matches its closed form in the "
         "adapted chart", "phi_* P0 = P0_adapted", csample,
-        lambda p: (_mag(pushed0(p) - P0c(p)), 1.0 + _mag(P0c(p))),
-        cfg.tol_deriv))
+        _matches(pushed0, P0c), cfg.tol_deriv))
 
     F2c, F3c = complex_integrals(params)
     pF2 = to_cx.push_scalar(F["F2"])
     pF3 = to_cx.push_scalar(F["F3"])
+
+    def integral_transform(p):
+        f2, f3 = F2c(p), F3c(p)
+        return (_mag(pF2(p) - f2, pF3(p) - f3),
+                1.0 + abs(f2) + abs(f3))
+
     checks.append(identity_check(
         "complex_integral_transform",
         "the transported integrals match their closed forms in the adapted "
-        "chart", "Fi o phi^{-1} = Fi_adapted", csample,
-        lambda p: (_mag(pF2(p) - F2c(p), pF3(p) - F3c(p)),
-                   1.0 + abs(F2c(p)) + abs(F3c(p))), cfg.tol_exact))
+        "chart", "Fi o phi^{-1} = Fi_adapted", csample, integral_transform,
+        cfg.tol_exact))
 
     Z1, Z2, Q = deformation(params)
     ladder_heads = [ScalarField(cchart, lambda x: x[F1C]),
@@ -513,14 +543,17 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
             lambda p, Z=Z: (_mag(lie_derivative_bivector(Z, P1c, p)),
                             1.0 + _mag(P1c(p))), cfg.tol_deriv))
         corr = wedge(lie_bracket(Z, X1f), Z2)
+
+        def lie_p0(p, Z=Z, corr=corr):
+            w = corr(p)
+            return (_mag(lie_derivative_bivector(Z, P0c, p) - w),
+                    1.0 + _mag(P0c(p)) + _mag(w))
+
         checks.append(identity_check(
             f"lie_z{i + 1}_p0",
             "the transversal variation of the second bivector is carried "
             "entirely by the ladder-head wedge term",
-            "L_Z P0 = [Z, X1] ^ Z2", csample,
-            lambda p, Z=Z, corr=corr: (
-                _mag(lie_derivative_bivector(Z, P0c, p) - corr(p)),
-                1.0 + _mag(P0c(p)) + _mag(corr(p))), cfg.tol_deriv))
+            "L_Z P0 = [Z, X1] ^ Z2", csample, lie_p0, cfg.tol_deriv))
         checks.append(identity_check(
             f"lie_z{i + 1}_q",
             "the deformed bivector is invariant along the transversal "
@@ -548,13 +581,15 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         q_block, cfg.tol_exact))
 
     N = nijenhuis_operator(params)
+
+    def factorization(p):
+        n, m = N(p), P1c(p)
+        return _mag(n @ m - Q(p)), (1.0 + _mag(n)) * (1.0 + _mag(m))
+
     checks.append(identity_check(
         "n_factorization",
         "the recursion operator factors the deformed bivector through the "
-        "first one", "N P1 = Q", csample,
-        lambda p: (_mag(N(p) @ P1c(p) - Q(p)),
-                   (1.0 + _mag(N(p))) * (1.0 + _mag(P1c(p)))),
-        cfg.tol_deriv))
+        "first one", "N P1 = Q", csample, factorization, cfg.tol_deriv))
     checks.append(check_from_residual(
         "n_nijenhuis", "the recursion operator is torsion free", "T(N) = 0",
         is_nijenhuis(N, csample, cfg.tol_deriv)))
@@ -609,9 +644,7 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
     checks.append(identity_check(
         "oneform_chain_step",
         "the second chain element is the differential of the next integral",
-        "K2^T d(-F3) = dF2", csample,
-        lambda p: (_mag(el2(p) - dF2(p)), 1.0 + _mag(dF2(p))),
-        cfg.tol_deriv))
+        "K2^T d(-F3) = dF2", csample, _matches(el2, dF2), cfg.tol_deriv))
 
     checks.append(identity_check(
         "chain_involution",
@@ -626,9 +659,9 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
 
     def correspondence(p):
         lhs = P1c(p) @ el2(p)
-        xh = XH(p)
-        return (_mag(lhs - K2(p) @ xh, lhs - el2_field(p)),
-                (1.0 + _mag(K2(p))) * (1.0 + _mag(xh)))
+        k, xh = K2(p), XH(p)
+        return (_mag(lhs - k @ xh, lhs - el2_field(p)),
+                (1.0 + _mag(k)) * (1.0 + _mag(xh)))
 
     checks.append(identity_check(
         "hamiltonian_correspondence",
@@ -673,13 +706,16 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     P0l, P1l = data["P0"], data["P1"]
     F2l, F3l = data["F2"], data["F3"]
 
+    def recursion_ratio(p):
+        n, m0 = Nl(p), P0l(p)
+        return (_mag(n - np.linalg.solve(P1l(p).T, m0.T).T),
+                (1.0 + _mag(n)) * (1.0 + _mag(m0)))
+
     checks.append(identity_check(
         "leaf_recursion_ratio",
         "the restricted recursion operator equals the ratio of the two "
         "restricted Poisson blocks", "N = P0 P1^{-1} on the leaf", sample,
-        lambda p: (_mag(Nl(p) - np.linalg.solve(P1l(p).T, P0l(p).T).T),
-                   (1.0 + _mag(Nl(p))) * (1.0 + _mag(P0l(p)))),
-        cfg.tol_exact))
+        recursion_ratio, cfg.tol_exact))
 
     mF3l = ScalarField(lchart, lambda x: -F3l.fn(x))
     el2 = apply_transpose(K2l, differential(mF3l))
@@ -688,8 +724,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         "leaf_chain_step",
         "the restricted operator family steps the restricted integral "
         "differentials", "K2^T d(-F3) = dF2 on the leaf", sample,
-        lambda p: (_mag(el2(p) - dF2l(p)), 1.0 + _mag(dF2l(p))),
-        cfg.tol_deriv))
+        _matches(el2, dF2l), cfg.tol_deriv))
 
     c = params.c
     h1l = ScalarField(lchart,
@@ -699,12 +734,16 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         add_fields(identity_operator(lchart),
                    scale_field(-(c - 1.0) * C1, K2l)),
         differential(F3l))
+
+    def h1_chain(p):
+        d = dh1(p)
+        return _mag(d + comb(p)), 1.0 + _mag(d)
+
     checks.append(identity_check(
         "leaf_h1_chain",
         "the restricted second Hamiltonian differential decomposes over the "
         "operator family",
-        "dh1 = -(I - (c-1) C1 K2)^T dF3 on the leaf", sample,
-        lambda p: (_mag(dh1(p) + comb(p)), 1.0 + _mag(dh1(p))),
+        "dh1 = -(I - (c-1) C1 K2)^T dF3 on the leaf", sample, h1_chain,
         cfg.tol_deriv))
 
     def eigen_symmetric(p):

@@ -56,22 +56,22 @@ def _haantjes_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
 
 
 def nijenhuis_torsion(L: OperatorField, p: Point) -> TorsionValue:
-    return TorsionValue(p, _nijenhuis_components(L(p), L.jacobian(p)))
+    return TorsionValue(p, _nijenhuis_components(*L.jet(p)))
 
 
 def haantjes_torsion(L: OperatorField, p: Point) -> TorsionValue:
     """Haantjes torsion; only first derivatives of ``L`` are needed because
     the Nijenhuis torsion enters algebraically."""
-    return TorsionValue(p, _haantjes_components(L(p), L.jacobian(p)))
+    return TorsionValue(p, _haantjes_components(*L.jet(p)))
 
 
 def _sampled_torsion(L: OperatorField, sample, tol: float, components,
                      scale) -> SampledResidual:
     """Max torsion over the sample against ``scale(m, d)``, with ``m`` and
     ``d`` the sample-wide maxima of ``|L|`` and ``|dL|``; ``L`` and its
-    jacobian are read once per point for both."""
+    jacobian come from one jet pass per point."""
     def at(p):
-        Lc, Ld = L(p), L.jacobian(p)
+        Lc, Ld = L.jet(p)
         return _max_abs(components(Lc, Ld)), _max_abs(Lc), _max_abs(Ld)
 
     return sampled(sample, at, tol, scale)

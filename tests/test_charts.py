@@ -13,6 +13,10 @@ from haantjeskit import (BivectorField, Chart, ChartError,
                          coordinate_function, differential,
                          exterior_derivative, identity_operator, lie_bracket,
                          operator_polynomial, pairing, scale_field, wedge)
+from haantjeskit import jets
+from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
+                                  complex_chart, nijenhuis_operator,
+                                  p0_complex, p1_complex, x_fields_complex)
 from haantjeskit.sampling import sample_points
 
 from conftest import fd_gradient, fd_jacobian, point
@@ -192,3 +196,64 @@ def test_coordinate_function_and_constant_operator(chart3):
         coordinate_function(chart3, 5)
     M = constant_operator(chart3, np.eye(3) * 2.0)
     assert np.max(np.abs(M(p) - 2.0 * np.eye(3))) == 0.0
+
+
+def _jet_cases(c):
+    """Fields of the top's complex chart at inertia ratio ``c``, with a
+    sample of that chart."""
+    params = TopParams(c=c)
+    chart = complex_chart(params)
+    X1, X2 = x_fields_complex(params)
+    body_op = OperatorField(
+        body_chart(),
+        lambda x: [[x[i] * x[j] + (1.0 if i == j else 0.0) for j in range(6)]
+                   for i in range(6)])
+    coeff = ScalarField(chart, lambda x: x[0] * x[1] - 0.5 * x[4] + 2.0)
+    N = nijenhuis_operator(params)
+    fields = {
+        "N": N,
+        "P1": p1_complex(params),
+        "P0": p0_complex(params),
+        "X1": X1,
+        "X2": X2,
+        "pushed": body_to_complex(params).push_operator(body_op),
+        "scaled_operator": scale_field(coeff, N),
+        "scaled_vector": scale_field(coeff, X1),
+        "bracket": lie_bracket(X1, X2),
+    }
+    return fields, sample_points(chart, 3, 5)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
+def test_jet_equals_value_and_jacobian(c):
+    """``jet`` gives bit for bit what the plain pass and ``jacobian`` give,
+    so switching a check to it cannot change a reported residual."""
+    fields, sample = _jet_cases(c)
+    for name, F in fields.items():
+        for p in sample:
+            val, jac = F.jet(p)
+            assert np.array_equal(val, F(p)), name
+            assert np.array_equal(jac, F.jacobian(p)), name
+            assert jac.shape == val.shape + (6,), name
+
+
+def test_scale_field_reads_coefficient_once_per_evaluation(chart3, sample3):
+    calls = []
+
+    def coeff(x):
+        calls.append(1)
+        return x[0] * x[1] + 2.0
+
+    s = ScalarField(chart3, coeff)
+    X = VectorField(chart3, lambda x: [x[0], x[1] * x[2], 1.0])
+    L = OperatorField(chart3, lambda x: [[x[i] * x[j] for j in range(3)]
+                                         for i in range(3)])
+    p = sample3[0]
+    for f in (X, L):
+        g = scale_field(s, f)
+        # plain inputs, seeded jets, and jets whose values are jets
+        for evaluate in (g, g.jacobian, g.jet,
+                         lambda q: g.fn(jets.seed(jets.seed(list(q.coords))))):
+            calls.clear()
+            evaluate(p)
+            assert len(calls) == 1, (type(f).__name__, evaluate)

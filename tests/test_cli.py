@@ -2,13 +2,17 @@
 conformance and the reported findings."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+import haantjeskit
+from haantjeskit import ChartError, SingularPointError, cli
 from haantjeskit.cli import main
 
 SCHEMA = json.loads(
@@ -17,8 +21,14 @@ SCHEMA = json.loads(
 
 
 def run_cli(*args):
+    # the child imports the package from the same place as this process,
+    # installed or not
+    src = str(Path(haantjeskit.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
     return subprocess.run([sys.executable, "-m", "haantjeskit.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_verify_torsion_passes(tmp_path):
@@ -144,3 +154,21 @@ def test_console_entry_point(suite):
     r = run_cli("verify", "--suite", suite, "--points", "5")
     assert r.returncode == 0
     assert "checks" in r.stdout
+
+
+@pytest.mark.parametrize("exc", [
+    SingularPointError("point lies on a singular set of chart 'complex'"),
+    ChartError("chart mismatch"),
+    np.linalg.LinAlgError("SVD did not converge"),
+    ValueError("no annihilating polynomial found up to full degree")])
+def test_numerical_error_in_check_exits_4(exc, monkeypatch, capsys):
+    def failing_suite(name, cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_suite", failing_suite)
+    code = main(["verify", "--suite", "algebra", "--points", "3"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: suite algebra:")
+    assert type(exc).__name__ in err and str(exc) in err
+    assert "\n" not in err and "Traceback" not in err
