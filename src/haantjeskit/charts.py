@@ -2,10 +2,18 @@
 
 Fields are immutable wrappers around pure component functions.  A component
 function receives the coordinate tuple (plain complex numbers, or jets when
-a derivative is requested) and returns the components as nested lists.  All
-derived fields (brackets, differentials, transported tensors, ...) are built
-the same way, so they remain differentiable to the depth the computation
-needs.
+a derivative is requested) and returns the components: a number, a list, or
+a list of rows.  All derived fields (brackets, differentials, transported
+tensors, ...) are built the same way, so they remain differentiable to the
+depth the computation needs.
+
+Every field kind is read through the same two passes: ``f(p)`` evaluates the
+component function once on the plain coordinates, and ``f.jet(p)`` once on
+seeded jets, giving the components and their partials (last index the
+variable); ``f.jacobian(p)`` is ``f.jet(p)[1]``, and a scalar field's
+``gradient`` is its ``jacobian``.  Derived fields and chart maps take
+partials through the same seeded pass, :func:`_seeded`, which also accepts
+coordinates that are already jets.
 
 Real charts embed with zero imaginary parts; every evaluation is pure and
 deterministic.
@@ -14,13 +22,13 @@ deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import jets
-from .jets import Jet
 
 __all__ = [
     "Chart", "Point", "ChartError", "ChartMismatchError", "SingularPointError",
@@ -94,7 +102,11 @@ def _same_chart(a, b):
 
 
 class _Field:
-    """Base for all field kinds: a chart plus a pure component function."""
+    """Base for all field kinds: a chart plus a pure component function.
+
+    Every kind is read the same way; the subclasses are kind tags that the
+    field algebra checks.  A scalar field's components are one ``complex``.
+    """
 
     def __init__(self, chart: Chart, fn: Callable):
         self.chart = chart
@@ -107,110 +119,65 @@ class _Field:
                 raise SingularPointError(
                     f"point lies on a singular set of chart {self.chart.name!r}")
 
+    def __call__(self, p: Point):
+        """Components from a plain pass."""
+        self._require(p)
+        v = np.array(self.fn(list(p.coords)), dtype=complex)
+        return complex(v) if v.ndim == 0 else v
 
-def _strip_scalar(v):
-    return complex(jets.value(v))
+    def jet(self, p: Point) -> tuple:
+        """Components and their partials from one seeded pass; the last
+        index of the partials is the variable, so a vector's ``[i, k]`` is
+        the k-th partial of the i-th component."""
+        self._require(p)
+        vals, grads = _seeded(self.fn, list(p.coords))
+        v = np.array(vals, dtype=complex)
+        return (complex(v) if v.ndim == 0 else v,
+                np.array(grads, dtype=complex))
 
-
-def _strip_vector(vals):
-    return np.array([complex(jets.value(v)) for v in vals], dtype=complex)
-
-
-def _strip_matrix(rows):
-    return np.array([[complex(jets.value(v)) for v in row] for row in rows],
-                    dtype=complex)
+    def jacobian(self, p: Point) -> np.ndarray:
+        return self.jet(p)[1]
 
 
 class ScalarField(_Field):
 
-    def __call__(self, p: Point) -> complex:
-        self._require(p)
-        return _strip_scalar(self.fn(list(p.coords)))
-
-    def gradient(self, p: Point) -> np.ndarray:
-        self._require(p)
-        n = self.chart.dim
-        r = self.fn(jets.seed(list(p.coords)))
-        return _strip_vector(jets.gradient(r, n))
+    gradient = _Field.jacobian
 
 
-class _VectorLike(_Field):
-
-    def __call__(self, p: Point) -> np.ndarray:
-        self._require(p)
-        return _strip_vector(self.fn(list(p.coords)))
-
-    def jet(self, p: Point) -> tuple:
-        """Components and their derivatives from one seeded pass; the
-        jacobian's ``[i, k]`` is the k-th partial of the i-th component."""
-        self._require(p)
-        n = self.chart.dim
-        comps = _eval_vector(self, jets.seed(list(p.coords)))
-        return (_strip_vector(comps),
-                _strip_matrix([jets.gradient(c, n) for c in comps]))
-
-    def jacobian(self, p: Point) -> np.ndarray:
-        return self.jet(p)[1]
-
-
-class VectorField(_VectorLike):
+class VectorField(_Field):
     pass
 
 
-class OneFormField(_VectorLike):
+class OneFormField(_Field):
     pass
 
 
-class _MatrixLike(_Field):
-
-    def __call__(self, p: Point) -> np.ndarray:
-        self._require(p)
-        return _strip_matrix(self.fn(list(p.coords)))
-
-    def jet(self, p: Point) -> tuple:
-        """Components and their derivatives from one seeded pass; the
-        jacobian's ``[i, j, k]`` is the k-th partial of the ``(i, j)``
-        component."""
-        self._require(p)
-        n = self.chart.dim
-        rows = _eval_matrix(self, jets.seed(list(p.coords)))
-        return (_strip_matrix(rows), np.array(
-            [[[complex(jets.value(g)) for g in jets.gradient(c, n)]
-              for c in row] for row in rows], dtype=complex))
-
-    def jacobian(self, p: Point) -> np.ndarray:
-        return self.jet(p)[1]
-
-
-class OperatorField(_MatrixLike):
+class OperatorField(_Field):
     pass
 
 
-class BivectorField(_MatrixLike):
+class BivectorField(_Field):
     pass
 
 
 # -- jet-generic internal evaluation (inputs may already be jets) -----------
 
-def _grad_scalar(f: ScalarField, x):
+def _walk(f, tree, *more):
+    """``f`` applied to each component of a scalar, a list or a list of rows,
+    together with the matching components of ``more`` (same shape)."""
+    if not isinstance(tree, (list, tuple)):
+        return f(tree, *more)
+    if isinstance(tree[0], (list, tuple)):
+        return [list(map(f, *rows)) for rows in zip(tree, *more)]
+    return list(map(f, tree, *more))
+
+
+def _seeded(fn, x):
+    """One pass of ``fn`` at the seeded ``x`` (numbers or jets): the
+    components and their partials, the last index being the variable."""
     n = len(x)
-    return jets.gradient(f.fn(jets.seed(x)), n)
-
-
-def _eval_vector(f, x):
-    return list(f.fn(x))
-
-
-def _jac_vector(f, x):
-    n = len(x)
-    comps = f.fn(jets.seed(x))
-    vals = [jets.value(c) for c in comps]
-    grads = [jets.gradient(c, n) for c in comps]
-    return vals, grads
-
-
-def _eval_matrix(f, x):
-    return [list(row) for row in f.fn(x)]
+    out = fn(jets.seed(x))
+    return _walk(jets.value, out), _walk(lambda v: jets.gradient(v, n), out)
 
 
 def _zip_dot(row, vec):
@@ -220,7 +187,7 @@ def _zip_dot(row, vec):
 # -- field algebra ----------------------------------------------------------
 
 def differential(f: ScalarField) -> OneFormField:
-    return OneFormField(f.chart, lambda x: _grad_scalar(f, x))
+    return OneFormField(f.chart, lambda x: _seeded(f.fn, x)[1])
 
 
 def exterior_derivative(alpha: OneFormField, p: Point) -> np.ndarray:
@@ -234,7 +201,7 @@ def wedge(X: VectorField, Z: VectorField) -> BivectorField:
     _same_chart(X.chart, Z.chart)
 
     def fn(x):
-        xv, zv = _eval_vector(X, x), _eval_vector(Z, x)
+        xv, zv = X.fn(x), Z.fn(x)
         return [[xv[i] * zv[j] - xv[j] * zv[i] for j in range(len(xv))]
                 for i in range(len(xv))]
 
@@ -245,7 +212,7 @@ def apply_operator(L: OperatorField, X: VectorField) -> VectorField:
     _same_chart(L.chart, X.chart)
 
     def fn(x):
-        m, v = _eval_matrix(L, x), _eval_vector(X, x)
+        m, v = L.fn(x), X.fn(x)
         return [_zip_dot(row, v) for row in m]
 
     return VectorField(L.chart, fn)
@@ -255,7 +222,7 @@ def apply_transpose(L: OperatorField, alpha: OneFormField) -> OneFormField:
     _same_chart(L.chart, alpha.chart)
 
     def fn(x):
-        m, a = _eval_matrix(L, x), _eval_vector(alpha, x)
+        m, a = L.fn(x), alpha.fn(x)
         n = len(a)
         return [sum(m[i][j] * a[i] for i in range(n)) for j in range(n)]
 
@@ -266,8 +233,8 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     _same_chart(X.chart, Y.chart)
 
     def fn(x):
-        xv, xg = _jac_vector(X, x)
-        yv, yg = _jac_vector(Y, x)
+        xv, xg = _seeded(X.fn, x)
+        yv, yg = _seeded(Y.fn, x)
         n = len(xv)
         return [sum(xv[j] * yg[i][j] - yv[j] * xg[i][j] for j in range(n))
                 for i in range(n)]
@@ -279,25 +246,14 @@ def pairing(alpha: OneFormField, X: VectorField) -> ScalarField:
     _same_chart(alpha.chart, X.chart)
     return ScalarField(
         alpha.chart,
-        lambda x: _zip_dot(_eval_vector(alpha, x), _eval_vector(X, x)))
+        lambda x: _zip_dot(alpha.fn(x), X.fn(x)))
 
 
 def add_fields(a, b):
     _same_chart(a.chart, b.chart)
     if type(a) is not type(b):
         raise TypeError("can only add fields of the same kind")
-    if isinstance(a, ScalarField):
-        return ScalarField(a.chart, lambda x: a.fn(x) + b.fn(x))
-    if isinstance(a, _VectorLike):
-        def fn(x):
-            av, bv = _eval_vector(a, x), _eval_vector(b, x)
-            return [u + v for u, v in zip(av, bv)]
-        return type(a)(a.chart, fn)
-
-    def fn(x):
-        am, bm = _eval_matrix(a, x), _eval_matrix(b, x)
-        return [[u + v for u, v in zip(ra, rb)] for ra, rb in zip(am, bm)]
-    return type(a)(a.chart, fn)
+    return type(a)(a.chart, lambda x: _walk(operator.add, a.fn(x), b.fn(x)))
 
 
 def scale_field(s, f):
@@ -307,17 +263,11 @@ def scale_field(s, f):
         sval = s.fn
     else:
         sval = lambda x: s
-    if isinstance(f, ScalarField):
-        return ScalarField(f.chart, lambda x: sval(x) * f.fn(x))
-    if isinstance(f, _VectorLike):
-        def fn(x):
-            c = sval(x)
-            return [c * v for v in _eval_vector(f, x)]
-        return type(f)(f.chart, fn)
 
     def fn(x):
         c = sval(x)
-        return [[c * v for v in row] for row in _eval_matrix(f, x)]
+        return _walk(lambda v: c * v, f.fn(x))
+
     return type(f)(f.chart, fn)
 
 
@@ -325,7 +275,7 @@ def compose_operators(L: OperatorField, M: OperatorField) -> OperatorField:
     _same_chart(L.chart, M.chart)
 
     def fn(x):
-        a, b = _eval_matrix(L, x), _eval_matrix(M, x)
+        a, b = L.fn(x), M.fn(x)
         n = len(a)
         return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)]
@@ -338,7 +288,7 @@ def operator_polynomial(L: OperatorField, coeffs: Sequence) -> OperatorField:
 
     def fn(x):
         n = L.chart.dim
-        m = _eval_matrix(L, x)
+        m = L.fn(x)
         power = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
         acc = [[0.0 for _ in range(n)] for _ in range(n)]
         for k, c in enumerate(coeffs):
@@ -400,33 +350,17 @@ class ChartMap:
 
     def apply(self, p: Point) -> Point:
         _same_chart(self.src, p.chart)
-        return Point(self.dst, tuple(
-            complex(jets.value(v)) for v in self.forward(list(p.coords))))
+        return Point(self.dst, tuple(self.forward(list(p.coords))))
 
     def invert(self, q: Point) -> Point:
         _same_chart(self.dst, q.chart)
-        return Point(self.src, tuple(
-            complex(jets.value(v)) for v in self.inverse(list(q.coords))))
+        return Point(self.src, tuple(self.inverse(list(q.coords))))
 
     def jacobian(self, p: Point) -> np.ndarray:
         """Forward jacobian ``[i, k] = d(dst_i)/d(src_k)`` at a source point."""
         _same_chart(self.src, p.chart)
-        n = self.src.dim
-        out = self.forward(jets.seed(list(p.coords)))
-        return np.array([[complex(jets.value(g))
-                          for g in jets.gradient(c, n)] for c in out],
+        return np.array(_seeded(self.forward, list(p.coords))[1],
                         dtype=complex)
-
-    # jet-generic helpers used by the transported fields
-    def _fwd_jac(self, x):
-        n = len(x)
-        out = self.forward(jets.seed(x))
-        return [jets.gradient(c, n) for c in out]
-
-    def _inv_jac(self, xi):
-        n = len(xi)
-        out = self.inverse(jets.seed(xi))
-        return [jets.gradient(c, n) for c in out]
 
     def push_scalar(self, f: ScalarField) -> ScalarField:
         _same_chart(self.src, f.chart)
@@ -437,8 +371,8 @@ class ChartMap:
 
         def fn(xi):
             x = self.inverse(xi)
-            J = self._fwd_jac(x)
-            v = _eval_vector(X, x)
+            J = _seeded(self.forward, x)[1]
+            v = X.fn(x)
             return [_zip_dot(row, v) for row in J]
 
         return VectorField(self.dst, fn)
@@ -448,8 +382,8 @@ class ChartMap:
 
         def fn(xi):
             x = self.inverse(xi)
-            J = self._fwd_jac(x)
-            m = _eval_matrix(P, x)
+            J = _seeded(self.forward, x)[1]
+            m = P.fn(x)
             n = len(xi)
             ns = len(x)
             jm = [[_zip_dot(J[i], [m[k][j] for k in range(ns)])
@@ -463,10 +397,9 @@ class ChartMap:
         _same_chart(self.src, L.chart)
 
         def fn(xi):
-            x = self.inverse(xi)
-            J = self._fwd_jac(x)
-            Jinv = self._inv_jac(xi)  # [src_k][dst_j]
-            m = _eval_matrix(L, x)
+            x, Jinv = _seeded(self.inverse, xi)  # Jinv[src_k][dst_j]
+            J = _seeded(self.forward, x)[1]
+            m = L.fn(x)
             n = len(xi)
             ns = len(x)
             jl = [[_zip_dot(J[i], [m[k][j] for k in range(ns)])

@@ -116,6 +116,8 @@ def _cmd_integrate(args) -> int:
     if not (_positive(args.dt) and math.isfinite(args.tmax)
             and args.tmax >= 0):
         return _usage_error("--dt must be positive and --tmax non-negative")
+    if not math.isfinite(args.tmax / args.dt):
+        return _usage_error("--tmax / --dt must be a finite step count")
     if not _positive(args.c):
         return _usage_error("--c must be finite and positive")
     params = TopParams(c=args.c)

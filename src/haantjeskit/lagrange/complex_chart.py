@@ -8,7 +8,7 @@ Coordinate order: ``(x1, x2, y1, y2, F1, F4)``.
 from __future__ import annotations
 
 from ..charts import (BivectorField, Chart, ChartMap, OperatorField,
-                      ScalarField, VectorField, _grad_scalar)
+                      ScalarField, VectorField, differential)
 from .body import body_chart
 from .params import TopParams
 
@@ -117,16 +117,16 @@ def x_fields_complex(params: TopParams):
     """The ladder fields expressed in the adapted chart: images of the
     integral gradients under the leaf-tangent Poisson block."""
     chart = complex_chart(params)
-    F2c, F3c = complex_integrals(params)
+    dF2, dF3 = (differential(F).fn for F in complex_integrals(params))
 
     def x1_fn(x):
-        df = _grad_scalar(F3c, x)
+        df = dF3(x)
         blk = _p1_block(x)
         out = [-sum(blk[a][b] * df[b] for b in range(4)) for a in range(4)]
         return out + [0.0, 0.0]
 
     def x2_fn(x):
-        df = _grad_scalar(F2c, x)
+        df = dF2(x)
         blk = _p1_block(x)
         out = [sum(blk[a][b] * df[b] for b in range(4)) for a in range(4)]
         return out + [0.0, 0.0]

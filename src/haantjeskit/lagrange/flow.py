@@ -3,10 +3,12 @@ integral and Hamiltonian values recorded along the trajectory."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .body import hamiltonians, integrals, lagrange_vector_field
 from .params import TopParams
 
 INVARIANT_NAMES = ("F1", "F2", "F3", "F4", "h0", "h1", "h2")
@@ -28,48 +30,23 @@ class Trajectory:
     invariants: np.ndarray   # (k, 7): F1..F4, h0..h2
 
 
-def _rhs(params: TopParams):
-    c = params.c
-
-    def f(y):
-        w1, w2, w3, g1, g2, g3 = y
-        return np.array([
-            (1.0 - c) * w2 * w3 - g2,
-            -(1.0 - c) * w3 * w1 + g1,
-            0.0,
-            g2 * w3 - g3 * w2,
-            g3 * w1 - g1 * w3,
-            g1 * w2 - g2 * w1,
-        ])
-
-    return f
-
-
-def _invariants(params: TopParams, states: np.ndarray) -> np.ndarray:
-    c = params.c
-    w1, w2, w3 = states[:, 0], states[:, 1], states[:, 2]
-    g1, g2, g3 = states[:, 3], states[:, 4], states[:, 5]
-    F1 = w3
-    F2 = 0.5 * (w1 ** 2 + w2 ** 2 + c * w3 ** 2) - g3
-    F3 = w1 * g1 + w2 * g2 + c * w3 * g3
-    F4 = g1 ** 2 + g2 ** 2 + g3 ** 2
-    h0 = 0.5 * F4 + (c - 1.0) * F1 * F3
-    h1 = -F3 - (c - 1.0) * F1 * F2
-    h2 = F2
-    return np.column_stack([F1, F2, F3, F4, h0, h1, h2])
-
-
 def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory:
     """Classical RK4 with a fixed step; deterministic by construction.
 
-    Raises :class:`FlowBlowupError` carrying the last valid time when the
-    state stops being finite.
+    The right-hand side is the component function of
+    :func:`lagrange_vector_field`, and the recorded invariants are those of
+    :func:`integrals` and :func:`hamiltonians`, evaluated on the state
+    columns.  Raises :class:`FlowBlowupError` carrying the last valid time
+    when the state stops being finite.
     """
     if dt <= 0:
         raise ValueError("step size must be positive")
     if t_max < 0:
         raise ValueError("final time must be non-negative")
-    f = _rhs(params)
+    if not math.isfinite(t_max / dt):
+        raise ValueError("step count t_max / dt must be finite")
+    rhs = lagrange_vector_field(params).fn
+    f = lambda y: np.array(rhs(y))
     y = np.asarray(y0, dtype=float)
     if y.shape != (6,):
         raise ValueError("initial state must have six components")
@@ -91,7 +68,10 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
             times.append(t)
             states.append(y.copy())
     states = np.array(states)
-    return Trajectory(np.array(times), states, _invariants(params, states))
+    columns = list(states.T)
+    recorded = [*integrals(params).values(), *hamiltonians(params)]
+    return Trajectory(np.array(times), states,
+                      np.column_stack([F.fn(columns) for F in recorded]))
 
 
 def max_relative_drift(traj: Trajectory) -> float:

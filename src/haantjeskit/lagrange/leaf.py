@@ -48,27 +48,23 @@ def restrict_to_leaf(field, params: TopParams, C1, C4, *,
     ``sample`` (when given); a nonvanishing coupling means the field does
     not restrict and raises :class:`LeafRestrictionError`.
     """
-    chart = leaf_chart(params, C1, C4)
+    kind = type(field)
+    if not isinstance(field, (ScalarField, OneFormField, VectorField,
+                              OperatorField, BivectorField)):
+        raise TypeError(f"cannot restrict field of type {kind.__name__}")
 
-    if isinstance(field, ScalarField):
-        return ScalarField(chart, lambda x: field.fn(_embed(x, C1, C4)))
-    if isinstance(field, OneFormField):
-        return OneFormField(
-            chart, lambda x: list(field.fn(_embed(x, C1, C4)))[:4])
-    if isinstance(field, VectorField):
-        out = VectorField(
-            chart, lambda x: list(field.fn(_embed(x, C1, C4)))[:4])
-    elif isinstance(field, (OperatorField, BivectorField)):
-        kind = OperatorField if isinstance(field, OperatorField) \
-            else BivectorField
-        out = kind(chart, lambda x: [row[:4] for row in
-                                     field.fn(_embed(x, C1, C4))[:4]])
-    else:
-        raise TypeError(
-            f"cannot restrict field of type {type(field).__name__}")
-    if sample is not None:
+    def fn(x):
+        v = field.fn(_embed(x, C1, C4))
+        if isinstance(field, ScalarField):
+            return v
+        return [r[:4] if isinstance(r, (list, tuple)) else r for r in v[:4]]
+
+    # a one-form pulls back by dropping its transversal slots; only
+    # vectors, operators and bivectors must not couple to them
+    if sample is not None and not isinstance(field, (ScalarField,
+                                                     OneFormField)):
         _check_restricts(field, params, C1, C4, sample, tol)
-    return out
+    return kind(leaf_chart(params, C1, C4), fn)
 
 
 def _check_restricts(field, params, C1, C4, sample, tol):

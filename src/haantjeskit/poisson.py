@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import (BivectorField, OneFormField, OperatorField, Point,
-                     ScalarField, VectorField, _eval_matrix, _eval_vector,
-                     _same_chart, apply_operator, apply_transpose,
-                     differential, lie_bracket)
+                     ScalarField, VectorField, _same_chart, apply_operator,
+                     apply_transpose, differential, lie_bracket)
 from .report import SampledResidual, _max_abs, sampled
 
 __all__ = [
@@ -76,22 +75,9 @@ def poisson_bracket(P: BivectorField, f: ScalarField, g: ScalarField,
     return complex(df @ P(p) @ dg)
 
 
-def _contract(P: BivectorField, alpha: OneFormField) -> VectorField:
-    """``P alpha`` for any one-form, as a differentiable vector field."""
-    _same_chart(P.chart, alpha.chart)
-
-    def fn(x):
-        m = _eval_matrix(P, x)
-        a = _eval_vector(alpha, x)
-        n = len(x)
-        return [sum(m[i][j] * a[j] for j in range(n)) for i in range(n)]
-
-    return VectorField(P.chart, fn)
-
-
 def hamiltonian_field(P: BivectorField, f: ScalarField) -> VectorField:
     """``P df`` as a differentiable vector field."""
-    return _contract(P, differential(f))
+    return apply_operator(P, differential(f))
 
 
 def check_compatibility(K: OperatorField, P: BivectorField, sample,
@@ -165,7 +151,7 @@ def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
     ``L_{P a}(N) Y - P (L_Y (N^T a) - L_{N Y} a)``."""
     for f in (N, alpha, Y):
         _same_chart(P.chart, f.chart)
-    Pa = _contract(P, alpha)
+    Pa = apply_operator(P, alpha)
     NY = apply_operator(N, Y)
     NTa = apply_transpose(N, alpha)
     first = lie_derivative_operator(Pa, N, p) @ Y(p)

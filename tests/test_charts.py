@@ -11,12 +11,14 @@ from haantjeskit import (BivectorField, Chart, ChartError,
                          apply_operator, apply_transpose, compose_operators,
                          constant_operator, constant_scalar, constant_vector,
                          coordinate_function, differential,
-                         exterior_derivative, identity_operator, lie_bracket,
-                         operator_polynomial, pairing, scale_field, wedge)
+                         exterior_derivative, hamiltonian_field,
+                         identity_operator, lie_bracket, operator_polynomial,
+                         pairing, scale_field, wedge)
 from haantjeskit import jets
 from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
-                                  complex_chart, nijenhuis_operator,
-                                  p0_complex, p1_complex, x_fields_complex)
+                                  complex_chart, complex_integrals,
+                                  nijenhuis_operator, p0_complex, p1_complex,
+                                  x_fields_complex)
 from haantjeskit.sampling import sample_points
 
 from conftest import fd_gradient, fd_jacobian, point
@@ -210,10 +212,16 @@ def _jet_cases(c):
                    for i in range(6)])
     coeff = ScalarField(chart, lambda x: x[0] * x[1] - 0.5 * x[4] + 2.0)
     N = nijenhuis_operator(params)
+    F2, F3 = complex_integrals(params)
+    P1, P0 = p1_complex(params), p0_complex(params)
     fields = {
+        "F2": F2,
+        "dF3": differential(F3),
+        "hamiltonian": hamiltonian_field(P1, F2),
+        "bivector_sum": add_fields(P1, P0),
         "N": N,
-        "P1": p1_complex(params),
-        "P0": p0_complex(params),
+        "P1": P1,
+        "P0": P0,
         "X1": X1,
         "X2": X2,
         "pushed": body_to_complex(params).push_operator(body_op),
@@ -227,14 +235,18 @@ def _jet_cases(c):
 @pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
 def test_jet_equals_value_and_jacobian(c):
     """``jet`` gives bit for bit what the plain pass and ``jacobian`` give,
-    so switching a check to it cannot change a reported residual."""
+    so switching a check to it cannot change a reported residual; a scalar
+    field's ``gradient`` is the same call."""
     fields, sample = _jet_cases(c)
     for name, F in fields.items():
         for p in sample:
             val, jac = F.jet(p)
             assert np.array_equal(val, F(p)), name
             assert np.array_equal(jac, F.jacobian(p)), name
-            assert jac.shape == val.shape + (6,), name
+            assert jac.shape == np.shape(val) + (6,), name
+            if isinstance(F, ScalarField):
+                assert type(val) is complex, name
+                assert np.array_equal(jac, F.gradient(p)), name
 
 
 def test_scale_field_reads_coefficient_once_per_evaluation(chart3, sample3):

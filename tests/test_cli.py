@@ -108,6 +108,8 @@ def test_usage_errors_exit_2():
     ["integrate", "--init", "1,2,3,4,5,6", "--c", "inf"],
     ["integrate", "--init", "1,2,3,4,5,6", "--dt", "nan"],
     ["integrate", "--init", "1,2,3,4,5,6", "--tmax", "inf"],
+    ["integrate", "--init", "0.1,0.2,0.3,0.4,0.5,0.6", "--dt", "1e-300",
+     "--tmax", "1e300"],
 ])
 def test_bad_numbers_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -48,6 +48,8 @@ def test_input_validation():
         integrate_flow(params, Y0, 1e-3, -1.0)
     with pytest.raises(ValueError):
         integrate_flow(params, np.zeros(5), 1e-3, 1.0)
+    with pytest.raises(ValueError):  # t_max / dt overflows to infinity
+        integrate_flow(params, Y0, 1e-300, 1e300)
 
 
 def test_blowup_reported_with_last_time():
