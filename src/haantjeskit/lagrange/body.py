@@ -4,9 +4,10 @@ bi-Hamiltonian ladder built on them."""
 
 from __future__ import annotations
 
-from ..charts import BivectorField, Chart, ScalarField, VectorField
+from ..charts import (BivectorField, Chart, ScalarField, VectorField,
+                      constant_vector)
 from ..poisson import hamiltonian_field
-from ..report import _max_abs, sampled
+from ..report import _max_abs, matches, sampled
 from .params import TopParams
 
 W1, W2, W3, G1, G2, G3 = range(6)
@@ -135,26 +136,19 @@ def gz_chain_check(params: TopParams, sample, tol: float = 1e-9) -> dict:
 
     half_f4 = ScalarField(body_chart(), lambda x: 0.5 * F["F4"].fn(x))
     minus_f3 = ScalarField(body_chart(), lambda x: -F["F3"].fn(x))
+    zero = constant_vector(body_chart(), [0.0] * 6)
 
     pairs = {
-        "P1_dF1_zero": (hamiltonian_field(P1, F["F1"]), None),
-        "P0_dF1_zero": (hamiltonian_field(P0, F["F1"]), None),
-        "P1_dF4half_zero": (hamiltonian_field(P1, half_f4), None),
+        "P1_dF1_zero": (hamiltonian_field(P1, F["F1"]), zero),
+        "P0_dF1_zero": (hamiltonian_field(P0, F["F1"]), zero),
+        "P1_dF4half_zero": (hamiltonian_field(P1, half_f4), zero),
         "P0_dF4half_is_P1_dmF3": (hamiltonian_field(P0, half_f4),
                                   hamiltonian_field(P1, minus_f3)),
         "P0_dmF3_is_P1_dF2": (hamiltonian_field(P0, minus_f3),
                               hamiltonian_field(P1, F["F2"])),
-        "P0_dF2_zero": (hamiltonian_field(P0, F["F2"]), None),
+        "P0_dF2_zero": (hamiltonian_field(P0, F["F2"]), zero),
     }
-
-    def pair_at(a, b):
-        def at(p):
-            av = a(p)
-            bv = 0.0 if b is None else b(p)
-            return _max_abs(av - bv), 1.0 + _max_abs(av)
-        return at
-
-    out = {name: sampled(sample, pair_at(a, b), tol)
+    out = {name: sampled(sample, matches(a, b), tol)
            for name, (a, b) in pairs.items()}
 
     def ladder_at(p):

@@ -8,7 +8,8 @@ Coordinate order: ``(x1, x2, y1, y2, F1, F4)``.
 from __future__ import annotations
 
 from ..charts import (BivectorField, Chart, ChartMap, OperatorField,
-                      ScalarField, VectorField, differential)
+                      ScalarField)
+from ..poisson import hamiltonian_field
 from .body import body_chart
 from .params import TopParams
 
@@ -114,24 +115,13 @@ def _p0_block(x):
 
 
 def x_fields_complex(params: TopParams):
-    """The ladder fields expressed in the adapted chart: images of the
-    integral gradients under the leaf-tangent Poisson block."""
-    chart = complex_chart(params)
-    dF2, dF3 = (differential(F).fn for F in complex_integrals(params))
-
-    def x1_fn(x):
-        df = dF3(x)
-        blk = _p1_block(x)
-        out = [-sum(blk[a][b] * df[b] for b in range(4)) for a in range(4)]
-        return out + [0.0, 0.0]
-
-    def x2_fn(x):
-        df = dF2(x)
-        blk = _p1_block(x)
-        out = [sum(blk[a][b] * df[b] for b in range(4)) for a in range(4)]
-        return out + [0.0, 0.0]
-
-    return VectorField(chart, x1_fn), VectorField(chart, x2_fn)
+    """The ladder fields expressed in the adapted chart: ``P1 d(-F3)`` and
+    ``P1 dF2``, images of the integral gradients under the first
+    bivector."""
+    P1c = p1_complex(params)
+    F2c, F3c = complex_integrals(params)
+    mF3c = ScalarField(P1c.chart, lambda x: -F3c.fn(x))
+    return hamiltonian_field(P1c, mF3c), hamiltonian_field(P1c, F2c)
 
 
 def p0_complex(params: TopParams) -> BivectorField:

@@ -16,8 +16,6 @@ from ..report import _max_abs, sampled
 from .complex_chart import complex_chart, nijenhuis_operator
 from .params import TopParams
 
-LX1, LX2, LY1, LY2 = range(4)
-
 _LEAF_COORDS = ("x1", "x2", "y1", "y2")
 
 
@@ -27,12 +25,11 @@ class LeafRestrictionError(Exception):
 
 
 def leaf_chart(params: TopParams, C1: complex, C4: complex) -> Chart:
-    c = params.c
+    """Singular where the complex chart is, at the pinned Casimir levels."""
     return Chart(
         "leaf", 4, _LEAF_COORDS,
-        singular=(lambda x: x[LX2],
-                  lambda x: x[LX1] ** 2 + (c - 1.0) * C1 * x[LX1] + x[LX2],
-                  lambda x: x[LX1] ** 2 + 4.0 * x[LX2]))
+        singular=tuple(lambda x, s=s: s(_embed(x, C1, C4))
+                       for s in complex_chart(params).singular))
 
 
 def _embed(coords, C1, C4):

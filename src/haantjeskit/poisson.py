@@ -134,14 +134,17 @@ def lie_derivative_oneform(Y: VectorField, alpha: OneFormField,
     return np.einsum("k,ik->i", Yc, Ad) + np.einsum("k,ki->i", Ac, Yd)
 
 
-def lie_derivative_bivector(Z: VectorField, P: BivectorField,
-                            p: Point) -> np.ndarray:
-    """``(L_Z P)^{ij} = Z^k d_k P^{ij} - P^{kj} d_k Z^i - P^{ik} d_k Z^j``."""
-    Zc, Zd = Z.jet(p)
-    Pc, Pd = P.jet(p)
+def _lie_bivector(Zc, Zd, Pc, Pd) -> np.ndarray:
+    # Zd[i, k] = d_k Z^i, Pd[i, j, k] = d_k P^{ij}
     return (np.einsum("k,ijk->ij", Zc, Pd)
             - np.einsum("kj,ik->ij", Pc, Zd)
             - np.einsum("ik,jk->ij", Pc, Zd))
+
+
+def lie_derivative_bivector(Z: VectorField, P: BivectorField,
+                            p: Point) -> np.ndarray:
+    """``(L_Z P)^{ij} = Z^k d_k P^{ij} - P^{kj} d_k Z^i - P^{ik} d_k Z^j``."""
+    return _lie_bivector(*Z.jet(p), *P.jet(p))
 
 
 def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,

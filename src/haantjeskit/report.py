@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SampledResidual", "sampled", "merge", "worst", "Check",
-           "VerificationReport", "check_from_residual", "identity_check"]
+__all__ = ["SampledResidual", "sampled", "matches", "merge", "worst",
+           "Check", "VerificationReport", "check_from_residual",
+           "identity_check"]
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -91,6 +92,17 @@ def sampled(sample, at, tol, scale=None):
     out = tuple(SampledResidual(float(r), t, s, len(sample))
                 for r, t, s in zip(top[:k], tols, scales))
     return out if many else out[0]
+
+
+def matches(G, *Fs):
+    """Per-point function of the identity "every ``F`` equals ``G``": the
+    residual is the largest ``|F - G|`` and the scale ``1 + |G|``, each
+    field read once."""
+    def at(p):
+        g = G(p)
+        return _max_abs(*(F(p) - g for F in Fs)), 1.0 + _max_abs(g)
+
+    return at
 
 
 def merge(results, points: int | None = None) -> SampledResidual:

@@ -11,23 +11,23 @@ residual and the reading it supports, and never fail a run.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (algebra_rank, minimal_polynomial, verify_algebra)
-from .charts import (Chart, OperatorField, OneFormField, Point, ScalarField,
-                     VectorField, add_fields, apply_operator, apply_transpose,
-                     constant_operator, differential, exterior_derivative,
-                     identity_operator, lie_bracket, operator_polynomial,
-                     scale_field, wedge)
-from .poisson import (build_chain_oneforms, check_compatibility,
-                      check_skew_compositions, hamiltonian_field,
-                      lie_derivative_bivector, poisson_bracket, r_tensor,
-                      verify_poisson)
+from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
+                     ScalarField, VectorField, add_fields, apply_operator,
+                     apply_transpose, constant_operator, differential,
+                     exterior_derivative, identity_operator, lie_bracket,
+                     operator_polynomial, scale_field, wedge)
+from .poisson import (_lie_bivector, build_chain_oneforms,
+                      check_compatibility, check_skew_compositions,
+                      hamiltonian_field, r_tensor, verify_poisson)
 from .report import (VerificationReport, _max_abs as _mag,
-                     check_from_residual, identity_check, merge, sampled,
-                     worst)
+                     check_from_residual, identity_check, matches, merge,
+                     sampled, worst)
 from .sampling import sample_points
 from .torsion import (TorsionValue, _haantjes_components,
                       _nijenhuis_components, is_haantjes, is_nijenhuis,
@@ -122,12 +122,29 @@ def _random_oneform(rng, chart) -> OneFormField:
     return OneFormField(chart, lambda x: [f(x) for f in fns])
 
 
-def _matches(F, G):
-    """Per-point function of the identity ``F = G``: residual
-    ``|F - G|`` against the scale ``1 + |G|``, each field read once."""
+def _in_involution(P, fields):
+    """Per-point function of "every pairwise bracket ``<df, P dg>`` of
+    ``fields`` vanishes", each pair at scale ``(1 + |df|)(1 + |dg|)``;
+    ``P`` and each gradient are read once."""
+    pairs = list(itertools.combinations(range(len(fields)), 2))
+
     def at(p):
-        g = G(p)
-        return _mag(F(p) - g), 1.0 + _mag(g)
+        m = P(p)
+        g = [f.gradient(p) for f in fields]
+        return (_mag(*(complex(g[a] @ m @ g[b]) for a, b in pairs)),
+                *((1.0 + _mag(g[a])) * (1.0 + _mag(g[b])) for a, b in pairs))
+
+    return at
+
+
+def _lie_matches(Z, P, W):
+    """Per-point function of the identity ``L_Z P = W`` at scale
+    ``1 + |P| + |W|``; ``P`` is read once, through its jet."""
+    def at(p):
+        Pc, Pd = P.jet(p)
+        w = W(p)
+        return (_mag(_lie_bivector(*Z.jet(p), Pc, Pd) - w),
+                1.0 + _mag(Pc) + _mag(w))
 
     return at
 
@@ -362,7 +379,7 @@ def suite_euler(cfg: SuiteConfig) -> list:
     checks.append(identity_check(
         "chain_identity",
         "the identity maps the energy differential to itself",
-        "K1^T dH = dH", sample, _matches(el1, dH), cfg.tol_exact))
+        "K1^T dH = dH", sample, matches(dH, el1), cfg.tol_exact))
 
     el2 = apply_transpose(k2, dH)
     target2 = np.array([0, 0, 0, 1, 0, 0], dtype=complex)
@@ -427,15 +444,10 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
     XL = lagrange_vector_field(params)
     flows = [hamiltonian_field(P, h)
              for P, h in ((P0, h0), (P1, h1), (P2, h2))]
-
-    def tri_hamiltonian(p):
-        xl = XL(p)
-        return _mag(*(f(p) - xl for f in flows)), 1.0 + _mag(xl)
-
     checks.append(identity_check(
         "tri_hamiltonian",
         "all three bivector/Hamiltonian pairs generate the same flow field",
-        "P0 dh0 = P1 dh1 = P2 dh2 = X", bsample, tri_hamiltonian,
+        "P0 dh0 = P1 dh1 = P2 dh2 = X", bsample, matches(XL, *flows),
         cfg.tol_deriv))
 
     checks += [check_from_residual(
@@ -451,9 +463,10 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
 
     def pencil(p):
         grads = [f.gradient(p) for f in casimir_poly]
+        m0, m1 = P0(p), P1(p)
         res, scales = [], []
         for lam in (0.5, 1.0, 2.0):
-            m = P0(p) - lam * P1(p)
+            m = m0 - lam * m1
             dc = sum(lam ** k * g for k, g in enumerate(grads))
             res.append(m @ dc)
             scales.append((1.0 + _mag(m)) * (1.0 + _mag(dc)))
@@ -464,22 +477,11 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         "the quadratic Casimir polynomial is annihilated by the bivector "
         "pencil", "(P0 - t P1) dC(t) = 0", bsample, pencil, cfg.tol_deriv))
 
-    fkeys = list(F)
-    fpairs = [(a, b) for i, a in enumerate(fkeys) for b in fkeys[i + 1:]]
-
-    def involution(P):
-        def at(p):
-            g = {k: F[k].gradient(p) for k in fkeys}
-            m = P(p)
-            return (_mag(*(complex(g[a] @ m @ g[b]) for a, b in fpairs)),
-                    *((1.0 + _mag(g[a])) * (1.0 + _mag(g[b]))
-                      for a, b in fpairs))
-        return at
-
     checks += [identity_check(
         f"involution_{name}",
         f"the four integrals are in involution under {name}",
-        "{Fi, Fj} = 0", bsample, involution(P), cfg.tol_deriv)
+        "{Fi, Fj} = 0", bsample, _in_involution(P, list(F.values())),
+        cfg.tol_deriv)
         for name, P in (("p0", P0), ("p1", P1))]
 
     # adapted holomorphic chart
@@ -489,19 +491,16 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
     P1c = p1_complex(params)
     P0c = p0_complex(params)
 
-    pushed1 = to_cx.push_bivector(P1)
     checks.append(identity_check(
         "complex_p1_transform",
         "the transported first bivector matches its closed form in the "
         "adapted chart", "phi_* P1 = P1_adapted", csample,
-        _matches(pushed1, P1c), cfg.tol_exact))
-
-    pushed0 = to_cx.push_bivector(P0)
+        matches(P1c, to_cx.push_bivector(P1)), cfg.tol_exact))
     checks.append(identity_check(
         "complex_p0_transform",
         "the transported second bivector matches its closed form in the "
         "adapted chart", "phi_* P0 = P0_adapted", csample,
-        _matches(pushed0, P0c), cfg.tol_deriv))
+        matches(P0c, to_cx.push_bivector(P0)), cfg.tol_deriv))
 
     F2c, F3c = complex_integrals(params)
     pF2 = to_cx.push_scalar(F["F2"])
@@ -523,10 +522,10 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
                     ScalarField(cchart, lambda x: 0.5 * x[F4C])]
 
     def normalization(p):
-        return _mag(*(complex(head.gradient(p) @ Z(p)) - (1.0 if i == j
-                                                            else 0.0)
-                      for i, Z in enumerate((Z1, Z2))
-                      for j, head in enumerate(ladder_heads))), 1.0
+        grads = [head.gradient(p) for head in ladder_heads]
+        return _mag(*(complex(g @ z) - (1.0 if i == j else 0.0)
+                      for i, z in enumerate((Z1(p), Z2(p)))
+                      for j, g in enumerate(grads))), 1.0
 
     checks.append(identity_check(
         "transversal_normalization",
@@ -535,31 +534,25 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         cfg.tol_exact))
 
     X1f, X2f = x_fields_complex(params)
+    zero = BivectorField(cchart, lambda x: [[0.0] * 6 for _ in range(6)])
     for i, Z in enumerate((Z1, Z2)):
         checks.append(identity_check(
             f"lie_z{i + 1}_p1",
             "the first bivector is invariant along the transversal frames",
-            "L_Z P1 = 0", csample,
-            lambda p, Z=Z: (_mag(lie_derivative_bivector(Z, P1c, p)),
-                            1.0 + _mag(P1c(p))), cfg.tol_deriv))
-        corr = wedge(lie_bracket(Z, X1f), Z2)
-
-        def lie_p0(p, Z=Z, corr=corr):
-            w = corr(p)
-            return (_mag(lie_derivative_bivector(Z, P0c, p) - w),
-                    1.0 + _mag(P0c(p)) + _mag(w))
-
+            "L_Z P1 = 0", csample, _lie_matches(Z, P1c, zero),
+            cfg.tol_deriv))
         checks.append(identity_check(
             f"lie_z{i + 1}_p0",
             "the transversal variation of the second bivector is carried "
             "entirely by the ladder-head wedge term",
-            "L_Z P0 = [Z, X1] ^ Z2", csample, lie_p0, cfg.tol_deriv))
+            "L_Z P0 = [Z, X1] ^ Z2", csample,
+            _lie_matches(Z, P0c, wedge(lie_bracket(Z, X1f), Z2)),
+            cfg.tol_deriv))
         checks.append(identity_check(
             f"lie_z{i + 1}_q",
             "the deformed bivector is invariant along the transversal "
-            "frames", "L_Z Q = 0", csample,
-            lambda p, Z=Z: (_mag(lie_derivative_bivector(Z, Q, p)),
-                            1.0 + _mag(Q(p))), cfg.tol_deriv))
+            "frames", "L_Z Q = 0", csample, _lie_matches(Z, Q, zero),
+            cfg.tol_deriv))
 
     def q_split(p):
         m = Q(p)
@@ -644,23 +637,19 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
     checks.append(identity_check(
         "oneform_chain_step",
         "the second chain element is the differential of the next integral",
-        "K2^T d(-F3) = dF2", csample, _matches(el2, dF2), cfg.tol_deriv))
+        "K2^T d(-F3) = dF2", csample, matches(dF2, el2), cfg.tol_deriv))
 
     checks.append(identity_check(
         "chain_involution",
         "the chain Hamiltonians are in involution under the first bivector",
-        "{-F3, F2} = 0", csample,
-        lambda p: (abs(poisson_bracket(P1c, mF3, F2c, p)),
-                   (1.0 + _mag(mF3.gradient(p)))
-                   * (1.0 + _mag(F2c.gradient(p)))), cfg.tol_deriv))
+        "{-F3, F2} = 0", csample, _in_involution(P1c, [mF3, F2c]),
+        cfg.tol_deriv))
 
-    XH = hamiltonian_field(P1c, mF3)
-    el2_field = hamiltonian_field(P1c, F2c)
-
+    # X1 = P1 d(-F3) is the seed Hamiltonian field, X2 = P1 dF2
     def correspondence(p):
         lhs = P1c(p) @ el2(p)
-        k, xh = K2(p), XH(p)
-        return (_mag(lhs - k @ xh, lhs - el2_field(p)),
+        k, xh = K2(p), X1f(p)
+        return (_mag(lhs - k @ xh, lhs - X2f(p)),
                 (1.0 + _mag(k)) * (1.0 + _mag(xh)))
 
     checks.append(identity_check(
@@ -717,34 +706,27 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         "restricted Poisson blocks", "N = P0 P1^{-1} on the leaf", sample,
         recursion_ratio, cfg.tol_exact))
 
-    mF3l = ScalarField(lchart, lambda x: -F3l.fn(x))
-    el2 = apply_transpose(K2l, differential(mF3l))
+    dmF3l = differential(ScalarField(lchart, lambda x: -F3l.fn(x)))
+    el2 = apply_transpose(K2l, dmF3l)
     dF2l = differential(F2l)
     checks.append(identity_check(
         "leaf_chain_step",
         "the restricted operator family steps the restricted integral "
         "differentials", "K2^T d(-F3) = dF2 on the leaf", sample,
-        _matches(el2, dF2l), cfg.tol_deriv))
+        matches(dF2l, el2), cfg.tol_deriv))
 
     c = params.c
     h1l = ScalarField(lchart,
                       lambda x: -F3l.fn(x) - (c - 1.0) * C1 * F2l.fn(x))
-    dh1 = differential(h1l)
     comb = apply_transpose(
         add_fields(identity_operator(lchart),
-                   scale_field(-(c - 1.0) * C1, K2l)),
-        differential(F3l))
-
-    def h1_chain(p):
-        d = dh1(p)
-        return _mag(d + comb(p)), 1.0 + _mag(d)
-
+                   scale_field(-(c - 1.0) * C1, K2l)), dmF3l)
     checks.append(identity_check(
         "leaf_h1_chain",
         "the restricted second Hamiltonian differential decomposes over the "
         "operator family",
-        "dh1 = -(I - (c-1) C1 K2)^T dF3 on the leaf", sample, h1_chain,
-        cfg.tol_deriv))
+        "dh1 = -(I - (c-1) C1 K2)^T dF3 on the leaf", sample,
+        matches(differential(h1l), comb), cfg.tol_deriv))
 
     def eigen_symmetric(p):
         l1, l2, _, _ = separation_coordinates(p)
@@ -803,11 +785,11 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     # eigenvalues; the corrected ones are.
     def canonical(fields):
         def at(p):
-            res = (poisson_bracket(P1l, fields[a], fields[2 + b], p)
-                   - (1.0j if a == b else 0.0)
+            m = P1l(p)
+            (_, _, m1, m2), g = zip(*(f.jet(p) for f in fields))
+            res = (complex(g[a] @ m @ g[2 + b]) - (1.0j if a == b else 0.0)
                    for a in range(2) for b in range(2))
-            return (_mag(*res),
-                    1.0 + abs(fields[2](p)) + abs(fields[3](p)))
+            return _mag(*res), 1.0 + abs(m1) + abs(m2)
         return at
 
     printed = sampled(sample, canonical(
@@ -822,29 +804,24 @@ def suite_reduced(cfg: SuiteConfig) -> list:
 
     sep = separation_map(params, C1, C4)
     images = [sep.apply(p) for p in sample]
-    target_p1 = np.zeros((4, 4), dtype=complex)
-    target_p1[0, 2] = target_p1[1, 3] = 1.0j
-    target_p1[2, 0] = target_p1[3, 1] = -1.0j
-    pushedP1 = sep.push_bivector(P1l)
+    iJ = np.zeros((4, 4), dtype=complex)
+    iJ[0, 2] = iJ[1, 3] = 1.0j
+    iJ[2, 0] = iJ[3, 1] = -1.0j
     checks.append(identity_check(
         "separation_darboux",
         "the restricted bivector takes the constant canonical form in the "
         "separation chart", "phi_* P1 = i J", images,
-        lambda q: (_mag(pushedP1(q) - target_p1), 2.0), cfg.tol_deriv))
+        matches(BivectorField(sep.dst, lambda x: iJ),
+                sep.push_bivector(P1l)), cfg.tol_deriv))
 
-    pushedK2 = sep.push_operator(K2l)
-
-    def k2_diagonal(q):
-        l1, l2 = q.coords[0], q.coords[1]
-        target = np.diag([l2, l1, l2, l1]).astype(complex)
-        return _mag(pushedK2(q) - target), 1.0 + _mag(target)
-
+    crossed = OperatorField(sep.dst,
+                            lambda s: np.diag([s[1], s[0], s[1], s[0]]))
     checks.append(identity_check(
         "separation_operator_diagonal",
         "the restricted operator becomes diagonal in the separation chart "
         "with the crossed eigenvalue placement",
-        "phi_* K2 = diag(l2, l1, l2, l1)", images, k2_diagonal,
-        cfg.tol_deriv))
+        "phi_* K2 = diag(l2, l1, l2, l1)", images,
+        matches(crossed, sep.push_operator(K2l)), cfg.tol_deriv))
 
     def roundtrip(p):
         x = np.array(p.coords)
@@ -875,9 +852,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         "leaf_involution",
         "the restricted integrals are in involution under the restricted "
         "bivector", "{F2, F3} = 0 on the leaf", sample,
-        lambda p: (abs(poisson_bracket(P1l, F2l, F3l, p)),
-                   (1.0 + _mag(F2l.gradient(p)))
-                   * (1.0 + _mag(F3l.gradient(p)))), cfg.tol_deriv))
+        _in_involution(P1l, [F2l, F3l]), cfg.tol_deriv))
     return checks
 
 

@@ -4,12 +4,13 @@ results are combined."""
 
 import math
 
+import numpy as np
 import pytest
 
 from haantjeskit import Chart, OperatorField, is_haantjes, sample_points
 from haantjeskit.jets import value
-from haantjeskit.report import (SampledResidual, identity_check, merge,
-                                sampled, worst)
+from haantjeskit.report import (SampledResidual, identity_check, matches,
+                                merge, sampled, worst)
 
 NAN = float("nan")
 # The primitive only iterates over the sample, so plain integers stand in
@@ -93,6 +94,28 @@ def test_is_haantjes_nan_at_later_point_fails():
     sr = is_haantjes(L, sample)
     assert math.isnan(sr.residual)
     assert not sr.passed
+
+
+def test_matches_takes_largest_residual_at_scale_of_g():
+    # plain callables stand in for fields; the offsets are exact in binary
+    G = lambda p: np.array([1.0, -3.0])
+    F1 = lambda p: np.array([1.0 + 0.25 * p, -3.0])
+    F2 = lambda p: np.array([1.0, -3.0 - 0.5 * p])
+    sr = sampled(SAMPLE, matches(G, F1, F2), 1e-9)
+    assert (sr.residual, sr.scale, sr.points) == (1.0, 4.0, 3)
+    assert sampled(SAMPLE, matches(G, F1), 1e-9).residual == 0.5
+    assert sampled(SAMPLE, matches(G, G, G), 1e-9).residual == 0.0
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+@pytest.mark.parametrize("bad", ["G", "F1", "F2"])
+def test_matches_nan_in_any_field_fails(bad, where):
+    def field(name):
+        return lambda p: np.array(
+            [NAN if (name, p) == (bad, where) else 1.0, 2.0])
+
+    at = matches(field("G"), field("F1"), field("F2"))
+    assert identity_check("x", "", "", SAMPLE, at, 1e-9).status == "fail"
 
 
 def test_merge_takes_largest_residual_and_scale():

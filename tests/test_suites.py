@@ -1,10 +1,13 @@
 """Suite registry and report structure."""
 
+import collections
 import json
+import sys
 
 import pytest
 
-from haantjeskit import VerificationReport
+from haantjeskit import VerificationReport, report as report_module
+from haantjeskit.charts import _Field
 from haantjeskit.report import Check, check_from_residual
 from haantjeskit.suites import SUITE_NAMES, SuiteConfig, run_suite
 from haantjeskit.torsion import SampledResidual
@@ -44,6 +47,57 @@ RECURSION_OPERATOR_DEFECTS = {
 def test_checks_pass_across_inertia_ratios(c):
     report = run_suite("all", SuiteConfig(points=4, c=c))
     assert {ch.id for ch in report.failed} <= RECURSION_OPERATOR_DEFECTS
+
+
+def test_checks_read_each_field_once_per_point(monkeypatch):
+    """Inside each per-point call of the sampled-identity primitive, every
+    field object is read at most once: one plain pass ``F(p)`` or one
+    seeded pass ``F.jet(p)`` (``jacobian`` and ``gradient`` go through
+    ``jet``).  Re-reads are charged to the next check built, so the
+    restriction checks of ``leaf_structures`` count towards the check after
+    them.  The one exception is ``reduced.r_tensor``, whose re-reads sit
+    inside ``poisson.r_tensor``."""
+    reads = collections.Counter()
+    reread = collections.Counter()  # since the last check was built
+    per_check = []
+
+    def counting(method):
+        def wrapper(self, p):
+            reads[self] += 1
+            return method(self, p)
+        return wrapper
+
+    monkeypatch.setattr(_Field, "__call__", counting(_Field.__call__))
+    monkeypatch.setattr(_Field, "jet", counting(_Field.jet))
+
+    real_sampled = report_module.sampled
+
+    def counting_sampled(sample, at, *args, **kwargs):
+        def counted(p):
+            reads.clear()
+            out = at(p)
+            reread.update(type(f).__name__ for f, n in reads.items() if n > 1)
+            return out
+        return real_sampled(sample, counted, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("haantjeskit")
+                and getattr(module, "sampled", None) is real_sampled):
+            monkeypatch.setattr(module, "sampled", counting_sampled)
+
+    real_check = report_module.Check
+
+    def recording_check(check_id, *args):
+        per_check.append(dict(reread))
+        reread.clear()
+        return real_check(check_id, *args)
+
+    monkeypatch.setattr(report_module, "Check", recording_check)
+    report = run_suite("all", SuiteConfig(points=2))
+
+    assert len(per_check) == len(report.checks) == 77
+    offenders = {c.id: bad for c, bad in zip(report.checks, per_check) if bad}
+    assert set(offenders) == {"reduced.r_tensor"}, offenders
 
 
 def test_all_suite_prefixes_ids():
