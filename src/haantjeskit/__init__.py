@@ -13,22 +13,20 @@ from .charts import (BivectorField, Chart, ChartError, ChartMap,
                      ChartMismatchError, OneFormField, OperatorField, Point,
                      ScalarField, SingularPointError, VectorField,
                      add_fields, apply_operator, apply_transpose,
-                     compose_operators, constant_operator, constant_scalar,
-                     constant_vector, coordinate_function, differential,
-                     exterior_derivative, identity_operator, lie_bracket,
-                     operator_polynomial, pairing, scale_field, wedge)
-from .torsion import (TorsionValue, haantjes_torsion, is_haantjes,
-                      is_nijenhuis, nijenhuis_torsion)
+                     compose_operators, constant_operator, constant_vector,
+                     differential, exterior_derivative, identity_operator,
+                     lie_bracket, operator_polynomial, scale_field, wedge)
+from .torsion import (haantjes_torsion, is_haantjes, is_nijenhuis,
+                      nijenhuis_torsion)
 from .algebra import (HaantjesAlgebra, MinimalPolynomial, algebra_rank,
                       check_abelian, check_module_condition,
-                      check_ring_condition, cyclic_algebra,
                       minimal_polynomial, verify_algebra)
 from .poisson import (MagriChain, PoissonStructure, build_chain_oneforms,
-                      build_chain_vectorfields, check_compatibility,
-                      check_skew_compositions, hamiltonian_field,
-                      jacobi_residual, lie_derivative_bivector,
-                      lie_derivative_oneform, lie_derivative_operator,
-                      poisson_bracket, r_tensor, verify_poisson)
+                      check_compatibility, check_skew_compositions,
+                      hamiltonian_field, jacobi_residual,
+                      lie_derivative_bivector, lie_derivative_oneform,
+                      lie_derivative_operator, poisson_bracket, r_tensor,
+                      verify_poisson)
 from .sampling import sample_points
 from .report import Check, SampledResidual, VerificationReport
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -41,19 +39,16 @@ __all__ = [
     "OneFormField", "OperatorField", "Point", "ScalarField",
     "SingularPointError", "VectorField",
     "add_fields", "apply_operator", "apply_transpose", "compose_operators",
-    "constant_operator", "constant_scalar", "constant_vector",
-    "coordinate_function", "differential", "exterior_derivative",
-    "identity_operator", "lie_bracket", "operator_polynomial", "pairing",
-    "scale_field", "wedge",
-    "SampledResidual", "TorsionValue", "haantjes_torsion", "is_haantjes",
-    "is_nijenhuis", "nijenhuis_torsion",
+    "constant_operator", "constant_vector", "differential",
+    "exterior_derivative", "identity_operator", "lie_bracket",
+    "operator_polynomial", "scale_field", "wedge",
+    "SampledResidual", "haantjes_torsion", "is_haantjes", "is_nijenhuis",
+    "nijenhuis_torsion",
     "HaantjesAlgebra", "MinimalPolynomial", "algebra_rank", "check_abelian",
-    "check_module_condition", "check_ring_condition", "cyclic_algebra",
-    "minimal_polynomial", "verify_algebra",
+    "check_module_condition", "minimal_polynomial", "verify_algebra",
     "MagriChain", "PoissonStructure", "build_chain_oneforms",
-    "build_chain_vectorfields", "check_compatibility",
-    "check_skew_compositions", "hamiltonian_field", "jacobi_residual",
-    "lie_derivative_bivector", "lie_derivative_oneform",
+    "check_compatibility", "check_skew_compositions", "hamiltonian_field",
+    "jacobi_residual", "lie_derivative_bivector", "lie_derivative_oneform",
     "lie_derivative_operator", "poisson_bracket", "r_tensor",
     "verify_poisson",
     "sample_points",

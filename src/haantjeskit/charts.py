@@ -35,10 +35,9 @@ __all__ = [
     "ScalarField", "VectorField", "OneFormField", "OperatorField",
     "BivectorField", "ChartMap",
     "differential", "exterior_derivative", "wedge",
-    "apply_operator", "apply_transpose", "lie_bracket", "pairing",
+    "apply_operator", "apply_transpose", "lie_bracket",
     "add_fields", "scale_field", "compose_operators", "operator_polynomial",
     "identity_operator", "constant_operator", "constant_vector",
-    "coordinate_function", "constant_scalar",
 ]
 
 _SINGULAR_TOL = 1e-13
@@ -242,13 +241,6 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(X.chart, fn)
 
 
-def pairing(alpha: OneFormField, X: VectorField) -> ScalarField:
-    _same_chart(alpha.chart, X.chart)
-    return ScalarField(
-        alpha.chart,
-        lambda x: _zip_dot(alpha.fn(x), X.fn(x)))
-
-
 def add_fields(a, b):
     _same_chart(a.chart, b.chart)
     if type(a) is not type(b):
@@ -305,16 +297,6 @@ def operator_polynomial(L: OperatorField, coeffs: Sequence) -> OperatorField:
 
 # -- simple constructors ----------------------------------------------------
 
-def constant_scalar(chart: Chart, c) -> ScalarField:
-    return ScalarField(chart, lambda x: c)
-
-
-def coordinate_function(chart: Chart, k: int) -> ScalarField:
-    if not 0 <= k < chart.dim:
-        raise IndexError(f"coordinate index {k} out of range")
-    return ScalarField(chart, lambda x: x[k])
-
-
 def constant_vector(chart: Chart, v) -> VectorField:
     v = list(v)
     return VectorField(chart, lambda x: list(v))
@@ -365,17 +347,6 @@ class ChartMap:
     def push_scalar(self, f: ScalarField) -> ScalarField:
         _same_chart(self.src, f.chart)
         return ScalarField(self.dst, lambda xi: f.fn(self.inverse(xi)))
-
-    def push_vector(self, X: VectorField) -> VectorField:
-        _same_chart(self.src, X.chart)
-
-        def fn(xi):
-            x = self.inverse(xi)
-            J = _seeded(self.forward, x)[1]
-            v = X.fn(x)
-            return [_zip_dot(row, v) for row in J]
-
-        return VectorField(self.dst, fn)
 
     def push_bivector(self, P: BivectorField) -> BivectorField:
         _same_chart(self.src, P.chart)

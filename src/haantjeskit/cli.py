@@ -7,7 +7,7 @@ reports the worst invariant drift.
 Exit codes: 0 all checks pass (findings do not fail), 1 at least one check
 failed, 2 usage error, 3 I/O error, 4 numerical failure: the flow blew up,
 or a check raised a chart error (such as a singular point), a linear-algebra
-error or a value error.
+error, a value error or an arithmetic error (such as an overflow).
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def _cmd_verify(args) -> int:
                       c=args.c)
     try:
         report = run_suite(args.suite, cfg)
-    except (ChartError, np.linalg.LinAlgError, ValueError) as exc:
+    except (ChartError, np.linalg.LinAlgError, ValueError,
+            ArithmeticError) as exc:
         print(f"error: suite {args.suite}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -10,7 +10,7 @@ from .complex_chart import (complex_chart, body_to_complex,
                             x_fields_complex, deformation,
                             nijenhuis_operator, benenti_operators)
 from .leaf import (leaf_chart, restrict_to_leaf, leaf_structures,
-                   separation_map, separation_coordinates, printed_momenta,
+                   separation_map, separation_coordinates,
                    separation_fields)
 from .flow import Trajectory, integrate_flow, max_relative_drift, write_csv
 
@@ -23,7 +23,6 @@ __all__ = [
     "p0_complex", "p1_complex", "x_fields_complex", "deformation",
     "nijenhuis_operator", "benenti_operators",
     "leaf_chart", "restrict_to_leaf", "leaf_structures",
-    "separation_map", "separation_coordinates", "printed_momenta",
-    "separation_fields",
+    "separation_map", "separation_coordinates", "separation_fields",
     "Trajectory", "integrate_flow", "max_relative_drift", "write_csv",
 ]

@@ -9,14 +9,16 @@ with the two Casimir levels pinned to constants.
 from __future__ import annotations
 
 from ..charts import (BivectorField, Chart, ChartMap, OneFormField,
-                      OperatorField, Point, ScalarField, VectorField,
-                      identity_operator)
+                      OperatorField, Point, ScalarField, VectorField)
 from ..jets import sqrt_
 from ..report import _max_abs, sampled
 from .complex_chart import complex_chart, nijenhuis_operator
 from .params import TopParams
 
 _LEAF_COORDS = ("x1", "x2", "y1", "y2")
+# largest coupling to the transversal directions, relative to the field's
+# magnitude, that a restricted field may carry
+RESTRICT_TOL = 1e-12
 
 
 class LeafRestrictionError(Exception):
@@ -36,8 +38,7 @@ def _embed(coords, C1, C4):
     return list(coords) + [C1, C4]
 
 
-def restrict_to_leaf(field, params: TopParams, C1, C4, *,
-                     sample=None, tol: float = 1e-12):
+def restrict_to_leaf(field, params: TopParams, C1, C4, *, sample=None):
     """Pin the Casimir levels and drop the transversal slots.
 
     For vector fields the transversal components, and for operators and
@@ -60,11 +61,11 @@ def restrict_to_leaf(field, params: TopParams, C1, C4, *,
     # vectors, operators and bivectors must not couple to them
     if sample is not None and not isinstance(field, (ScalarField,
                                                      OneFormField)):
-        _check_restricts(field, params, C1, C4, sample, tol)
+        _check_restricts(field, params, C1, C4, sample)
     return kind(leaf_chart(params, C1, C4), fn)
 
 
-def _check_restricts(field, params, C1, C4, sample, tol):
+def _check_restricts(field, params, C1, C4, sample):
     """Raise unless the transversal part of ``field`` (components of a
     vector, off-blocks of a matrix) vanishes at every sample point,
     relative to ``1 + |field|`` at that point."""
@@ -75,7 +76,7 @@ def _check_restricts(field, params, C1, C4, sample, tol):
         part = (v[4:],) if v.ndim == 1 else (v[:4, 4:], v[4:, :4])
         return _max_abs(*part) / (1.0 + _max_abs(v)), 1.0
 
-    sr = sampled(sample, coupling, tol)
+    sr = sampled(sample, coupling, RESTRICT_TOL)
     if not sr.passed:
         raise LeafRestrictionError(
             "field couples the leaf to the transversal directions "
@@ -84,36 +85,31 @@ def _check_restricts(field, params, C1, C4, sample, tol):
 
 def leaf_structures(params: TopParams, C1, C4, sample=None) -> dict:
     """All restricted data on one leaf: Poisson blocks, recursion operator,
-    the operator pair, and the two restricted integrals."""
+    the second operator of the family, and the two restricted integrals."""
     from .complex_chart import (complex_integrals, deformation, p1_complex,
-                                benenti_operators, x_fields_complex)
+                                benenti_operators)
     N = nijenhuis_operator(params)
-    K1, K2, _ = benenti_operators(params, N)
+    _, K2, _ = benenti_operators(params, N)
     F2c, F3c = complex_integrals(params)
-    X1f, X2f = x_fields_complex(params)
     r = lambda f: restrict_to_leaf(f, params, C1, C4, sample=sample)
-    chart = leaf_chart(params, C1, C4)
     # the raw second bivector does not restrict (its transversal column
     # carries the ladder field); the deformed bivector does, and its leaf
     # block is the second Poisson block of the pair
     _, _, Q = deformation(params)
     return {
-        "chart": chart,
+        "chart": leaf_chart(params, C1, C4),
         "P0": r(Q),
         "P1": r(p1_complex(params)),
         "N": r(N),
-        "K1": identity_operator(chart),
         "K2": r(K2),
         "F2": r(F2c),
         "F3": r(F3c),
-        "X1": r(X1f),
-        "X2": r(X2f),
     }
 
 
 # -- separation chart -------------------------------------------------------
 
-def separation_chart_def(params: TopParams, C1, C4) -> Chart:
+def separation_chart_def() -> Chart:
     return Chart("separation", 4, ("l1", "l2", "m1", "m2"),
                  singular=(lambda x: x[0] - x[1],
                            lambda x: x[0], lambda x: x[1]))
@@ -151,13 +147,6 @@ def separation_coordinates(p: Point):
     return l1, l2, m1, m2
 
 
-def printed_momenta(p: Point):
-    """The momenta in the form they circulate in the source construction;
-    kept for the reported comparison, not used by the chart map (their
-    gradients fail to be eigenforms; see the reduced suite finding)."""
-    return tuple(_printed_momenta(p.coords))
-
-
 def separation_fields(params: TopParams, C1, C4, printed: bool = False):
     """The separation variables ``(l1, l2, m1, m2)`` as scalar fields on the
     leaf chart, so brackets and differentials come from jets; with
@@ -170,7 +159,7 @@ def separation_fields(params: TopParams, C1, C4, printed: bool = False):
 
 def separation_map(params: TopParams, C1, C4) -> ChartMap:
     src = leaf_chart(params, C1, C4)
-    dst = separation_chart_def(params, C1, C4)
+    dst = separation_chart_def()
 
     def inverse(s):
         l1, l2, m1, m2 = s

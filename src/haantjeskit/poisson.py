@@ -8,13 +8,13 @@ the whole point of the toolkit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .charts import (BivectorField, OneFormField, OperatorField, Point,
                      ScalarField, VectorField, _same_chart, apply_operator,
-                     apply_transpose, differential, lie_bracket)
+                     apply_transpose, differential)
 from .report import SampledResidual, _max_abs, sampled
 
 __all__ = [
@@ -23,19 +23,14 @@ __all__ = [
     "hamiltonian_field", "check_compatibility", "check_skew_compositions",
     "lie_derivative_operator", "lie_derivative_oneform",
     "lie_derivative_bivector", "r_tensor",
-    "build_chain_oneforms", "build_chain_vectorfields",
+    "build_chain_oneforms",
 ]
 
 
 @dataclass(frozen=True)
 class PoissonStructure:
-    P: BivectorField
     skew: SampledResidual
     jacobi: SampledResidual
-
-    @property
-    def verified(self) -> bool:
-        return self.skew.passed and self.jacobi.passed
 
 
 def _jacobi(Pc: np.ndarray, Pd: np.ndarray) -> float:
@@ -59,10 +54,9 @@ def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
         return (_max_abs(Pc + Pc.T), _jacobi(Pc, Pd), _max_abs(Pc),
                 _max_abs(Pd))
 
-    skew, jacobi = sampled(
+    return PoissonStructure(*sampled(
         sample, at, (tol_exact, tol_deriv),
-        scale=lambda m, d: (1.0 + m, (1.0 + m) * (1.0 + d)))
-    return PoissonStructure(P, skew=skew, jacobi=jacobi)
+        scale=lambda m, d: (1.0 + m, (1.0 + m) * (1.0 + d))))
 
 
 def poisson_bracket(P: BivectorField, f: ScalarField, g: ScalarField,
@@ -93,45 +87,50 @@ def check_compatibility(K: OperatorField, P: BivectorField, sample,
 
 def check_skew_compositions(Ki: OperatorField, Kj: OperatorField,
                             P: BivectorField, f: ScalarField, r: int,
-                            sample, tol: float = 1e-12) -> dict:
-    """Skew residuals of ``Ki P``, ``Ki P Kj^T`` and ``(Ki - f I)^s P`` for
-    ``s = 1..r``."""
+                            sample, tol: float = 1e-12) -> SampledResidual:
+    """Largest skew residual of ``Ki P``, ``Ki P Kj^T`` and
+    ``(Ki - f I)^s P`` for ``s = 1..r``."""
     n = Ki.chart.dim
-    names = ["KiP", "KiPKjT"] + [f"(Ki-fI)^{s}P" for s in range(1, r + 1)]
 
     def at(p):
         ki, kj, m = Ki(p), Kj(p), P(p)
-        skew = lambda a: _max_abs(a + a.T)
-        out = [skew(ki @ m), skew(ki @ m @ kj.T)]
+        composites = [ki @ m, ki @ m @ kj.T]
         shifted = ki - complex(f(p)) * np.eye(n)
         power = np.eye(n, dtype=complex)
         for _ in range(r):
             power = power @ shifted
-            out.append(skew(power @ m))
-        return (*out, (1.0 + _max_abs(ki, kj, m)) ** (r + 2))
+            composites.append(power @ m)
+        return (_max_abs(*(a + a.T for a in composites)),
+                (1.0 + _max_abs(ki, kj, m)) ** (r + 2))
 
-    return dict(zip(names, sampled(sample, at, (tol,) * len(names))))
+    return sampled(sample, at, tol)
 
 
 # -- Lie derivatives (pointwise) -------------------------------------------
 
-def lie_derivative_operator(Z: VectorField, N: OperatorField,
-                            p: Point) -> np.ndarray:
-    """``(L_Z N)^i_j = Z^k d_k N^i_j - N^k_j d_k Z^i + N^i_k d_j Z^k``."""
-    Zc, Zd = Z.jet(p)
-    Nc, Nd = N.jet(p)
+def _lie_operator(Zc, Zd, Nc, Nd) -> np.ndarray:
+    # Zd[i, k] = d_k Z^i, Nd[i, j, k] = d_k N^i_j
     return (np.einsum("k,ijk->ij", Zc, Nd)
             - np.einsum("kj,ik->ij", Nc, Zd)
             + np.einsum("ik,kj->ij", Nc, Zd))
+
+
+def lie_derivative_operator(Z: VectorField, N: OperatorField,
+                            p: Point) -> np.ndarray:
+    """``(L_Z N)^i_j = Z^k d_k N^i_j - N^k_j d_k Z^i + N^i_k d_j Z^k``."""
+    return _lie_operator(*Z.jet(p), *N.jet(p))
+
+
+def _lie_oneform(Yc, Yd, Ac, Ad) -> np.ndarray:
+    # Yd[i, k] = d_k Y^i, Ad[i, k] = d_k a_i
+    return np.einsum("k,ik->i", Yc, Ad) + np.einsum("k,ki->i", Ac, Yd)
 
 
 def lie_derivative_oneform(Y: VectorField, alpha: OneFormField,
                            p: Point) -> np.ndarray:
     """Cartan formula in components:
     ``(L_Y a)_i = Y^k d_k a_i + a_k d_i Y^k``."""
-    Yc, Yd = Y.jet(p)
-    Ac, Ad = alpha.jet(p)
-    return np.einsum("k,ik->i", Yc, Ad) + np.einsum("k,ki->i", Ac, Yd)
+    return _lie_oneform(*Y.jet(p), *alpha.jet(p))
 
 
 def _lie_bivector(Zc, Zd, Pc, Pd) -> np.ndarray:
@@ -147,6 +146,18 @@ def lie_derivative_bivector(Z: VectorField, P: BivectorField,
     return _lie_bivector(*Z.jet(p), *P.jet(p))
 
 
+def _r_tensor(Pc, Pd, Nc, Nd, ac, ad, yc, yd) -> np.ndarray:
+    # P a, N^T a and N Y with their partials by the product rule
+    pa = Pc @ ac
+    pa_d = np.einsum("ijk,j->ik", Pd, ac) + Pc @ ad
+    nta = Nc.T @ ac
+    nta_d = np.einsum("ijk,i->jk", Nd, ac) + Nc.T @ ad
+    ny = Nc @ yc
+    ny_d = np.einsum("ijk,j->ik", Nd, yc) + Nc @ yd
+    inner = _lie_oneform(yc, yd, nta, nta_d) - _lie_oneform(ny, ny_d, ac, ad)
+    return _lie_operator(pa, pa_d, Nc, Nd) @ yc - Pc @ inner
+
+
 def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
              Y: VectorField, p: Point) -> np.ndarray:
     """Compatibility tensor of a bivector and an operator applied to a
@@ -154,25 +165,19 @@ def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
     ``L_{P a}(N) Y - P (L_Y (N^T a) - L_{N Y} a)``."""
     for f in (N, alpha, Y):
         _same_chart(P.chart, f.chart)
-    Pa = apply_operator(P, alpha)
-    NY = apply_operator(N, Y)
-    NTa = apply_transpose(N, alpha)
-    first = lie_derivative_operator(Pa, N, p) @ Y(p)
-    inner = lie_derivative_oneform(Y, NTa, p) - lie_derivative_oneform(NY, alpha, p)
-    return first - P(p) @ inner
+    return _r_tensor(*P.jet(p), *N.jet(p), *alpha.jet(p), *Y.jet(p))
 
 
 # -- Magri chains -----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MagriChain:
-    """Elements produced by pushing one seed field through an operator
-    family, with the residuals that decide whether the chain closes."""
+    """Elements produced by pushing one seed differential through an
+    operator family, with the residuals that decide whether the chain
+    closes."""
 
-    kind: str  # "one-forms" | "vector-fields"
     elements: list
-    residuals: list = field(default_factory=list)
-    ok: bool = True
+    residuals: list
 
 
 def build_chain_oneforms(generators, H: ScalarField, sample,
@@ -181,34 +186,13 @@ def build_chain_oneforms(generators, H: ScalarField, sample,
     if not sample:
         raise ValueError("empty sample")
     dH = differential(H)
-    chain = MagriChain("one-forms", [])
-    for K in generators:
-        el = apply_transpose(K, dH)
+    elements = [apply_transpose(K, dH) for K in generators]
 
-        def at(p, el=el):
+    def closedness(el):
+        def at(p):
             J = el.jacobian(p)  # d(el) = J^T - J
             return _max_abs(J.T - J), 1.0 + _max_abs(J)
+        return at
 
-        chain.elements.append(el)
-        chain.residuals.append(sampled(sample, at, tol))
-    chain.ok = all(r.passed for r in chain.residuals)
-    return chain
-
-
-def build_chain_vectorfields(generators, Y: VectorField, sample,
-                             tol: float = 1e-9) -> MagriChain:
-    """Elements ``K_i Y`` with pairwise-commutation residuals."""
-    if not sample:
-        raise ValueError("empty sample")
-    elements = [apply_operator(K, Y) for K in generators]
-    chain = MagriChain("vector-fields", elements)
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            br = lie_bracket(a, b)
-            chain.residuals.append(sampled(
-                sample, lambda p, a=a, b=b, br=br: (
-                    _max_abs(br(p)),
-                    (1.0 + _max_abs(a(p))) * (1.0 + _max_abs(b.jacobian(p)))),
-                tol))
-    chain.ok = all(r.passed for r in chain.residuals)
-    return chain
+    return MagriChain(elements, [sampled(sample, closedness(el), tol)
+                                 for el in elements])

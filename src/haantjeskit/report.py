@@ -176,9 +176,6 @@ class VerificationReport:
     params: dict
     checks: list = field(default_factory=list)
 
-    def add(self, check: Check) -> None:
-        self.checks.append(check)
-
     def extend(self, checks) -> None:
         self.checks.extend(checks)
 

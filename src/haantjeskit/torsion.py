@@ -9,34 +9,15 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .charts import OperatorField, Point
 from .report import SampledResidual, _max_abs, sampled
 
 __all__ = [
-    "TorsionValue",
     "nijenhuis_torsion", "haantjes_torsion",
     "is_nijenhuis", "is_haantjes",
 ]
-
-
-@dataclass(frozen=True)
-class TorsionValue:
-    """Pointwise (1,2)-torsion; ``components[i, j, k]`` is antisymmetric in
-    the last two slots."""
-
-    point: Point
-    components: np.ndarray
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components)))
-
-    def antisymmetry_residual(self) -> float:
-        t = self.components
-        return float(np.max(np.abs(t + t.transpose(0, 2, 1))))
 
 
 def _nijenhuis_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
@@ -55,14 +36,16 @@ def _haantjes_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
             - np.einsum("ia,ajb,bk->ijk", Lc, T, Lc))
 
 
-def nijenhuis_torsion(L: OperatorField, p: Point) -> TorsionValue:
-    return TorsionValue(p, _nijenhuis_components(*L.jet(p)))
+def nijenhuis_torsion(L: OperatorField, p: Point) -> np.ndarray:
+    """Nijenhuis torsion components ``[i, j, k]``, antisymmetric in the
+    last two slots."""
+    return _nijenhuis_components(*L.jet(p))
 
 
-def haantjes_torsion(L: OperatorField, p: Point) -> TorsionValue:
-    """Haantjes torsion; only first derivatives of ``L`` are needed because
-    the Nijenhuis torsion enters algebraically."""
-    return TorsionValue(p, _haantjes_components(*L.jet(p)))
+def haantjes_torsion(L: OperatorField, p: Point) -> np.ndarray:
+    """Haantjes torsion components; only first derivatives of ``L`` are
+    needed because the Nijenhuis torsion enters algebraically."""
+    return _haantjes_components(*L.jet(p))
 
 
 def _sampled_torsion(L: OperatorField, sample, tol: float, components,

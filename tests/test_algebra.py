@@ -1,12 +1,10 @@
-"""Algebra closure checks, minimal polynomials, ranks and cyclic
-generation."""
+"""Algebra closure checks, minimal polynomials and ranks."""
 
 import numpy as np
 import pytest
 
 from haantjeskit import (Chart, OperatorField, ScalarField, algebra_rank,
                          check_abelian, check_module_condition,
-                         check_ring_condition, cyclic_algebra,
                          identity_operator, minimal_polynomial,
                          operator_polynomial, verify_algebra)
 from haantjeskit.lagrange import TopParams, nijenhuis_operator
@@ -62,24 +60,13 @@ def test_algebra_rank_of_powers(ncase):
         assert algebra_rank(gens, p) == 2
 
 
-def test_cyclic_algebra_rank_matches_minimal_degree(ncase):
-    chart, N = ncase
-    sample = sample_points(chart, 8, 22)
-    alg = cyclic_algebra(N, sample)
-    assert alg.rank == 2
-    assert alg.rank_consistent
-    assert alg.haantjes.passed
-    assert alg.ring.passed
-    assert alg.abelian.passed
-
-
 def test_verify_algebra_with_module_coefficients(ncase):
     chart, N = ncase
     sample = sample_points(chart, 15, 23)
     f = ScalarField(chart, lambda x: x[0] + x[1] * x[2])
     g = ScalarField(chart, lambda x: 1.0 + x[3] ** 2)
-    alg = verify_algebra([identity_operator(chart), N], sample,
-                         tol=1e-9, module_coeffs=(f, g))
+    alg = verify_algebra([identity_operator(chart), N], sample, (f, g),
+                         tol=1e-9)
     assert alg.module.passed
     assert alg.ring.passed
     assert alg.abelian.passed
@@ -101,10 +88,11 @@ def test_module_and_ring_conditions_on_diagonal_family():
     f = ScalarField(chart, lambda x: x[0] * x[1])
     g = ScalarField(chart, lambda x: x[0] - x[1])
     assert check_module_condition(K1, K2, f, g, sample).passed
-    assert check_ring_condition(K1, K2, sample).passed
+    assert verify_algebra([K1, K2], sample, (f, g)).ring.passed
 
 
 def test_empty_sample_rejected(ncase):
     chart, N = ncase
+    one = ScalarField(chart, lambda x: 1.0)
     with pytest.raises(ValueError):
-        verify_algebra([N], [], 1e-9)
+        verify_algebra([N], [], (one, one))

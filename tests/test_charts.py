@@ -9,11 +9,10 @@ from haantjeskit import (BivectorField, Chart, ChartError,
                          OperatorField, Point, ScalarField,
                          SingularPointError, VectorField, add_fields,
                          apply_operator, apply_transpose, compose_operators,
-                         constant_operator, constant_scalar, constant_vector,
-                         coordinate_function, differential,
+                         constant_operator, constant_vector, differential,
                          exterior_derivative, hamiltonian_field,
                          identity_operator, lie_bracket, operator_polynomial,
-                         pairing, scale_field, wedge)
+                         scale_field, wedge)
 from haantjeskit import jets
 from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
                                   complex_chart, complex_integrals,
@@ -132,7 +131,7 @@ def test_operator_algebra(chart3, sample3):
     assert np.max(np.abs(compose_operators(L, I)(p) - L(p))) < 1e-14
     sq = operator_polynomial(L, [0.0, 0.0, 1.0])
     assert np.max(np.abs(sq(p) - L(p) @ L(p))) < 1e-13
-    f = constant_scalar(chart3, 2.0)
+    f = ScalarField(chart3, lambda x: 2.0)
     comb = add_fields(scale_field(f, L), scale_field(-2.0, L))
     assert np.max(np.abs(comb(p))) < 1e-14
 
@@ -148,7 +147,7 @@ def test_apply_operator_and_transpose(chart3, sample3):
     assert np.max(np.abs(apply_transpose(L, a)(p) - L(p).T @ a(p))) < 1e-14
 
 
-def test_pairing_invariant_under_chart_map(chart3, sample3):
+def test_chart_map_push_scalar_and_roundtrip(chart3, sample3):
     # cubic-shear change of coordinates with exact inverse
     dst = Chart("shifted", 3)
     cmap = ChartMap(
@@ -157,12 +156,10 @@ def test_pairing_invariant_under_chart_map(chart3, sample3):
         lambda y: [y[0], y[1] - y[0] ** 2,
                    y[2] - y[0] * (y[1] - y[0] ** 2)])
     f = ScalarField(chart3, lambda x: x[0] * x[2] + x[1] ** 2)
-    X = VectorField(chart3, lambda x: [x[1], 1.0, x[0]])
-    s = pairing(differential(f), X)
-    pushed = pairing(differential(cmap.push_scalar(f)), cmap.push_vector(X))
+    pushed = cmap.push_scalar(f)
     for p in sample3[:8]:
         q = cmap.apply(p)
-        assert abs(s(p) - pushed(q)) < 1e-10
+        assert abs(pushed(q) - f(p)) < 1e-12
         back = cmap.invert(q)
         assert np.max(np.abs(np.array(back.coords)
                              - np.array(p.coords))) < 1e-12
@@ -191,11 +188,8 @@ def test_bivector_and_operator_transport_consistency(chart3, sample3):
         assert np.max(np.abs(got - want)) < 1e-9
 
 
-def test_coordinate_function_and_constant_operator(chart3):
+def test_constant_operator(chart3):
     p = point(chart3, 1.0, 2.0, 3.0)
-    assert coordinate_function(chart3, 1)(p) == 2.0
-    with pytest.raises(IndexError):
-        coordinate_function(chart3, 5)
     M = constant_operator(chart3, np.eye(3) * 2.0)
     assert np.max(np.abs(M(p) - 2.0 * np.eye(3))) == 0.0
 

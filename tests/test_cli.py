@@ -162,7 +162,8 @@ def test_console_entry_point(suite):
     SingularPointError("point lies on a singular set of chart 'complex'"),
     ChartError("chart mismatch"),
     np.linalg.LinAlgError("SVD did not converge"),
-    ValueError("no annihilating polynomial found up to full degree")])
+    ValueError("no annihilating polynomial found up to full degree"),
+    OverflowError("absolute value too large")])
 def test_numerical_error_in_check_exits_4(exc, monkeypatch, capsys):
     def failing_suite(name, cfg):
         raise exc
@@ -173,4 +174,15 @@ def test_numerical_error_in_check_exits_4(exc, monkeypatch, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: suite algebra:")
     assert type(exc).__name__ in err and str(exc) in err
+    assert "\n" not in err and "Traceback" not in err
+
+
+def test_extreme_inertia_ratio_exits_4(capsys):
+    """A huge but finite ``--c`` overflows inside the sampler; the run ends
+    with exit 4 and one error line, not a traceback."""
+    code = main(["verify", "--suite", "algebra", "--points", "1",
+                 "--c", "1e308"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: suite algebra: OverflowError:")
     assert "\n" not in err and "Traceback" not in err

@@ -13,8 +13,7 @@ from haantjeskit.lagrange import (TopParams, benenti_operators,
                                   hamiltonians, integrals, leaf_chart,
                                   lagrange_vector_field, leaf_structures,
                                   nijenhuis_operator, p0_complex, p1_complex,
-                                  poisson_bivectors, printed_momenta,
-                                  restrict_to_leaf, separation_coordinates,
+                                  poisson_bivectors, restrict_to_leaf, separation_coordinates,
                                   separation_map, x_fields_complex)
 from haantjeskit.lagrange.leaf import LeafRestrictionError
 from haantjeskit.sampling import sample_points
@@ -212,8 +211,6 @@ def test_separation_coordinates_frozen(tp):
     assert abs(l2 - 1.0) < 1e-14
     assert abs(m1 + 1.0) < 1e-14          # -(0.3 + 0.7)
     assert abs(m2 - 0.4) < 1e-14          # -(0.3 - 0.7)
-    pm1, pm2 = printed_momenta(p)
-    assert abs(pm1 - (l2 * 0.3 + 0.7) / l1) < 1e-14
 
 
 def test_separation_map_roundtrip(tp):

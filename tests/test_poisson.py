@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from haantjeskit import (BivectorField, Chart, OneFormField, OperatorField,
-                         ScalarField, VectorField, build_chain_oneforms,
-                         build_chain_vectorfields, check_compatibility,
-                         check_skew_compositions, hamiltonian_field,
-                         identity_operator, jacobi_residual,
-                         lie_derivative_bivector, lie_derivative_oneform,
-                         lie_derivative_operator, poisson_bracket, r_tensor,
-                         verify_poisson)
+                         ScalarField, VectorField, apply_operator,
+                         apply_transpose, build_chain_oneforms,
+                         check_compatibility, check_skew_compositions,
+                         hamiltonian_field, identity_operator,
+                         jacobi_residual, lie_derivative_bivector,
+                         lie_derivative_oneform, lie_derivative_operator,
+                         poisson_bracket, r_tensor, verify_poisson)
 from haantjeskit.sampling import sample_points
 
 from conftest import fd_jacobian, point
@@ -34,7 +34,7 @@ def sample4(chart4):
 
 def test_canonical_bivector_verifies(canonical, sample4):
     ps = verify_poisson(canonical, sample4)
-    assert ps.verified
+    assert ps.skew.passed and ps.jacobi.passed
     assert ps.skew.residual == 0.0
     assert ps.jacobi.residual == 0.0
 
@@ -46,7 +46,8 @@ def test_lie_algebra_type_bivector_verifies():
                                         [-x[2], 0.0, x[0]],
                                         [x[1], -x[0], 0.0]])
     sample = sample_points(chart, 15, 32)
-    assert verify_poisson(P, sample).verified
+    ps = verify_poisson(P, sample)
+    assert ps.skew.passed and ps.jacobi.passed
 
 
 def test_non_jacobi_bivector_fails():
@@ -144,10 +145,14 @@ def test_compatibility_and_skew_compositions(canonical, chart4, sample4):
                                          [0, 0, x[0], 0], [0, 0, 0, x[1]]])
     assert check_compatibility(N, canonical, sample4).passed
     f = ScalarField(chart4, lambda x: x[0] + x[1])
-    out = check_skew_compositions(N, N, canonical, f, 3, sample4)
-    assert set(out) == {"KiP", "KiPKjT", "(Ki-fI)^1P", "(Ki-fI)^2P",
-                        "(Ki-fI)^3P"}
-    assert all(sr.passed for sr in out.values())
+    sr = check_skew_compositions(N, N, canonical, f, 3, sample4)
+    assert sr.passed and sr.points == len(sample4)
+    # unpaired diagonal entries: K P is not skew
+    M = OperatorField(chart4, lambda x: [[x[i] if i == j else 0.0
+                                          for j in range(4)]
+                                         for i in range(4)])
+    assert not check_skew_compositions(M, M, canonical, f, 1,
+                                       sample4).passed
 
 
 def test_r_tensor_vanishes_for_darboux_pair(canonical, chart4, sample4):
@@ -159,17 +164,32 @@ def test_r_tensor_vanishes_for_darboux_pair(canonical, chart4, sample4):
         assert np.max(np.abs(r_tensor(canonical, N, a, Y, p))) < 1e-11
 
 
+def test_r_tensor_matches_derived_field_formula(chart4, sample4):
+    """The product-rule kernel against the tensor built from derived fields
+    and the public Lie derivatives, on a pair where it does not vanish."""
+    P = BivectorField(chart4, lambda x: [[0, x[0], 0, 1],
+                                         [-x[0], 0, x[1], 0],
+                                         [0, -x[1], 0, x[2] * x[3]],
+                                         [-1, 0, -x[2] * x[3], 0]])
+    N = OperatorField(chart4, lambda x: [[x[0], 0, 1, 0],
+                                         [0, x[1] * x[2], 0, 0],
+                                         [0, 1, x[2], 0],
+                                         [x[3], 0, 0, x[0] * x[1]]])
+    a = OneFormField(chart4, lambda x: [x[1], x[2] ** 2, 1.0, x[0]])
+    Y = VectorField(chart4, lambda x: [1.0, x[3], x[0] * x[1], x[2]])
+    for p in sample4[:5]:
+        first = lie_derivative_operator(apply_operator(P, a), N, p) @ Y(p)
+        inner = (lie_derivative_oneform(Y, apply_transpose(N, a), p)
+                 - lie_derivative_oneform(apply_operator(N, Y), a, p))
+        want = first - P(p) @ inner
+        assert np.max(np.abs(want)) > 1e-3
+        assert np.max(np.abs(r_tensor(P, N, a, Y, p) - want)) < 1e-12
+
+
 def test_chain_builders(canonical, chart4, sample4):
     N = OperatorField(chart4, lambda x: [[x[0], 0, 0, 0], [0, x[1], 0, 0],
                                          [0, 0, x[0], 0], [0, 0, 0, x[1]]])
     H = ScalarField(chart4, lambda x: x[2] ** 2 + x[3] ** 2 + x[0] * x[1])
     chain = build_chain_oneforms([identity_operator(chart4), N], H, sample4)
-    assert chain.kind == "one-forms"
     assert len(chain.elements) == 2
     assert chain.residuals[0].passed  # dH is closed
-
-    X = hamiltonian_field(canonical, H)
-    vchain = build_chain_vectorfields([identity_operator(chart4)], X,
-                                      sample4)
-    assert vchain.ok
-    assert len(vchain.elements) == 1

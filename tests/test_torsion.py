@@ -26,8 +26,8 @@ def swap_op(chart2):
 def test_identity_has_zero_torsions(chart3, sample3):
     I = identity_operator(chart3)
     for p in sample3[:5]:
-        assert nijenhuis_torsion(I, p).max_abs() == 0.0
-        assert haantjes_torsion(I, p).max_abs() == 0.0
+        assert np.max(np.abs(nijenhuis_torsion(I, p))) == 0.0
+        assert np.max(np.abs(haantjes_torsion(I, p))) == 0.0
 
 
 def test_swap_operator_frozen_values(chart2, swap_op):
@@ -36,12 +36,12 @@ def test_swap_operator_frozen_values(chart2, swap_op):
     # formula: T^1_12 = L^1_1 - L^2_2 evaluated through the derivative
     # pattern gives T^1_12 = x2 - x1 ... at (1,2): T^1_12 = 1, T^2_12 = 1
     p = point(chart2, 1.0, 2.0)
-    T = nijenhuis_torsion(swap_op, p).components
+    T = nijenhuis_torsion(swap_op, p)
     assert abs(T[0, 0, 1] - 1.0) < 1e-14
     assert abs(T[1, 0, 1] - 1.0) < 1e-14
     assert abs(T[0, 0, 1] + T[0, 1, 0]) < 1e-14
     # Haantjes torsion of any diagonal operator vanishes
-    assert haantjes_torsion(swap_op, p).max_abs() < 1e-13
+    assert np.max(np.abs(haantjes_torsion(swap_op, p))) < 1e-13
 
 
 def test_diagonal_operators_are_haantjes():
@@ -73,9 +73,12 @@ def test_torsion_antisymmetric_in_lower_indices(chart3, sample3):
     L = OperatorField(chart3, lambda x: [[x[0] * x[1], x[2], 1.0],
                                          [0.0, x[1] ** 2, x[0]],
                                          [x[2], 0.0, x[0] + x[1]]])
+    def antisymmetry(t):
+        return np.max(np.abs(t + t.transpose(0, 2, 1)))
+
     for p in sample3[:5]:
-        assert nijenhuis_torsion(L, p).antisymmetry_residual() < 1e-12
-        assert haantjes_torsion(L, p).antisymmetry_residual() < 1e-11
+        assert antisymmetry(nijenhuis_torsion(L, p)) < 1e-12
+        assert antisymmetry(haantjes_torsion(L, p)) < 1e-11
 
 
 def _bracket_torsion(L, X, Y):
@@ -95,7 +98,7 @@ def test_local_formula_matches_bracket_definition(chart3, sample3):
     Y = VectorField(chart3, lambda x: [1.0, x[2] ** 2, x[1]])
     T_def = _bracket_torsion(L, X, Y)
     for p in sample3[:8]:
-        T = nijenhuis_torsion(L, p).components
+        T = nijenhuis_torsion(L, p)
         got = np.einsum("ijk,j,k->i", T, X(p), Y(p))
         assert np.max(np.abs(got - T_def(p))) < 1e-9
 
