@@ -3,6 +3,7 @@ rank and minimal polynomials."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,7 @@ def check_module_condition(Ki: OperatorField, Kj: OperatorField,
 def check_abelian(Ki: OperatorField, Kj: OperatorField, sample,
                   tol: float = 1e-12) -> SampledResidual:
     def at(p):
-        a = Ki(p)
-        b = a if Kj is Ki else Kj(p)  # a field paired with itself: one read
+        a, b = Ki(p), Kj(p)
         return (_max_abs(a @ b - b @ a),
                 (1.0 + _max_abs(a)) * (1.0 + _max_abs(b)))
 
@@ -110,9 +110,12 @@ def verify_algebra(generators, sample, module_coeffs,
                    tol: float = 1e-9) -> HaantjesAlgebra:
     """Run the generator, pairwise-ring, Abelian and function-linear
     combination checks on a sample; ``module_coeffs`` is the pair of scalar
-    fields of the combinations."""
+    fields of the combinations.  The Abelian condition is judged on pairs of
+    distinct generators, so it needs at least two."""
     if not sample:
         raise ValueError("empty sample")
+    if len(generators) < 2:
+        raise ValueError("an algebra needs at least two generators")
     pairs = [(a, b) for i, a in enumerate(generators)
              for b in generators[i:]]
     f, g = module_coeffs
@@ -121,6 +124,7 @@ def verify_algebra(generators, sample, module_coeffs,
         # both orders of every pair, each composite judged once
         ring=merge(is_haantjes(compose_operators(a, b), sample, tol)
                    for a in generators for b in generators),
-        abelian=merge(check_abelian(a, b, sample) for a, b in pairs),
+        abelian=merge(check_abelian(a, b, sample)
+                      for a, b in itertools.combinations(generators, 2)),
         module=merge(check_module_condition(a, b, f, g, sample, tol)
                      for a, b in pairs))

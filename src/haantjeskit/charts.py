@@ -2,10 +2,13 @@
 
 Fields are immutable wrappers around pure component functions.  A component
 function receives the coordinate tuple (plain complex numbers, or jets when
-a derivative is requested) and returns the components: a number, a list, or
-a list of rows.  All derived fields (brackets, differentials, transported
-tensors, ...) are built the same way, so they remain differentiable to the
-depth the computation needs.
+a derivative is requested) and returns the components: a number, or
+anything ``np.asarray(..., dtype=object)`` turns into an array of numbers
+or jets (a list, a list of rows, an object array).  Derived fields
+(brackets, differentials, transported tensors, ...) return such object
+arrays and are built as numpy expressions over them (``L @ X``,
+``J @ P @ J.T``, ...), so they remain differentiable to the depth the
+computation needs.
 
 Every field kind is read through the same two passes: ``f(p)`` evaluates the
 component function once on the plain coordinates, and ``f.jet(p)`` once on
@@ -22,7 +25,6 @@ deterministic.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -161,29 +163,26 @@ class BivectorField(_Field):
 
 # -- jet-generic internal evaluation (inputs may already be jets) -----------
 
-def _walk(f, tree, *more):
-    """``f`` applied to each component of a scalar, a list or a list of rows,
-    together with the matching components of ``more`` (same shape)."""
-    if not isinstance(tree, (list, tuple)):
-        return f(tree, *more)
-    if isinstance(tree[0], (list, tuple)):
-        return [list(map(f, *rows)) for rows in zip(tree, *more)]
-    return list(map(f, tree, *more))
+def _components(fn, x):
+    """``fn(x)`` as a numpy object array of numbers or jets."""
+    return np.asarray(fn(x), dtype=object)
 
 
 def _seeded(fn, x):
     """One pass of ``fn`` at the seeded ``x`` (numbers or jets): the
     components and their partials, the last index being the variable."""
     n = len(x)
-    out = fn(jets.seed(x))
-    return _walk(jets.value, out), _walk(lambda v: jets.gradient(v, n), out)
-
-
-def _zip_dot(row, vec):
-    return sum(a * b for a, b in zip(row, vec))
+    out = _components(fn, jets.seed(x))
+    vals = np.array([jets.value(v) for v in out.flat], dtype=object)
+    grads = np.array([jets.gradient(v, n) for v in out.flat], dtype=object)
+    return vals.reshape(out.shape), grads.reshape(out.shape + (n,))
 
 
 # -- field algebra ----------------------------------------------------------
+#
+# Components are object arrays, so each piece of the algebra is one numpy
+# expression.  Jets go on the right of arrays (``arr * jet``): a jet on the
+# left would take the whole array as one value.
 
 def differential(f: ScalarField) -> OneFormField:
     return OneFormField(f.chart, lambda x: _seeded(f.fn, x)[1])
@@ -200,32 +199,22 @@ def wedge(X: VectorField, Z: VectorField) -> BivectorField:
     _same_chart(X.chart, Z.chart)
 
     def fn(x):
-        xv, zv = X.fn(x), Z.fn(x)
-        return [[xv[i] * zv[j] - xv[j] * zv[i] for j in range(len(xv))]
-                for i in range(len(xv))]
+        outer = np.outer(_components(X.fn, x), _components(Z.fn, x))
+        return outer - outer.T
 
     return BivectorField(X.chart, fn)
 
 
 def apply_operator(L: OperatorField, X: VectorField) -> VectorField:
     _same_chart(L.chart, X.chart)
-
-    def fn(x):
-        m, v = L.fn(x), X.fn(x)
-        return [_zip_dot(row, v) for row in m]
-
-    return VectorField(L.chart, fn)
+    return VectorField(
+        L.chart, lambda x: _components(L.fn, x) @ _components(X.fn, x))
 
 
 def apply_transpose(L: OperatorField, alpha: OneFormField) -> OneFormField:
     _same_chart(L.chart, alpha.chart)
-
-    def fn(x):
-        m, a = L.fn(x), alpha.fn(x)
-        n = len(a)
-        return [sum(m[i][j] * a[i] for i in range(n)) for j in range(n)]
-
-    return OneFormField(L.chart, fn)
+    return OneFormField(
+        L.chart, lambda x: _components(L.fn, x).T @ _components(alpha.fn, x))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -234,9 +223,8 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     def fn(x):
         xv, xg = _seeded(X.fn, x)
         yv, yg = _seeded(Y.fn, x)
-        n = len(xv)
-        return [sum(xv[j] * yg[i][j] - yv[j] * xg[i][j] for j in range(n))
-                for i in range(n)]
+        # one elementwise sum, so the rounding follows the index order
+        return (xv * yg - yv * xg).sum(axis=1)
 
     return VectorField(X.chart, fn)
 
@@ -245,7 +233,8 @@ def add_fields(a, b):
     _same_chart(a.chart, b.chart)
     if type(a) is not type(b):
         raise TypeError("can only add fields of the same kind")
-    return type(a)(a.chart, lambda x: _walk(operator.add, a.fn(x), b.fn(x)))
+    return type(a)(
+        a.chart, lambda x: _components(a.fn, x) + _components(b.fn, x))
 
 
 def scale_field(s, f):
@@ -255,24 +244,13 @@ def scale_field(s, f):
         sval = s.fn
     else:
         sval = lambda x: s
-
-    def fn(x):
-        c = sval(x)
-        return _walk(lambda v: c * v, f.fn(x))
-
-    return type(f)(f.chart, fn)
+    return type(f)(f.chart, lambda x: _components(f.fn, x) * sval(x))
 
 
 def compose_operators(L: OperatorField, M: OperatorField) -> OperatorField:
     _same_chart(L.chart, M.chart)
-
-    def fn(x):
-        a, b = L.fn(x), M.fn(x)
-        n = len(a)
-        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    return OperatorField(L.chart, fn)
+    return OperatorField(
+        L.chart, lambda x: _components(L.fn, x) @ _components(M.fn, x))
 
 
 def operator_polynomial(L: OperatorField, coeffs: Sequence) -> OperatorField:
@@ -280,16 +258,14 @@ def operator_polynomial(L: OperatorField, coeffs: Sequence) -> OperatorField:
 
     def fn(x):
         n = L.chart.dim
-        m = L.fn(x)
-        power = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-        acc = [[0.0 for _ in range(n)] for _ in range(n)]
+        m = _components(L.fn, x)
+        # Python floats: an object-dtype np.zeros would hold the int 0
+        power = np.eye(n).astype(object)
+        acc = np.zeros((n, n)).astype(object)
         for k, c in enumerate(coeffs):
             if k > 0:
-                power = [[sum(power[i][l] * m[l][j] for l in range(n))
-                          for j in range(n)] for i in range(n)]
-            cv = c.fn(x) if isinstance(c, ScalarField) else c
-            acc = [[acc[i][j] + cv * power[i][j] for j in range(n)]
-                   for i in range(n)]
+                power = power @ m
+            acc = acc + power * (c.fn(x) if isinstance(c, ScalarField) else c)
         return acc
 
     return OperatorField(L.chart, fn)
@@ -303,11 +279,7 @@ def constant_vector(chart: Chart, v) -> VectorField:
 
 
 def identity_operator(chart: Chart) -> OperatorField:
-    n = chart.dim
-    return OperatorField(
-        chart,
-        lambda x: [[1.0 if i == j else 0.0 for j in range(n)]
-                   for i in range(n)])
+    return OperatorField(chart, lambda x: np.eye(chart.dim).astype(object))
 
 
 def constant_operator(chart: Chart, m) -> OperatorField:
@@ -354,13 +326,7 @@ class ChartMap:
         def fn(xi):
             x = self.inverse(xi)
             J = _seeded(self.forward, x)[1]
-            m = P.fn(x)
-            n = len(xi)
-            ns = len(x)
-            jm = [[_zip_dot(J[i], [m[k][j] for k in range(ns)])
-                   for j in range(ns)] for i in range(n)]
-            return [[_zip_dot(jm[i], J[j]) for j in range(n)]
-                    for i in range(n)]
+            return J @ _components(P.fn, x) @ J.T
 
         return BivectorField(self.dst, fn)
 
@@ -369,13 +335,8 @@ class ChartMap:
 
         def fn(xi):
             x, Jinv = _seeded(self.inverse, xi)  # Jinv[src_k][dst_j]
+            x = list(x)
             J = _seeded(self.forward, x)[1]
-            m = L.fn(x)
-            n = len(xi)
-            ns = len(x)
-            jl = [[_zip_dot(J[i], [m[k][j] for k in range(ns)])
-                   for j in range(ns)] for i in range(n)]
-            return [[sum(jl[i][k] * Jinv[k][j] for k in range(ns))
-                     for j in range(n)] for i in range(n)]
+            return J @ _components(L.fn, x) @ Jinv
 
         return OperatorField(self.dst, fn)

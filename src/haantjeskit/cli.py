@@ -7,7 +7,8 @@ reports the worst invariant drift.
 Exit codes: 0 all checks pass (findings do not fail), 1 at least one check
 failed, 2 usage error, 3 I/O error, 4 numerical failure: the flow blew up,
 or a check raised a chart error (such as a singular point), a linear-algebra
-error, a value error or an arithmetic error (such as an overflow).
+error, a value error or an arithmetic error (such as an overflow; numpy
+floating-point errors raise, not warn, inside ``verify``).
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ def _cmd_verify(args) -> int:
                       tol_exact=args.tol_exact, tol_deriv=args.tol_deriv,
                       c=args.c)
     try:
-        report = run_suite(args.suite, cfg)
+        # numpy overflows raise, so they end in the one error line below
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = run_suite(args.suite, cfg)
     except (ChartError, np.linalg.LinAlgError, ValueError,
             ArithmeticError) as exc:
         print(f"error: suite {args.suite}: {type(exc).__name__}: {exc}",

@@ -4,6 +4,8 @@ bi-Hamiltonian ladder built on them."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..charts import (BivectorField, Chart, ScalarField, VectorField,
                       constant_vector)
 from ..poisson import hamiltonian_field
@@ -63,6 +65,12 @@ def lagrange_vector_field(params: TopParams) -> VectorField:
     return VectorField(body_chart(), fn)
 
 
+# constant 3x3 blocks of the body-frame bivectors
+_B = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+              dtype=object)
+_Z = np.zeros((3, 3)).astype(object)
+
+
 def poisson_bivectors(params: TopParams):
     """The three degenerate Poisson bivectors of the body-frame chart."""
     c = params.c
@@ -70,40 +78,30 @@ def poisson_bivectors(params: TopParams):
 
     def p0_fn(x):
         w1, w2, w3 = x[W1], x[W2], x[W3]
-        B = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         C = [[0.0, c * w3, -w2], [-c * w3, 0.0, w1], [w2, -w1, 0.0]]
-        Z = [[0.0] * 3 for _ in range(3)]
-        return _assemble(Z, B, B, C)
+        return _assemble(_Z, _B, _B, C)
 
     def p1_fn(x):
         g1, g2, g3 = x[G1], x[G2], x[G3]
-        B = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        nB = [[-v for v in row] for row in B]
         G = [[0.0, g3, -g2], [-g3, 0.0, g1], [g2, -g1, 0.0]]
-        Z = [[0.0] * 3 for _ in range(3)]
-        return _assemble(nB, Z, Z, G)
+        return _assemble(-_B, _Z, _Z, G)
 
     def p2_fn(x):
         w1, w2, w3 = x[W1], x[W2], x[W3]
         g1, g2, g3 = x[G1], x[G2], x[G3]
         T = [[0.0, -c * w3, w2 / c], [c * w3, 0.0, -w1 / c],
              [-w2 / c, w1 / c, 0.0]]
-        R = [[0.0, -g3, g2], [g3, 0.0, -g1], [-g2 / c, g1 / c, 0.0]]
-        mRT = [[-R[j][i] for j in range(3)] for i in range(3)]
-        Z = [[0.0] * 3 for _ in range(3)]
-        return _assemble(T, R, mRT, Z)
+        R = np.array([[0.0, -g3, g2], [g3, 0.0, -g1],
+                      [-g2 / c, g1 / c, 0.0]], dtype=object)
+        return _assemble(T, R, -R.T, _Z)
 
     return (BivectorField(chart, p0_fn), BivectorField(chart, p1_fn),
             BivectorField(chart, p2_fn))
 
 
 def _assemble(ul, ur, ll, lr):
-    out = []
-    for i in range(3):
-        out.append(list(ul[i]) + list(ur[i]))
-    for i in range(3):
-        out.append(list(ll[i]) + list(lr[i]))
-    return out
+    return np.block([[np.asarray(b, dtype=object) for b in row]
+                     for row in ((ul, ur), (ll, lr))])
 
 
 def bihamiltonian_fields(params: TopParams):

@@ -7,6 +7,8 @@ Coordinate order: ``(x1, x2, y1, y2, F1, F4)``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..charts import (BivectorField, Chart, ChartMap, OperatorField,
                       ScalarField)
 from ..poisson import hamiltonian_field
@@ -91,18 +93,16 @@ def _p1_block(x):
             [0.0, i * x2, 0.0, 0.0]]
 
 
+def _on_leaf(block):
+    """A 4x4 leaf block embedded in the 6x6 chart, zero elsewhere."""
+    out = np.zeros((6, 6)).astype(object)
+    out[:4, :4] = block
+    return out
+
+
 def p1_complex(params: TopParams) -> BivectorField:
-    chart = complex_chart(params)
-
-    def fn(x):
-        blk = _p1_block(x)
-        out = [[0.0] * 6 for _ in range(6)]
-        for a in range(4):
-            for b in range(4):
-                out[a][b] = blk[a][b]
-        return out
-
-    return BivectorField(chart, fn)
+    return BivectorField(complex_chart(params),
+                         lambda x: _on_leaf(_p1_block(x)))
 
 
 def _p0_block(x):
@@ -131,15 +131,10 @@ def p0_complex(params: TopParams) -> BivectorField:
     X1f, _ = x_fields_complex(params)
 
     def fn(x):
-        blk = _p0_block(x)
-        xv = X1f.fn(x)
-        out = [[0.0] * 6 for _ in range(6)]
-        for a in range(4):
-            for b in range(4):
-                out[a][b] = blk[a][b]
-        for a in range(5):
-            out[a][F4C] = 2.0 * xv[a]
-            out[F4C][a] = -2.0 * xv[a]
+        out = _on_leaf(_p0_block(x))
+        xv = X1f.fn(x)[:F4C]
+        out[:F4C, F4C] = 2.0 * xv
+        out[F4C, :F4C] = -2.0 * xv
         return out
 
     return BivectorField(chart, fn)
@@ -178,8 +173,8 @@ def nijenhuis_operator(params: TopParams) -> OperatorField:
         # transversal block
         out[4][4] = ((c - 1.0) * f1 + x1) / delta
         out[4][5] = 1.0 / (2.0 * c * x2 * delta)
-        out[5][4] = -2.0 * c * x2 * ((c - 1.0) * (f1 ** 2 + f1 * x1) - x2) \
-            / delta
+        out[5][4] = -2.0 * c * x2 \
+            * ((c - 1.0) * f1 * ((c - 1.0) * f1 + x1) - x2) / delta
         out[5][5] = -(x1 ** 3 + (c - 1.0) * f1 * x1 ** 2 + 2.0 * x1 * x2
                       + (c - 1.0) * f1 * x2) / (x2 * delta)
         return out
@@ -187,13 +182,11 @@ def nijenhuis_operator(params: TopParams) -> OperatorField:
     return OperatorField(chart, fn)
 
 
-def benenti_operators(params: TopParams, N: OperatorField | None = None):
+def benenti_operators(params: TopParams, N: OperatorField):
     """Triangular relations expressing the operator family through the
-    minimal-polynomial coefficients of the cyclic generator."""
+    minimal-polynomial coefficients of the cyclic generator ``N``."""
     from ..charts import identity_operator, operator_polynomial
     chart = complex_chart(params)
-    if N is None:
-        N = nijenhuis_operator(params)
     z2_mf3 = ScalarField(chart, lambda x: x[X1C] / x[X2C])
     z2_f2 = ScalarField(chart, lambda x: -1.0 / x[X2C])
     K1 = identity_operator(chart)

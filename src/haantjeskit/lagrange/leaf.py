@@ -8,6 +8,8 @@ with the two Casimir levels pinned to constants.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..charts import (BivectorField, Chart, ChartMap, OneFormField,
                       OperatorField, Point, ScalarField, VectorField)
 from ..jets import sqrt_
@@ -52,10 +54,9 @@ def restrict_to_leaf(field, params: TopParams, C1, C4, *, sample=None):
         raise TypeError(f"cannot restrict field of type {kind.__name__}")
 
     def fn(x):
-        v = field.fn(_embed(x, C1, C4))
-        if isinstance(field, ScalarField):
-            return v
-        return [r[:4] if isinstance(r, (list, tuple)) else r for r in v[:4]]
+        v = np.asarray(field.fn(_embed(x, C1, C4)), dtype=object)
+        # the leaf slots of every index: v[:4], v[:4, :4], or a scalar
+        return v[(slice(4),) * v.ndim]
 
     # a one-form pulls back by dropping its transversal slots; only
     # vectors, operators and bivectors must not couple to them

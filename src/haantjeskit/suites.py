@@ -55,14 +55,13 @@ class SuiteConfig:
     tol_exact: float = 1e-12
     tol_deriv: float = 1e-9
     c: float = 2.0
-    A: float = 1.0
 
     def params(self) -> TopParams:
-        return TopParams(c=self.c, A=self.A)
+        return TopParams(c=self.c)
 
     def as_dict(self) -> dict:
         return {"points": self.points, "tol_exact": self.tol_exact,
-                "tol_deriv": self.tol_deriv, "c": self.c, "A": self.A,
+                "tol_deriv": self.tol_deriv, "c": self.c, "A": TopParams.A,
                 "leaf_C1": LEAF_C1, "leaf_C4": LEAF_C4}
 
 

@@ -70,6 +70,9 @@ def test_verify_algebra_with_module_coefficients(ncase):
     assert alg.module.passed
     assert alg.ring.passed
     assert alg.abelian.passed
+    # the Abelian condition pairs distinct generators only: no self pair
+    # widens its scale
+    assert alg.abelian == check_abelian(identity_operator(chart), N, sample)
 
 
 def test_noncommuting_pair_fails_abelian():
@@ -96,3 +99,10 @@ def test_empty_sample_rejected(ncase):
     one = ScalarField(chart, lambda x: 1.0)
     with pytest.raises(ValueError):
         verify_algebra([N], [], (one, one))
+
+
+def test_single_generator_rejected(ncase):
+    chart, N = ncase
+    one = ScalarField(chart, lambda x: 1.0)
+    with pytest.raises(ValueError, match="two generators"):
+        verify_algebra([N], sample_points(chart, 2, 1), (one, one))

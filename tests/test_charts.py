@@ -16,9 +16,11 @@ from haantjeskit import (BivectorField, Chart, ChartError,
 from haantjeskit import jets
 from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
                                   complex_chart, complex_integrals,
-                                  nijenhuis_operator, p0_complex, p1_complex,
-                                  x_fields_complex)
+                                  leaf_chart, nijenhuis_operator, p0_complex,
+                                  p1_complex, restrict_to_leaf,
+                                  separation_map, x_fields_complex)
 from haantjeskit.sampling import sample_points
+from haantjeskit.suites import LEAF_C1, LEAF_C4
 
 from conftest import fd_gradient, fd_jacobian, point
 
@@ -147,14 +149,17 @@ def test_apply_operator_and_transpose(chart3, sample3):
     assert np.max(np.abs(apply_transpose(L, a)(p) - L(p).T @ a(p))) < 1e-14
 
 
-def test_chart_map_push_scalar_and_roundtrip(chart3, sample3):
-    # cubic-shear change of coordinates with exact inverse
-    dst = Chart("shifted", 3)
-    cmap = ChartMap(
-        chart3, dst,
+def _shear(chart3):
+    """Cubic-shear change of coordinates with exact inverse."""
+    return ChartMap(
+        chart3, Chart("shifted", 3),
         lambda x: [x[0], x[1] + x[0] ** 2, x[2] + x[0] * x[1]],
         lambda y: [y[0], y[1] - y[0] ** 2,
                    y[2] - y[0] * (y[1] - y[0] ** 2)])
+
+
+def test_chart_map_push_scalar_and_roundtrip(chart3, sample3):
+    cmap = _shear(chart3)
     f = ScalarField(chart3, lambda x: x[0] * x[2] + x[1] ** 2)
     pushed = cmap.push_scalar(f)
     for p in sample3[:8]:
@@ -166,12 +171,7 @@ def test_chart_map_push_scalar_and_roundtrip(chart3, sample3):
 
 
 def test_bivector_and_operator_transport_consistency(chart3, sample3):
-    dst = Chart("shifted", 3)
-    cmap = ChartMap(
-        chart3, dst,
-        lambda x: [x[0], x[1] + x[0] ** 2, x[2] + x[0] * x[1]],
-        lambda y: [y[0], y[1] - y[0] ** 2,
-                   y[2] - y[0] * (y[1] - y[0] ** 2)])
+    cmap = _shear(chart3)
     P = BivectorField(chart3, lambda x: [[0.0, x[0], -1.0],
                                          [-x[0], 0.0, x[1]],
                                          [1.0, -x[1], 0.0]])
@@ -188,6 +188,78 @@ def test_bivector_and_operator_transport_consistency(chart3, sample3):
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+def test_field_algebra_matches_index_loops(chart3, sample3):
+    """Each numpy expression of the field algebra gives, value and
+    Jacobian, exactly what the index loops it replaced give: the same
+    products, summed in the same order."""
+    n = 3
+    L = OperatorField(chart3, lambda x: [[x[0], x[1] * x[2], 1.0],
+                                         [2.0, x[0] * x[0], x[2]],
+                                         [x[1], 0.0, x[0] + x[2]]])
+    M = OperatorField(chart3, lambda x: [[x[i] * x[j] + i for j in range(n)]
+                                         for i in range(n)])
+    X = VectorField(chart3, lambda x: [x[1] * x[2], x[0] ** 2, 1.0])
+    Z = VectorField(chart3, lambda x: [x[2], x[0] * x[1], x[0] + x[1]])
+    a = OneFormField(chart3, lambda x: [x[1], x[0] * x[2], 2.0])
+    s = ScalarField(chart3, lambda x: x[0] * x[1] - x[2])
+    cmap = _shear(chart3)
+
+    def dot(u, v):
+        return sum(p * q for p, q in zip(u, v))
+
+    def matmul(A, B):
+        return [[dot(A[i], [B[k][j] for k in range(len(B))])
+                 for j in range(len(B[0]))] for i in range(len(A))]
+
+    def partials(fn, x):
+        return [jets.gradient(v, len(x)) for v in fn(jets.seed(x))]
+
+    def bracket(x):
+        xv, yv = X.fn(x), Z.fn(x)
+        xg, yg = partials(X.fn, x), partials(Z.fn, x)
+        return [sum(xv[j] * yg[i][j] - yv[j] * xg[i][j] for j in range(n))
+                for i in range(n)]
+
+    def polynomial(x):
+        m, c = L.fn(x), s.fn(x)
+        sq = matmul(m, m)
+        return [[0.0 + c * (1.0 if i == j else 0.0) + 0.5 * m[i][j]
+                 + c * sq[i][j] for j in range(n)] for i in range(n)]
+
+    def pushed_bivector(xi):
+        x = cmap.inverse(xi)
+        J = partials(cmap.forward, x)
+        return matmul(matmul(J, M.fn(x)), [list(r) for r in zip(*J)])
+
+    def pushed_operator(xi):
+        x = [jets.value(v) for v in cmap.inverse(jets.seed(xi))]
+        Jinv = partials(cmap.inverse, xi)
+        return matmul(matmul(partials(cmap.forward, x), L.fn(x)), Jinv)
+
+    pairs = [
+        (apply_operator(L, X), lambda x: [dot(r, X.fn(x)) for r in L.fn(x)]),
+        (apply_transpose(L, a),
+         lambda x: [dot([r[j] for r in L.fn(x)], a.fn(x))
+                    for j in range(n)]),
+        (compose_operators(L, M), lambda x: matmul(L.fn(x), M.fn(x))),
+        (wedge(X, Z), lambda x: [[X.fn(x)[i] * Z.fn(x)[j]
+                                  - X.fn(x)[j] * Z.fn(x)[i]
+                                  for j in range(n)] for i in range(n)]),
+        (lie_bracket(X, Z), bracket),
+        (operator_polynomial(L, [s, 0.5, s]), polynomial),
+    ]
+    for F, loops in pairs:
+        ref = type(F)(F.chart, loops)
+        for p in sample3[:3]:
+            assert all(map(np.array_equal, F.jet(p), ref.jet(p))), loops
+    for F, loops in [(cmap.push_bivector(BivectorField(chart3, M.fn)),
+                      pushed_bivector),
+                     (cmap.push_operator(L), pushed_operator)]:
+        ref = type(F)(F.chart, loops)
+        for q in [cmap.apply(p) for p in sample3[:3]]:
+            assert all(map(np.array_equal, F.jet(q), ref.jet(q))), loops
+
+
 def test_constant_operator(chart3):
     p = point(chart3, 1.0, 2.0, 3.0)
     M = constant_operator(chart3, np.eye(3) * 2.0)
@@ -195,8 +267,9 @@ def test_constant_operator(chart3):
 
 
 def _jet_cases(c):
-    """Fields of the top's complex chart at inertia ratio ``c``, with a
-    sample of that chart."""
+    """Fields of the top at inertia ratio ``c``, each with a sample of its
+    chart: the complex chart, the symplectic leaf and the separation
+    chart."""
     params = TopParams(c=c)
     chart = complex_chart(params)
     X1, X2 = x_fields_complex(params)
@@ -222,8 +295,23 @@ def _jet_cases(c):
         "scaled_operator": scale_field(coeff, N),
         "scaled_vector": scale_field(coeff, X1),
         "bracket": lie_bracket(X1, X2),
+        "wedge": wedge(X1, X2),
+        "transpose": apply_transpose(N, differential(F3)),
+        "composed": compose_operators(N, scale_field(coeff, N)),
+        "polynomial": operator_polynomial(N, [coeff, 0.5, coeff]),
     }
-    return fields, sample_points(chart, 3, 5)
+    sample = sample_points(chart, 3, 5)
+    cases = {name: (F, sample) for name, F in fields.items()}
+
+    leaf = lambda f: restrict_to_leaf(f, params, LEAF_C1, LEAF_C4)
+    leaf_sample = sample_points(leaf_chart(params, LEAF_C1, LEAF_C4), 3, 5)
+    cases["leaf_operator"] = (leaf(N), leaf_sample)
+    cases["leaf_vector"] = (leaf(X2), leaf_sample)
+    sep = separation_map(params, LEAF_C1, LEAF_C4)
+    sep_sample = [sep.apply(p) for p in leaf_sample]
+    cases["separation_bivector"] = (sep.push_bivector(leaf(P1)), sep_sample)
+    cases["separation_operator"] = (sep.push_operator(leaf(N)), sep_sample)
+    return cases
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
@@ -231,13 +319,12 @@ def test_jet_equals_value_and_jacobian(c):
     """``jet`` gives bit for bit what the plain pass and ``jacobian`` give,
     so switching a check to it cannot change a reported residual; a scalar
     field's ``gradient`` is the same call."""
-    fields, sample = _jet_cases(c)
-    for name, F in fields.items():
+    for name, (F, sample) in _jet_cases(c).items():
         for p in sample:
             val, jac = F.jet(p)
             assert np.array_equal(val, F(p)), name
             assert np.array_equal(jac, F.jacobian(p)), name
-            assert jac.shape == np.shape(val) + (6,), name
+            assert jac.shape == np.shape(val) + (F.chart.dim,), name
             if isinstance(F, ScalarField):
                 assert type(val) is complex, name
                 assert np.array_equal(jac, F.gradient(p)), name

@@ -177,12 +177,14 @@ def test_numerical_error_in_check_exits_4(exc, monkeypatch, capsys):
     assert "\n" not in err and "Traceback" not in err
 
 
-def test_extreme_inertia_ratio_exits_4(capsys):
-    """A huge but finite ``--c`` overflows inside the sampler; the run ends
-    with exit 4 and one error line, not a traceback."""
-    code = main(["verify", "--suite", "algebra", "--points", "1",
-                 "--c", "1e308"])
-    assert code == 4
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error: suite algebra: OverflowError:")
-    assert "\n" not in err and "Traceback" not in err
+def test_extreme_inertia_ratio_exits_4():
+    """A huge but finite ``--c`` overflows, in the sampler or in numpy
+    arithmetic; the run ends with exit 4 and exactly one line on standard
+    error: no traceback, and no numpy warnings before it."""
+    for suite, exc in [("algebra", "OverflowError"),
+                       ("euler-poisson", "FloatingPointError")]:
+        r = run_cli("verify", "--suite", suite, "--points", "1",
+                    "--c", "1e308")
+        assert r.returncode == 4, (suite, r.stderr)
+        assert r.stderr.startswith(f"error: suite {suite}: {exc}:"), suite
+        assert len(r.stderr.splitlines()) == 1, (suite, r.stderr)

@@ -15,10 +15,6 @@ import pytest
 from haantjeskit.suites import SuiteConfig, run_suite
 
 DATA = Path(__file__).resolve().parent / "data"
-# Residuals that moved on purpose since the reports were frozen: the
-# canonical brackets of the separation variables now come from jets, not
-# from a 1e-6 central difference.
-RESIDUAL_CHANGED = {"reduced.momenta_reading_finding"}
 
 
 @pytest.mark.parametrize("c", [2.0, 3.0])
@@ -33,7 +29,5 @@ def test_report_matches_frozen(c):
         assert (g["status"], g["points_sampled"]) == \
             (w["status"], w["points_sampled"]), g["id"]
         assert g["tolerance"] == pytest.approx(w["tolerance"], rel=1e-9)
-        if g["id"] not in RESIDUAL_CHANGED:
-            assert g["max_residual"] == pytest.approx(
-                w["max_residual"], rel=1e-6, abs=1e-3 * w["tolerance"]), \
-                g["id"]
+        assert g["max_residual"] == pytest.approx(
+            w["max_residual"], rel=1e-6, abs=1e-3 * w["tolerance"]), g["id"]
