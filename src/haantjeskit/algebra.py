@@ -25,20 +25,22 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class MinimalPolynomial:
-    """Monic annihilating polynomial of an operator at one point.
+    """Monic annihilating polynomial of an operator at each point of a
+    sample, one row per point.
 
-    ``coeffs[k]`` multiplies the k-th power; the leading (degree) coefficient
+    ``coeffs[s, k]`` multiplies the k-th power at the s-th point, for
+    ``k < degree[s]``, and is zero beyond; the leading (degree) coefficient
     is 1 and is not stored.  An ill-conditioned power sequence is reported
     through the flag, never silently accepted.
     """
 
-    degree: int
+    degree: np.ndarray
     coeffs: np.ndarray
-    residual: float
-    condition: float
+    residual: np.ndarray
+    condition: np.ndarray
 
     @property
-    def ill_conditioned(self) -> bool:
+    def ill_conditioned(self) -> np.ndarray:
         return self.condition > COND_LIMIT
 
 
@@ -71,39 +73,63 @@ def check_abelian(Ki: OperatorField, Kj: OperatorField, sample,
 
 
 def _vec_powers(m: np.ndarray, count: int):
-    n = m.shape[0]
-    power = np.eye(n, dtype=complex)
-    out = [power.reshape(-1)]
+    size, n = m.shape[0], m.shape[-1]
+    power = np.broadcast_to(np.eye(n, dtype=complex), m.shape)
+    out = [power.reshape(size, -1)]
     for _ in range(count):
         power = power @ m
-        out.append(power.reshape(-1))
+        out.append(power.reshape(size, -1))
     return out
 
 
+def _least_squares(A: np.ndarray, b: np.ndarray):
+    """Minimum-norm least-squares solutions of ``A[s] c = b[s]`` for a stack
+    of matrices, with the condition numbers of ``A[s]``; singular values
+    below the cut of ``numpy.linalg.lstsq``'s default are dropped."""
+    u, s, vh = np.linalg.svd(A, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(A.shape[-2:]) * s[:, :1]
+    sinv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    c = np.einsum("sji,sj->si", vh.conj(),
+                  sinv * np.einsum("ski,sk->si", u.conj(), b))
+    cond = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf),
+                     where=s[:, -1] > 0)
+    return c, cond
+
+
 def minimal_polynomial(L: OperatorField, p: Point) -> MinimalPolynomial:
-    """Smallest monic polynomial annihilating ``L(p)``, found by least
-    squares on the vectorized power sequence."""
+    """Smallest monic polynomial annihilating ``L`` at each point of ``p``,
+    found by least squares on the vectorized power sequence, one degree at
+    a time for the whole sample."""
     m = L(p)
-    n = m.shape[0]
+    size, n = m.shape[0], m.shape[-1]
     vecs = _vec_powers(m, n)
-    norm = max(1.0, float(np.max(np.abs(m))))
+    norm = np.maximum(1.0, _max_abs(m))
+    degree = np.zeros(size, dtype=int)
+    coeffs = np.zeros((size, n), dtype=complex)
+    residual = np.zeros(size)
+    condition = np.zeros(size)
     for d in range(1, n + 1):
-        A = np.column_stack(vecs[:d])
+        A = np.stack(vecs[:d], axis=-1)
         b = vecs[d]
-        c, *_ = np.linalg.lstsq(A, -b, rcond=None)
-        residual = float(np.max(np.abs(A @ c + b)))
-        if residual <= RANK_RTOL * max(1.0, norm ** d):
-            s = np.linalg.svd(A, compute_uv=False)
-            cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-            return MinimalPolynomial(d, c, residual, cond)
+        c, cond = _least_squares(A, -b)
+        res = np.abs(np.einsum("ski,si->sk", A, c) + b).max(axis=1)
+        new = (degree == 0) & (res <= RANK_RTOL * np.maximum(1.0, norm ** d))
+        degree[new] = d
+        coeffs[new, :d] = c[new]
+        residual[new] = res[new]
+        condition[new] = cond[new]
+        if degree.all():
+            return MinimalPolynomial(degree, coeffs, residual, condition)
     raise ValueError("no annihilating polynomial found up to full degree")
 
 
-def algebra_rank(generators, p: Point) -> int:
-    """Numerical dimension of the span of the vectorized generator values."""
-    stack = np.column_stack([K(p).reshape(-1) for K in generators])
+def algebra_rank(generators, p: Point) -> np.ndarray:
+    """Numerical dimension of the span of the vectorized generator values,
+    at each point of ``p``."""
+    stack = np.stack([K(p).reshape(len(p), -1) for K in generators],
+                     axis=-1)
     s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return np.sum(s > RANK_RTOL * s[:, :1], axis=1)
 
 
 def verify_algebra(generators, sample, module_coeffs,
@@ -112,7 +138,7 @@ def verify_algebra(generators, sample, module_coeffs,
     combination checks on a sample; ``module_coeffs`` is the pair of scalar
     fields of the combinations.  The Abelian condition is judged on pairs of
     distinct generators, so it needs at least two."""
-    if not sample:
+    if len(sample) == 0:
         raise ValueError("empty sample")
     if len(generators) < 2:
         raise ValueError("an algebra needs at least two generators")

@@ -1,22 +1,32 @@
-"""Coordinate charts and differentiable tensor fields over complex scalars.
+"""Coordinate charts and differentiable tensor fields over complex scalars,
+evaluated over a whole sample at once.
 
-Fields are immutable wrappers around pure component functions.  A component
-function receives the coordinate tuple (plain complex numbers, or jets when
-a derivative is requested) and returns the components: a number, or
-anything ``np.asarray(..., dtype=object)`` turns into an array of numbers
-or jets (a list, a list of rows, an object array).  Derived fields
+A :class:`Point` is a sample: ``N`` points of one chart, held as one complex
+array of shape ``(N,)`` per coordinate (a point given by numbers is a sample
+of one).  Fields are immutable wrappers around pure component functions.  A
+component function receives the coordinate list and returns the components:
+a number, or anything ``np.asarray(..., dtype=object)`` turns into an array
+of numbers or jets (a list, a list of rows, an object array).  The
+coordinates it receives are jets batched over the sample (see
+:mod:`~haantjeskit.jets`): plain values over no variables for a plain pass,
+seeded jets when a derivative is requested.  Each component is thus one
+batched scalar, and the sample axis lives inside the jets.  Derived fields
 (brackets, differentials, transported tensors, ...) return such object
 arrays and are built as numpy expressions over them (``L @ X``,
 ``J @ P @ J.T``, ...), so they remain differentiable to the depth the
 computation needs.
 
-Every field kind is read through the same two passes: ``f(p)`` evaluates the
-component function once on the plain coordinates, and ``f.jet(p)`` once on
-seeded jets, giving the components and their partials (last index the
-variable); ``f.jacobian(p)`` is ``f.jet(p)[1]``, and a scalar field's
-``gradient`` is its ``jacobian``.  Derived fields and chart maps take
-partials through the same seeded pass, :func:`_seeded`, which also accepts
-coordinates that are already jets.
+Every field kind is read through the same two passes over a sample:
+``f(p)`` evaluates the component function once on the plain coordinates,
+and ``f.jet(p)`` once on seeded jets, giving the components and their
+partials (last index the variable).  Results are numeric arrays with the
+sample axis first: ``(N,) + shape`` for the components and
+``(N,) + shape + (dim,)`` for the partials.  ``f.jacobian(p)`` is
+``f.jet(p)[1]``, and a scalar field's ``gradient`` is its ``jacobian``.
+Derived fields and chart maps take partials through the same seeded pass,
+:func:`_seeded`, which also accepts coordinates that are already jets.
+Reading a sample once per field is the rule the checks keep: one plain or
+one seeded pass per field and sample, never one per point.
 
 Real charts embed with zero imaginary parts; every evaluation is pure and
 deterministic.
@@ -24,7 +34,6 @@ deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -80,8 +89,16 @@ class Chart:
             raise ChartError("coordinate-name count does not match dimension")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point:
+    """A sample of ``N`` points of one chart: ``coords`` holds one read-only
+    complex array of shape ``(N,)`` per coordinate.
+
+    Numbers broadcast against arrays, so a point given by numbers is a
+    sample of one.  ``len`` is ``N``; an index gives the sample of that one
+    point and a slice a sub-sample.
+    """
+
     chart: Chart
     coords: tuple
 
@@ -90,11 +107,29 @@ class Point:
             raise ChartError(
                 f"point has {len(self.coords)} coordinates, chart "
                 f"{self.chart.name!r} has dimension {self.chart.dim}")
-        vals = tuple(complex(c) for c in self.coords)
-        for v in vals:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ChartError("non-finite coordinate")
-        object.__setattr__(self, "coords", vals)
+        try:
+            vals = np.array(np.broadcast_arrays(
+                *(np.atleast_1d(np.asarray(c, dtype=complex))
+                  for c in self.coords)))
+        except (TypeError, ValueError) as exc:
+            raise ChartError(f"coordinates do not form a sample: {exc}") \
+                from None
+        if vals.ndim != 2:
+            raise ChartError("each coordinate must be a number or a "
+                             "one-dimensional array")
+        if not np.all(np.isfinite(vals)):
+            raise ChartError("non-finite coordinate")
+        vals.flags.writeable = False
+        object.__setattr__(self, "coords", tuple(vals))
+
+    def __len__(self) -> int:
+        return len(self.coords[0])
+
+    def __getitem__(self, index) -> "Point":
+        if not isinstance(index, slice):
+            i = range(len(self))[index]
+            index = slice(i, i + 1)
+        return Point(self.chart, tuple(c[index] for c in self.coords))
 
 
 def _same_chart(a, b):
@@ -106,7 +141,8 @@ class _Field:
     """Base for all field kinds: a chart plus a pure component function.
 
     Every kind is read the same way; the subclasses are kind tags that the
-    field algebra checks.  A scalar field's components are one ``complex``.
+    field algebra checks.  A scalar field's components are one number per
+    point.
     """
 
     def __init__(self, chart: Chart, fn: Callable):
@@ -116,25 +152,21 @@ class _Field:
     def _require(self, p: Point):
         _same_chart(self.chart, p.chart)
         for s in self.chart.singular:
-            if abs(s(list(p.coords))) < _SINGULAR_TOL:
+            if np.any(np.abs(s(list(p.coords))) < _SINGULAR_TOL):
                 raise SingularPointError(
                     f"point lies on a singular set of chart {self.chart.name!r}")
 
-    def __call__(self, p: Point):
-        """Components from a plain pass."""
+    def __call__(self, p: Point) -> np.ndarray:
+        """Components from a plain pass, shape ``(N,) + shape``."""
         self._require(p)
-        v = np.array(self.fn(list(p.coords)), dtype=complex)
-        return complex(v) if v.ndim == 0 else v
+        return _read(self.fn, p.coords)
 
     def jet(self, p: Point) -> tuple:
         """Components and their partials from one seeded pass; the last
-        index of the partials is the variable, so a vector's ``[i, k]`` is
-        the k-th partial of the i-th component."""
+        index of the partials is the variable, so a vector's ``[s, i, k]``
+        is the k-th partial of the i-th component at the s-th point."""
         self._require(p)
-        vals, grads = _seeded(self.fn, list(p.coords))
-        v = np.array(vals, dtype=complex)
-        return (complex(v) if v.ndim == 0 else v,
-                np.array(grads, dtype=complex))
+        return _read(self.fn, p.coords, seeded=True)
 
     def jacobian(self, p: Point) -> np.ndarray:
         return self.jet(p)[1]
@@ -168,14 +200,45 @@ def _components(fn, x):
     return np.asarray(fn(x), dtype=object)
 
 
+def _read(fn, coords, seeded=False):
+    """One pass of ``fn`` over a sample's coordinate arrays: the components
+    as a complex array with the sample axis first, and with ``seeded`` also
+    their partials, the last index being the variable.  Constant entries
+    broadcast along the sample."""
+    size, n = len(coords[0]), len(coords)
+    out = _components(fn, jets.seed(coords) if seeded else jets.lift(coords))
+    vals = np.empty((size, out.size), dtype=complex)
+    grads = np.zeros((size, out.size, n if seeded else 0), dtype=complex)
+    for k, e in enumerate(out.flat):
+        if isinstance(e, jets.Jet):
+            vals[:, k] = e.val
+            grads[:, k] = e.grad.T
+        else:
+            vals[:, k] = e
+    vals = vals.reshape((size,) + out.shape)
+    if not seeded:
+        return vals
+    return vals, grads.reshape((size,) + out.shape + (n,))
+
+
+def _objects(entries, shape):
+    """Object array of batched entries; numeric arrays among them become
+    plain jets, so numpy never splits an entry into its points."""
+    arr = np.empty(len(entries), dtype=object)
+    arr[:] = jets.lift(entries)
+    return arr.reshape(shape)
+
+
 def _seeded(fn, x):
-    """One pass of ``fn`` at the seeded ``x`` (numbers or jets): the
-    components and their partials, the last index being the variable."""
+    """One pass of ``fn`` at the seeded ``x`` (plain values or jets): object
+    arrays of the components and their partials at the level of ``x``, the
+    last index being the variable."""
     n = len(x)
     out = _components(fn, jets.seed(x))
-    vals = np.array([jets.value(v) for v in out.flat], dtype=object)
-    grads = np.array([jets.gradient(v, n) for v in out.flat], dtype=object)
-    return vals.reshape(out.shape), grads.reshape(out.shape + (n,))
+    vals = _objects([jets.value(v) for v in out.flat], out.shape)
+    grads = _objects([g for v in out.flat for g in jets.gradient(v, n)],
+                     out.shape + (n,))
+    return vals, grads
 
 
 # -- field algebra ----------------------------------------------------------
@@ -189,10 +252,10 @@ def differential(f: ScalarField) -> OneFormField:
 
 
 def exterior_derivative(alpha: OneFormField, p: Point) -> np.ndarray:
-    """Pointwise exterior derivative; antisymmetric matrix with
-    ``[i, j] = d_i alpha_j - d_j alpha_i``."""
+    """Exterior derivative over a sample; antisymmetric matrices with
+    ``[s, i, j] = d_i alpha_j - d_j alpha_i`` at the s-th point."""
     J = alpha.jacobian(p)
-    return J.T - J
+    return J.swapaxes(-1, -2) - J
 
 
 def wedge(X: VectorField, Z: VectorField) -> BivectorField:
@@ -304,17 +367,17 @@ class ChartMap:
 
     def apply(self, p: Point) -> Point:
         _same_chart(self.src, p.chart)
-        return Point(self.dst, tuple(self.forward(list(p.coords))))
+        return Point(self.dst, tuple(_read(self.forward, p.coords).T))
 
     def invert(self, q: Point) -> Point:
         _same_chart(self.dst, q.chart)
-        return Point(self.src, tuple(self.inverse(list(q.coords))))
+        return Point(self.src, tuple(_read(self.inverse, q.coords).T))
 
     def jacobian(self, p: Point) -> np.ndarray:
-        """Forward jacobian ``[i, k] = d(dst_i)/d(src_k)`` at a source point."""
+        """Forward jacobians ``[s, i, k] = d(dst_i)/d(src_k)`` over a source
+        sample."""
         _same_chart(self.src, p.chart)
-        return np.array(_seeded(self.forward, list(p.coords))[1],
-                        dtype=complex)
+        return _read(self.forward, p.coords, seeded=True)[1]
 
     def push_scalar(self, f: ScalarField) -> ScalarField:
         _same_chart(self.src, f.chart)

@@ -130,6 +130,9 @@ def _cmd_integrate(args) -> int:
     except FlowBlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        # the trajectory array is allocated before the first step
+        return _usage_error("--tmax / --dt is more steps than memory holds")
     drift = max_relative_drift(traj)
     print(f"integrated {len(traj.times) - 1} steps to t = "
           f"{traj.times[-1]:.6g}; max relative invariant drift "

@@ -1,18 +1,34 @@
-"""First-order forward-mode scalars over complex arithmetic.
+"""First-order forward-mode scalars over complex arithmetic, batched over a
+sample (vector forward mode).
 
 A :class:`Jet` carries a value together with its gradient with respect to a
-fixed tuple of independent variables.  Both the value and the gradient slots
-may themselves be jets, so nested differentiation (derivatives of quantities
+fixed tuple of independent variables.  The value is a complex array of shape
+``(N,)``, one entry per sample point, and the gradient one array of shape
+``(n_vars, N)``, the first index the variable (``(n_vars, 1)`` for a freshly
+seeded coordinate, broadcast along the sample); a number in place of the
+value, or a gradient of shape ``(n_vars,)``, is a single unbatched point.
+Both slots may themselves hold jets (the gradient then an object array of
+``n_vars`` entries), so nested differentiation (derivatives of quantities
 that already contain derivatives) works without any special casing.
 
-For rational component functions the derivatives are exact up to rounding;
-transcendental entries (``sin``/``cos``/``sqrt``) use the chain rule on top
-of :mod:`cmath`.
+A jet over no variables is a *plain* batched value: it keeps numpy from
+splitting a batched entry of a list of components into its points, and
+seeding it starts a first-order pass rather than a nested one.
+
+Arithmetic keeps the gradient array on the left of the value it is scaled
+by (``self.grad * ov + other.grad * sv``), so an object array of jets
+multiplies entry by entry, and every product of two jets rounds the same in
+either order.  For rational component functions the derivatives are exact
+up to rounding; transcendental entries (``sin``/``cos``/``sqrt``) use the
+chain rule on top of numpy's principal branches.
 """
 
 from __future__ import annotations
 
-import cmath
+import numpy as np
+
+# gradient of a plain batched value: no variables
+_NO_VARS = np.zeros((0, 1))
 
 
 class Jet:
@@ -20,60 +36,76 @@ class Jet:
 
     def __init__(self, val, grad):
         self.val = val
-        self.grad = tuple(grad)
+        self.grad = grad if isinstance(grad, np.ndarray) else np.asarray(grad)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val + other.val,
-                       tuple(a + b for a, b in zip(self.grad, other.grad)))
+            g = self.grad
+            return Jet(self.val + other.val, g + other.grad if len(g) else g)
         return Jet(self.val + other, self.grad)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val - other.val,
-                       tuple(a - b for a, b in zip(self.grad, other.grad)))
+            return Jet(self.val - other.val, self.grad - other.grad)
         return Jet(self.val - other, self.grad)
 
     def __rsub__(self, other):
-        return Jet(other - self.val, tuple(-a for a in self.grad))
+        return Jet(other - self.val, -self.grad)
 
     def __neg__(self):
-        return Jet(-self.val, tuple(-a for a in self.grad))
+        return Jet(-self.val, -self.grad)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val * other.val,
-                       tuple(a * other.val + self.val * b
-                             for a, b in zip(self.grad, other.grad)))
-        return Jet(self.val * other, tuple(a * other for a in self.grad))
+            sv, ov, g = self.val, other.val, self.grad
+            if not len(g):  # plain values meet only plain values
+                return Jet(_product(sv, ov), g)
+            return Jet(_product(sv, ov),
+                       _product(g, ov) + _product(other.grad, sv))
+        return Jet(self.val * other, self.grad * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            q = self.val / other.val
-            return Jet(q, tuple((a - q * b) / other.val
-                                for a, b in zip(self.grad, other.grad)))
-        return Jet(self.val / other, tuple(a / other for a in self.grad))
+            ov = other.val
+            q = self.val / ov
+            return Jet(q, (self.grad - _product(other.grad, q)) / ov)
+        return Jet(self.val / other, self.grad / other)
 
     def __rtruediv__(self, other):
-        q = other / self.val
-        return Jet(q, tuple(-q * a / self.val for a in self.grad))
+        sv = self.val
+        q = other / sv
+        return Jet(q, _product(self.grad, -q) / sv)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise TypeError("jets support non-negative integer powers only")
         if n == 0:
-            return Jet(1.0 + 0.0j, tuple(0.0 for _ in self.grad))
+            return Jet(1.0 + 0.0j, self.grad * 0.0)
         d = n * self.val ** (n - 1)
-        return Jet(self.val ** n, tuple(d * a for a in self.grad))
+        return Jet(self.val ** n, _product(self.grad, d))
 
     def __repr__(self):
         return f"Jet({self.val!r}, grad={self.grad!r})"
+
+
+def _product(a, b):
+    """``a * b``, rounded the same as ``b * a``, for every product of jet
+    values and of gradients with values.  numpy's complex multiply may fuse
+    a multiply and an add, so its ``a * b`` and ``b * a`` can differ in the
+    last bit, and exact cancellations such as ``x . (G x) = 0`` for an
+    antisymmetric ``G`` would leave rounding noise.  Gradient terms need it
+    too: in a nested jet they are the values of inner jets, and a plain pass
+    must round as the seeded pass does.  Jets and object arrays of them
+    multiply entry by entry, each entry through this rule."""
+    if isinstance(a, Jet) or isinstance(b, Jet):
+        return a * b
+    return 0.5 * (a * b + b * a)
 
 
 # -- generic transcendental helpers ----------------------------------------
@@ -81,31 +113,48 @@ class Jet:
 def sqrt_(x):
     if isinstance(x, Jet):
         s = sqrt_(x.val)
-        return Jet(s, tuple(a / (2.0 * s) for a in x.grad))
-    return cmath.sqrt(x)
+        return Jet(s, x.grad / (2.0 * s))
+    return np.sqrt(np.asarray(x, dtype=complex))
 
 
 def sin_(x):
     if isinstance(x, Jet):
-        c = cos_(x.val)
-        return Jet(sin_(x.val), tuple(c * a for a in x.grad))
-    return cmath.sin(x)
+        return Jet(sin_(x.val), _product(x.grad, cos_(x.val)))
+    return np.sin(np.asarray(x, dtype=complex))
 
 
 def cos_(x):
     if isinstance(x, Jet):
-        s = sin_(x.val)
-        return Jet(cos_(x.val), tuple(-s * a for a in x.grad))
-    return cmath.cos(x)
+        return Jet(cos_(x.val), _product(x.grad, -sin_(x.val)))
+    return np.cos(np.asarray(x, dtype=complex))
 
 
 # -- seeding / extraction ---------------------------------------------------
 
+def _plain(v) -> bool:
+    return isinstance(v, Jet) and len(v.grad) == 0
+
+
+def lift(values):
+    """Plain batched values: each array of a coordinate list as a jet over
+    no variables; numbers stay numbers."""
+    return [Jet(v, _NO_VARS) if isinstance(v, np.ndarray) else v
+            for v in values]
+
+
 def seed(values):
-    """Wrap a coordinate tuple so that evaluating a function of the result
-    yields the function value and all first partials in one pass."""
+    """Wrap a coordinate list so that evaluating a function of the result
+    yields the function value and all first partials in one pass.
+
+    Batched values (arrays, plain jets) get gradients of shape
+    ``(n, 1)`` that broadcast along the sample; jets over variables are
+    nested; numbers alone are one unbatched point.
+    """
     n = len(values)
-    return [Jet(v, tuple(1.0 if j == i else 0.0 for j in range(n)))
+    rows = np.eye(n)
+    if any(isinstance(v, np.ndarray) or _plain(v) for v in values):
+        rows = rows[:, :, None]
+    return [Jet(v.val if _plain(v) else v, rows[i])
             for i, v in enumerate(values)]
 
 
@@ -114,6 +163,7 @@ def value(v):
 
 
 def gradient(v, n):
+    """The ``n`` partials of ``v`` as a list, zeros for a constant."""
     if isinstance(v, Jet):
         return list(v.grad)
     return [0.0] * n

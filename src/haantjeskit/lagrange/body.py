@@ -151,7 +151,7 @@ def gz_chain_check(params: TopParams, sample, tol: float = 1e-9) -> dict:
 
     def ladder_at(p):
         xl = XL(p)
-        v = xl - (X1(p) - (c - 1.0) * complex(F["F1"](p)) * X2(p))
+        v = xl - (X1(p) - (c - 1.0) * F["F1"](p)[:, None] * X2(p))
         return _max_abs(v), 1.0 + _max_abs(xl)
 
     out["XL_ladder_decomposition"] = sampled(sample, ladder_at, tol)

@@ -46,31 +46,31 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
     if not math.isfinite(t_max / dt):
         raise ValueError("step count t_max / dt must be finite")
     rhs = lagrange_vector_field(params).fn
-    f = lambda y: np.array(rhs(y))
-    y = np.asarray(y0, dtype=float)
-    if y.shape != (6,):
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (6,):
         raise ValueError("initial state must have six components")
     n_steps = int(round(t_max / dt))
-    times = [0.0]
-    states = [y.copy()]
-    t = 0.0
-    # overflow is detected through the finiteness check, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            k1 = f(y)
-            k2 = f(y + 0.5 * dt * k1)
-            k3 = f(y + 0.5 * dt * k2)
-            k4 = f(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = (k + 1) * dt
-            if not np.all(np.isfinite(y)):
-                raise FlowBlowupError(times[-1])
-            times.append(t)
-            states.append(y.copy())
-    states = np.array(states)
+    states = np.empty((n_steps + 1, 6))
+    states[0] = y0
+    # The steps run on Python floats, in the order of operations of the
+    # array form y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); a float overflow
+    # gives inf, never an exception, and ends in the finiteness check.
+    y = y0.tolist()
+    half, sixth = 0.5 * dt, dt / 6.0
+    for k in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs([a + half * b for a, b in zip(y, k1)])
+        k3 = rhs([a + half * b for a, b in zip(y, k2)])
+        k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+        y = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, y)):
+            raise FlowBlowupError(k * dt)
+        states[k + 1] = y
+    times = np.arange(n_steps + 1) * dt
     columns = list(states.T)
     recorded = [*integrals(params).values(), *hamiltonians(params)]
-    return Trajectory(np.array(times), states,
+    return Trajectory(times, states,
                       np.column_stack([F.fn(columns) for F in recorded]))
 
 

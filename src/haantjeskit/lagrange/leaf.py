@@ -74,7 +74,8 @@ def _check_restricts(field, params, C1, C4, sample):
 
     def coupling(p):
         v = field(Point(full, tuple(_embed(p.coords, C1, C4))))
-        part = (v[4:],) if v.ndim == 1 else (v[:4, 4:], v[4:, :4])
+        part = ((v[:, 4:],) if v.ndim == 2
+                else (v[:, :4, 4:], v[:, 4:, :4]))
         return _max_abs(*part) / (1.0 + _max_abs(v)), 1.0
 
     sr = sampled(sample, coupling, RESTRICT_TOL)
@@ -139,11 +140,11 @@ def _printed_momenta(x):
 
 
 def separation_coordinates(p: Point):
-    """Separation variables of a leaf point: the double eigenvalues of the
-    restricted operator family and canonically conjugate momenta whose
-    gradients are eigenforms."""
+    """Separation variables of a leaf sample, one array per variable: the
+    double eigenvalues of the restricted operator family and canonically
+    conjugate momenta whose gradients are eigenforms."""
     l1, l2, m1, m2 = _separation(p.coords)
-    if abs(l1 - l2) < 1e-13:
+    if np.any(np.abs(l1 - l2) < 1e-13):
         raise ValueError("coincident eigenvalues: separation chart breaks down")
     return l1, l2, m1, m2
 

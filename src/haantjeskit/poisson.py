@@ -33,14 +33,15 @@ class PoissonStructure:
     jacobi: SampledResidual
 
 
-def _jacobi(Pc: np.ndarray, Pd: np.ndarray) -> float:
-    # Pd[i, j, l] = d_l P^{ij}
-    term = np.einsum("il,jkl->ijk", Pc, Pd)
-    return _max_abs(term + term.transpose(1, 2, 0) + term.transpose(2, 0, 1))
+def _jacobi(Pc: np.ndarray, Pd: np.ndarray) -> np.ndarray:
+    # Pd[s, i, j, l] = d_l P^{ij} at the s-th point
+    term = np.einsum("sil,sjkl->sijk", Pc, Pd)
+    return _max_abs(term + term.transpose(0, 2, 3, 1)
+                    + term.transpose(0, 3, 1, 2))
 
 
-def jacobi_residual(P: BivectorField, p: Point) -> float:
-    """Max over index triples of the cyclic Schouten sum."""
+def jacobi_residual(P: BivectorField, p: Point) -> np.ndarray:
+    """Max over index triples of the cyclic Schouten sum, per point."""
     return _jacobi(*P.jet(p))
 
 
@@ -51,7 +52,8 @@ def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
     and ``|dP|``."""
     def at(p):
         Pc, Pd = P.jet(p)
-        return (_max_abs(Pc + Pc.T), _jacobi(Pc, Pd), _max_abs(Pc),
+        return (_max_abs(Pc + Pc.swapaxes(-1, -2)), _jacobi(Pc, Pd),
+                _max_abs(Pc),
                 _max_abs(Pd))
 
     return PoissonStructure(*sampled(
@@ -60,13 +62,11 @@ def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
 
 
 def poisson_bracket(P: BivectorField, f: ScalarField, g: ScalarField,
-                    p: Point) -> complex:
-    """``<df, P dg>`` at ``p``."""
+                    p: Point) -> np.ndarray:
+    """``<df, P dg>`` at each point of ``p``."""
     _same_chart(P.chart, f.chart)
     _same_chart(P.chart, g.chart)
-    df = f.gradient(p)
-    dg = g.gradient(p)
-    return complex(df @ P(p) @ dg)
+    return np.einsum("si,sij,sj->s", f.gradient(p), P(p), g.gradient(p))
 
 
 def hamiltonian_field(P: BivectorField, f: ScalarField) -> VectorField:
@@ -79,7 +79,7 @@ def check_compatibility(K: OperatorField, P: BivectorField, sample,
     """Residual of ``K P = P K^T`` over the sample."""
     def at(p):
         k, m = K(p), P(p)
-        return (_max_abs(k @ m - m @ k.T),
+        return (_max_abs(k @ m - m @ k.swapaxes(-1, -2)),
                 (1.0 + _max_abs(k)) * (1.0 + _max_abs(m)))
 
     return sampled(sample, at, tol)
@@ -94,25 +94,27 @@ def check_skew_compositions(Ki: OperatorField, Kj: OperatorField,
 
     def at(p):
         ki, kj, m = Ki(p), Kj(p), P(p)
-        composites = [ki @ m, ki @ m @ kj.T]
-        shifted = ki - complex(f(p)) * np.eye(n)
+        composites = [ki @ m, ki @ m @ kj.swapaxes(-1, -2)]
+        shifted = ki - f(p)[:, None, None] * np.eye(n)
         power = np.eye(n, dtype=complex)
         for _ in range(r):
             power = power @ shifted
             composites.append(power @ m)
-        return (_max_abs(*(a + a.T for a in composites)),
+        return (_max_abs(*(a + a.swapaxes(-1, -2) for a in composites)),
                 (1.0 + _max_abs(ki, kj, m)) ** (r + 2))
 
     return sampled(sample, at, tol)
 
 
-# -- Lie derivatives (pointwise) -------------------------------------------
+# -- Lie derivatives over a sample ------------------------------------------
+#
+# Every kernel takes components and partials with the sample axis first.
 
 def _lie_operator(Zc, Zd, Nc, Nd) -> np.ndarray:
-    # Zd[i, k] = d_k Z^i, Nd[i, j, k] = d_k N^i_j
-    return (np.einsum("k,ijk->ij", Zc, Nd)
-            - np.einsum("kj,ik->ij", Nc, Zd)
-            + np.einsum("ik,kj->ij", Nc, Zd))
+    # Zd[s, i, k] = d_k Z^i, Nd[s, i, j, k] = d_k N^i_j
+    return (np.einsum("sk,sijk->sij", Zc, Nd)
+            - np.einsum("skj,sik->sij", Nc, Zd)
+            + np.einsum("sik,skj->sij", Nc, Zd))
 
 
 def lie_derivative_operator(Z: VectorField, N: OperatorField,
@@ -122,8 +124,9 @@ def lie_derivative_operator(Z: VectorField, N: OperatorField,
 
 
 def _lie_oneform(Yc, Yd, Ac, Ad) -> np.ndarray:
-    # Yd[i, k] = d_k Y^i, Ad[i, k] = d_k a_i
-    return np.einsum("k,ik->i", Yc, Ad) + np.einsum("k,ki->i", Ac, Yd)
+    # Yd[s, i, k] = d_k Y^i, Ad[s, i, k] = d_k a_i
+    return (np.einsum("sk,sik->si", Yc, Ad)
+            + np.einsum("sk,ski->si", Ac, Yd))
 
 
 def lie_derivative_oneform(Y: VectorField, alpha: OneFormField,
@@ -134,10 +137,10 @@ def lie_derivative_oneform(Y: VectorField, alpha: OneFormField,
 
 
 def _lie_bivector(Zc, Zd, Pc, Pd) -> np.ndarray:
-    # Zd[i, k] = d_k Z^i, Pd[i, j, k] = d_k P^{ij}
-    return (np.einsum("k,ijk->ij", Zc, Pd)
-            - np.einsum("kj,ik->ij", Pc, Zd)
-            - np.einsum("ik,jk->ij", Pc, Zd))
+    # Zd[s, i, k] = d_k Z^i, Pd[s, i, j, k] = d_k P^{ij}
+    return (np.einsum("sk,sijk->sij", Zc, Pd)
+            - np.einsum("skj,sik->sij", Pc, Zd)
+            - np.einsum("sik,sjk->sij", Pc, Zd))
 
 
 def lie_derivative_bivector(Z: VectorField, P: BivectorField,
@@ -148,14 +151,15 @@ def lie_derivative_bivector(Z: VectorField, P: BivectorField,
 
 def _r_tensor(Pc, Pd, Nc, Nd, ac, ad, yc, yd) -> np.ndarray:
     # P a, N^T a and N Y with their partials by the product rule
-    pa = Pc @ ac
-    pa_d = np.einsum("ijk,j->ik", Pd, ac) + Pc @ ad
-    nta = Nc.T @ ac
-    nta_d = np.einsum("ijk,i->jk", Nd, ac) + Nc.T @ ad
-    ny = Nc @ yc
-    ny_d = np.einsum("ijk,j->ik", Nd, yc) + Nc @ yd
+    pa = np.einsum("sij,sj->si", Pc, ac)
+    pa_d = np.einsum("sijk,sj->sik", Pd, ac) + Pc @ ad
+    nta = np.einsum("sij,si->sj", Nc, ac)
+    nta_d = np.einsum("sijk,si->sjk", Nd, ac) + Nc.swapaxes(-1, -2) @ ad
+    ny = np.einsum("sij,sj->si", Nc, yc)
+    ny_d = np.einsum("sijk,sj->sik", Nd, yc) + Nc @ yd
     inner = _lie_oneform(yc, yd, nta, nta_d) - _lie_oneform(ny, ny_d, ac, ad)
-    return _lie_operator(pa, pa_d, Nc, Nd) @ yc - Pc @ inner
+    return (np.einsum("sij,sj->si", _lie_operator(pa, pa_d, Nc, Nd), yc)
+            - np.einsum("sij,sj->si", Pc, inner))
 
 
 def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
@@ -183,7 +187,7 @@ class MagriChain:
 def build_chain_oneforms(generators, H: ScalarField, sample,
                          tol: float = 1e-9) -> MagriChain:
     """Elements ``K_i^T dH`` with pointwise-closedness residuals."""
-    if not sample:
+    if len(sample) == 0:
         raise ValueError("empty sample")
     dH = differential(H)
     elements = [apply_transpose(K, dH) for K in generators]
@@ -191,7 +195,7 @@ def build_chain_oneforms(generators, H: ScalarField, sample,
     def closedness(el):
         def at(p):
             J = el.jacobian(p)  # d(el) = J^T - J
-            return _max_abs(J.T - J), 1.0 + _max_abs(J)
+            return _max_abs(J.swapaxes(-1, -2) - J), 1.0 + _max_abs(J)
         return at
 
     return MagriChain(elements, [sampled(sample, closedness(el), tol)

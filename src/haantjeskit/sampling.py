@@ -15,32 +15,41 @@ DEFAULT_MARGIN = 0.1
 
 
 def sample_points(chart: Chart, n_points: int, seed: int, *,
-                  margin: float = DEFAULT_MARGIN, real: bool = False):
+                  margin: float = DEFAULT_MARGIN, real: bool = False) -> Point:
     """Draw ``n_points`` points uniformly from the chart box, rejecting any
-    point closer than ``margin`` to a declared singular set.
+    point closer than ``margin`` to a declared singular set, and return them
+    as one sample.
 
     Real parts are uniform in ``[-BOX, BOX]``, imaginary parts in
-    ``[-IMAG, IMAG]`` (zero when ``real`` is set).  The draw order is fixed,
-    so a given seed always yields the same sample.
+    ``[-IMAG, IMAG]`` (zero when ``real`` is set).  Each try draws the real
+    parts of its coordinates, then the imaginary parts; tries are drawn in
+    blocks and judged together, in order, so a given seed always yields the
+    same sample.
     """
     if n_points <= 0:
         raise ValueError("sample size must be positive")
     rng = np.random.default_rng(seed)
-    pts = []
-    tries = 0
-    while len(pts) < n_points:
-        tries += 1
-        if tries > MAX_TRIES:
+    dim = chart.dim
+    per_try = dim if real else 2 * dim
+    kept = []
+    count = tries = 0
+    while count < n_points:
+        if tries >= MAX_TRIES:
             raise RuntimeError(
                 f"could not sample {n_points} points on chart "
                 f"{chart.name!r}: singular margins too tight")
-        re = rng.uniform(-BOX, BOX, chart.dim)
-        if real:
-            coords = [complex(r) for r in re]
-        else:
-            im = rng.uniform(-IMAG, IMAG, chart.dim)
-            coords = [complex(r, i) for r, i in zip(re, im)]
-        if any(abs(s(coords)) < margin for s in chart.singular):
-            continue
-        pts.append(Point(chart, tuple(coords)))
-    return pts
+        block = min(max(2 * (n_points - count), 8), MAX_TRIES - tries)
+        tries += block
+        # low + range * u, as Generator.uniform computes it
+        u = rng.random((block, per_try))
+        coords = np.zeros((dim, block), dtype=complex)
+        coords.real = (-BOX + 2.0 * BOX * u[:, :dim]).T
+        if not real:
+            coords.imag = (-IMAG + 2.0 * IMAG * u[:, dim:]).T
+        ok = np.ones(block, dtype=bool)
+        for s in chart.singular:
+            ok &= ~(np.abs(s(list(coords))) < margin)
+        good = coords[:, ok][:, :n_points - count]
+        kept.append(good)
+        count += good.shape[1]
+    return Point(chart, tuple(np.concatenate(kept, axis=1)))

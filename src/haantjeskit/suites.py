@@ -2,15 +2,17 @@
 
 Each suite samples chart points with a seeded generator, evaluates a list of
 identities and returns a :class:`VerificationReport`.  An identity is a
-per-point function handed to :func:`~haantjeskit.report.identity_check`,
-which judges it over the sample.  Checks whose outcome adjudicates a known
-ambiguity are emitted with status ``finding``: they always report their
-residual and the reading it supports, and never fail a run.
+function of the whole sample, returning the residual at each point, handed
+to :func:`~haantjeskit.report.identity_check`, which judges it over the
+sample.  Checks whose outcome adjudicates a known ambiguity are emitted
+with status ``finding``: they always report their residual and the reading
+it supports, and never fail a run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -24,7 +26,7 @@ from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
                      operator_polynomial, scale_field, wedge)
 from .poisson import (_lie_bivector, _r_tensor, build_chain_oneforms,
                       check_compatibility, check_skew_compositions,
-                      hamiltonian_field, verify_poisson)
+                      verify_poisson)
 from .report import (VerificationReport, _max_abs as _mag,
                      check_from_residual, identity_check, matches, merge,
                      sampled, worst)
@@ -72,18 +74,16 @@ def _rand_coeff(rng):
 
 
 def _random_poly_fn(rng, n):
-    """Random quadratic polynomial in the chart coordinates."""
+    """Random quadratic polynomial ``c0 + x . (lin + Q x)`` in the chart
+    coordinates."""
     c0 = _rand_coeff(rng)
-    lin = [_rand_coeff(rng) for _ in range(n)]
-    quad = [[_rand_coeff(rng) for _ in range(n)] for _ in range(n)]
+    lin = np.array([_rand_coeff(rng) for _ in range(n)], dtype=object)
+    quad = np.array([[_rand_coeff(rng) for _ in range(n)] for _ in range(n)],
+                    dtype=object)
 
     def fn(x):
-        acc = c0
-        for i in range(n):
-            acc = acc + lin[i] * x[i]
-            for j in range(n):
-                acc = acc + quad[i][j] * x[i] * x[j]
-        return acc
+        x = np.asarray(x, dtype=object)
+        return c0 + x @ (lin + quad @ x)
 
     return fn
 
@@ -120,8 +120,18 @@ def _random_oneform(rng, chart) -> OneFormField:
     return OneFormField(chart, lambda x: [f(x) for f in fns])
 
 
+def _mv(m, v):
+    """Matrix times vector at each point of a sample."""
+    return np.einsum("sij,sj->si", m, v)
+
+
+def _pairing(a, m, b):
+    """``<a, m b>`` at each point of a sample."""
+    return np.einsum("si,sij,sj->s", a, m, b)
+
+
 def _in_involution(P, fields):
-    """Per-point function of "every pairwise bracket ``<df, P dg>`` of
+    """Sample function of "every pairwise bracket ``<df, P dg>`` of
     ``fields`` vanishes", each pair at scale ``(1 + |df|)(1 + |dg|)``;
     ``P`` and each gradient are read once."""
     pairs = list(itertools.combinations(range(len(fields)), 2))
@@ -129,14 +139,14 @@ def _in_involution(P, fields):
     def at(p):
         m = P(p)
         g = [f.gradient(p) for f in fields]
-        return (_mag(*(complex(g[a] @ m @ g[b]) for a, b in pairs)),
+        return (_mag(*(_pairing(g[a], m, g[b]) for a, b in pairs)),
                 *((1.0 + _mag(g[a])) * (1.0 + _mag(g[b])) for a, b in pairs))
 
     return at
 
 
 def _lie_matches(Z, P, W):
-    """Per-point function of the identity ``L_Z P = W`` at scale
+    """Sample function of the identity ``L_Z P = W`` at scale
     ``1 + |P| + |W|``; ``P`` is read once, through its jet."""
     def at(p):
         Pc, Pd = P.jet(p)
@@ -244,7 +254,7 @@ def suite_torsion(cfg: SuiteConfig) -> list:
 
     def antisymmetry(p):
         T, H, Lc, Ld = torsions(L, p)
-        return (_mag(T + T.transpose(0, 2, 1), H + H.transpose(0, 2, 1)),
+        return (_mag(T + T.swapaxes(-1, -2), H + H.swapaxes(-1, -2)),
                 (1.0 + _mag(Lc)) ** 3 * (1.0 + _mag(Ld)))
 
     checks.append(identity_check(
@@ -262,7 +272,7 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     def definitional(p):
         T, H, Lc, _ = torsions(L, p)
         Xc, Yc = X(p), Y(p)
-        res = (np.einsum("ijk,j,k->i", t, Xc, Yc) - f(p)
+        res = (np.einsum("sijk,sj,sk->si", t, Xc, Yc) - f(p)
                for t, f in zip((T, H), fields))
         m = _mag(Lc) + _mag(Xc) + _mag(Yc)
         return _mag(*res), (1.0 + m) ** 5
@@ -298,11 +308,11 @@ def suite_algebra(cfg: SuiteConfig) -> list:
 
     def minpoly(p):
         mp = minimal_polynomial(N, p)
-        if mp.degree != 2:
-            return 1.0, 1.0
         x1, x2 = p.coords[X1C], p.coords[X2C]
-        expected = np.array([-1.0 / x2, x1 / x2])
-        return _mag(mp.coeffs - expected), 1.0 + _mag(expected)
+        expected = np.stack([-1.0 / x2, x1 / x2], axis=-1)
+        quadratic = mp.degree == 2
+        return (np.where(quadratic, _mag(mp.coeffs[:, :2] - expected), 1.0),
+                np.where(quadratic, 1.0 + _mag(expected), 1.0))
 
     checks.append(identity_check(
         "minimal_polynomial",
@@ -389,7 +399,8 @@ def suite_euler(cfg: SuiteConfig) -> list:
 
     def chain_closed(p):
         J2 = el2.jacobian(p)  # d(el2) = J2^T - J2
-        return _mag(exterior_derivative(el1, p), J2.T - J2), 1.0 + _mag(J2)
+        return (_mag(exterior_derivative(el1, p), J2.swapaxes(-1, -2) - J2),
+                1.0 + _mag(J2))
 
     checks.append(identity_check(
         "chain_closedness",
@@ -404,7 +415,7 @@ def suite_euler(cfg: SuiteConfig) -> list:
 
     def k3_image(p):
         v = el3(p)
-        return _mag(v - target3), _mag(v[[0, 2, 5]]), 1.0 + _mag(v)
+        return _mag(v - target3), _mag(v[:, [0, 2, 5]]), 1.0 + _mag(v)
 
     sr, axial = sampled(sample, k3_image, (cfg.tol_deriv, cfg.tol_deriv))
     checks.append(check_from_residual(
@@ -436,14 +447,21 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
             f"{name}_jacobi", f"bivector {name} satisfies the Jacobi "
             "identity", "cyclic sum P^il d_l P^jk = 0", ps.jacobi))
 
-    h0, h1, h2 = hamiltonians(params)
     XL = lagrange_vector_field(params)
-    flows = [hamiltonian_field(P, h)
-             for P, h in ((P0, h0), (P1, h1), (P2, h2))]
+    pairs = list(zip((P0, P1, P2), hamiltonians(params)))
+
+    def tri_hamiltonian(p):
+        # backward-error bound of P dh: each product carries |P| |dh|
+        x = XL(p)
+        flows = [(P(p), h.gradient(p)) for P, h in pairs]
+        return (_mag(*(_mv(m, dh) - x for m, dh in flows)),
+                1.0 + _mag(x) + functools.reduce(
+                    np.maximum, (_mag(m) * _mag(dh) for m, dh in flows)))
+
     checks.append(identity_check(
         "tri_hamiltonian",
         "all three bivector/Hamiltonian pairs generate the same flow field",
-        "P0 dh0 = P1 dh1 = P2 dh2 = X", bsample, matches(XL, *flows),
+        "P0 dh0 = P1 dh1 = P2 dh2 = X", bsample, tri_hamiltonian,
         cfg.tol_deriv))
 
     checks += [check_from_residual(
@@ -464,7 +482,7 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         for lam in (0.5, 1.0, 2.0):
             m = m0 - lam * m1
             dc = sum(lam ** k * g for k, g in enumerate(grads))
-            res.append(m @ dc)
+            res.append(_mv(m, dc))
             scales.append((1.0 + _mag(m)) * (1.0 + _mag(dc)))
         return (_mag(*res), *scales)
 
@@ -519,7 +537,7 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
 
     def normalization(p):
         grads = [head.gradient(p) for head in ladder_heads]
-        return _mag(*(complex(g @ z) - (1.0 if i == j else 0.0)
+        return _mag(*(np.einsum("si,si->s", g, z) - (1.0 if i == j else 0.0)
                       for i, z in enumerate((Z1(p), Z2(p)))
                       for j, g in enumerate(grads))), 1.0
 
@@ -552,16 +570,18 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
 
     def q_split(p):
         m = Q(p)
-        return _mag(m[4:, :], m[:, 4:]), 1.0 + _mag(m)
+        return _mag(m[:, 4:, :], m[:, :, 4:]), 1.0 + _mag(m)
 
     checks.append(identity_check(
         "deformation_transversal_rows",
         "the deformed bivector has vanishing transversal rows and columns",
         "Q^{i5} = Q^{i6} = 0", csample, q_split, cfg.tol_deriv))
 
+    p0_block = BivectorField(cchart, _p0_block)
+
     def q_block(p):
-        blk = np.array(_p0_block(list(p.coords)), dtype=complex)
-        return _mag(Q(p)[:4, :4] - blk), 1.0 + _mag(blk)
+        blk = p0_block(p)
+        return _mag(Q(p)[:, :4, :4] - blk), 1.0 + _mag(blk)
 
     checks.append(identity_check(
         "deformation_leaf_block",
@@ -608,9 +628,9 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
 
     def vector_chain(p):
         x1v, x2v, n = X1f(p), X2f(p), N(p)
-        return (_mag(K2(p) @ x1v - x2v,
-                     n @ x1v - (x2v - complex(ratio(p)) * x1v),
-                     n @ x2v - complex(inv_x2(p)) * x1v),
+        return (_mag(_mv(K2(p), x1v) - x2v,
+                     _mv(n, x1v) - (x2v - ratio(p)[:, None] * x1v),
+                     _mv(n, x2v) - inv_x2(p)[:, None] * x1v),
                 (1.0 + _mag(n)) * (1.0 + _mag(x1v) + _mag(x2v)))
 
     checks.append(identity_check(
@@ -641,9 +661,9 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
 
     # X1 = P1 d(-F3) is the seed Hamiltonian field, X2 = P1 dF2
     def correspondence(p):
-        lhs = P1c(p) @ el2(p)
+        lhs = _mv(P1c(p), el2(p))
         k, xh = K2(p), X1f(p)
-        return (_mag(lhs - k @ xh, lhs - X2f(p)),
+        return (_mag(lhs - _mv(k, xh), lhs - X2f(p)),
                 (1.0 + _mag(k)) * (1.0 + _mag(xh)))
 
     checks.append(identity_check(
@@ -663,8 +683,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     lchart = leaf_chart(params, C1, C4)
     sample = sample_points(lchart, cfg.points, cfg.seed)
     cchart = complex_chart(params)
-    embedded = [Point(cchart, tuple(list(p.coords) + [C1, C4]))
-                for p in sample]
+    embedded = Point(cchart, (*sample.coords, C1, C4))
 
     N = nijenhuis_operator(params)
     P1c = p1_complex(params)
@@ -673,8 +692,8 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     def block_structure(p):
         ms = [N(p), P1c(p)]
         vs = [X1f(p), X2f(p)]
-        return (_mag(*(m[:4, 4:] for m in ms), *(m[4:, :4] for m in ms),
-                     *(v[4:] for v in vs)),
+        return (_mag(*(m[:, :4, 4:] for m in ms), *(m[:, 4:, :4] for m in ms),
+                     *(v[:, 4:] for v in vs)),
                 *(1.0 + _mag(a) for a in ms + vs))
 
     checks = [identity_check(
@@ -691,7 +710,9 @@ def suite_reduced(cfg: SuiteConfig) -> list:
 
     def recursion_ratio(p):
         n, m0 = Nl(p), P0l(p)
-        return (_mag(n - np.linalg.solve(P1l(p).T, m0.T).T),
+        ratio = np.linalg.solve(P1l(p).swapaxes(-1, -2),
+                                m0.swapaxes(-1, -2)).swapaxes(-1, -2)
+        return (_mag(n - ratio),
                 (1.0 + _mag(n)) * (1.0 + _mag(m0)))
 
     checks.append(identity_check(
@@ -734,12 +755,15 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         "product", "l1 + l2 = x1/x2, l1 l2 = -1/x2", sample, eigen_symmetric,
         cfg.tol_exact))
 
+    def by_real_then_imag(z):
+        return np.take_along_axis(
+            z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
+
     def eigen_numeric(p):
         l1, l2, _, _ = separation_coordinates(p)
         ev = np.linalg.eigvals(K2l(p))
-        ours = sorted([l1, l1, l2, l2], key=lambda z: (z.real, z.imag))
-        theirs = sorted(ev, key=lambda z: (z.real, z.imag))
-        return (_mag(*(a - b for a, b in zip(ours, theirs))),
+        ours = np.stack([l1, l1, l2, l2], axis=-1)
+        return (_mag(by_real_then_imag(ours) - by_real_then_imag(ev)),
                 1.0 + _mag(ev))
 
     checks.append(identity_check(
@@ -763,7 +787,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     def eigenform(p):
         l1, l2, _, _ = separation_coordinates(p)
         v, d = K2T_dl1(p), dl1(p)
-        return (_mag(v - l2 * d), _mag(v - l1 * d),
+        return (_mag(v - l2[:, None] * d), _mag(v - l1[:, None] * d),
                 (1.0 + _mag(K2l(p))) * (1.0 + _mag(d)))
 
     crossed, direct = sampled(sample, eigenform,
@@ -781,7 +805,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         def at(p):
             m = P1l(p)
             (_, _, m1, m2), g = zip(*(f.jet(p) for f in fields))
-            res = (complex(g[a] @ m @ g[2 + b]) - (1.0j if a == b else 0.0)
+            res = (_pairing(g[a], m, g[2 + b]) - (1.0j if a == b else 0.0)
                    for a in range(2) for b in range(2))
             return _mag(*res), 1.0 + abs(m1) + abs(m2)
         return at
@@ -797,7 +821,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         cfg.tol_deriv, finding=True))
 
     sep = separation_map(params, C1, C4)
-    images = [sep.apply(p) for p in sample]
+    images = sep.apply(sample)
     iJ = np.zeros((4, 4), dtype=complex)
     iJ[0, 2] = iJ[1, 3] = 1.0j
     iJ[2, 0] = iJ[3, 1] = -1.0j
@@ -818,8 +842,8 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         matches(crossed, sep.push_operator(K2l)), cfg.tol_deriv))
 
     def roundtrip(p):
-        x = np.array(p.coords)
-        return (_mag(np.array(sep.invert(sep.apply(p)).coords) - x),
+        x = np.array(p.coords).T
+        return (_mag(np.array(sep.invert(sep.apply(p)).coords).T - x),
                 1.0 + _mag(x))
 
     checks.append(identity_check(

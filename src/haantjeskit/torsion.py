@@ -1,10 +1,10 @@
 """Nijenhuis and Haantjes torsions of operator fields.
 
-Both torsions are evaluated pointwise from the first-order local formulas;
-no symbolic machinery is involved.  "Is a Nijenhuis/Haantjes operator" is
-therefore a sampled statement: the result always carries the sample size,
-the maximum residual and the magnitude scale the residual was compared
-against.
+Both torsions are evaluated over a sample from the first-order local
+formulas, the sample axis first; no symbolic machinery is involved.  "Is a
+Nijenhuis/Haantjes operator" is therefore a sampled statement: the result
+always carries the sample size, the maximum residual and the magnitude
+scale the residual was compared against.
 """
 
 from __future__ import annotations
@@ -20,25 +20,34 @@ __all__ = [
 ]
 
 
+# The kernels sum their terms in place, so a sample holds few arrays of
+# shape (N, n, n, n) at a time.
+
 def _nijenhuis_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
-    # Lc[i, j] operator entries, Ld[i, j, a] their a-th partials.
-    t1 = np.einsum("ika,aj->ijk", Ld, Lc)
-    t2 = np.einsum("ija,ak->ijk", Ld, Lc)
-    t3 = np.einsum("ia,ajk->ijk", Lc, Ld - Ld.transpose(0, 2, 1))
-    return t1 - t2 + t3
+    # Lc[s, i, j] operator entries, Ld[s, i, j, a] their a-th partials.
+    T = np.einsum("sika,saj->sijk", Ld, Lc)
+    T -= np.einsum("sija,sak->sijk", Ld, Lc)
+    T += np.einsum("sia,sajk->sijk", Lc, Ld - Ld.transpose(0, 1, 3, 2))
+    return T
 
 
 def _haantjes_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
+    # L^2 T(X, Y) + T(LX, LY) - L T(LX, Y) - L T(X, LY), contracted one
+    # index at a time
     T = _nijenhuis_components(Lc, Ld)
-    return (np.einsum("ia,ab,bjk->ijk", Lc, Lc, T)
-            + np.einsum("iab,aj,bk->ijk", T, Lc, Lc)
-            - np.einsum("ia,abk,bj->ijk", Lc, T, Lc)
-            - np.einsum("ia,ajb,bk->ijk", Lc, T, Lc))
+    LT = np.einsum("sia,sajk->sijk", Lc, T)
+    TL = np.einsum("siab,saj->sijb", T, Lc)
+    del T
+    H = np.einsum("sia,sajk->sijk", Lc, LT)
+    H += np.einsum("sijb,sbk->sijk", TL, Lc)
+    H -= np.einsum("sibk,sbj->sijk", LT, Lc)
+    H -= np.einsum("sijb,sbk->sijk", LT, Lc)
+    return H
 
 
 def nijenhuis_torsion(L: OperatorField, p: Point) -> np.ndarray:
-    """Nijenhuis torsion components ``[i, j, k]``, antisymmetric in the
-    last two slots."""
+    """Nijenhuis torsion components ``[s, i, j, k]`` at the s-th point,
+    antisymmetric in the last two slots."""
     return _nijenhuis_components(*L.jet(p))
 
 
@@ -52,7 +61,7 @@ def _sampled_torsion(L: OperatorField, sample, tol: float, components,
                      scale) -> SampledResidual:
     """Max torsion over the sample against ``scale(m, d)``, with ``m`` and
     ``d`` the sample-wide maxima of ``|L|`` and ``|dL|``; ``L`` and its
-    jacobian come from one jet pass per point."""
+    jacobian come from one jet pass over the sample."""
     def at(p):
         Lc, Ld = L.jet(p)
         return _max_abs(components(Lc, Ld)), _max_abs(Lc), _max_abs(Ld)

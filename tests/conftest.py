@@ -72,4 +72,11 @@ def sample3(chart3):
 
 
 def point(chart, *coords):
+    """A sample of one point given by its coordinates."""
     return Point(chart, tuple(complex(c) for c in coords))
+
+
+def points_of(sample):
+    """The coordinate lists of a sample's points, as Python complex numbers,
+    for the finite-difference oracle."""
+    return np.array(sample.coords).T.tolist()

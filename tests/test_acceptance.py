@@ -26,7 +26,7 @@ from haantjeskit.suites import (LEAF_C1, LEAF_C4, SuiteConfig, run_suite,
                                 _random_poly_fn, _random_scalar)
 from haantjeskit.torsion import _nijenhuis_components, nijenhuis_torsion
 
-from conftest import fd_jacobian
+from conftest import fd_jacobian, points_of
 
 SEED = 42
 POINTS = 100
@@ -42,6 +42,11 @@ def report(capsys, number, label, passed, detail):
 
 def mag(a):
     return float(np.max(np.abs(a)))
+
+
+def mag_each(a):
+    """Largest absolute entry at each point of a sample."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
 
 
 def test_criterion_1_diagonal_operators(capsys):
@@ -85,8 +90,8 @@ def test_criterion_3_poisson_trio(capsys):
     jac = max(verify_poisson(P, sample).jacobi.residual for P in trio)
     h = hamiltonians(PARAMS)
     XL = lagrange_vector_field(PARAMS)
-    tri = max(mag(hamiltonian_field(P, hk)(p) - XL(p))
-              for P, hk in zip(trio, h) for p in sample)
+    tri = max(mag(hamiltonian_field(P, hk)(sample) - XL(sample))
+              for P, hk in zip(trio, h))
     ok = skew <= 1e-12 and jac <= 1e-9 and tri <= 1e-9
     report(capsys, 3, "Poisson trio and tri-Hamiltonian identity", ok,
            f"skew {skew:.3e}, jacobi {jac:.3e}, flow match {tri:.3e}")
@@ -113,14 +118,14 @@ def test_criterion_5_deformation(capsys):
     X1f, _ = x_fields_complex(PARAMS)
     from haantjeskit.lagrange.complex_chart import p0_complex
     P0 = p0_complex(PARAMS)
-    fact = max(mag(N(p) @ P1(p) - Q(p)) for p in sample)
+    fact = mag(N(sample) @ P1(sample) - Q(sample))
     lie = 0.0
     for Z in (Z1, Z2):
         corr = wedge(lie_bracket(Z, X1f), Z2)
-        for p in sample:
-            lie = max(lie, mag(lie_derivative_bivector(Z, P1, p)),
-                      mag(lie_derivative_bivector(Z, P0, p) - corr(p)))
-    rows = max(max(mag(Q(p)[4:, :]), mag(Q(p)[:, 4:])) for p in sample)
+        lie = max(lie, mag(lie_derivative_bivector(Z, P1, sample)),
+                  mag(lie_derivative_bivector(Z, P0, sample) - corr(sample)))
+    q = Q(sample)
+    rows = max(mag(q[:, 4:, :]), mag(q[:, :, 4:]))
     ok = fact <= 1e-9 and lie <= 1e-9 and rows <= 1e-12
     report(capsys, 5, "bivector deformation", ok,
            f"factorization {fact:.3e}, transversal Lie {lie:.3e}, "
@@ -134,7 +139,7 @@ def test_criterion_6_operator_identities(capsys):
     N = nijenhuis_operator(PARAMS)
     P1 = p1_complex(PARAMS)
     K1, K2, K3 = benenti_operators(PARAMS, N)
-    minpoly = max(mag(K3(p)) for p in sample)
+    minpoly = mag(K3(sample))
     compat = max(check_compatibility(K, P1, sample).residual
                  for K in (K1, K2, N))
     f = _random_scalar(rng, chart)
@@ -153,25 +158,24 @@ def test_criterion_7_chains_and_involution(capsys):
     F2c, F3c = complex_integrals(PARAMS)
     mF3 = ScalarField(chart, lambda x: -F3c.fn(x))
     X1f, X2f = x_fields_complex(PARAMS)
-    vec = max(mag(K2(p) @ X1f(p) - X2f(p)) for p in sample)
+    vec = mag(np.einsum("sij,sj->si", K2(sample), X1f(sample))
+              - X2f(sample))
     el2 = apply_transpose(K2, differential(mF3))
     dF2 = differential(F2c)
-    form = max(mag(el2(p) - dF2(p)) for p in sample)
+    form = mag(el2(sample) - dF2(sample))
     P0b, P1b, _ = poisson_bivectors(PARAMS)
     bsample = sample_points(body_chart(), POINTS, SEED)
     F = integrals(PARAMS)
     keys = list(F)
     invol, inv_scale = 0.0, 1.0
     for P in (P0b, P1b):
-        for p in bsample:
-            for i, a in enumerate(keys):
-                for b in keys[i + 1:]:
-                    invol = max(invol,
-                                abs(poisson_bracket(P, F[a], F[b], p)))
-                    inv_scale = max(
-                        inv_scale,
-                        (1.0 + mag(F[a].gradient(p)))
-                        * (1.0 + mag(F[b].gradient(p))))
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                invol = max(invol,
+                            mag(poisson_bracket(P, F[a], F[b], bsample)))
+                inv_scale = max(inv_scale, float(np.max(
+                    (1.0 + mag_each(F[a].gradient(bsample)))
+                    * (1.0 + mag_each(F[b].gradient(bsample))))))
     ok = vec <= 1e-9 and form <= 1e-9 and invol <= 1e-10 * inv_scale
     report(capsys, 7, "chains and involution", ok,
            f"vector chain {vec:.3e}, one-form chain {form:.3e}, "
@@ -188,19 +192,17 @@ def test_criterion_8_separation_chart(capsys):
     target[2, 0] = target[3, 1] = -1.0j
     pushedP = sep.push_bivector(data["P1"])
     pushedK = sep.push_operator(data["K2"])
-    darboux, diag, sym = 0.0, 0.0, 0.0
-    for p in sample:
-        q = sep.apply(p)
-        darboux = max(darboux, mag(pushedP(q) - target))
-        l1, l2 = q.coords[0], q.coords[1]
-        diag = max(diag, mag(pushedK(q)
-                             - np.diag([l2, l1, l2, l1]).astype(complex)))
-        x1, x2 = p.coords[0], p.coords[1]
-        sym = max(sym, abs(l1 + l2 - x1 / x2), abs(l1 * l2 + 1.0 / x2))
+    q = sep.apply(sample)
+    darboux = mag(pushedP(q) - target)
+    l1, l2 = q.coords[0], q.coords[1]
+    diag = mag(pushedK(q)
+               - np.stack([l2, l1, l2, l1], axis=-1)[:, :, None] * np.eye(4))
+    x1, x2 = sample.coords[0], sample.coords[1]
+    sym = max(mag(l1 + l2 - x1 / x2), mag(l1 * l2 + 1.0 / x2))
     mF3 = ScalarField(lchart, lambda x: -data["F3"].fn(x))
     el2 = apply_transpose(data["K2"], differential(mF3))
     dF2 = differential(data["F2"])
-    chain = max(mag(el2(p) - dF2(p)) for p in sample)
+    chain = mag(el2(sample) - dF2(sample))
     c = PARAMS.c
     h1l = ScalarField(lchart, lambda x: -data["F3"].fn(x)
                       - (c - 1.0) * LEAF_C1 * data["F2"].fn(x))
@@ -209,7 +211,7 @@ def test_criterion_8_separation_chart(capsys):
                    scale_field(-(c - 1.0) * LEAF_C1, data["K2"])),
         differential(data["F3"]))
     dh1 = differential(h1l)
-    h1chain = max(mag(dh1(p) + comb(p)) for p in sample)
+    h1chain = mag(dh1(sample) + comb(sample))
     ok = (darboux <= 1e-9 and diag <= 1e-9 and sym <= 1e-12
           and chain <= 1e-9 and h1chain <= 1e-9)
     report(capsys, 8, "separation chart", ok,
@@ -242,14 +244,11 @@ def test_criterion_10_ad_vs_fd(capsys):
         L = OperatorField(chart, lambda x, fns=fns: [
             [fns[i][j](x) for j in range(len(x))] for i in range(len(x))])
         sample = sample_points(chart, 5, SEED + k, real=True)
-        for p in sample:
-            Lc = L(p)
-            Ld_fd = np.transpose(
-                np.stack([fd_jacobian(lambda x, i=i: L.fn(x)[i], p.coords)
-                          for i in range(dim)]), (0, 1, 2))
-            T_fd = _nijenhuis_components(Lc, Ld_fd)
-            T_ad = nijenhuis_torsion(L, p)
-            worst = max(worst, mag(T_ad - T_fd))
+        Ld_fd = np.array([
+            [fd_jacobian(lambda y, i=i: L.fn(y)[i], x) for i in range(dim)]
+            for x in points_of(sample)])
+        T_fd = _nijenhuis_components(L(sample), Ld_fd)
+        worst = max(worst, mag(nijenhuis_torsion(L, sample) - T_fd))
     report(capsys, 10, "derivative oracle cross-check", worst <= 1e-6,
            f"max deviation {worst:.3e} (tol 1e-06)")
 

@@ -22,7 +22,7 @@ from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
 from haantjeskit.sampling import sample_points
 from haantjeskit.suites import LEAF_C1, LEAF_C4
 
-from conftest import fd_gradient, fd_jacobian, point
+from conftest import fd_gradient, fd_jacobian, point, points_of
 
 
 def test_point_validation():
@@ -51,68 +51,66 @@ def test_singular_point_raises():
 def test_sampler_respects_margin_and_seed():
     chart = Chart("s", 2, singular=(lambda x: x[0],))
     pts = sample_points(chart, 50, 3, margin=0.25)
-    assert all(abs(p.coords[0]) >= 0.25 for p in pts)
+    assert len(pts) == 50
+    assert np.all(np.abs(pts.coords[0]) >= 0.25)
     again = sample_points(chart, 50, 3, margin=0.25)
-    assert [p.coords for p in pts] == [q.coords for q in again]
+    assert np.array_equal(np.array(pts.coords), np.array(again.coords))
     with pytest.raises(ValueError):
         sample_points(chart, 0, 3)
 
 
 def test_scalar_gradient_matches_fd(chart3, sample3):
     f = ScalarField(chart3, lambda x: x[0] * x[1] ** 2 + x[2] / (x[0] + 4.0))
-    for p in sample3[:10]:
-        got = f.gradient(p)
-        want = fd_gradient(f.fn, p.coords)
-        assert np.max(np.abs(got - want)) < 1e-6
+    sample = sample3[:10]
+    want = np.array([fd_gradient(f.fn, x) for x in points_of(sample)])
+    assert np.max(np.abs(f.gradient(sample) - want)) < 1e-6
 
 
 def test_vector_jacobian_matches_fd(chart3, sample3):
     X = VectorField(chart3,
                     lambda x: [x[1] * x[2], x[0] ** 2, x[0] + x[1] * x[1]])
-    for p in sample3[:10]:
-        got = X.jacobian(p)
-        want = fd_jacobian(X.fn, p.coords)
-        assert np.max(np.abs(got - want)) < 1e-6
+    sample = sample3[:10]
+    want = np.array([fd_jacobian(X.fn, x) for x in points_of(sample)])
+    assert np.max(np.abs(X.jacobian(sample) - want)) < 1e-6
 
 
 def test_operator_jacobian_matches_fd(chart3, sample3):
     L = OperatorField(chart3, lambda x: [[x[i] * x[j] for j in range(3)]
                                          for i in range(3)])
     p = sample3[0]
-    got = L.jacobian(p)
+    got = L.jacobian(p)[0]
     for k in range(3):
         def slice_fn(x, k=k):
             return [row[k] for row in L.fn(x)]
-        want = fd_jacobian(slice_fn, p.coords)
+        want = fd_jacobian(slice_fn, points_of(p)[0])
         assert np.max(np.abs(got[:, k, :] - want)) < 1e-6
 
 
 def test_differential_and_exterior_derivative(chart3, sample3):
     f = ScalarField(chart3, lambda x: x[0] ** 3 + x[1] * x[2])
     df = differential(f)
-    for p in sample3[:5]:
-        assert np.max(np.abs(df(p) - f.gradient(p))) < 1e-14
-        # d(df) = 0
-        assert np.max(np.abs(exterior_derivative(df, p))) < 1e-12
+    sample = sample3[:5]
+    assert np.max(np.abs(df(sample) - f.gradient(sample))) < 1e-14
+    # d(df) = 0
+    assert np.max(np.abs(exterior_derivative(df, sample))) < 1e-12
 
 
 def test_wedge_antisymmetry(chart3, sample3):
     X = VectorField(chart3, lambda x: [x[0], x[1] * x[2], 1.0])
     Z = VectorField(chart3, lambda x: [x[2], 1.0, x[0] * x[0]])
     W = wedge(X, Z)
-    for p in sample3[:5]:
-        m = W(p)
-        assert np.max(np.abs(m + m.T)) < 1e-14
-        n = wedge(Z, X)(p)
-        assert np.max(np.abs(m + n)) < 1e-14
+    sample = sample3[:5]
+    m = W(sample)
+    assert np.max(np.abs(m + m.swapaxes(-1, -2))) < 1e-14
+    n = wedge(Z, X)(sample)
+    assert np.max(np.abs(m + n)) < 1e-14
 
 
 def test_lie_bracket_of_coordinate_fields_vanishes(chart3, sample3):
     e0 = constant_vector(chart3, [1.0, 0.0, 0.0])
     e1 = constant_vector(chart3, [0.0, 1.0, 0.0])
     br = lie_bracket(e0, e1)
-    for p in sample3[:5]:
-        assert np.max(np.abs(br(p))) == 0.0
+    assert np.max(np.abs(br(sample3[:5]))) == 0.0
 
 
 def test_lie_bracket_antisymmetry(chart3, sample3):
@@ -120,8 +118,8 @@ def test_lie_bracket_antisymmetry(chart3, sample3):
     Y = VectorField(chart3, lambda x: [x[0] * x[2], 1.0, x[1]])
     a = lie_bracket(X, Y)
     b = lie_bracket(Y, X)
-    for p in sample3[:5]:
-        assert np.max(np.abs(a(p) + b(p))) < 1e-12
+    sample = sample3[:5]
+    assert np.max(np.abs(a(sample) + b(sample))) < 1e-12
 
 
 def test_operator_algebra(chart3, sample3):
@@ -144,9 +142,11 @@ def test_apply_operator_and_transpose(chart3, sample3):
                                          [0.0, 2.0, x[0]]])
     X = VectorField(chart3, lambda x: [1.0, x[0], x[2]])
     a = OneFormField(chart3, lambda x: [x[1], 0.0, 1.0])
-    p = sample3[0]
-    assert np.max(np.abs(apply_operator(L, X)(p) - L(p) @ X(p))) < 1e-14
-    assert np.max(np.abs(apply_transpose(L, a)(p) - L(p).T @ a(p))) < 1e-14
+    p = sample3[:4]
+    assert np.max(np.abs(apply_operator(L, X)(p)
+                         - np.einsum("sij,sj->si", L(p), X(p)))) < 1e-14
+    assert np.max(np.abs(apply_transpose(L, a)(p)
+                         - np.einsum("sji,sj->si", L(p), a(p)))) < 1e-14
 
 
 def _shear(chart3):
@@ -162,12 +162,12 @@ def test_chart_map_push_scalar_and_roundtrip(chart3, sample3):
     cmap = _shear(chart3)
     f = ScalarField(chart3, lambda x: x[0] * x[2] + x[1] ** 2)
     pushed = cmap.push_scalar(f)
-    for p in sample3[:8]:
-        q = cmap.apply(p)
-        assert abs(pushed(q) - f(p)) < 1e-12
-        back = cmap.invert(q)
-        assert np.max(np.abs(np.array(back.coords)
-                             - np.array(p.coords))) < 1e-12
+    p = sample3[:8]
+    q = cmap.apply(p)
+    assert np.max(np.abs(pushed(q) - f(p))) < 1e-12
+    back = cmap.invert(q)
+    assert np.max(np.abs(np.array(back.coords)
+                         - np.array(p.coords))) < 1e-12
 
 
 def test_bivector_and_operator_transport_consistency(chart3, sample3):
@@ -178,14 +178,14 @@ def test_bivector_and_operator_transport_consistency(chart3, sample3):
     L = OperatorField(chart3, lambda x: [[x[0], 0.0, 1.0],
                                          [0.0, x[1], 0.0],
                                          [0.0, 1.0, x[2]]])
-    for p in sample3[:5]:
-        q = cmap.apply(p)
-        J = cmap.jacobian(p)
-        assert np.max(np.abs(cmap.push_bivector(P)(q)
-                             - J @ P(p) @ J.T)) < 1e-10
-        got = cmap.push_operator(L)(q)
-        want = J @ L(p) @ np.linalg.inv(J)
-        assert np.max(np.abs(got - want)) < 1e-9
+    p = sample3[:5]
+    q = cmap.apply(p)
+    J = cmap.jacobian(p)
+    assert np.max(np.abs(cmap.push_bivector(P)(q)
+                         - J @ P(p) @ J.swapaxes(-1, -2))) < 1e-10
+    got = cmap.push_operator(L)(q)
+    want = J @ L(p) @ np.linalg.inv(J)
+    assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_field_algebra_matches_index_loops(chart3, sample3):
@@ -250,14 +250,14 @@ def test_field_algebra_matches_index_loops(chart3, sample3):
     ]
     for F, loops in pairs:
         ref = type(F)(F.chart, loops)
-        for p in sample3[:3]:
-            assert all(map(np.array_equal, F.jet(p), ref.jet(p))), loops
+        p = sample3[:3]
+        assert all(map(np.array_equal, F.jet(p), ref.jet(p))), loops
     for F, loops in [(cmap.push_bivector(BivectorField(chart3, M.fn)),
                       pushed_bivector),
                      (cmap.push_operator(L), pushed_operator)]:
         ref = type(F)(F.chart, loops)
-        for q in [cmap.apply(p) for p in sample3[:3]]:
-            assert all(map(np.array_equal, F.jet(q), ref.jet(q))), loops
+        q = cmap.apply(sample3[:3])
+        assert all(map(np.array_equal, F.jet(q), ref.jet(q))), loops
 
 
 def test_constant_operator(chart3):
@@ -308,7 +308,7 @@ def _jet_cases(c):
     cases["leaf_operator"] = (leaf(N), leaf_sample)
     cases["leaf_vector"] = (leaf(X2), leaf_sample)
     sep = separation_map(params, LEAF_C1, LEAF_C4)
-    sep_sample = [sep.apply(p) for p in leaf_sample]
+    sep_sample = sep.apply(leaf_sample)
     cases["separation_bivector"] = (sep.push_bivector(leaf(P1)), sep_sample)
     cases["separation_operator"] = (sep.push_operator(leaf(N)), sep_sample)
     return cases
@@ -318,16 +318,60 @@ def _jet_cases(c):
 def test_jet_equals_value_and_jacobian(c):
     """``jet`` gives bit for bit what the plain pass and ``jacobian`` give,
     so switching a check to it cannot change a reported residual; a scalar
-    field's ``gradient`` is the same call."""
+    field's ``gradient`` is the same call.  The sample axis comes first."""
     for name, (F, sample) in _jet_cases(c).items():
-        for p in sample:
-            val, jac = F.jet(p)
-            assert np.array_equal(val, F(p)), name
-            assert np.array_equal(jac, F.jacobian(p)), name
-            assert jac.shape == np.shape(val) + (F.chart.dim,), name
-            if isinstance(F, ScalarField):
-                assert type(val) is complex, name
-                assert np.array_equal(jac, F.gradient(p)), name
+        val, jac = F.jet(sample)
+        assert np.array_equal(val, F(sample)), name
+        assert np.array_equal(jac, F.jacobian(sample)), name
+        assert val.shape[0] == len(sample), name
+        assert jac.shape == val.shape + (F.chart.dim,), name
+        if isinstance(F, ScalarField):
+            assert val.shape == (len(sample),), name
+            assert np.array_equal(jac, F.gradient(sample)), name
+
+
+def _stacked(read, sample):
+    """One read per point of ``sample``, stacked along the sample axis."""
+    return np.concatenate([read(sample[i]) for i in range(len(sample))])
+
+
+def _same_to_rounding(a, b):
+    return (a.shape == b.shape
+            and np.max(np.abs(a - b)) <= 1e-12 * (1.0 + np.max(np.abs(b))))
+
+
+def test_sample_read_equals_stacked_point_reads():
+    """Reading an N-point sample gives, to rounding, the N one-point reads
+    stacked: every field kind, chart-map transport and a nested Lie
+    bracket, so nothing leaks along the sample axis."""
+    params = TopParams(c=2.0)
+    X1, X2 = x_fields_complex(params)
+    cases = _jet_cases(2.0)
+    chart = complex_chart(params)
+    cases["nested_bracket"] = (lie_bracket(lie_bracket(X1, X2), X1),
+                               sample_points(chart, 3, 7))
+    kinds = set()
+    for name, (F, sample) in cases.items():
+        kinds.add(type(F))
+        assert _same_to_rounding(F(sample), _stacked(F, sample)), name
+        points = [F.jet(sample[i]) for i in range(len(sample))]
+        for got, want in zip(F.jet(sample), zip(*points)):
+            assert _same_to_rounding(got, np.concatenate(want)), name
+    assert kinds == {ScalarField, VectorField, OneFormField, OperatorField,
+                     BivectorField}
+
+    sep = separation_map(params, LEAF_C1, LEAF_C4)
+    sample = sample_points(sep.src, 4, 9)
+    coords = lambda p: np.array(p.coords).T
+    assert _same_to_rounding(sep.jacobian(sample),
+                             _stacked(sep.jacobian, sample))
+    images = sep.apply(sample)
+    assert _same_to_rounding(coords(images),
+                             _stacked(lambda p: coords(sep.apply(p)), sample))
+    assert _same_to_rounding(coords(sep.invert(images)),
+                             _stacked(lambda q: coords(sep.invert(q)), images))
+    pushed = sep.push_scalar(ScalarField(sep.src, lambda x: x[0] * x[3]))
+    assert _same_to_rounding(pushed(images), _stacked(pushed, images))
 
 
 def test_scale_field_reads_coefficient_once_per_evaluation(chart3, sample3):

@@ -144,6 +144,19 @@ def test_integrate_blowup_exit_4():
     assert code == 4
 
 
+def test_integrate_too_many_steps_exit_2(monkeypatch, capsys):
+    """A step count whose trajectory cannot be allocated is a usage error
+    with one line on standard error, not a traceback."""
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "integrate_flow", no_memory)
+    code = main(["integrate", "--init", "0,1,1,1,0,1", "--dt", "1e-12",
+                 "--tmax", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --tmax / --dt")
+
+
 def test_verify_failure_exit_1(tmp_path, monkeypatch):
     # force a failing check by shrinking the derivative tolerance absurdly
     code = main(["verify", "--suite", "algebra", "--points", "5",
@@ -178,10 +191,10 @@ def test_numerical_error_in_check_exits_4(exc, monkeypatch, capsys):
 
 
 def test_extreme_inertia_ratio_exits_4():
-    """A huge but finite ``--c`` overflows, in the sampler or in numpy
-    arithmetic; the run ends with exit 4 and exactly one line on standard
-    error: no traceback, and no numpy warnings before it."""
-    for suite, exc in [("algebra", "OverflowError"),
+    """A huge but finite ``--c`` overflows in numpy arithmetic; the run ends
+    with exit 4 and exactly one line on standard error: no traceback, and
+    no numpy warnings before it."""
+    for suite, exc in [("algebra", "FloatingPointError"),
                        ("euler-poisson", "FloatingPointError")]:
         r = run_cli("verify", "--suite", suite, "--points", "1",
                     "--c", "1e308")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from haantjeskit.lagrange import (TopParams, integrate_flow,
-                                  max_relative_drift, write_csv)
+                                  lagrange_vector_field, max_relative_drift,
+                                  write_csv)
 from haantjeskit.lagrange.flow import CSV_HEADER, FlowBlowupError
 
 Y0 = np.array([0.3, -0.2, 0.5, 0.1, 0.4, 0.8])
@@ -70,3 +71,29 @@ def test_csv_output(tmp_path):
     assert len(row) == 14
     assert row[0] == 0.0
     np.testing.assert_allclose(row[1:7], Y0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
+def test_float_steps_equal_array_reference_bit_for_bit(c):
+    """The steps run on Python floats; they give bit for bit what the array
+    form of classical RK4 gives, in the same order of operations."""
+    params = TopParams(c=c)
+    rhs = lagrange_vector_field(params).fn
+    dt, steps = 1e-2, 300
+    traj = integrate_flow(params, Y0, dt, steps * dt)
+
+    def f(y):
+        return np.array(rhs(y))
+
+    y = Y0.copy()
+    states = [y]
+    for _ in range(steps):
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    assert np.array_equal(traj.states, np.array(states))
+    assert np.array_equal(traj.times, np.array([k * dt
+                                                for k in range(steps + 1)]))

@@ -104,3 +104,72 @@ def test_product_rule(a, b):
 def test_repr_mentions_value():
     j = Jet(1.0, (0.5,))
     assert "Jet" in repr(j)
+
+
+def test_array_transcendentals_match_cmath_principal_branch():
+    """``sqrt_``, ``sin_`` and ``cos_`` of an array agree, entry by entry and
+    to rounding, with :mod:`cmath`; for ``sqrt_`` the sign of a zero
+    imaginary part picks the side of the cut on the negative real axis, as
+    in ``cmath``."""
+    rng = np.random.default_rng(3)
+    zs = [complex(-4.0, 0.0), complex(-4.0, -0.0), complex(-2.5, -0.0),
+          complex(-1e-300, 0.0), complex(-1e-300, -0.0), complex(0.0, 0.0),
+          complex(-0.0, -0.0), complex(3.0, 4.0), complex(-3.0, 4.0),
+          complex(-3.0, -4.0), complex(0.5, -1e-12), complex(-7.25, 1e-300)]
+    zs += [complex(a, b) for a, b in rng.uniform(-3.0, 3.0, (50, 2))]
+    arr = np.array(zs)
+    for ours, ref in ((sqrt_, cmath.sqrt), (sin_, cmath.sin),
+                      (cos_, cmath.cos)):
+        got = ours(arr)
+        want = np.array([ref(z) for z in zs])
+        assert got.shape == arr.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), ref
+    root = sqrt_(arr)
+    want = np.array([cmath.sqrt(z) for z in zs])
+    assert np.array_equal(np.signbit(root.imag), np.signbit(want.imag))
+    assert np.array_equal(np.signbit(root.real), np.signbit(want.real))
+    # a real negative number lies on the upper side of the cut, as in cmath
+    assert sqrt_(-4.0) == cmath.sqrt(-4.0) == 2j
+
+
+def test_batched_jet_equals_pointwise_jets():
+    """A jet over a sample carries, point by point, the value and gradient
+    of one-point jets: arithmetic and the transcendental chain rule act
+    entry by entry along the sample axis."""
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, (7, 3)) + 1j * rng.uniform(-1.0, 1.0, (7, 3))
+
+    def fn(x):
+        return (sqrt_(x[0] * x[1] + 3.0) / (x[2] - 4.0)
+                + sin_(x[1]) * cos_(x[0]))
+
+    batched = fn(jets.seed(list(pts.T)))
+    assert batched.val.shape == (7,)
+    assert np.broadcast_to(batched.grad, (3, 7)).shape == (3, 7)
+    for s, p in enumerate(pts):
+        one = fn(jets.seed(list(p)))
+        assert abs(batched.val[s] - one.val) <= 1e-15 * abs(one.val)
+        assert np.max(np.abs(batched.grad[:, s] - one.grad)) \
+            <= 1e-14 * (1.0 + np.max(np.abs(one.grad)))
+
+
+def test_products_round_the_same_in_either_order():
+    """Every product of two batched jets rounds the same in either order,
+    value and gradient, so antisymmetric contractions cancel exactly, as
+    they do in scalar arithmetic: x . (G x) = 0 for G = [x]_x."""
+    rng = np.random.default_rng(11)
+    cols = (rng.uniform(-2.0, 2.0, (3, 64))
+            + 1j * rng.uniform(-1.0, 1.0, (3, 64)))
+    a, b, c = jets.seed(list(cols))
+    u = a * b + c
+    for p, q in ((a, b), (u, c), (u, a * c)):
+        assert np.array_equal((p * q).val, (q * p).val)
+        assert np.array_equal((p * q).grad, (q * p).grad)
+    for x in (jets.lift(list(cols)), jets.seed(list(cols))):
+        x0, x1, x2 = x
+        G = np.array([[0.0, x2, -x1], [-x2, 0.0, x0], [x1, -x0, 0.0]],
+                     dtype=object)
+        xv = np.array(x, dtype=object)
+        q = xv @ (G @ xv)
+        assert np.all(q.val == 0.0)
+        assert np.all(q.grad == 0.0)

@@ -37,11 +37,11 @@ def test_checks_pass_across_inertia_ratios(c):
     assert report.ok, [ch.id for ch in report.failed]
 
 
-def test_checks_read_each_field_once_per_point(monkeypatch):
-    """Inside each per-point call of the sampled-identity primitive, every
-    field object is read at most once: one plain pass ``F(p)`` or one
-    seeded pass ``F.jet(p)`` (``jacobian`` and ``gradient`` go through
-    ``jet``).  Re-reads are charged to the next check built, so the
+def test_checks_read_each_field_once_per_sample(monkeypatch):
+    """Inside each call ``at(sample)`` of the sampled-identity primitive,
+    every field object is read at most once: one plain pass ``F(sample)``
+    or one seeded pass ``F.jet(sample)`` (``jacobian`` and ``gradient`` go
+    through ``jet``).  Re-reads are charged to the next check built, so the
     restriction checks of ``leaf_structures`` count towards the check after
     them."""
     reads = collections.Counter()
@@ -60,9 +60,9 @@ def test_checks_read_each_field_once_per_point(monkeypatch):
     real_sampled = report_module.sampled
 
     def counting_sampled(sample, at, *args, **kwargs):
-        def counted(p):
+        def counted(whole):
             reads.clear()
-            out = at(p)
+            out = at(whole)
             reread.update(type(f).__name__ for f, n in reads.items() if n > 1)
             return out
         return real_sampled(sample, counted, *args, **kwargs)
@@ -85,6 +85,13 @@ def test_checks_read_each_field_once_per_point(monkeypatch):
     assert len(per_check) == len(report.checks) == 77
     offenders = {c.id: bad for c, bad in zip(report.checks, per_check) if bad}
     assert not offenders, offenders
+
+
+def test_euler_poisson_passes_at_tiny_inertia_ratio():
+    """At c = 1e-9 the third bivector carries entries of size 1/c; the
+    tri-Hamiltonian check scales with |P| |dh|, so it still passes."""
+    report = run_suite("euler-poisson", SuiteConfig(points=3, c=1e-9))
+    assert report.ok, [ch.id for ch in report.failed]
 
 
 def test_all_suite_prefixes_ids():
