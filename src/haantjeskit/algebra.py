@@ -125,9 +125,14 @@ def minimal_polynomial(L: OperatorField, p: Point) -> MinimalPolynomial:
 
 def algebra_rank(generators, p: Point) -> np.ndarray:
     """Numerical dimension of the span of the vectorized generator values,
-    at each point of ``p``."""
+    at each point of ``p``, each value normalised to unit length first."""
     stack = np.stack([K(p).reshape(len(p), -1) for K in generators],
                      axis=-1)
+    # unit columns, so the relative cut does not depend on how the
+    # generators scale with the parameters; a zero generator stays zero
+    norms = np.linalg.norm(stack, axis=1, keepdims=True)
+    stack = np.divide(stack, norms, out=np.zeros_like(stack),
+                      where=norms > 0)
     s = np.linalg.svd(stack, compute_uv=False)
     return np.sum(s > RANK_RTOL * s[:, :1], axis=1)
 

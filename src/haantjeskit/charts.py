@@ -26,7 +26,11 @@ sample axis first: ``(N,) + shape`` for the components and
 Derived fields and chart maps take partials through the same seeded pass,
 :func:`_seeded`, which also accepts coordinates that are already jets.
 Reading a sample once per field is the rule the checks keep: one plain or
-one seeded pass per field and sample, never one per point.
+one seeded pass per field and sample, never one per point.  Within a pass
+the rule holds for subfields too: each component function runs once per
+coordinate list, and each coordinate list is seeded once, so the subfields
+of a derived field share their values and seeds.  The memo ends with the
+pass, and the components it shares are read-only.
 
 Real charts embed with zero imaginary parts; every evaluation is pure and
 deterministic.
@@ -194,10 +198,45 @@ class BivectorField(_Field):
 
 
 # -- jet-generic internal evaluation (inputs may already be jets) -----------
+#
+# Derived fields reach the same subfields many times in a pass (the bracket
+# form of the Haantjes torsion reaches its operator 52 times); the pass memo
+# turns those into one evaluation each.
+
+# the open pass's results, or None between passes; evaluation is one thread
+_memo = None
+
+
+def _once(make, *args):
+    """``make(*args)``, computed once per pass for the same ``make`` and the
+    same argument objects.  The outermost call opens the pass and closes it
+    when it returns, so nothing outlives the evaluation that asked for it."""
+    global _memo
+    if _memo is None:
+        _memo = {}
+        try:
+            return _once(make, *args)
+        finally:
+            _memo = None
+    key = (make, *map(id, args))
+    hit = _memo.get(key)
+    if hit is None:
+        # the entry holds the arguments, so no id is reused while it lives
+        hit = _memo[key] = (make(*args), args)
+    return hit[0]
+
+
+def _evaluate(fn, x):
+    return np.asarray(fn(x), dtype=object)
+
 
 def _components(fn, x):
-    """``fn(x)`` as a numpy object array of numbers or jets."""
-    return np.asarray(fn(x), dtype=object)
+    """``fn(x)`` as a numpy object array of numbers or jets.
+
+    Within a pass ``fn`` runs once on ``x``, and every later caller gets the
+    same array, so no component function or derived field may write into
+    what this returns: build a new array instead."""
+    return _once(_evaluate, fn, x)
 
 
 def _read(fn, coords, seeded=False):
@@ -232,9 +271,10 @@ def _objects(entries, shape):
 def _seeded(fn, x):
     """One pass of ``fn`` at the seeded ``x`` (plain values or jets): object
     arrays of the components and their partials at the level of ``x``, the
-    last index being the variable."""
+    last index being the variable.  Within a pass ``x`` is seeded once, so
+    sibling subfields share the seeded coordinates and their components."""
     n = len(x)
-    out = _components(fn, jets.seed(x))
+    out = _components(fn, _once(jets.seed, x))
     vals = _objects([jets.value(v) for v in out.flat], out.shape)
     grads = _objects([g for v in out.flat for g in jets.gradient(v, n)],
                      out.shape + (n,))

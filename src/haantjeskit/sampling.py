@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .charts import Chart, Point
+from .charts import Chart, ChartError, Point
 
 __all__ = ["sample_points"]
 
 BOX = 2.0
 IMAG = 1.0
-MAX_TRIES = 100000
+MIN_TRIES = 100000
+TRIES_PER_POINT = 100
 DEFAULT_MARGIN = 0.1
 
 
@@ -25,6 +26,10 @@ def sample_points(chart: Chart, n_points: int, seed: int, *,
     parts of its coordinates, then the imaginary parts; tries are drawn in
     blocks and judged together, in order, so a given seed always yields the
     same sample.
+
+    The try budget is ``TRIES_PER_POINT`` per requested point, and at least
+    ``MIN_TRIES``; a sample the budget cannot fill raises
+    :class:`~haantjeskit.charts.ChartError`.
     """
     if n_points <= 0:
         raise ValueError("sample size must be positive")
@@ -32,13 +37,15 @@ def sample_points(chart: Chart, n_points: int, seed: int, *,
     dim = chart.dim
     per_try = dim if real else 2 * dim
     kept = []
+    budget = max(MIN_TRIES, TRIES_PER_POINT * n_points)
     count = tries = 0
     while count < n_points:
-        if tries >= MAX_TRIES:
-            raise RuntimeError(
+        if tries >= budget:
+            raise ChartError(
                 f"could not sample {n_points} points on chart "
-                f"{chart.name!r}: singular margins too tight")
-        block = min(max(2 * (n_points - count), 8), MAX_TRIES - tries)
+                f"{chart.name!r} in {budget} tries: singular margins too "
+                f"tight")
+        block = min(max(2 * (n_points - count), 8), budget - tries)
         tries += block
         # low + range * u, as Generator.uniform computes it
         u = rng.random((block, per_try))

@@ -59,6 +59,16 @@ def test_sampler_respects_margin_and_seed():
         sample_points(chart, 0, 3)
 
 
+def test_sampler_budget_scales_with_sample_size():
+    """The try budget grows with the request: a sample larger than the
+    minimum budget still fills, and an impossible margin raises a chart
+    error, not a bare runtime error."""
+    chart = Chart("s3", 3, singular=(lambda x: x[0],))
+    assert len(sample_points(chart, 100001, 4)) == 100001
+    with pytest.raises(ChartError, match="singular margins too tight"):
+        sample_points(chart, 3, 4, margin=np.inf)
+
+
 def test_scalar_gradient_matches_fd(chart3, sample3):
     f = ScalarField(chart3, lambda x: x[0] * x[1] ** 2 + x[2] / (x[0] + 4.0))
     sample = sample3[:10]

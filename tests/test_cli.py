@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, deterministic JSON, schema
 conformance and the reported findings."""
 
+import functools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import haantjeskit
-from haantjeskit import ChartError, SingularPointError, cli
+from haantjeskit import ChartError, SingularPointError, cli, sampling, suites
 from haantjeskit.cli import main
 
 SCHEMA = json.loads(
@@ -187,6 +188,19 @@ def test_numerical_error_in_check_exits_4(exc, monkeypatch, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: suite algebra:")
     assert type(exc).__name__ in err and str(exc) in err
+    assert "\n" not in err and "Traceback" not in err
+
+
+def test_sampling_failure_exits_4(monkeypatch, capsys):
+    """A sample the try budget cannot fill ends with exit 4 and one error
+    line, like any other chart error."""
+    monkeypatch.setattr(sampling, "MIN_TRIES", 80)
+    monkeypatch.setattr(suites, "sample_points", functools.partial(
+        sampling.sample_points, margin=np.inf))
+    code = main(["verify", "--suite", "euler", "--points", "3"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: suite euler: ChartError: could not sample")
     assert "\n" not in err and "Traceback" not in err
 
 

@@ -6,10 +6,14 @@ import sys
 
 import pytest
 
-from haantjeskit import VerificationReport, report as report_module
+from haantjeskit import (Chart, OperatorField, VectorField,
+                         VerificationReport, report as report_module)
 from haantjeskit.charts import _Field
 from haantjeskit.report import Check, check_from_residual
-from haantjeskit.suites import SUITE_NAMES, SuiteConfig, run_suite
+from haantjeskit.sampling import sample_points
+from haantjeskit.suites import (SUITE_NAMES, SuiteConfig,
+                                _bracket_haantjes, _bracket_nijenhuis,
+                                run_suite)
 from haantjeskit.torsion import SampledResidual
 
 
@@ -85,6 +89,44 @@ def test_checks_read_each_field_once_per_sample(monkeypatch):
     assert len(per_check) == len(report.checks) == 77
     offenders = {c.id: bad for c, bad in zip(report.checks, per_check) if bad}
     assert not offenders, offenders
+
+
+@pytest.mark.parametrize("build", [_bracket_nijenhuis, _bracket_haantjes],
+                         ids=["nijenhuis", "haantjes"])
+def test_subfields_run_once_per_pass(build):
+    """Within one read of a derived field each subfield's component
+    function runs once per coordinate list: ``L`` once on the plain and once
+    on the seeded coordinates, ``X`` and ``Y`` only inside the brackets.  A
+    second read runs them again: the memo ends with its pass."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    chart = Chart("aux3", 3)
+    L = OperatorField(chart, counted("L", lambda x: [
+        [x[0], x[1], 1.0], [x[2], 0.0, x[0] * x[1]], [1.0, x[2], x[1]]]))
+    X = VectorField(chart, counted("X", lambda x: [x[1], x[0] * x[2], 1.0]))
+    Y = VectorField(chart, counted("Y", lambda x: [x[2] * x[2], 1.0, x[0]]))
+    field = build(L, X, Y)
+    sample = sample_points(chart, 5, 1)
+    first = field(sample)
+    assert dict(calls) == {"L": 2, "X": 1, "Y": 1}
+    second = field(sample)
+    assert dict(calls) == {"L": 4, "X": 2, "Y": 2}
+    assert (first == second).all()
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e4, 1e6])
+def test_algebra_passes_at_extreme_inertia_ratios(c):
+    """``algebra_rank`` normalises each generator before its relative rank
+    cut, so the span of I, N, N^2 keeps dimension two when N's entries
+    scale with 1/c or c."""
+    report = run_suite("algebra", SuiteConfig(points=3, c=c))
+    assert report.ok, [ch.id for ch in report.failed]
 
 
 def test_euler_poisson_passes_at_tiny_inertia_ratio():
