@@ -395,7 +395,9 @@ class ChartMap:
 
     Tensor transport uses the forward jacobian and the jacobian of the
     inverse map, so no matrix inversion is ever performed and transported
-    fields stay differentiable.
+    fields stay differentiable.  A sample is mapped by reading the map as a
+    vector field on its chart, so a point on a singular set of that chart
+    raises like any other field read.
     """
 
     def __init__(self, src: Chart, dst: Chart, forward: Callable,
@@ -404,20 +406,19 @@ class ChartMap:
         self.dst = dst
         self.forward = forward
         self.inverse = inverse
+        self._forward = VectorField(src, forward)
+        self._inverse = VectorField(dst, inverse)
 
     def apply(self, p: Point) -> Point:
-        _same_chart(self.src, p.chart)
-        return Point(self.dst, tuple(_read(self.forward, p.coords).T))
+        return Point(self.dst, tuple(self._forward(p).T))
 
     def invert(self, q: Point) -> Point:
-        _same_chart(self.dst, q.chart)
-        return Point(self.src, tuple(_read(self.inverse, q.coords).T))
+        return Point(self.src, tuple(self._inverse(q).T))
 
     def jacobian(self, p: Point) -> np.ndarray:
         """Forward jacobians ``[s, i, k] = d(dst_i)/d(src_k)`` over a source
         sample."""
-        _same_chart(self.src, p.chart)
-        return _read(self.forward, p.coords, seeded=True)[1]
+        return self._forward.jacobian(p)
 
     def push_scalar(self, f: ScalarField) -> ScalarField:
         _same_chart(self.src, f.chart)

@@ -5,7 +5,8 @@ per check; ``haantjeskit integrate`` runs the fixed-step flow integrator and
 reports the worst invariant drift.
 
 Exit codes: 0 all checks pass (findings do not fail), 1 at least one check
-failed, 2 usage error, 3 I/O error, 4 numerical failure: the flow blew up,
+failed, 2 usage error (also a sample or a trajectory too large for
+memory), 3 I/O error, 4 numerical failure: the flow blew up,
 or a check raised a chart error (such as a singular point), a linear-algebra
 error, a value error or an arithmetic error (such as an overflow; numpy
 floating-point errors raise, not warn, inside ``verify``).
@@ -92,6 +93,9 @@ def _cmd_verify(args) -> int:
         print(f"error: suite {args.suite}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        # the sampler allocates its first block of tries from --points
+        return _usage_error("--points is more than memory holds")
     for line in report.summary_lines():
         print(line)
     n_fail = len(report.failed)

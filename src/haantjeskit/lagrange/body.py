@@ -6,10 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..charts import (BivectorField, Chart, ScalarField, VectorField,
-                      constant_vector)
-from ..poisson import hamiltonian_field
-from ..report import _max_abs, matches, sampled
+from ..charts import BivectorField, Chart, ScalarField, VectorField
 from .params import TopParams
 
 W1, W2, W3, G1, G2, G3 = range(6)
@@ -122,37 +119,3 @@ def bihamiltonian_fields(params: TopParams):
     chart = body_chart()
     return VectorField(chart, x1_fn), VectorField(chart, x2_fn)
 
-
-def gz_chain_check(params: TopParams, sample, tol: float = 1e-9) -> dict:
-    """Residuals of the two-Casimir ladder built on the first two Poisson
-    bivectors, plus the decomposition of the flow field over the ladder."""
-    P0, P1, _ = poisson_bivectors(params)
-    F = integrals(params)
-    X1, X2 = bihamiltonian_fields(params)
-    XL = lagrange_vector_field(params)
-    c = params.c
-
-    half_f4 = ScalarField(body_chart(), lambda x: 0.5 * F["F4"].fn(x))
-    minus_f3 = ScalarField(body_chart(), lambda x: -F["F3"].fn(x))
-    zero = constant_vector(body_chart(), [0.0] * 6)
-
-    pairs = {
-        "P1_dF1_zero": (hamiltonian_field(P1, F["F1"]), zero),
-        "P0_dF1_zero": (hamiltonian_field(P0, F["F1"]), zero),
-        "P1_dF4half_zero": (hamiltonian_field(P1, half_f4), zero),
-        "P0_dF4half_is_P1_dmF3": (hamiltonian_field(P0, half_f4),
-                                  hamiltonian_field(P1, minus_f3)),
-        "P0_dmF3_is_P1_dF2": (hamiltonian_field(P0, minus_f3),
-                              hamiltonian_field(P1, F["F2"])),
-        "P0_dF2_zero": (hamiltonian_field(P0, F["F2"]), zero),
-    }
-    out = {name: sampled(sample, matches(a, b), tol)
-           for name, (a, b) in pairs.items()}
-
-    def ladder_at(p):
-        xl = XL(p)
-        v = xl - (X1(p) - (c - 1.0) * F["F1"](p)[:, None] * X2(p))
-        return _max_abs(v), 1.0 + _max_abs(xl)
-
-    out["XL_ladder_decomposition"] = sampled(sample, ladder_at, tol)
-    return out

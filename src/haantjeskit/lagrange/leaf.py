@@ -11,21 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..charts import (BivectorField, Chart, ChartMap, OneFormField,
-                      OperatorField, Point, ScalarField, VectorField)
+                      OperatorField, ScalarField, VectorField)
 from ..jets import sqrt_
-from ..report import _max_abs, sampled
 from .complex_chart import complex_chart, nijenhuis_operator
 from .params import TopParams
 
 _LEAF_COORDS = ("x1", "x2", "y1", "y2")
-# largest coupling to the transversal directions, relative to the field's
-# magnitude, that a restricted field may carry
-RESTRICT_TOL = 1e-12
-
-
-class LeafRestrictionError(Exception):
-    """Raised when a field couples leaf and transversal directions and
-    therefore does not restrict."""
 
 
 def leaf_chart(params: TopParams, C1: complex, C4: complex) -> Chart:
@@ -40,13 +31,14 @@ def _embed(coords, C1, C4):
     return list(coords) + [C1, C4]
 
 
-def restrict_to_leaf(field, params: TopParams, C1, C4, *, sample=None):
+def restrict_to_leaf(field, params: TopParams, C1, C4):
     """Pin the Casimir levels and drop the transversal slots.
 
-    For vector fields the transversal components, and for operators and
-    bivectors the transversal off-blocks, are checked to vanish on
-    ``sample`` (when given); a nonvanishing coupling means the field does
-    not restrict and raises :class:`LeafRestrictionError`.
+    This is the restriction only for a field that does not couple the leaf
+    to the transversal directions: a vector without transversal components,
+    an operator or bivector without transversal off-blocks.  Nothing here
+    checks that; the suites judge it for the fields they restrict.  A
+    one-form pulls back by dropping its slots either way.
     """
     kind = type(field)
     if not isinstance(field, (ScalarField, OneFormField, VectorField,
@@ -58,34 +50,10 @@ def restrict_to_leaf(field, params: TopParams, C1, C4, *, sample=None):
         # the leaf slots of every index: v[:4], v[:4, :4], or a scalar
         return v[(slice(4),) * v.ndim]
 
-    # a one-form pulls back by dropping its transversal slots; only
-    # vectors, operators and bivectors must not couple to them
-    if sample is not None and not isinstance(field, (ScalarField,
-                                                     OneFormField)):
-        _check_restricts(field, params, C1, C4, sample)
     return kind(leaf_chart(params, C1, C4), fn)
 
 
-def _check_restricts(field, params, C1, C4, sample):
-    """Raise unless the transversal part of ``field`` (components of a
-    vector, off-blocks of a matrix) vanishes at every sample point,
-    relative to ``1 + |field|`` at that point."""
-    full = complex_chart(params)
-
-    def coupling(p):
-        v = field(Point(full, tuple(_embed(p.coords, C1, C4))))
-        part = ((v[:, 4:],) if v.ndim == 2
-                else (v[:, :4, 4:], v[:, 4:, :4]))
-        return _max_abs(*part) / (1.0 + _max_abs(v)), 1.0
-
-    sr = sampled(sample, coupling, RESTRICT_TOL)
-    if not sr.passed:
-        raise LeafRestrictionError(
-            "field couples the leaf to the transversal directions "
-            f"(relative residual {sr.residual:.3e})")
-
-
-def leaf_structures(params: TopParams, C1, C4, sample=None) -> dict:
+def leaf_structures(params: TopParams, C1, C4) -> dict:
     """All restricted data on one leaf: Poisson blocks, recursion operator,
     the second operator of the family, and the two restricted integrals."""
     from .complex_chart import (complex_integrals, deformation, p1_complex,
@@ -93,7 +61,7 @@ def leaf_structures(params: TopParams, C1, C4, sample=None) -> dict:
     N = nijenhuis_operator(params)
     _, K2, _ = benenti_operators(params, N)
     F2c, F3c = complex_integrals(params)
-    r = lambda f: restrict_to_leaf(f, params, C1, C4, sample=sample)
+    r = lambda f: restrict_to_leaf(f, params, C1, C4)
     # the raw second bivector does not restrict (its transversal column
     # carries the ladder field); the deformed bivector does, and its leaf
     # block is the second Poisson block of the pair
@@ -137,16 +105,6 @@ def _printed_momenta(x):
     x1, x2, y1, y2 = x
     l1, l2 = _eigenvalues(x1, x2)
     return [(l2 * y1 + y2) / l1, (l1 * y1 + y2) / l2]
-
-
-def separation_coordinates(p: Point):
-    """Separation variables of a leaf sample, one array per variable: the
-    double eigenvalues of the restricted operator family and canonically
-    conjugate momenta whose gradients are eigenforms."""
-    l1, l2, m1, m2 = _separation(p.coords)
-    if np.any(np.abs(l1 - l2) < 1e-13):
-        raise ValueError("coincident eigenvalues: separation chart breaks down")
-    return l1, l2, m1, m2
 
 
 def separation_fields(params: TopParams, C1, C4, printed: bool = False):

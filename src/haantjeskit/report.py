@@ -10,6 +10,7 @@ serialize to deterministic JSON.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from dataclasses import dataclass, field
@@ -146,15 +147,7 @@ class Check:
     points_sampled: int
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "reference": self.reference,
-            "status": self.status,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "points_sampled": self.points_sampled,
-        }
+        return dataclasses.asdict(self)
 
 
 def check_from_residual(check_id: str, description: str, reference: str,

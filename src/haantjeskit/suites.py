@@ -21,26 +21,26 @@ import numpy as np
 from .algebra import (algebra_rank, minimal_polynomial, verify_algebra)
 from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
                      ScalarField, VectorField, add_fields, apply_operator,
-                     apply_transpose, constant_operator, differential,
-                     exterior_derivative, identity_operator, lie_bracket,
-                     operator_polynomial, scale_field, wedge)
+                     apply_transpose, constant_operator, constant_vector,
+                     differential, exterior_derivative, identity_operator,
+                     lie_bracket, operator_polynomial, scale_field, wedge)
 from .poisson import (_lie_bivector, _r_tensor, build_chain_oneforms,
                       check_compatibility, check_skew_compositions,
-                      verify_poisson)
+                      hamiltonian_field, verify_poisson)
 from .report import (VerificationReport, _max_abs as _mag,
                      check_from_residual, identity_check, matches, merge,
                      sampled, worst)
 from .sampling import sample_points
 from .torsion import (_haantjes_components, _nijenhuis_components,
                       is_haantjes, is_nijenhuis, nijenhuis_torsion)
-from .lagrange import (TopParams, benenti_operators, body_chart,
-                       body_to_complex, complex_chart, complex_integrals,
-                       deformation, euler_chain_operators, euler_chart,
-                       euler_hamiltonian, gz_chain_check, hamiltonians,
+from .lagrange import (TopParams, benenti_operators, bihamiltonian_fields,
+                       body_chart, body_to_complex, complex_chart,
+                       complex_integrals, deformation, euler_chain_operators,
+                       euler_chart, euler_hamiltonian, hamiltonians,
                        integrals, lagrange_vector_field, leaf_chart,
                        leaf_structures, nijenhuis_operator, p0_complex,
-                       p1_complex, poisson_bivectors, separation_coordinates,
-                       separation_fields, separation_map, x_fields_complex)
+                       p1_complex, poisson_bivectors, separation_fields,
+                       separation_map, x_fields_complex)
 from .lagrange.complex_chart import F1C, F4C, X1C, X2C, _p0_block
 
 __all__ = ["SuiteConfig", "SUITE_NAMES", "run_suite"]
@@ -464,16 +464,36 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         "P0 dh0 = P1 dh1 = P2 dh2 = X", bsample, tri_hamiltonian,
         cfg.tol_deriv))
 
-    checks += [check_from_residual(
-        f"gz_{name}", "two-Casimir ladder relation on the first two "
-        "bivectors", name, sr)
-        for name, sr in gz_chain_check(params, bsample,
-                                       cfg.tol_deriv).items()]
-
+    # the two-Casimir ladder on the first two bivectors, and the flow field
+    # decomposed over the ladder fields
     F = integrals(params)
-    casimir_poly = [F["F2"],
-                    ScalarField(bchart, lambda x: -F["F3"].fn(x)),
-                    ScalarField(bchart, lambda x: 0.5 * F["F4"].fn(x))]
+    minus_f3 = ScalarField(bchart, lambda x: -F["F3"].fn(x))
+    half_f4 = ScalarField(bchart, lambda x: 0.5 * F["F4"].fn(x))
+    X1, X2 = bihamiltonian_fields(params)
+    zero = constant_vector(bchart, [0.0] * 6)
+
+    def ladder_decomposition(p):
+        xl = XL(p)
+        v = xl - (X1(p) - (params.c - 1.0) * F["F1"](p)[:, None] * X2(p))
+        return _mag(v), 1.0 + _mag(xl)
+
+    ladder = {
+        "P1_dF1_zero": matches(hamiltonian_field(P1, F["F1"]), zero),
+        "P0_dF1_zero": matches(hamiltonian_field(P0, F["F1"]), zero),
+        "P1_dF4half_zero": matches(hamiltonian_field(P1, half_f4), zero),
+        "P0_dF4half_is_P1_dmF3": matches(hamiltonian_field(P0, half_f4),
+                                         hamiltonian_field(P1, minus_f3)),
+        "P0_dmF3_is_P1_dF2": matches(hamiltonian_field(P0, minus_f3),
+                                     hamiltonian_field(P1, F["F2"])),
+        "P0_dF2_zero": matches(hamiltonian_field(P0, F["F2"]), zero),
+        "XL_ladder_decomposition": ladder_decomposition,
+    }
+    checks += [identity_check(
+        f"gz_{name}", "two-Casimir ladder relation on the first two "
+        "bivectors", name, bsample, at, cfg.tol_deriv)
+        for name, at in ladder.items()]
+
+    casimir_poly = [F["F2"], minus_f3, half_f4]
 
     def pencil(p):
         grads = [f.gradient(p) for f in casimir_poly]
@@ -703,7 +723,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         "off-blocks and transversal components vanish", embedded,
         block_structure, cfg.tol_exact)]
 
-    data = leaf_structures(params, C1, C4, sample=sample)
+    data = leaf_structures(params, C1, C4)
     Nl, K2l = data["N"], data["K2"]
     P0l, P1l = data["P0"], data["P1"]
     F2l, F3l = data["F2"], data["F3"]
@@ -743,8 +763,10 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         "dh1 = -(I - (c-1) C1 K2)^T dF3 on the leaf", sample,
         matches(differential(h1l), comb), cfg.tol_deriv))
 
+    sep = separation_map(params, C1, C4)
+
     def eigen_symmetric(p):
-        l1, l2, _, _ = separation_coordinates(p)
+        l1, l2, _, _ = sep.apply(p).coords
         x1, x2 = p.coords[0], p.coords[1]
         return (_mag(l1 + l2 - x1 / x2, l1 * l2 + 1.0 / x2),
                 1.0 + abs(l1) + abs(l2))
@@ -760,7 +782,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
             z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
 
     def eigen_numeric(p):
-        l1, l2, _, _ = separation_coordinates(p)
+        l1, l2, _, _ = sep.apply(p).coords
         ev = np.linalg.eigvals(K2l(p))
         ours = np.stack([l1, l1, l2, l2], axis=-1)
         return (_mag(by_real_then_imag(ours) - by_real_then_imag(ev)),
@@ -785,7 +807,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     K2T_dl1 = apply_transpose(K2l, dl1)
 
     def eigenform(p):
-        l1, l2, _, _ = separation_coordinates(p)
+        l1, l2, _, _ = sep.apply(p).coords
         v, d = K2T_dl1(p), dl1(p)
         return (_mag(v - l2[:, None] * d), _mag(v - l1[:, None] * d),
                 (1.0 + _mag(K2l(p))) * (1.0 + _mag(d)))
@@ -820,7 +842,6 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         "{la, mb} = i delta_ab", sample, canonical(separation),
         cfg.tol_deriv, finding=True))
 
-    sep = separation_map(params, C1, C4)
     images = sep.apply(sample)
     iJ = np.zeros((4, 4), dtype=complex)
     iJ[0, 2] = iJ[1, 3] = 1.0j

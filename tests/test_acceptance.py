@@ -13,7 +13,7 @@ from haantjeskit.cli import main as cli_main
 from haantjeskit.lagrange import (TopParams, benenti_operators,
                                   bihamiltonian_fields, body_chart,
                                   complex_chart, complex_integrals,
-                                  deformation, gz_chain_check, hamiltonians,
+                                  deformation, hamiltonians,
                                   integrals, integrate_flow,
                                   lagrange_vector_field, leaf_structures,
                                   max_relative_drift, nijenhuis_operator,
@@ -98,11 +98,12 @@ def test_criterion_3_poisson_trio(capsys):
 
 
 def test_criterion_4_gz_chain(capsys):
-    sample = sample_points(body_chart(), POINTS, SEED)
-    out = gz_chain_check(PARAMS, sample)
-    ladder = max(sr.residual for name, sr in out.items()
-                 if name != "XL_ladder_decomposition")
-    decomp = out["XL_ladder_decomposition"].residual
+    # the suite samples POINTS body-chart points at SEED
+    suite = run_suite("euler-poisson", SuiteConfig(seed=SEED, points=POINTS))
+    gz = {c.id: c.max_residual for c in suite.checks
+          if c.id.startswith("gz_")}
+    decomp = gz.pop("gz_XL_ladder_decomposition")
+    ladder = max(gz.values())
     ok = ladder <= 1e-9 and decomp <= 1e-12
     report(capsys, 4, "two-Casimir ladder and flow decomposition", ok,
            f"ladder {ladder:.3e} (tol 1e-09), "

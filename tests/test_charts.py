@@ -48,6 +48,21 @@ def test_singular_point_raises():
     assert f(point(chart, 2.0, 4.0)) == 2.0
 
 
+@pytest.mark.parametrize("method", ["apply", "jacobian", "invert"])
+def test_chart_map_raises_on_singular_point(method):
+    """A chart map reads a sample like any field: a point on a singular set
+    of the chart it maps from raises."""
+    sep = separation_map(TopParams(), LEAF_C1, LEAF_C4)
+    singular = {
+        # discriminant x1^2 + 4 x2 = 0, where the eigenvalues coincide
+        "apply": point(sep.src, 2.0, -1.0, 0.1, 0.2),
+        "jacobian": point(sep.src, 2.0, -1.0, 0.1, 0.2),
+        "invert": point(sep.dst, 0.5, 0.5, 0.1, 0.2),  # l1 = l2
+    }
+    with pytest.raises(SingularPointError):
+        getattr(sep, method)(singular[method])
+
+
 def test_sampler_respects_margin_and_seed():
     chart = Chart("s", 2, singular=(lambda x: x[0],))
     pts = sample_points(chart, 50, 3, margin=0.25)

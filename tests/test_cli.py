@@ -191,6 +191,21 @@ def test_numerical_error_in_check_exits_4(exc, monkeypatch, capsys):
     assert "\n" not in err and "Traceback" not in err
 
 
+def test_verify_out_of_memory_exits_2(monkeypatch, capsys):
+    """A sample too large for memory (the sampler's first block of tries
+    grows with ``--points``) is a usage error with one line on standard
+    error, not a traceback."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(suites, "sample_points", no_memory)
+    code = main(["verify", "--suite", "euler", "--points", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --points")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_sampling_failure_exits_4(monkeypatch, capsys):
     """A sample the try budget cannot fill ends with exit 4 and one error
     line, like any other chart error."""

@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 
-from haantjeskit import differential, hamiltonian_field, is_haantjes
+from haantjeskit import (Point, SingularPointError, differential,
+                         hamiltonian_field, is_haantjes)
 from haantjeskit.lagrange import (TopParams, benenti_operators,
                                   bihamiltonian_fields, body_chart,
                                   body_to_complex, complex_chart,
                                   complex_integrals, deformation,
                                   euler_chain_operators, euler_chart,
-                                  euler_hamiltonian, gz_chain_check,
-                                  hamiltonians, integrals, leaf_chart,
-                                  lagrange_vector_field, leaf_structures,
-                                  nijenhuis_operator, p0_complex, p1_complex,
-                                  poisson_bivectors, restrict_to_leaf, separation_coordinates,
-                                  separation_map, x_fields_complex)
-from haantjeskit.lagrange.leaf import LeafRestrictionError
+                                  euler_hamiltonian, hamiltonians, integrals,
+                                  leaf_chart, lagrange_vector_field,
+                                  leaf_structures, nijenhuis_operator,
+                                  p0_complex, p1_complex, poisson_bivectors,
+                                  restrict_to_leaf, separation_map,
+                                  x_fields_complex)
 from haantjeskit.sampling import sample_points
+from haantjeskit.suites import SuiteConfig, run_suite
 
 from conftest import point
 
@@ -95,14 +96,16 @@ def test_tri_hamiltonian_formulation(tp, bsample):
         assert np.max(np.abs(hamiltonian_field(P, h)(p) - XL(p))) < 1e-11
 
 
-def test_gz_chain_closes(tp, bsample):
-    out = gz_chain_check(tp, bsample)
-    assert set(out) == {
+def test_gz_chain_closes():
+    # the suite samples the body chart as the bsample fixture does
+    report = run_suite("euler-poisson", SuiteConfig(seed=41, points=20))
+    gz = {c.id: c for c in report.checks if c.id.startswith("gz_")}
+    assert set(gz) == {"gz_" + name for name in (
         "P1_dF1_zero", "P0_dF1_zero", "P1_dF4half_zero",
         "P0_dF4half_is_P1_dmF3", "P0_dmF3_is_P1_dF2", "P0_dF2_zero",
-        "XL_ladder_decomposition"}
-    for sr in out.values():
-        assert sr.passed
+        "XL_ladder_decomposition")}
+    for check in gz.values():
+        assert check.status == "pass", check.id
 
 
 def test_ladder_fields_frozen(tp):
@@ -181,18 +184,29 @@ def test_deformed_bivector_structure(tp, csample):
     assert np.max(np.abs(Z2(p) - np.array([0, 0, 0, 0, 0, 2]))) == 0.0
 
 
+def _embedded_leaf_sample(tp, seed):
+    """A leaf sample and the same points in the complex chart."""
+    sample = sample_points(leaf_chart(tp, 0.4, 1.3), 5, seed)
+    return sample, Point(complex_chart(tp), (*sample.coords, 0.4, 1.3))
+
+
 def test_raw_second_bivector_does_not_restrict(tp):
-    sample = sample_points(leaf_chart(tp, 0.4, 1.3), 5, 43)
-    with pytest.raises(LeafRestrictionError):
-        restrict_to_leaf(p0_complex(tp), tp, 0.4, 1.3, sample=sample)
+    # its transversal column carries twice the first ladder field, which is
+    # nonzero at every leaf point
+    _, embedded = _embedded_leaf_sample(tp, 43)
+    column = np.abs(p0_complex(tp)(embedded)[:, :4, 5])
+    assert np.all(column.max(axis=1) > 1e-3)
 
 
 def test_ladder_fields_restrict(tp):
-    sample = sample_points(leaf_chart(tp, 0.4, 1.3), 5, 44)
-    X1, X2 = x_fields_complex(tp)
-    for X in (X1, X2):
-        restricted = restrict_to_leaf(X, tp, 0.4, 1.3, sample=sample)
+    sample, embedded = _embedded_leaf_sample(tp, 44)
+    for X in x_fields_complex(tp):
+        v = X(embedded)
+        coupling = np.abs(v[:, 4:]).max(axis=1)
+        assert np.all(coupling <= 1e-12 * (1.0 + np.abs(v).max(axis=1)))
+        restricted = restrict_to_leaf(X, tp, 0.4, 1.3)
         assert restricted.chart.dim == 4
+        assert np.array_equal(restricted(sample), v[:, :4])
 
 
 def test_leaf_recursion_frozen(tp):
@@ -207,7 +221,8 @@ def test_leaf_recursion_frozen(tp):
 def test_separation_coordinates_frozen(tp):
     chart = leaf_chart(tp, 0.4, 1.3)
     p = point(chart, 0.0, 1.0, 0.3, 0.7)
-    l1, l2, m1, m2 = separation_coordinates(p)
+    l1, l2, m1, m2 = (v[0] for v in
+                      separation_map(tp, 0.4, 1.3).apply(p).coords)
     assert abs(l1 + 1.0) < 1e-14
     assert abs(l2 - 1.0) < 1e-14
     assert abs(m1 + 1.0) < 1e-14          # -(0.3 + 0.7)
@@ -241,5 +256,5 @@ def test_coincident_eigenvalues_rejected(tp):
     l1, l2 = _eigenvalues(2.0, -1.0)
     assert abs(l1 - l2) < 1e-13
     p = point(chart, 2.0, -1.0, 0.1, 0.2)
-    with pytest.raises(ValueError):
-        separation_coordinates(p)
+    with pytest.raises(SingularPointError):
+        separation_map(tp, 0.4, 1.3).apply(p)

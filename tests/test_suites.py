@@ -45,9 +45,9 @@ def test_checks_read_each_field_once_per_sample(monkeypatch):
     """Inside each call ``at(sample)`` of the sampled-identity primitive,
     every field object is read at most once: one plain pass ``F(sample)``
     or one seeded pass ``F.jet(sample)`` (``jacobian`` and ``gradient`` go
-    through ``jet``).  Re-reads are charged to the next check built, so the
-    restriction checks of ``leaf_structures`` count towards the check after
-    them."""
+    through ``jet``).  Re-reads are charged to the next check built, so a
+    sampled residual that only enters another check's description counts
+    towards that check."""
     reads = collections.Counter()
     reread = collections.Counter()  # since the last check was built
     per_check = []
