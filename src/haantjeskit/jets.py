@@ -21,6 +21,18 @@ multiplies entry by entry, and every product of two jets rounds the same in
 either order.  For rational component functions the derivatives are exact
 up to rounding; transcendental entries (``sin``/``cos``/``sqrt``) use the
 chain rule on top of numpy's principal branches.
+
+Exact constants stay numbers and cost no array work.  An exact constant is a
+Python or numpy scalar (``int``, ``float`` or ``complex``), never an array.
+A product with an exact 0 is the number ``0.0``: the constant absorbs its
+factor, as it does in exact arithmetic, so only the sign of a zero can
+differ from the rounded product (``x * 0`` is ``-0`` for a negative ``x``),
+and a non-finite factor is dropped rather than turned into NaN (``verify``
+raises on a non-finite value before it can meet a constant).  A product with
+an exact 1, and a sum or difference with an exact 0, is the jet itself.  So
+the sparse operators and bivectors of a chart change (``J @ L @ Jinv``,
+``J @ P @ J.T``) build no jet for a zero entry.  Nor does a plain value ever
+compute on its empty gradient.
 """
 
 from __future__ import annotations
@@ -44,54 +56,76 @@ class Jet:
         if isinstance(other, Jet):
             g = self.grad
             return Jet(self.val + other.val, g + other.grad if len(g) else g)
+        if _exactly(other, 0):
+            return self
         return Jet(self.val + other, self.grad)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val - other.val, self.grad - other.grad)
+            g = self.grad
+            return Jet(self.val - other.val, g - other.grad if len(g) else g)
+        if _exactly(other, 0):
+            return self
         return Jet(self.val - other, self.grad)
 
     def __rsub__(self, other):
-        return Jet(other - self.val, -self.grad)
+        g = self.grad
+        return Jet(other - self.val, -g if len(g) else g)
 
     def __neg__(self):
-        return Jet(-self.val, -self.grad)
+        g = self.grad
+        return Jet(-self.val, -g if len(g) else g)
 
     def __mul__(self, other):
+        g = self.grad
         if isinstance(other, Jet):
-            sv, ov, g = self.val, other.val, self.grad
+            sv, ov = self.val, other.val
             if not len(g):  # plain values meet only plain values
                 return Jet(_product(sv, ov), g)
             return Jet(_product(sv, ov),
                        _product(g, ov) + _product(other.grad, sv))
-        return Jet(self.val * other, self.grad * other)
+        if _exactly(other, 0):
+            return 0.0
+        if _exactly(other, 1):
+            return self
+        return Jet(self.val * other, g * other if len(g) else g)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        g = self.grad
         if isinstance(other, Jet):
             ov = other.val
             q = self.val / ov
-            return Jet(q, (self.grad - _product(other.grad, q)) / ov)
-        return Jet(self.val / other, self.grad / other)
+            return Jet(q, (g - _product(other.grad, q)) / ov if len(g) else g)
+        return Jet(self.val / other, g / other if len(g) else g)
 
     def __rtruediv__(self, other):
-        sv = self.val
+        sv, g = self.val, self.grad
         q = other / sv
-        return Jet(q, _product(self.grad, -q) / sv)
+        return Jet(q, _product(g, -q) / sv if len(g) else g)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise TypeError("jets support non-negative integer powers only")
+        g = self.grad
         if n == 0:
-            return Jet(1.0 + 0.0j, self.grad * 0.0)
+            return Jet(1.0 + 0.0j, g * 0.0 if len(g) else g)
+        if not len(g):
+            return Jet(self.val ** n, g)
         d = n * self.val ** (n - 1)
-        return Jet(self.val ** n, _product(self.grad, d))
+        return Jet(self.val ** n, _product(g, d))
 
     def __repr__(self):
         return f"Jet({self.val!r}, grad={self.grad!r})"
+
+
+def _exactly(c, k) -> bool:
+    """``c`` is a Python or numpy scalar number equal to ``k``; arrays and
+    jets never are."""
+    return isinstance(c, (int, float, complex, np.number)) and c == k
 
 
 def _product(a, b):

@@ -19,7 +19,9 @@ from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
                                   leaf_chart, nijenhuis_operator, p0_complex,
                                   p1_complex, restrict_to_leaf,
                                   separation_map, x_fields_complex)
+from haantjeskit.report import matches, sampled
 from haantjeskit.sampling import sample_points
+from haantjeskit.torsion import is_nijenhuis
 from haantjeskit.suites import LEAF_C1, LEAF_C4
 
 from conftest import fd_gradient, fd_jacobian, point, points_of
@@ -419,3 +421,46 @@ def test_scale_field_reads_coefficient_once_per_evaluation(chart3, sample3):
             calls.clear()
             evaluate(p)
             assert len(calls) == 1, (type(f).__name__, evaluate)
+
+
+def _count_jets(monkeypatch):
+    """A list that grows by one for every jet built from now on."""
+    built = []
+    init = jets.Jet.__init__
+
+    def counting(self, val, grad):
+        built.append(1)
+        init(self, val, grad)
+
+    monkeypatch.setattr(jets.Jet, "__init__", counting)
+    return built
+
+
+def test_identity_operator_builds_no_jet(chart3, sample3, monkeypatch):
+    """The zero entries of the identity multiply to the number 0, and its
+    ones return the component itself, so reading ``I X`` builds exactly the
+    jets that reading ``X`` builds."""
+    X = VectorField(chart3, lambda x: [x[0] * x[1], x[2], x[0] + 1.0])
+    IX = apply_operator(identity_operator(chart3), X)
+    built = _count_jets(monkeypatch)
+    counts = []
+    for f in (X, IX):
+        built.clear()
+        vals, grads = f.jet(sample3)
+        counts.append(len(built))
+        assert np.array_equal(vals, X(sample3))
+        assert np.array_equal(grads, X.jacobian(sample3))
+    assert counts[0] == counts[1]
+
+
+def test_nan_is_not_absorbed_by_exact_constants(chart3, sample3):
+    """A zero entry drops the NaN of its factor, but the other entries
+    still carry it, so a check on the field does not pass."""
+    w = np.ones(len(sample3))
+    w[4] = np.nan
+    X = VectorField(chart3, lambda x: [x[0] * w, x[1], x[2]])
+    L = OperatorField(chart3, lambda x: [[c * e for e in (1.0, 0.0, 0.0)]
+                                         for c in X.fn(x)])
+    IX = apply_operator(identity_operator(chart3), X)
+    assert not is_nijenhuis(L, sample3).passed
+    assert not sampled(sample3, matches(X, IX), 1e-12).passed

@@ -173,3 +173,34 @@ def test_products_round_the_same_in_either_order():
         q = xv @ (G @ xv)
         assert np.all(q.val == 0.0)
         assert np.all(q.grad == 0.0)
+
+
+def _one_of_each_kind():
+    """A plain, a seeded and a nested jet over a sample of two points."""
+    cols = list(np.array([[1.0 + 2.0j, -0.5], [3.0, 0.25j]]))
+    return {"plain": jets.lift(cols)[0], "seeded": jets.seed(cols)[0],
+            "nested": jets.seed(jets.seed(cols))[0]}
+
+
+@pytest.mark.parametrize("kind", ["plain", "seeded", "nested"])
+def test_exact_constants_do_no_array_work(kind):
+    """A product with an exact 0 is the number 0.0; a product with an exact
+    1, and a sum or difference with an exact 0, is the jet itself.  Arrays
+    are never exact constants."""
+    x = _one_of_each_kind()[kind]
+    for zero in (0, 0.0, 0j, np.float64(0)):
+        for product in (x * zero, zero * x):
+            assert type(product) is float and product == 0.0, repr(zero)
+        assert x + zero is x and zero + x is x and x - zero is x
+    for one in (1, 1.0):
+        assert x * one is x and one * x is x
+    assert isinstance(x * np.zeros(2), Jet)
+    assert isinstance(x + np.zeros(2), Jet)
+
+
+def test_plain_jets_never_compute_on_their_gradient():
+    x = _one_of_each_kind()["plain"]
+    y = jets.lift([np.array([2.0, 5.0j])])[0]
+    for result in (-x, x - y, 2.0 - x, x * 3.0, x / 3.0, 3.0 / x, x / y,
+                   x ** 0, x ** 2):
+        assert result.grad is x.grad
