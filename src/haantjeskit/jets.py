@@ -31,8 +31,8 @@ and a non-finite factor is dropped rather than turned into NaN (``verify``
 raises on a non-finite value before it can meet a constant).  A product with
 an exact 1, and a sum or difference with an exact 0, is the jet itself.  So
 the sparse operators and bivectors of a chart change (``J @ L @ Jinv``,
-``J @ P @ J.T``) build no jet for a zero entry.  Nor does a plain value ever
-compute on its empty gradient.
+``J @ P @ J.T``) build no jet for a zero entry.  A plain jet never computes
+on its empty gradient.
 """
 
 from __future__ import annotations

@@ -37,7 +37,8 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
     :func:`lagrange_vector_field`, and the recorded invariants are those of
     :func:`integrals` and :func:`hamiltonians`, evaluated on the state
     columns.  Raises :class:`FlowBlowupError` carrying the last valid time
-    when the state stops being finite.
+    when the state stops being finite, and :class:`MemoryError` when the
+    trajectory does not fit in memory.
     """
     if dt <= 0:
         raise ValueError("step size must be positive")
@@ -50,7 +51,12 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
     if y0.shape != (6,):
         raise ValueError("initial state must have six components")
     n_steps = int(round(t_max / dt))
-    states = np.empty((n_steps + 1, 6))
+    try:
+        states = np.empty((n_steps + 1, 6))
+    except ValueError:
+        # numpy refuses a shape beyond its index range before allocating
+        raise MemoryError(f"{n_steps + 1} states do not fit in memory") \
+            from None
     states[0] = y0
     # The steps run on Python floats, in the order of operations of the
     # array form y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); a float overflow

@@ -186,17 +186,25 @@ class MagriChain:
 
 def build_chain_oneforms(generators, H: ScalarField, sample,
                          tol: float = 1e-9) -> MagriChain:
-    """Elements ``K_i^T dH`` with pointwise-closedness residuals."""
+    """Elements ``K_i^T dH`` with pointwise-closedness residuals.
+
+    The terms of ``J = d(K^T dH)`` can cancel, so the scale is the
+    backward-error bound ``1 + |J| + |dK| |dH| + |K| |d^2 H|``, not
+    ``1 + |J|``."""
     if len(sample) == 0:
         raise ValueError("empty sample")
     dH = differential(H)
     elements = [apply_transpose(K, dH) for K in generators]
 
-    def closedness(el):
+    def closedness(K, el):
         def at(p):
             J = el.jacobian(p)  # d(el) = J^T - J
-            return _max_abs(J.swapaxes(-1, -2) - J), 1.0 + _max_abs(J)
+            Kc, Kd = K.jet(p)
+            h, hd = dH.jet(p)
+            return (_max_abs(J.swapaxes(-1, -2) - J),
+                    1.0 + _max_abs(J) + _max_abs(Kd) * _max_abs(h)
+                    + _max_abs(Kc) * _max_abs(hd))
         return at
 
-    return MagriChain(elements, [sampled(sample, closedness(el), tol)
-                                 for el in elements])
+    return MagriChain(elements, [sampled(sample, closedness(K, el), tol)
+                                 for K, el in zip(generators, elements)])

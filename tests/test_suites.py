@@ -136,6 +136,14 @@ def test_euler_poisson_passes_at_tiny_inertia_ratio():
     assert report.ok, [ch.id for ch in report.failed]
 
 
+def test_euler_poisson_passes_at_huge_inertia_ratio():
+    """At c = 1e6 the terms of d(K^T dH) cancel to a residual far above
+    1 + |J| times the tolerance; the closedness scale covers the terms,
+    |dK| |dH| + |K| |d^2 H|, so the one-form chain still passes."""
+    report = run_suite("euler-poisson", SuiteConfig(points=20, c=1e6))
+    assert report.ok, [ch.id for ch in report.failed]
+
+
 def test_all_suite_prefixes_ids():
     report = run_suite("all", SuiteConfig(points=5))
     prefixes = {c.id.split(".", 1)[0] for c in report.checks}
