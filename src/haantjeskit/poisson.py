@@ -188,9 +188,10 @@ def build_chain_oneforms(generators, H: ScalarField, sample,
                          tol: float = 1e-9) -> MagriChain:
     """Elements ``K_i^T dH`` with pointwise-closedness residuals.
 
-    The terms of ``J = d(K^T dH)`` can cancel, so the scale is the
-    backward-error bound ``1 + |J| + |dK| |dH| + |K| |d^2 H|``, not
-    ``1 + |J|``."""
+    The terms of ``J = d(K^T dH)`` can cancel, so the scale is not
+    ``1 + |J|`` but the backward-error bound
+    ``1 + |J| + |dK| |dH| + |K| |d^2 H|``, its products summed entry by
+    entry as the terms of ``J`` are (the componentwise bound)."""
     if len(sample) == 0:
         raise ValueError("empty sample")
     dH = differential(H)
@@ -201,9 +202,11 @@ def build_chain_oneforms(generators, H: ScalarField, sample,
             J = el.jacobian(p)  # d(el) = J^T - J
             Kc, Kd = K.jet(p)
             h, hd = dH.jet(p)
+            # J[i, k] = sum_j d_k K[j, i] h[j] + K[j, i] d_k h[j]
+            terms = (np.einsum("sjik,sj->sik", abs(Kd), abs(h))
+                     + np.einsum("sji,sjk->sik", abs(Kc), abs(hd)))
             return (_max_abs(J.swapaxes(-1, -2) - J),
-                    1.0 + _max_abs(J) + _max_abs(Kd) * _max_abs(h)
-                    + _max_abs(Kc) * _max_abs(hd))
+                    1.0 + _max_abs(J) + _max_abs(terms))
         return at
 
     return MagriChain(elements, [sampled(sample, closedness(K, el), tol)
