@@ -21,8 +21,8 @@ from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
                                   separation_map, x_fields_complex)
 from haantjeskit.report import matches, sampled
 from haantjeskit.sampling import sample_points
-from haantjeskit.torsion import is_nijenhuis
 from haantjeskit.suites import LEAF_C1, LEAF_C4
+from haantjeskit.torsion import is_nijenhuis
 
 from conftest import fd_gradient, fd_jacobian, point, points_of
 
@@ -423,8 +423,12 @@ def test_scale_field_reads_coefficient_once_per_evaluation(chart3, sample3):
             assert len(calls) == 1, (type(f).__name__, evaluate)
 
 
-def _count_jets(monkeypatch):
-    """A list that grows by one for every jet built from now on."""
+def test_identity_operator_builds_no_jet(chart3, sample3, monkeypatch):
+    """The zero entries of the identity multiply to the number 0, and its
+    ones return the component itself, so reading ``I X`` builds exactly the
+    jets that reading ``X`` builds."""
+    X = VectorField(chart3, lambda x: [x[0] * x[1], x[2], x[0] + 1.0])
+    IX = apply_operator(identity_operator(chart3), X)
     built = []
     init = jets.Jet.__init__
 
@@ -433,16 +437,6 @@ def _count_jets(monkeypatch):
         init(self, val, grad)
 
     monkeypatch.setattr(jets.Jet, "__init__", counting)
-    return built
-
-
-def test_identity_operator_builds_no_jet(chart3, sample3, monkeypatch):
-    """The zero entries of the identity multiply to the number 0, and its
-    ones return the component itself, so reading ``I X`` builds exactly the
-    jets that reading ``X`` builds."""
-    X = VectorField(chart3, lambda x: [x[0] * x[1], x[2], x[0] + 1.0])
-    IX = apply_operator(identity_operator(chart3), X)
-    built = _count_jets(monkeypatch)
     counts = []
     for f in (X, IX):
         built.clear()

@@ -22,8 +22,8 @@ RESCALED = {
     # scale 1 + |X| + max_k |P_k| |dh_k|, the backward-error bound of P dh,
     # in place of 1 + |X|
     "euler-poisson.tri_hamiltonian",
-    # scale 1 + |J| + |dK| |dH| + |K| |d^2 H|, the backward-error bound of
-    # J = d(K^T dH), in place of 1 + |J|
+    # scale 1 + |J| + |dK| |dH| + |K| |d^2 H|, summed entry by entry, the
+    # backward-error bound of J = d(K^T dH), in place of 1 + |J|
     "euler-poisson.oneform_chain_closed",
 }
 
