@@ -50,6 +50,8 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (6,):
         raise ValueError("initial state must have six components")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("initial state must be finite")
     n_steps = int(round(t_max / dt))
     try:
         states = np.empty((n_steps + 1, 6))
@@ -58,21 +60,35 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
         raise MemoryError(f"{n_steps + 1} states do not fit in memory") \
             from None
     states[0] = y0
-    # The steps run on Python floats, in the order of operations of the
-    # array form y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); a float overflow
-    # gives inf, never an exception, and ends in the finiteness check.
-    y = y0.tolist()
+    # Each step unpacks the state into six Python floats and hands the
+    # right-hand side 6-tuples built from them, in the order of operations
+    # of the array form: y + (dt/2) k, y + dt k3 and
+    # y + (dt/6) (((k1 + 2 k2) + 2 k3) + k4).  A float overflow gives inf,
+    # never an exception, and ends in the finiteness check.
+    y1, y2, y3, y4, y5, y6 = y0.tolist()
     half, sixth = 0.5 * dt, dt / 6.0
+    isfinite = math.isfinite
     for k in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs([a + half * b for a, b in zip(y, k1)])
-        k3 = rhs([a + half * b for a, b in zip(y, k2)])
-        k4 = rhs([a + dt * b for a, b in zip(y, k3)])
-        y = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, y)):
+        a1, a2, a3, a4, a5, a6 = rhs((y1, y2, y3, y4, y5, y6))
+        b1, b2, b3, b4, b5, b6 = rhs((y1 + half * a1, y2 + half * a2,
+                                      y3 + half * a3, y4 + half * a4,
+                                      y5 + half * a5, y6 + half * a6))
+        c1, c2, c3, c4, c5, c6 = rhs((y1 + half * b1, y2 + half * b2,
+                                      y3 + half * b3, y4 + half * b4,
+                                      y5 + half * b5, y6 + half * b6))
+        d1, d2, d3, d4, d5, d6 = rhs((y1 + dt * c1, y2 + dt * c2,
+                                      y3 + dt * c3, y4 + dt * c4,
+                                      y5 + dt * c5, y6 + dt * c6))
+        y1 += sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+        y2 += sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+        y3 += sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+        y4 += sixth * (((a4 + 2.0 * b4) + 2.0 * c4) + d4)
+        y5 += sixth * (((a5 + 2.0 * b5) + 2.0 * c5) + d5)
+        y6 += sixth * (((a6 + 2.0 * b6) + 2.0 * c6) + d6)
+        if not (isfinite(y1) and isfinite(y2) and isfinite(y3)
+                and isfinite(y4) and isfinite(y5) and isfinite(y6)):
             raise FlowBlowupError(k * dt)
-        states[k + 1] = y
+        states[k + 1] = (y1, y2, y3, y4, y5, y6)
     times = np.arange(n_steps + 1) * dt
     columns = list(states.T)
     recorded = [*integrals(params).values(), *hamiltonians(params)]

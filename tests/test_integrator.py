@@ -1,6 +1,8 @@
 """Flow integration: invariant drift, convergence order, blow-up handling
 and CSV output."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,12 @@ def test_input_validation():
         integrate_flow(params, np.zeros(5), 1e-3, 1.0)
     with pytest.raises(ValueError):  # t_max / dt overflows to infinity
         integrate_flow(params, Y0, 1e-300, 1e300)
+    for bad in (np.nan, np.inf, -np.inf):
+        y0 = Y0.copy()
+        y0[3] = bad
+        for t_max in (0.0, 1.0):
+            with pytest.raises(ValueError, match="finite"):
+                integrate_flow(params, y0, 1e-3, t_max)
 
 
 def test_blowup_reported_with_last_time():
@@ -58,6 +66,35 @@ def test_blowup_reported_with_last_time():
     with pytest.raises(FlowBlowupError) as exc:
         integrate_flow(TopParams(), Y0 * 1e150, 1e3, 1e6)
     assert exc.value.t_last >= 0.0
+
+
+def test_blowup_time_is_last_finite_state():
+    """A step far beyond RK4's stability bound grows the state until it
+    overflows after several steps; ``t_last`` is the time of the last
+    finite state of the array-form reference."""
+    params, dt = TopParams(), 2.5
+    with pytest.raises(FlowBlowupError) as exc:
+        integrate_flow(params, Y0, dt, 40 * dt)
+    states = _array_rk4(params, Y0, dt, 40)
+    last = max(k for k, y in enumerate(states) if np.all(np.isfinite(y)))
+    assert last > 3
+    assert exc.value.t_last == last * dt
+
+
+def _array_rk4(params, y0, dt, steps):
+    """Classical RK4 on arrays, the step to step reference of the float
+    loop; a step that overflows leaves inf or nan without a warning."""
+    rhs = lagrange_vector_field(params).fn
+    y, states = np.array(y0, dtype=float), []
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            states.append(y)
+            k1 = np.array(rhs(y))
+            k2 = np.array(rhs(y + 0.5 * dt * k1))
+            k3 = np.array(rhs(y + 0.5 * dt * k2))
+            k4 = np.array(rhs(y + dt * k3))
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return states + [y]
 
 
 def test_csv_output(tmp_path):
@@ -97,3 +134,14 @@ def test_float_steps_equal_array_reference_bit_for_bit(c):
     assert np.array_equal(traj.states, np.array(states))
     assert np.array_equal(traj.times, np.array([k * dt
                                                 for k in range(steps + 1)]))
+
+
+def test_states_bit_for_bit_at_benchmark_length():
+    """20 000 steps, as many as one ``integrate`` call of the benchmark,
+    give the frozen states bit for bit.  The states are plain float
+    arithmetic, so the digest is portable; the invariants go through numpy
+    and can round differently between machines, so they are not hashed."""
+    traj = integrate_flow(TopParams(c=2.0), Y0, 1e-3, 20.0)
+    assert traj.states.shape == (20001, 6)
+    assert hashlib.sha256(traj.states.tobytes()).hexdigest() == (
+        "f9de4a355b4a2755e6f35e7559d1a1b0bc658d4ccc532c30e52be8e7ed1fc1a7")

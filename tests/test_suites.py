@@ -35,7 +35,7 @@ def test_each_suite_passes_at_small_sample(name):
         assert c.points_sampled > 0
 
 
-@pytest.mark.parametrize("c", [0.5, 1.5, 3.0, 10.0, 100.0])
+@pytest.mark.parametrize("c", [1e-6, 0.5, 1.5, 3.0, 10.0, 100.0])
 def test_checks_pass_across_inertia_ratios(c):
     report = run_suite("all", SuiteConfig(points=4, c=c))
     assert report.ok, [ch.id for ch in report.failed]
