@@ -10,7 +10,7 @@ import numpy as np
 
 from .charts import (OperatorField, Point, ScalarField, add_fields,
                      compose_operators, scale_field)
-from .report import SampledResidual, _max_abs, merge, sampled
+from .report import SampledResidual, _max_abs, sampled, worst
 from .torsion import is_haantjes
 
 __all__ = [
@@ -151,11 +151,11 @@ def verify_algebra(generators, sample, module_coeffs,
              for b in generators[i:]]
     f, g = module_coeffs
     return HaantjesAlgebra(
-        haantjes=merge(is_haantjes(K, sample, tol) for K in generators),
+        haantjes=worst(is_haantjes(K, sample, tol) for K in generators),
         # both orders of every pair, each composite judged once
-        ring=merge(is_haantjes(compose_operators(a, b), sample, tol)
+        ring=worst(is_haantjes(compose_operators(a, b), sample, tol)
                    for a in generators for b in generators),
-        abelian=merge(check_abelian(a, b, sample)
+        abelian=worst(check_abelian(a, b, sample)
                       for a, b in itertools.combinations(generators, 2)),
-        module=merge(check_module_condition(a, b, f, g, sample, tol)
+        module=worst(check_module_condition(a, b, f, g, sample, tol)
                      for a, b in pairs))

@@ -47,18 +47,19 @@ def jacobi_residual(P: BivectorField, p: Point) -> np.ndarray:
 
 def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
                    tol_deriv: float = 1e-9) -> PoissonStructure:
-    """Skew residual against ``1+m`` and Jacobi residual against
-    ``(1+m)(1+d)``, with ``m`` and ``d`` the sample-wide maxima of ``|P|``
-    and ``|dP|``."""
-    def at(p):
-        Pc, Pd = P.jet(p)
-        return (_max_abs(Pc + Pc.swapaxes(-1, -2)), _jacobi(Pc, Pd),
-                _max_abs(Pc),
-                _max_abs(Pd))
+    """Skew residual against ``1+|P|`` and Jacobi residual against
+    ``(1+|P|)(1+|dP|)``, each at its own point; the skew check reads ``P``
+    alone, the Jacobi check its one jet."""
+    def skew(p):
+        Pc = P(p)
+        return _max_abs(Pc + Pc.swapaxes(-1, -2)), 1.0 + _max_abs(Pc)
 
-    return PoissonStructure(*sampled(
-        sample, at, (tol_exact, tol_deriv),
-        scale=lambda m, d: (1.0 + m, (1.0 + m) * (1.0 + d))))
+    def jacobi(p):
+        Pc, Pd = P.jet(p)
+        return _jacobi(Pc, Pd), (1.0 + _max_abs(Pc)) * (1.0 + _max_abs(Pd))
+
+    return PoissonStructure(sampled(sample, skew, tol_exact),
+                            sampled(sample, jacobi, tol_deriv))
 
 
 def poisson_bracket(P: BivectorField, f: ScalarField, g: ScalarField,

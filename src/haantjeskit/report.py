@@ -2,10 +2,10 @@
 
 An identity is judged over a sample by one primitive, :func:`sampled`: a
 function of the whole sample returns the residual at each point and the
-magnitudes that set the scale, the primitive takes the maximum of each over
-the sample, and the result is a :class:`SampledResidual`.  Named checks carry
-the residual, the scaled tolerance and a pass/fail/finding status, and
-serialize to deterministic JSON.
+magnitudes that set that point's scale, each point is judged against its
+own scale, and the result is a :class:`SampledResidual` at the worst point.
+Named checks carry that point's residual, the tolerance scaled to it and a
+pass/fail/finding status, and serialize to deterministic JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SampledResidual", "sampled", "matches", "merge", "worst",
+__all__ = ["SampledResidual", "sampled", "matches", "worst",
            "Check", "VerificationReport", "check_from_residual",
            "identity_check"]
 
@@ -37,12 +37,13 @@ STATUS_FINDING = "finding"
 
 @dataclass(frozen=True)
 class SampledResidual:
-    """Outcome of a sampled identity check.
+    """Outcome of a sampled identity check at its worst point, the one
+    with the largest ``residual / scale``.
 
-    ``residual`` is the raw maximum over the sample; the identity counts as
-    satisfied when ``residual <= tolerance * scale``, where ``scale`` grows
-    with the magnitude of the inputs entering the identity (1 for checks on
-    bounded data).  A NaN residual or scale never passes.
+    ``scale`` grows with the magnitude of the inputs entering the identity
+    at that point (1 for checks on bounded data); the identity holds when
+    ``residual / scale <= tolerance``.  A NaN residual or scale never
+    passes, nor does an infinite residual at an infinite scale.
     """
 
     residual: float
@@ -56,7 +57,7 @@ class SampledResidual:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.effective_tolerance
+        return self.residual / self.scale <= self.tolerance
 
 
 def _max_abs(*values):
@@ -68,43 +69,44 @@ def _max_abs(*values):
         for v in values))
 
 
-def sampled(sample, at, tol, scale=None):
-    """Judge an identity over a sample.
+def sampled(sample, at, tol):
+    """Judge an identity over a sample, every point against its own scale.
 
     ``at(sample)`` returns the residual at each point followed by the
-    magnitudes that set the scale, each an array with one entry per point
-    (or a number, the same at every point).  It is called once per block
-    of at most ``BLOCK`` points, so once for most samples.  Each entry is
-    maximized over the sample, and a NaN in any of them propagates into the
-    result, so the check fails.  The scale follows one of two rules:
-
-    * ``scale=None``, maximum of a pointwise scale: ``at`` returns
-      ``(residual, s1, s2, ...)`` and the scale is the largest of 1 and
-      every ``sk`` over the sample;
-    * ``scale=f``, function of sample-wide maxima: ``at`` returns
-      ``(residual, m1, m2, ...)`` and the scale is ``f(M1, M2, ...)`` with
-      ``Mk`` the maximum of ``mk`` over the sample.
+    magnitudes that set the scale, ``(residual, s1, s2, ...)``, each an
+    array with one entry per point (or a number, the same at every point).
+    It is called once per block of at most ``BLOCK`` points, so once for
+    most samples.  The scale at a point is the largest of 1 and every
+    ``sk`` there.  The check passes when ``residual / scale <= tol`` at
+    every point, and the result holds the residual and the scale of the
+    worst point.  A NaN residual or magnitude at any point is the worst
+    point, so the check fails.
 
     Several residuals read from one evaluation pass are judged together by
     passing a tuple of tolerances: ``at`` then returns that many residuals
-    before the magnitudes, ``scale`` (if given) returns that many scales,
-    and a tuple of results comes back.  Under the pointwise rule they share
-    the one scale.
+    before the magnitudes, each is judged against the one pointwise scale,
+    and a tuple of results comes back.
     """
     if len(sample) == 0:
         raise ValueError("empty sample")
     many = isinstance(tol, tuple)
     tols = tol if many else (tol,)
     k = len(tols)
-    top = np.max([[float(np.max(v)) for v in at(sample[i:i + BLOCK])]
-                  for i in range(0, len(sample), BLOCK)], axis=0).tolist()
-    if scale is None:
-        scales = [float(np.maximum(1.0, np.max(top[k:])))] * k
-    else:
-        scales = scale(*top[k:]) if many else [scale(*top[k:])]
-    out = tuple(SampledResidual(r, t, s, len(sample))
-                for r, t, s in zip(top[:k], tols, scales))
+    blocks = []  # the worst point of each block, for each residual
+    for i in range(0, len(sample), BLOCK):
+        values = at(sample[i:i + BLOCK])
+        scale = np.maximum(1.0, functools.reduce(np.maximum, values[k:]))
+        for r, t in zip(values[:k], tols):
+            j = np.argmax(r / scale / t)  # the key of `worst`; a NaN first
+            blocks.append(SampledResidual(_entry(r, j), t, _entry(scale, j),
+                                          len(sample)))
+    out = tuple(worst(blocks[j::k]) for j in range(k))
     return out if many else out[0]
+
+
+def _entry(v, j) -> float:
+    """The ``j``-th point's entry of a per-point array or a number."""
+    return float(v[j] if np.ndim(v) else v)
 
 
 def matches(G, *Fs):
@@ -118,22 +120,17 @@ def matches(G, *Fs):
     return at
 
 
-def merge(results, points: int | None = None) -> SampledResidual:
-    """Several results judged at one tolerance as one: the largest residual
-    against the largest scale.  ``points`` defaults to the first result's
-    sample size."""
-    results = list(results)
-    first = results[0]
-    return SampledResidual(
-        float(np.max([r.residual for r in results])), first.tolerance,
-        float(np.max([r.scale for r in results])),
-        first.points if points is None else points)
+def worst(results, points: int | None = None) -> SampledResidual:
+    """The result with the largest ``residual / (tolerance * scale)``, so a
+    whole passes only when every part does; a NaN counts as the largest,
+    and of equal ones the first is taken.  ``points`` replaces its sample
+    size, as when the parts are samples of their own."""
+    def margin(r):
+        m = r.residual / r.scale / r.tolerance
+        return (m != m, m)
 
-
-def worst(results) -> SampledResidual:
-    """The result with the largest residual, judged at its own scale; a NaN
-    residual counts as the largest."""
-    return max(results, key=lambda r: (r.residual != r.residual, r.residual))
+    out = max(results, key=margin)
+    return out if points is None else dataclasses.replace(out, points=points)
 
 
 @dataclass(frozen=True)
@@ -168,8 +165,8 @@ def check_from_residual(check_id: str, description: str, reference: str,
 
 def identity_check(check_id: str, description: str, reference: str, sample,
                    at, tol: float, finding: bool = False) -> Check:
-    """A check straight from an identity: :func:`sampled` over ``sample``
-    with the pointwise scale rule, then :func:`check_from_residual`."""
+    """A check straight from an identity: :func:`sampled` over ``sample``,
+    then :func:`check_from_residual`."""
     return check_from_residual(check_id, description, reference,
                                sampled(sample, at, tol), finding)
 

@@ -28,8 +28,8 @@ from .poisson import (_lie_bivector, _r_tensor, build_chain_oneforms,
                       check_compatibility, check_skew_compositions,
                       hamiltonian_field, verify_poisson)
 from .report import (VerificationReport, _max_abs as _mag,
-                     check_from_residual, identity_check, matches, merge,
-                     sampled, worst)
+                     check_from_residual, identity_check, matches, sampled,
+                     worst)
 from .sampling import sample_points
 from .torsion import (_haantjes_components, _nijenhuis_components,
                       is_haantjes, is_nijenhuis, nijenhuis_torsion)
@@ -228,7 +228,7 @@ def suite_torsion(cfg: SuiteConfig) -> list:
         "diagonal_haantjes",
         "random smooth diagonal operators in dimensions 2-4 have vanishing "
         "Haantjes torsion", "H(diag) = 0",
-        merge(diagonal, points=sum(sr.points for sr in diagonal))))
+        worst(diagonal, points=sum(sr.points for sr in diagonal))))
 
     chart2 = Chart("aux2", 2)
     sample2 = sample_points(chart2, cfg.points, cfg.seed + 7)

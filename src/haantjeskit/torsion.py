@@ -2,9 +2,10 @@
 
 Both torsions are evaluated over a sample from the first-order local
 formulas, the sample axis first; no symbolic machinery is involved.  "Is a
-Nijenhuis/Haantjes operator" is therefore a sampled statement: the result
-always carries the sample size, the maximum residual and the magnitude
-scale the residual was compared against.
+Nijenhuis/Haantjes operator" is therefore a sampled statement: each point's
+torsion is judged against the magnitudes of ``L`` and ``dL`` at that point,
+and the result carries the sample size and the residual and scale of the
+worst point.
 """
 
 from __future__ import annotations
@@ -58,24 +59,23 @@ def haantjes_torsion(L: OperatorField, p: Point) -> np.ndarray:
 
 
 def _sampled_torsion(L: OperatorField, sample, tol: float, components,
-                     scale) -> SampledResidual:
-    """Max torsion over the sample against ``scale(m, d)``, with ``m`` and
-    ``d`` the sample-wide maxima of ``|L|`` and ``|dL|``; ``L`` and its
-    jacobian come from one jet pass over the sample."""
+                     power: int) -> SampledResidual:
+    """Torsion at each point against ``(1+|L|)^power (1+|dL|)`` there, the
+    magnitude of the terms of the local formula; ``L`` and its jacobian
+    come from one jet pass over the sample."""
     def at(p):
         Lc, Ld = L.jet(p)
-        return _max_abs(components(Lc, Ld)), _max_abs(Lc), _max_abs(Ld)
+        return (_max_abs(components(Lc, Ld)),
+                (1.0 + _max_abs(Lc)) ** power * (1.0 + _max_abs(Ld)))
 
-    return sampled(sample, at, tol, scale)
+    return sampled(sample, at, tol)
 
 
 def is_nijenhuis(L: OperatorField, sample, tol: float = 1e-9) -> SampledResidual:
-    """Max Nijenhuis-torsion residual over the sample, scaled by the
-    magnitude of the terms of the local formula."""
-    return _sampled_torsion(L, sample, tol, _nijenhuis_components,
-                            lambda m, d: (1.0 + m) * (1.0 + d))
+    """Nijenhuis torsion, each point against ``(1+|L|)(1+|dL|)`` there."""
+    return _sampled_torsion(L, sample, tol, _nijenhuis_components, 1)
 
 
 def is_haantjes(L: OperatorField, sample, tol: float = 1e-9) -> SampledResidual:
-    return _sampled_torsion(L, sample, tol, _haantjes_components,
-                            lambda m, d: (1.0 + m) ** 3 * (1.0 + d))
+    """Haantjes torsion, each point against ``(1+|L|)^3(1+|dL|)`` there."""
+    return _sampled_torsion(L, sample, tol, _haantjes_components, 3)

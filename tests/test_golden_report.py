@@ -15,17 +15,6 @@ import pytest
 from haantjeskit.suites import SuiteConfig, run_suite
 
 DATA = Path(__file__).resolve().parent / "data"
-# Checks whose scale was changed on purpose after the files were frozen.
-# The new scale bounds the old one from above, so their tolerance may only
-# have grown; id, status, sample size and residual are held as for the rest.
-RESCALED = {
-    # scale 1 + |X| + max_k |P_k| |dh_k|, the backward-error bound of P dh,
-    # in place of 1 + |X|
-    "euler-poisson.tri_hamiltonian",
-    # scale 1 + |J| + |dK| |dH| + |K| |d^2 H|, summed entry by entry, the
-    # backward-error bound of J = d(K^T dH), in place of 1 + |J|
-    "euler-poisson.oneform_chain_closed",
-}
 
 
 @pytest.mark.parametrize("c", [2.0, 3.0])
@@ -39,9 +28,7 @@ def test_report_matches_frozen(c):
     for g, w in zip(got["checks"], want["checks"]):
         assert (g["status"], g["points_sampled"]) == \
             (w["status"], w["points_sampled"]), g["id"]
-        if g["id"] in RESCALED:
-            assert g["tolerance"] >= w["tolerance"], g["id"]
-        else:
-            assert g["tolerance"] == pytest.approx(w["tolerance"], rel=1e-9)
+        assert g["tolerance"] == pytest.approx(w["tolerance"], rel=1e-9), \
+            g["id"]
         assert g["max_residual"] == pytest.approx(
             w["max_residual"], rel=1e-6, abs=1e-3 * w["tolerance"]), g["id"]

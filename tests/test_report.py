@@ -1,16 +1,17 @@
-"""The sampled-identity primitive: maxima over the sample, the two scale
-rules, several residuals from one pass, NaN propagation, and the ways
+"""The sampled-identity primitive: every point judged against its own
+scale, several residuals from one pass, NaN propagation, and the one way
 results are combined."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haantjeskit import Chart, OperatorField, is_haantjes, sample_points
 from haantjeskit.jets import value
 from haantjeskit.report import (BLOCK, SampledResidual, identity_check,
-                                matches, merge, sampled, worst)
+                                matches, sampled, worst)
 
 NAN = float("nan")
 # The primitive only takes the sample's length and hands the sample to the
@@ -38,13 +39,6 @@ def test_pointwise_scale_over_several_magnitudes():
     assert sr.scale == 5.0
 
 
-def test_sample_wide_scale_is_a_function_of_the_maxima():
-    # pointwise products would peak at 4; the maxima give (1 + 2)(1 + 2)
-    sr = sampled(SAMPLE, lambda p: (0.0, p, 2.0 - p), 1e-9,
-                 scale=lambda m, d: (1.0 + m) * (1.0 + d))
-    assert sr.scale == 9.0
-
-
 def test_several_residuals_from_one_pass():
     seen = []
 
@@ -57,9 +51,9 @@ def test_several_residuals_from_one_pass():
     assert len(seen) == 1 and np.array_equal(seen[0], SAMPLE)
     assert (a.residual, a.tolerance, a.scale) == (2.0, 1.0, 10.0)
     assert (b.residual, b.tolerance, b.scale) == (4.0, 2.0, 10.0)
-    m, d = sampled(SAMPLE, lambda p: (p, -p, 1.0), (1.0, 1.0),
-                   scale=lambda s: (s, 2.0 * s))
-    assert (m.scale, d.scale) == (1.0, 2.0)
+    # each residual has its own worst point against the shared scale
+    c, d = sampled(SAMPLE, lambda p: (3.0 - p, p, 1.0 + p), (1.0, 1.0))
+    assert (c.residual, c.scale, d.residual, d.scale) == (3.0, 1.0, 2.0, 3.0)
 
 
 def test_large_sample_is_judged_in_blocks():
@@ -97,12 +91,12 @@ def test_nan_residual_fails_at_any_point(where):
     assert identity_check("x", "", "", SAMPLE, at, 1e-9).status == "fail"
 
 
-@pytest.mark.parametrize("scale", [None, lambda m: 1.0 + m])
-def test_nan_magnitude_fails(scale):
-    sr = sampled(SAMPLE, lambda p: (0.0, np.where(p == 1, NAN, 1.0)), 1e-9,
-                 scale)
+def test_nan_magnitude_fails():
+    sr = sampled(SAMPLE, lambda p: (0.0, np.where(p == 1, NAN, 1.0)), 1e-9)
     assert math.isnan(sr.scale)
     assert not sr.passed
+    # an overflow: an infinite residual at an infinite scale
+    assert not SampledResidual(math.inf, 1e-9, math.inf, 3).passed
 
 
 def test_is_haantjes_nan_at_later_point_fails():
@@ -143,14 +137,53 @@ def test_matches_nan_in_any_field_fails(bad, where):
     assert identity_check("x", "", "", SAMPLE, at, 1e-9).status == "fail"
 
 
-def test_merge_takes_largest_residual_and_scale():
-    a = SampledResidual(1e-12, 1e-9, 5.0, 3)
-    b = SampledResidual(1e-10, 1e-9, 2.0, 3)
-    m = merge([a, b])
-    assert (m.residual, m.tolerance, m.scale, m.points) == \
-        (1e-10, 1e-9, 5.0, 3)
-    assert merge([a, b], points=6).points == 6
-    assert not merge([a, SampledResidual(NAN, 1e-9, 1.0, 3)]).passed
+def test_large_scale_at_one_point_does_not_cover_another():
+    """A residual that fails at its own point fails the check, whatever
+    scale another point of the sample has, in the same block or not."""
+    def at(p):
+        return np.where(p == 0, 5e-9, 0.0), np.where(p == 1, 1e3, 1.0)
+
+    sr = sampled(SAMPLE[:2], at, 1e-9)
+    assert (sr.residual, sr.scale, sr.passed) == (5e-9, 1.0, False)
+    sample = np.arange(2.5 * BLOCK)
+    for bad, big in [(0, BLOCK), (2 * BLOCK + 3, 5), (BLOCK - 1, BLOCK)]:
+        sr = sampled(sample, lambda p: (np.where(p == bad, 5e-9, 0.0),
+                                        np.where(p == big, 1e6, 1.0)), 1e-9)
+        assert (sr.residual, sr.scale, sr.passed) == (5e-9, 1.0, False)
+        assert sr.points == len(sample)
+
+
+def test_worst_fails_when_any_part_fails():
+    """A passing result of larger scale does not cover a failing one."""
+    a = SampledResidual(5e-9, 1e-9, 1.0, 3)
+    b = SampledResidual(1e-8, 1e-9, 1e3, 3)
+    assert not a.passed and b.passed
+    assert worst([a, b]) is a and worst([b, a]) is a
+
+
+_ENTRY = st.one_of(st.floats(0.0, 1e3), st.just(NAN))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_ENTRY, _ENTRY), min_size=2,
+                max_size=2 * BLOCK + 5), st.data())
+def test_sample_judged_as_the_worse_of_its_halves(entries, data):
+    """Judging a sample gives the pass, residual and scale of the worse of
+    judging its two halves, wherever the cut falls."""
+    r, s = (np.array(column) for column in zip(*entries))
+    sample = np.arange(len(entries))
+    cut = data.draw(st.integers(1, len(entries) - 1))
+
+    def at(p):
+        return r[p] * 1e-9, s[p]
+
+    whole = sampled(sample, at, 1e-9)
+    halves = worst([sampled(sample[:cut], at, 1e-9),
+                    sampled(sample[cut:], at, 1e-9)])
+    assert whole.passed == halves.passed
+    np.testing.assert_equal((whole.residual, whole.scale),
+                            (halves.residual, halves.scale))
+    assert whole.points == len(sample)
 
 
 def test_worst_keeps_its_own_scale_and_prefers_nan():
@@ -159,3 +192,4 @@ def test_worst_keeps_its_own_scale_and_prefers_nan():
     n = SampledResidual(NAN, 1e-9, 1.0, 3)
     assert worst([a, b]) is b
     assert worst([a, n, b]) is n
+    assert worst([a, b], points=6) == SampledResidual(1e-10, 1e-9, 2.0, 6)

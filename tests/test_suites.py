@@ -144,6 +144,16 @@ def test_euler_poisson_passes_at_huge_inertia_ratio():
     assert report.ok, [ch.id for ch in report.failed]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open: at c = 1e6 the one-form chain fails on a "
+                   "larger sample (oneform_chain_closed 1.18e5 against "
+                   "8.98e4 at seed 5, 200 points); a fix makes this pass")
+def test_euler_poisson_one_form_chain_at_huge_inertia_ratio_larger_sample():
+    report = run_suite("euler-poisson",
+                       SuiteConfig(seed=5, points=200, c=1e6))
+    assert report.ok, [ch.id for ch in report.failed]
+
+
 def test_all_suite_prefixes_ids():
     report = run_suite("all", SuiteConfig(points=5))
     prefixes = {c.id.split(".", 1)[0] for c in report.checks}
