@@ -15,7 +15,7 @@ import numpy as np
 from .charts import (BivectorField, OneFormField, OperatorField, Point,
                      ScalarField, VectorField, _same_chart, apply_operator,
                      apply_transpose, differential)
-from .report import SampledResidual, _max_abs, sampled
+from .report import SampledResidual, _max_abs, _sliced_max, sampled
 
 __all__ = [
     "PoissonStructure", "MagriChain",
@@ -34,15 +34,15 @@ class PoissonStructure:
 
 
 def _jacobi(Pc: np.ndarray, Pd: np.ndarray) -> np.ndarray:
-    # Pd[s, i, j, l] = d_l P^{ij} at the s-th point
+    # Pd[s, i, j, l] = d_l P^{ij} at the s-th point; the cyclic sum is
+    # reduced in slices of `report.SLICE` points by `_sliced_max`
     term = np.einsum("sil,sjkl->sijk", Pc, Pd)
-    return _max_abs(term + term.transpose(0, 2, 3, 1)
-                    + term.transpose(0, 3, 1, 2))
+    return term + term.transpose(0, 2, 3, 1) + term.transpose(0, 3, 1, 2)
 
 
 def jacobi_residual(P: BivectorField, p: Point) -> np.ndarray:
     """Max over index triples of the cyclic Schouten sum, per point."""
-    return _jacobi(*P.jet(p))
+    return _sliced_max(_jacobi, *P.jet(p))
 
 
 def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
@@ -56,7 +56,8 @@ def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
 
     def jacobi(p):
         Pc, Pd = P.jet(p)
-        return _jacobi(Pc, Pd), (1.0 + _max_abs(Pc)) * (1.0 + _max_abs(Pd))
+        return (_sliced_max(_jacobi, Pc, Pd),
+                (1.0 + _max_abs(Pc)) * (1.0 + _max_abs(Pd)))
 
     return PoissonStructure(sampled(sample, skew, tol_exact),
                             sampled(sample, jacobi, tol_deriv))

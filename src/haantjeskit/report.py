@@ -21,14 +21,43 @@ __all__ = ["SampledResidual", "sampled", "matches", "worst",
            "Check", "VerificationReport", "check_from_residual",
            "identity_check"]
 
-# Points per call of a sample function.  It bounds the memory a check
-# holds at once: the torsion kernels keep a few arrays of shape
-# (N, n, n, n).  Measured with `bench/run.py --workload geometry-large`
-# (200 points) on a shared 2-vCPU Xeon VM, against 40.4 MB reading one
-# point at a time: peak RSS 41.8, 42.7 and 43.4 MB for blocks of 64, 96
-# and 128 points, at a norm_wall_s of 0.40, 0.36 and 0.29 s (3.6 s one
-# point at a time).
-BLOCK = 64
+# Points per call of a sample function, so one jet pass reads every field
+# of a check for samples up to BLOCK points.  A jet pass is mostly
+# Python-level work whose cost hardly depends on the sample size, so fewer
+# passes are faster.  Measured with `bench/run.py --workload
+# geometry-large --seconds 30` (200 points a check) on a shared 2-vCPU
+# Xeon VM, medians of 4 rotating runs at seeds 42 and 7: BLOCK = 64 gave a
+# norm_wall_s of 0.262 s and a peak RSS of 42.98 MB, BLOCK = 256 gave
+# 0.140 s and 43.35 MB, with SLICE below.
+BLOCK = 256
+
+# Points per slice of a kernel that builds arrays of shape (N, n, n, n),
+# the torsions and the Jacobi sum, reduced slice by slice in `_sliced_max`.
+# Those temporaries, beside the arrays a read holds, set a check's memory.
+# Traced with tracemalloc at 200 points of the Euler chart (n = 6), the
+# Haantjes check of K3 peaked 1.41 MB above what the suite held before it
+# with BLOCK = 64.  With BLOCK = 256 it peaked 3.83 MB above unsliced,
+# 1.96 MB with slices of 64 points and 1.47 MB with slices of 32.  On the
+# run above, BLOCK = 256 gave a peak RSS of 46.13 MB unsliced (2 runs),
+# 43.48 MB with slices of 64 and 43.35 MB with slices of 32, at the same
+# norm_wall_s.
+SLICE = 32
+
+
+def _sliced_max(kernel, *arrays):
+    """Largest absolute entry at each point of ``kernel(*arrays)``, the
+    kernel called on slices of at most ``SLICE`` points of the arrays
+    (sample axis first), so its temporaries never span more points.  The
+    kernel must act on each point alone; then the result is the same as
+    over the whole sample, bit for bit.  A sample of one slice is passed
+    as it is."""
+    n = len(arrays[0])
+    if n <= SLICE:
+        return _max_abs(kernel(*arrays))
+    return np.concatenate([
+        _max_abs(kernel(*(a[i:i + SLICE] for a in arrays)))
+        for i in range(0, n, SLICE)])
+
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -75,31 +104,34 @@ def sampled(sample, at, tol):
     ``at(sample)`` returns the residual at each point followed by the
     magnitudes that set the scale, ``(residual, s1, s2, ...)``, each an
     array with one entry per point (or a number, the same at every point).
-    It is called once per block of at most ``BLOCK`` points, so once for
-    most samples.  The scale at a point is the largest of 1 and every
-    ``sk`` there.  The check passes when ``residual / scale <= tol`` at
-    every point, and the result holds the residual and the scale of the
-    worst point.  A NaN residual or magnitude at any point is the worst
-    point, so the check fails.
+    It is called once per block of at most ``BLOCK`` points, so once, with
+    the sample itself, for most samples.  The scale at a point is the
+    largest of 1 and every ``sk`` there.  The check passes when
+    ``residual / scale <= tol`` at every point, and the result holds the
+    residual and the scale of the worst point.  A NaN residual or
+    magnitude at any point is the worst point, so the check fails.
 
     Several residuals read from one evaluation pass are judged together by
     passing a tuple of tolerances: ``at`` then returns that many residuals
     before the magnitudes, each is judged against the one pointwise scale,
     and a tuple of results comes back.
     """
-    if len(sample) == 0:
+    n = len(sample)
+    if n == 0:
         raise ValueError("empty sample")
     many = isinstance(tol, tuple)
     tols = tol if many else (tol,)
     k = len(tols)
+    parts = ([sample] if n <= BLOCK else
+             (sample[i:i + BLOCK] for i in range(0, n, BLOCK)))
     blocks = []  # the worst point of each block, for each residual
-    for i in range(0, len(sample), BLOCK):
-        values = at(sample[i:i + BLOCK])
+    for part in parts:
+        values = at(part)
         scale = np.maximum(1.0, functools.reduce(np.maximum, values[k:]))
         for r, t in zip(values[:k], tols):
             j = np.argmax(r / scale / t)  # the key of `worst`; a NaN first
-            blocks.append(SampledResidual(_entry(r, j), t, _entry(scale, j),
-                                          len(sample)))
+            blocks.append(SampledResidual(_entry(r, j), t,
+                                          _entry(scale, j), n))
     out = tuple(worst(blocks[j::k]) for j in range(k))
     return out if many else out[0]
 

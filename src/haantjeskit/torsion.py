@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .charts import OperatorField, Point
-from .report import SampledResidual, _max_abs, sampled
+from .report import SampledResidual, _max_abs, _sliced_max, sampled
 
 __all__ = [
     "nijenhuis_torsion", "haantjes_torsion",
@@ -22,7 +22,8 @@ __all__ = [
 
 
 # The kernels sum their terms in place, so a sample holds few arrays of
-# shape (N, n, n, n) at a time.
+# shape (N, n, n, n) at a time; a sampled check reduces them in slices of
+# `report.SLICE` points.
 
 def _nijenhuis_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
     # Lc[s, i, j] operator entries, Ld[s, i, j, a] their a-th partials.
@@ -65,7 +66,7 @@ def _sampled_torsion(L: OperatorField, sample, tol: float, components,
     come from one jet pass over the sample."""
     def at(p):
         Lc, Ld = L.jet(p)
-        return (_max_abs(components(Lc, Ld)),
+        return (_sliced_max(components, Lc, Ld),
                 (1.0 + _max_abs(Lc)) ** power * (1.0 + _max_abs(Ld)))
 
     return sampled(sample, at, tol)

@@ -10,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from haantjeskit import Chart, OperatorField, is_haantjes, sample_points
 from haantjeskit.jets import value
-from haantjeskit.report import (BLOCK, SampledResidual, identity_check,
-                                matches, sampled, worst)
+from haantjeskit.poisson import _jacobi
+from haantjeskit.report import (BLOCK, SLICE, SampledResidual, _max_abs,
+                                _sliced_max, identity_check, matches,
+                                sampled, worst)
+from haantjeskit.torsion import _haantjes_components, _nijenhuis_components
 
 NAN = float("nan")
 # The primitive only takes the sample's length and hands the sample to the
@@ -47,8 +50,8 @@ def test_several_residuals_from_one_pass():
         return p, 2.0 * p, 10.0
 
     a, b = sampled(SAMPLE, at, (1.0, 2.0))
-    # one call for the whole sample
-    assert len(seen) == 1 and np.array_equal(seen[0], SAMPLE)
+    # one call, with the sample itself, not a copy
+    assert len(seen) == 1 and seen[0] is SAMPLE
     assert (a.residual, a.tolerance, a.scale) == (2.0, 1.0, 10.0)
     assert (b.residual, b.tolerance, b.scale) == (4.0, 2.0, 10.0)
     # each residual has its own worst point against the shared scale
@@ -73,6 +76,39 @@ def test_large_sample_is_judged_in_blocks():
     assert sr.scale == len(sample)
     ok = sampled(sample, lambda p: (1e-12 * (p == 7), 1.0), 1e-9)
     assert (ok.residual, ok.passed) == (1e-12, True)
+
+
+def _random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize(
+    "points", sorted({1, SLICE - 1, SLICE, SLICE + 1, 63, 64, 65, 200}))
+def test_sliced_kernels_match_the_whole_sample(points):
+    """The torsion and Jacobi kernels reduced slice by slice give the
+    per-point maxima of the kernel over the whole sample, bit for bit; no
+    kernel call spans more than ``SLICE`` points, and a sample of one
+    slice goes to the kernel as it is."""
+    rng = np.random.default_rng(points)
+    n = 6
+    Lc, Pc = (_random_complex(rng, points, n, n) for _ in range(2))
+    Ld, Pd = (_random_complex(rng, points, n, n, n) for _ in range(2))
+    for kernel, c, d in [(_nijenhuis_components, Lc, Ld),
+                         (_haantjes_components, Lc, Ld),
+                         (_jacobi, Pc, Pd)]:
+        calls = []
+
+        def seen(a, b):
+            calls.append((a, b))
+            return kernel(a, b)
+
+        sliced = _sliced_max(seen, c, d)
+        assert sliced.shape == (points,)
+        assert np.array_equal(sliced, _max_abs(kernel(c, d)))
+        assert max(len(a) for a, _ in calls) <= SLICE
+        assert len(calls) == -(-points // SLICE)
+        if points <= SLICE:
+            assert calls[0][0] is c and calls[0][1] is d
 
 
 def test_empty_sample_rejected():

@@ -41,6 +41,19 @@ def test_checks_pass_across_inertia_ratios(c):
     assert report.ok, [ch.id for ch in report.failed]
 
 
+@pytest.mark.parametrize("name, points", [("euler", 200),
+                                          ("euler-poisson", 200),
+                                          ("all", 100)])
+def test_report_does_not_depend_on_block_size(monkeypatch, name, points):
+    """Reading a sample in blocks of 64 points gives the same report, byte
+    for byte, as reading it in one block."""
+    assert report_module.BLOCK >= points
+    cfg = SuiteConfig(points=points)
+    whole = run_suite(name, cfg).to_json()
+    monkeypatch.setattr(report_module, "BLOCK", 64)
+    assert run_suite(name, cfg).to_json() == whole
+
+
 def test_checks_read_each_field_once_per_sample(monkeypatch):
     """Inside each call ``at(sample)`` of the sampled-identity primitive,
     every field object is read at most once: one plain pass ``F(sample)``
