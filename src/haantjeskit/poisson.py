@@ -15,7 +15,8 @@ import numpy as np
 from .charts import (BivectorField, OneFormField, OperatorField, Point,
                      ScalarField, VectorField, _same_chart, apply_operator,
                      apply_transpose, differential)
-from .report import SampledResidual, _max_abs, _sliced_max, sampled
+from .report import (SampledResidual, _first_order, _max_abs, _sliced_max,
+                     sampled)
 
 __all__ = [
     "PoissonStructure", "MagriChain",
@@ -54,13 +55,8 @@ def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
         Pc = P(p)
         return _max_abs(Pc + Pc.swapaxes(-1, -2)), 1.0 + _max_abs(Pc)
 
-    def jacobi(p):
-        Pc, Pd = P.jet(p)
-        return (_sliced_max(_jacobi, Pc, Pd),
-                (1.0 + _max_abs(Pc)) * (1.0 + _max_abs(Pd)))
-
     return PoissonStructure(sampled(sample, skew, tol_exact),
-                            sampled(sample, jacobi, tol_deriv))
+                            _first_order(P, sample, tol_deriv, _jacobi, 1))
 
 
 def poisson_bracket(P: BivectorField, f: ScalarField, g: ScalarField,

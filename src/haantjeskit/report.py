@@ -59,6 +59,20 @@ def _sliced_max(kernel, *arrays):
         for i in range(0, n, SLICE)])
 
 
+def _first_order(F, sample, tol, kernel, power):
+    """Judge a first-order identity of the field ``F`` over a sample: the
+    residual at each point is ``kernel(Fc, Fd)`` reduced by `_sliced_max`,
+    judged against ``(1+|F|)^power (1+|dF|)`` there, the magnitude of the
+    terms of the kernel's local formula; ``F`` and its partials come from
+    one jet pass per block."""
+    def at(p):
+        Fc, Fd = F.jet(p)
+        return (_sliced_max(kernel, Fc, Fd),
+                (1.0 + _max_abs(Fc)) ** power * (1.0 + _max_abs(Fd)))
+
+    return sampled(sample, at, tol)
+
+
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_FINDING = "finding"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,55 +70,26 @@ class SuiteConfig:
 
 # -- seeded random auxiliary fields ----------------------------------------
 
-def _rand_coeff(rng):
-    return complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-
-
-def _random_poly_fn(rng, n):
-    """Random quadratic polynomial ``c0 + x . (lin + Q x)`` in the chart
-    coordinates."""
-    c0 = _rand_coeff(rng)
-    lin = np.array([_rand_coeff(rng) for _ in range(n)], dtype=object)
-    quad = np.array([[_rand_coeff(rng) for _ in range(n)] for _ in range(n)],
-                    dtype=object)
+def _random_field(rng, kind, chart, shape=()):
+    """A field of ``kind`` on ``chart`` with components of ``shape``, each a
+    random quadratic polynomial ``c0 + x . (lin + Q x)`` in the chart
+    coordinates.  The complex coefficients are drawn in one call, component
+    after component, ``c0``, ``lin`` and ``Q`` by rows, each as its real
+    and imaginary part uniform in [-1, 1]."""
+    n = chart.dim
+    size = math.prod(shape)
+    coeffs = rng.uniform(-1.0, 1.0, 2 * size * (1 + n + n * n))
+    polys = [(c[0], np.array(c[1:n + 1], dtype=object),
+              np.array(c[n + 1:], dtype=object).reshape(n, n))
+             for c in coeffs.view(complex).reshape(size, -1).tolist()]
 
     def fn(x):
         x = np.asarray(x, dtype=object)
-        return c0 + x @ (lin + quad @ x)
+        out = np.array([c0 + x @ (lin + quad @ x) for c0, lin, quad in polys],
+                       dtype=object)
+        return out.reshape(shape)[()]  # a scalar's one entry, unwrapped
 
-    return fn
-
-
-def _random_scalar(rng, chart) -> ScalarField:
-    return ScalarField(chart, _random_poly_fn(rng, chart.dim))
-
-
-def _random_diagonal_operator(rng, chart) -> OperatorField:
-    fns = [_random_poly_fn(rng, chart.dim) for _ in range(chart.dim)]
-
-    def fn(x):
-        n = len(x)
-        return [[fns[i](x) if i == j else 0.0 for j in range(n)]
-                for i in range(n)]
-
-    return OperatorField(chart, fn)
-
-
-def _random_operator(rng, chart) -> OperatorField:
-    n = chart.dim
-    fns = [[_random_poly_fn(rng, n) for _ in range(n)] for _ in range(n)]
-    return OperatorField(
-        chart, lambda x: [[fns[i][j](x) for j in range(n)] for i in range(n)])
-
-
-def _random_vector(rng, chart) -> VectorField:
-    fns = [_random_poly_fn(rng, chart.dim) for _ in range(chart.dim)]
-    return VectorField(chart, lambda x: [f(x) for f in fns])
-
-
-def _random_oneform(rng, chart) -> OneFormField:
-    fns = [_random_poly_fn(rng, chart.dim) for _ in range(chart.dim)]
-    return OneFormField(chart, lambda x: [f(x) for f in fns])
+    return kind(chart, fn)
 
 
 def _mv(m, v):
@@ -205,8 +177,8 @@ def suite_torsion(cfg: SuiteConfig) -> list:
         lambda p: (_mag(*torsions(ident, p)[:2]), 1.0),
         cfg.tol_exact))
 
-    const = constant_operator(
-        chart3, [[_rand_coeff(rng) for _ in range(3)] for _ in range(3)])
+    entries = rng.uniform(-1.0, 1.0, 18).view(complex).reshape(3, 3)
+    const = constant_operator(chart3, entries.tolist())
 
     def constant_torsions(p):
         T, H, Lc, _ = torsions(const, p)
@@ -222,8 +194,10 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     for dim in (2, 3, 4):
         chart = Chart(f"aux{dim}d", dim)
         sample = sample_points(chart, cfg.points, cfg.seed + dim)
-        diagonal += [is_haantjes(_random_diagonal_operator(rng, chart),
-                                 sample, cfg.tol_deriv) for _ in range(3)]
+        for _ in range(3):
+            V = _random_field(rng, VectorField, chart, (dim,))
+            D = OperatorField(chart, lambda x: np.diag(V.fn(x)))
+            diagonal.append(is_haantjes(D, sample, cfg.tol_deriv))
     checks.append(check_from_residual(
         "diagonal_haantjes",
         "random smooth diagonal operators in dimensions 2-4 have vanishing "
@@ -250,7 +224,7 @@ def suite_torsion(cfg: SuiteConfig) -> list:
         "Haantjes torsion of diag(x2, x1) vanishes", "H(L) = 0", sample2,
         swapped_haantjes, cfg.tol_deriv))
 
-    L = _random_operator(rng, chart3)
+    L = _random_field(rng, OperatorField, chart3, (3, 3))
 
     def antisymmetry(p):
         T, H, Lc, Ld = torsions(L, p)
@@ -265,8 +239,8 @@ def suite_torsion(cfg: SuiteConfig) -> list:
 
     # definitional oracle on a small subsample: the component formula against
     # the vector-field bracket form applied to random fields
-    X = _random_vector(rng, chart3)
-    Y = _random_vector(rng, chart3)
+    X = _random_field(rng, VectorField, chart3, (3,))
+    Y = _random_field(rng, VectorField, chart3, (3,))
     fields = (_bracket_nijenhuis(L, X, Y), _bracket_haantjes(L, X, Y))
 
     def definitional(p):
@@ -298,7 +272,7 @@ def suite_algebra(cfg: SuiteConfig) -> list:
         "the recursion operator of the adapted chart is torsion free",
         "T(N) = 0", is_nijenhuis(N, sample, cfg.tol_deriv))]
 
-    comb = operator_polynomial(N, [_random_scalar(rng, chart)
+    comb = operator_polynomial(N, [_random_field(rng, ScalarField, chart)
                                    for _ in range(3)])
     checks.append(check_from_residual(
         "polynomial_closure",
@@ -328,8 +302,9 @@ def suite_algebra(cfg: SuiteConfig) -> list:
         lambda p: (abs(algebra_rank(gens, p) - 2), 1.0), 0.5))
 
     alg = verify_algebra([identity_operator(chart), N], sample,
-                         (_random_scalar(rng, chart),
-                          _random_scalar(rng, chart)), cfg.tol_deriv)
+                         (_random_field(rng, ScalarField, chart),
+                          _random_field(rng, ScalarField, chart)),
+                         cfg.tol_deriv, cfg.tol_exact)
     checks += [
         check_from_residual(
             "module_condition",
@@ -344,9 +319,9 @@ def suite_algebra(cfg: SuiteConfig) -> list:
 
     esample = sample_points(euler_chart(), cfg.points, cfg.seed + 3)
     ealg = verify_algebra(euler_chain_operators(params), esample,
-                          (_random_scalar(rng, euler_chart()),
-                           _random_scalar(rng, euler_chart())),
-                          cfg.tol_deriv)
+                          (_random_field(rng, ScalarField, euler_chart()),
+                           _random_field(rng, ScalarField, euler_chart())),
+                          cfg.tol_deriv, cfg.tol_exact)
     checks += [
         check_from_residual(
             "euler_family_haantjes",
@@ -640,7 +615,8 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         "operator_bivector_skew",
         "compositions of family operators with the first bivector stay "
         "antisymmetric", "Ki P, Ki P Kj^T, (Ki - f I)^s P skew",
-        check_skew_compositions(K2, N, P1c, _random_scalar(rng, cchart), 3,
+        check_skew_compositions(K2, N, P1c,
+                                _random_field(rng, ScalarField, cchart), 3,
                                 csample, cfg.tol_deriv)))
 
     ratio = ScalarField(cchart, lambda x: x[X1C] / x[X2C])
@@ -875,8 +851,8 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     # on the leaf, where the pair is nondegenerate; on the full chart the
     # transversal block of the operator does not participate in a
     # bivector/operator pair and the tensor has no reason to vanish.
-    alpha = _random_oneform(rng, lchart)
-    Yf = _random_vector(rng, lchart)
+    alpha = _random_field(rng, OneFormField, lchart, (lchart.dim,))
+    Yf = _random_field(rng, VectorField, lchart, (lchart.dim,))
 
     def compatibility(p):
         (Pc, Pd), (Nc, Nd) = P1l.jet(p), Nl.jet(p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .charts import OperatorField, Point
-from .report import SampledResidual, _max_abs, _sliced_max, sampled
+from .report import SampledResidual, _first_order
 
 __all__ = [
     "nijenhuis_torsion", "haantjes_torsion",
@@ -59,24 +59,11 @@ def haantjes_torsion(L: OperatorField, p: Point) -> np.ndarray:
     return _haantjes_components(*L.jet(p))
 
 
-def _sampled_torsion(L: OperatorField, sample, tol: float, components,
-                     power: int) -> SampledResidual:
-    """Torsion at each point against ``(1+|L|)^power (1+|dL|)`` there, the
-    magnitude of the terms of the local formula; ``L`` and its jacobian
-    come from one jet pass over the sample."""
-    def at(p):
-        Lc, Ld = L.jet(p)
-        return (_sliced_max(components, Lc, Ld),
-                (1.0 + _max_abs(Lc)) ** power * (1.0 + _max_abs(Ld)))
-
-    return sampled(sample, at, tol)
-
-
 def is_nijenhuis(L: OperatorField, sample, tol: float = 1e-9) -> SampledResidual:
     """Nijenhuis torsion, each point against ``(1+|L|)(1+|dL|)`` there."""
-    return _sampled_torsion(L, sample, tol, _nijenhuis_components, 1)
+    return _first_order(L, sample, tol, _nijenhuis_components, 1)
 
 
 def is_haantjes(L: OperatorField, sample, tol: float = 1e-9) -> SampledResidual:
     """Haantjes torsion, each point against ``(1+|L|)^3(1+|dL|)`` there."""
-    return _sampled_torsion(L, sample, tol, _haantjes_components, 3)
+    return _first_order(L, sample, tol, _haantjes_components, 3)

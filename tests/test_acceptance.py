@@ -4,9 +4,9 @@ pass/fail line directly to the terminal."""
 import numpy as np
 import pytest
 
-from haantjeskit import (Chart, OperatorField, ScalarField, add_fields,
-                         apply_transpose, differential, hamiltonian_field,
-                         identity_operator, is_haantjes,
+from haantjeskit import (Chart, OperatorField, ScalarField, VectorField,
+                         add_fields, apply_transpose, differential,
+                         hamiltonian_field, identity_operator, is_haantjes,
                          lie_derivative_bivector, operator_polynomial,
                          poisson_bracket, scale_field, wedge, lie_bracket)
 from haantjeskit.cli import main as cli_main
@@ -23,7 +23,7 @@ from haantjeskit.poisson import (check_compatibility,
                                  check_skew_compositions, verify_poisson)
 from haantjeskit.sampling import sample_points
 from haantjeskit.suites import (LEAF_C1, LEAF_C4, SuiteConfig, run_suite,
-                                _random_poly_fn, _random_scalar)
+                                _random_field)
 from haantjeskit.torsion import _nijenhuis_components, nijenhuis_torsion
 
 from conftest import fd_jacobian, points_of
@@ -55,10 +55,8 @@ def test_criterion_1_diagonal_operators(capsys):
     for k in range(10):
         dim = 2 + k % 3
         chart = Chart(f"acc{k}", dim)
-        fns = [_random_poly_fn(rng, dim) for _ in range(dim)]
-        L = OperatorField(chart, lambda x, fns=fns: [
-            [fns[i](x) if i == j else 0.0 for j in range(len(x))]
-            for i in range(len(x))])
+        V = _random_field(rng, VectorField, chart, (dim,))
+        L = OperatorField(chart, lambda x, V=V: np.diag(V.fn(x)))
         sample = sample_points(chart, POINTS, SEED + k)
         worst = max(worst, is_haantjes(L, sample, 1e-9).residual)
     report(capsys, 1, "diagonal operators are Haantjes", worst <= 1e-9,
@@ -69,7 +67,7 @@ def test_criterion_2_polynomial_closure(capsys):
     rng = np.random.default_rng(SEED + 1)
     chart = complex_chart(PARAMS)
     N = nijenhuis_operator(PARAMS)
-    coeffs = [_random_scalar(rng, chart) for _ in range(3)]
+    coeffs = [_random_field(rng, ScalarField, chart) for _ in range(3)]
     comb = operator_polynomial(N, coeffs)
     sample = sample_points(chart, POINTS, SEED)
     sr = is_haantjes(comb, sample, 1e-9)
@@ -143,7 +141,7 @@ def test_criterion_6_operator_identities(capsys):
     minpoly = mag(K3(sample))
     compat = max(check_compatibility(K, P1, sample).residual
                  for K in (K1, K2, N))
-    f = _random_scalar(rng, chart)
+    f = _random_field(rng, ScalarField, chart)
     skew = check_skew_compositions(K2, N, P1, f, 3, sample).residual
     ok = minpoly <= 1e-10 and compat <= 1e-12 and skew <= 1e-12
     report(capsys, 6, "operator family identities", ok,
@@ -240,10 +238,7 @@ def test_criterion_10_ad_vs_fd(capsys):
     for k in range(10):
         dim = 2 + k % 3
         chart = Chart(f"fd{k}", dim)
-        fns = [[_random_poly_fn(rng, dim) for _ in range(dim)]
-               for _ in range(dim)]
-        L = OperatorField(chart, lambda x, fns=fns: [
-            [fns[i][j](x) for j in range(len(x))] for i in range(len(x))])
+        L = _random_field(rng, OperatorField, chart, (dim, dim))
         sample = sample_points(chart, 5, SEED + k, real=True)
         Ld_fd = np.array([
             [fd_jacobian(lambda y, i=i: L.fn(y)[i], x) for i in range(dim)]

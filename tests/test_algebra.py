@@ -28,7 +28,6 @@ def test_minimal_polynomial_of_projector():
     # projector satisfies L^2 - L = 0: monic coeffs (c0, c1) = (0, -1)
     assert mp.degree.tolist() == [2]
     assert np.max(np.abs(mp.coeffs - np.array([[0.0, -1.0]]))) < 1e-10
-    assert not mp.ill_conditioned.any()
 
 
 def test_minimal_polynomial_of_scalar_operator():

@@ -4,16 +4,17 @@ import collections
 import json
 import sys
 
+import numpy as np
 import pytest
 
-from haantjeskit import (Chart, OperatorField, VectorField,
+from haantjeskit import (Chart, OperatorField, Point, VectorField,
                          VerificationReport, report as report_module)
 from haantjeskit.charts import _Field
 from haantjeskit.report import Check, check_from_residual
 from haantjeskit.sampling import sample_points
 from haantjeskit.suites import (SUITE_NAMES, SuiteConfig,
                                 _bracket_haantjes, _bracket_nijenhuis,
-                                run_suite)
+                                _random_field, run_suite)
 from haantjeskit.torsion import SampledResidual
 
 
@@ -33,6 +34,27 @@ def test_each_suite_passes_at_small_sample(name):
     for c in report.checks:
         assert c.status in ("pass", "fail", "finding")
         assert c.points_sampled > 0
+
+
+def test_random_field_draws_its_coefficients_component_by_component():
+    """One draw of 2 k (1 + n + n^2) uniforms gives the coefficients of the
+    k components in turn, each ``c0``, ``lin``, ``Q`` by rows as real and
+    imaginary parts, the same values and generator state as drawing them
+    one number at a time."""
+    n, shape = 2, (2, 2)
+    whole, single = np.random.default_rng(5), np.random.default_rng(5)
+    F = _random_field(whole, OperatorField, Chart("r2", n), shape)
+    terms = 1 + n + n * n
+    coeffs = [complex(single.uniform(-1.0, 1.0), single.uniform(-1.0, 1.0))
+              for _ in range(4 * terms)]
+    assert whole.uniform() == single.uniform()
+    x = np.array([0.5 - 0.25j, 2.0 + 1.0j])
+    values = F(Point(F.chart, tuple(x)))[0]
+    for k, (i, j) in enumerate(np.ndindex(shape)):
+        c = coeffs[k * terms:(k + 1) * terms]
+        quad = np.array(c[1 + n:]).reshape(n, n)
+        expected = c[0] + x @ (np.array(c[1:1 + n]) + quad @ x)
+        assert values[i, j] == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("c", [1e-6, 0.5, 1.5, 3.0, 10.0, 100.0])
@@ -140,6 +162,22 @@ def test_algebra_passes_at_extreme_inertia_ratios(c):
     scale with 1/c or c."""
     report = run_suite("algebra", SuiteConfig(points=3, c=c))
     assert report.ok, [ch.id for ch in report.failed]
+
+
+def test_tol_exact_reaches_the_abelian_checks():
+    """The Abelian conditions of both generator families are algebraic, so
+    ``tol_exact`` sets their tolerance; no other check of the suite moves."""
+    base = run_suite("algebra", SuiteConfig(points=3))
+    loose = run_suite("algebra", SuiteConfig(points=3, tol_exact=1e-3))
+    abelian = {"abelian", "euler_family_abelian"}
+    assert abelian <= {c.id for c in loose.checks}
+    for a, b in zip(base.checks, loose.checks):
+        if a.id in abelian:
+            assert b.tolerance >= 1e-3
+            assert b.tolerance == pytest.approx(a.tolerance * 1e9)
+            assert b.max_residual == a.max_residual
+        else:
+            assert b == a
 
 
 def test_euler_poisson_passes_at_tiny_inertia_ratio():
