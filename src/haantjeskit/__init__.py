@@ -18,15 +18,14 @@ from .charts import (BivectorField, Chart, ChartError, ChartMap,
                      lie_bracket, operator_polynomial, scale_field, wedge)
 from .torsion import (haantjes_torsion, is_haantjes, is_nijenhuis,
                       nijenhuis_torsion)
-from .algebra import (HaantjesAlgebra, MinimalPolynomial, algebra_rank,
-                      check_abelian, check_module_condition,
-                      minimal_polynomial, verify_algebra)
-from .poisson import (MagriChain, PoissonStructure, build_chain_oneforms,
-                      check_compatibility, check_skew_compositions,
-                      hamiltonian_field, jacobi_residual,
-                      lie_derivative_bivector, lie_derivative_oneform,
-                      lie_derivative_operator, poisson_bracket, r_tensor,
-                      verify_poisson)
+from .algebra import (MinimalPolynomial, algebra_rank, check_abelian,
+                      check_module_condition, check_ring_condition,
+                      minimal_polynomial)
+from .poisson import (check_chain_closed, check_compatibility, check_jacobi,
+                      check_skew, check_skew_compositions, hamiltonian_field,
+                      jacobi_residual, lie_derivative_bivector,
+                      lie_derivative_oneform, lie_derivative_operator,
+                      poisson_bracket, r_tensor)
 from .sampling import sample_points
 from .report import Check, SampledResidual, VerificationReport
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -44,13 +43,12 @@ __all__ = [
     "operator_polynomial", "scale_field", "wedge",
     "SampledResidual", "haantjes_torsion", "is_haantjes", "is_nijenhuis",
     "nijenhuis_torsion",
-    "HaantjesAlgebra", "MinimalPolynomial", "algebra_rank", "check_abelian",
-    "check_module_condition", "minimal_polynomial", "verify_algebra",
-    "MagriChain", "PoissonStructure", "build_chain_oneforms",
-    "check_compatibility", "check_skew_compositions", "hamiltonian_field",
-    "jacobi_residual", "lie_derivative_bivector", "lie_derivative_oneform",
+    "MinimalPolynomial", "algebra_rank", "check_abelian",
+    "check_module_condition", "check_ring_condition", "minimal_polynomial",
+    "check_chain_closed", "check_compatibility", "check_jacobi", "check_skew",
+    "check_skew_compositions", "hamiltonian_field", "jacobi_residual",
+    "lie_derivative_bivector", "lie_derivative_oneform",
     "lie_derivative_operator", "poisson_bracket", "r_tensor",
-    "verify_poisson",
     "sample_points",
     "Check", "VerificationReport",
     "SUITE_NAMES", "SuiteConfig", "run_suite",

@@ -14,9 +14,9 @@ from .report import SampledResidual, _max_abs, sampled, worst
 from .torsion import is_haantjes
 
 __all__ = [
-    "HaantjesAlgebra", "MinimalPolynomial",
-    "check_module_condition", "check_abelian",
-    "minimal_polynomial", "verify_algebra", "algebra_rank",
+    "MinimalPolynomial",
+    "check_module_condition", "check_ring_condition", "check_abelian",
+    "minimal_polynomial", "algebra_rank",
 ]
 
 RANK_RTOL = 1e-8
@@ -36,32 +36,50 @@ class MinimalPolynomial:
     coeffs: np.ndarray
 
 
-@dataclass(frozen=True)
-class HaantjesAlgebra:
-    """Sampled verification state of a generator family."""
-
-    haantjes: SampledResidual
-    ring: SampledResidual
-    abelian: SampledResidual
-    module: SampledResidual
-
-
-def check_module_condition(Ki: OperatorField, Kj: OperatorField,
-                           f: ScalarField, g: ScalarField, sample,
-                           tol: float = 1e-9) -> SampledResidual:
-    """Haantjes residual of ``f*Ki + g*Kj`` over the sample."""
-    comb = add_fields(scale_field(f, Ki), scale_field(g, Kj))
-    return is_haantjes(comb, sample, tol)
+def _family(generators, sample) -> None:
+    """Reject what the closure conditions of a generator family cannot
+    judge: an empty sample, or fewer than two generators."""
+    if len(sample) == 0:
+        raise ValueError("empty sample")
+    if len(generators) < 2:
+        raise ValueError("an algebra needs at least two generators")
 
 
-def check_abelian(Ki: OperatorField, Kj: OperatorField, sample,
-                  tol: float = 1e-12) -> SampledResidual:
-    def at(p):
-        a, b = Ki(p), Kj(p)
-        return (_max_abs(a @ b - b @ a),
-                (1.0 + _max_abs(a)) * (1.0 + _max_abs(b)))
+def check_module_condition(generators, f: ScalarField, g: ScalarField,
+                           sample, tol: float = 1e-9) -> SampledResidual:
+    """Haantjes residual of ``f*Ki + g*Kj`` for every pair of generators,
+    each with itself too, ``i <= j``."""
+    _family(generators, sample)
+    return worst(
+        is_haantjes(add_fields(scale_field(f, a), scale_field(g, b)),
+                    sample, tol)
+        for i, a in enumerate(generators) for b in generators[i:])
 
-    return sampled(sample, at, tol)
+
+def check_ring_condition(generators, sample,
+                         tol: float = 1e-9) -> SampledResidual:
+    """Haantjes residual of ``Ki Kj`` for both orders of every pair of
+    generators, each with itself too, each composite judged once."""
+    _family(generators, sample)
+    return worst(is_haantjes(compose_operators(a, b), sample, tol)
+                 for a in generators for b in generators)
+
+
+def check_abelian(generators, sample, tol: float = 1e-12) -> SampledResidual:
+    """Commutator ``[Ki, Kj]`` of every pair of distinct generators, each
+    against ``(1+|Ki|)(1+|Kj|)``; the condition is algebraic, so ``tol`` is
+    an exact-arithmetic tolerance."""
+    _family(generators, sample)
+
+    def commutator(a, b):
+        def at(p):
+            x, y = a(p), b(p)
+            return (_max_abs(x @ y - y @ x),
+                    (1.0 + _max_abs(x)) * (1.0 + _max_abs(y)))
+        return at
+
+    return worst(sampled(sample, commutator(a, b), tol)
+                 for a, b in itertools.combinations(generators, 2))
 
 
 def _vec_powers(m: np.ndarray, count: int):
@@ -120,28 +138,3 @@ def algebra_rank(generators, p: Point) -> np.ndarray:
                       where=norms > 0)
     s = np.linalg.svd(stack, compute_uv=False)
     return np.sum(s > RANK_RTOL * s[:, :1], axis=1)
-
-
-def verify_algebra(generators, sample, module_coeffs, tol: float = 1e-9,
-                   tol_exact: float = 1e-12) -> HaantjesAlgebra:
-    """Run the generator, pairwise-ring, Abelian and function-linear
-    combination checks on a sample; ``module_coeffs`` is the pair of scalar
-    fields of the combinations.  The torsion checks are judged at ``tol``,
-    the Abelian condition, which is algebraic, at ``tol_exact``, on pairs of
-    distinct generators, so it needs at least two."""
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    if len(generators) < 2:
-        raise ValueError("an algebra needs at least two generators")
-    pairs = [(a, b) for i, a in enumerate(generators)
-             for b in generators[i:]]
-    f, g = module_coeffs
-    return HaantjesAlgebra(
-        haantjes=worst(is_haantjes(K, sample, tol) for K in generators),
-        # both orders of every pair, each composite judged once
-        ring=worst(is_haantjes(compose_operators(a, b), sample, tol)
-                   for a in generators for b in generators),
-        abelian=worst(check_abelian(a, b, sample, tol_exact)
-                      for a, b in itertools.combinations(generators, 2)),
-        module=worst(check_module_condition(a, b, f, g, sample, tol)
-                     for a, b in pairs))

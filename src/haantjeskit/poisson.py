@@ -1,14 +1,14 @@
 """Poisson bivectors, brackets, compatibility with operator algebras, Lie
-derivatives and chain construction.
+derivatives and Magri chains.
 
-Chain failures are data: a chain that does not close is returned with its
-residuals, never raised as an exception, because adjudicating identities is
-the whole point of the toolkit.
+Each check judges one condition over a sample and returns its
+:class:`~haantjeskit.report.SampledResidual`.  A condition that does not
+hold, such as a chain that does not close, is data in that result, never
+raised as an exception, because adjudicating identities is the whole point
+of the toolkit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,22 +16,15 @@ from .charts import (BivectorField, OneFormField, OperatorField, Point,
                      ScalarField, VectorField, _same_chart, apply_operator,
                      apply_transpose, differential)
 from .report import (SampledResidual, _first_order, _max_abs, _sliced_max,
-                     sampled)
+                     sampled, worst)
 
 __all__ = [
-    "PoissonStructure", "MagriChain",
-    "jacobi_residual", "verify_poisson", "poisson_bracket",
+    "jacobi_residual", "check_skew", "check_jacobi", "poisson_bracket",
     "hamiltonian_field", "check_compatibility", "check_skew_compositions",
     "lie_derivative_operator", "lie_derivative_oneform",
     "lie_derivative_bivector", "r_tensor",
-    "build_chain_oneforms",
+    "check_chain_closed",
 ]
-
-
-@dataclass(frozen=True)
-class PoissonStructure:
-    skew: SampledResidual
-    jacobi: SampledResidual
 
 
 def _jacobi(Pc: np.ndarray, Pd: np.ndarray) -> np.ndarray:
@@ -46,17 +39,22 @@ def jacobi_residual(P: BivectorField, p: Point) -> np.ndarray:
     return _sliced_max(_jacobi, *P.jet(p))
 
 
-def verify_poisson(P: BivectorField, sample, tol_exact: float = 1e-12,
-                   tol_deriv: float = 1e-9) -> PoissonStructure:
-    """Skew residual against ``1+|P|`` and Jacobi residual against
-    ``(1+|P|)(1+|dP|)``, each at its own point; the skew check reads ``P``
-    alone, the Jacobi check its one jet."""
-    def skew(p):
+def check_skew(P: BivectorField, sample,
+               tol: float = 1e-12) -> SampledResidual:
+    """Residual of ``P + P^T = 0`` against ``1+|P|`` at each point, from
+    one plain read of ``P``."""
+    def at(p):
         Pc = P(p)
         return _max_abs(Pc + Pc.swapaxes(-1, -2)), 1.0 + _max_abs(Pc)
 
-    return PoissonStructure(sampled(sample, skew, tol_exact),
-                            _first_order(P, sample, tol_deriv, _jacobi, 1))
+    return sampled(sample, at, tol)
+
+
+def check_jacobi(P: BivectorField, sample,
+                 tol: float = 1e-9) -> SampledResidual:
+    """Cyclic Schouten sum against ``(1+|P|)(1+|dP|)`` at each point, from
+    one jet of ``P``."""
+    return _first_order(P, sample, tol, _jacobi, 1)
 
 
 def poisson_bracket(P: BivectorField, f: ScalarField, g: ScalarField,
@@ -172,30 +170,20 @@ def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
 
 # -- Magri chains -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class MagriChain:
-    """Elements produced by pushing one seed differential through an
-    operator family, with the residuals that decide whether the chain
-    closes."""
-
-    elements: list
-    residuals: list
-
-
-def build_chain_oneforms(generators, H: ScalarField, sample,
-                         tol: float = 1e-9) -> MagriChain:
-    """Elements ``K_i^T dH`` with pointwise-closedness residuals.
+def check_chain_closed(generators, H: ScalarField, sample,
+                       tol: float = 1e-9) -> SampledResidual:
+    """Pointwise closedness of every chain element ``K^T dH``, one per
+    generator ``K``.
 
     The terms of ``J = d(K^T dH)`` can cancel, so the scale is not
     ``1 + |J|`` but the backward-error bound
     ``1 + |J| + |dK| |dH| + |K| |d^2 H|``, its products summed entry by
     entry as the terms of ``J`` are (the componentwise bound)."""
-    if len(sample) == 0:
-        raise ValueError("empty sample")
     dH = differential(H)
-    elements = [apply_transpose(K, dH) for K in generators]
 
-    def closedness(K, el):
+    def closedness(K):
+        el = apply_transpose(K, dH)
+
         def at(p):
             J = el.jacobian(p)  # d(el) = J^T - J
             Kc, Kd = K.jet(p)
@@ -207,5 +195,4 @@ def build_chain_oneforms(generators, H: ScalarField, sample,
                     1.0 + _max_abs(J) + _max_abs(terms))
         return at
 
-    return MagriChain(elements, [sampled(sample, closedness(K, el), tol)
-                                 for K, el in zip(generators, elements)])
+    return worst(sampled(sample, closedness(K), tol) for K in generators)

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["SampledResidual", "sampled", "matches", "worst",
-           "Check", "VerificationReport", "check_from_residual",
-           "identity_check"]
+           "Check", "VerificationReport", "check_from_residual"]
 
 # Points per call of a sample function, so one jet pass reads every field
 # of a check for samples up to BLOCK points.  A jet pass is mostly
@@ -194,27 +193,24 @@ class Check:
 
 
 def check_from_residual(check_id: str, description: str, reference: str,
-                        sr: SampledResidual, finding: bool = False) -> Check:
-    """Build a check from a sampled residual.
+                        result) -> Check:
+    """Build a check from a judged result, a :class:`SampledResidual`.
 
-    ``finding`` marks checks that adjudicate a known ambiguity: they always
-    report, never fail a run.
+    A check whose id ends in ``_finding`` adjudicates a known ambiguity: it
+    always reports and never fails a run.  Its result is a pair, the
+    sampled residual and a companion result, and the companion's residual
+    fills the one ``{:.3e}`` field of its description.
     """
-    if finding:
+    if check_id.endswith("_finding"):
+        sr, companion = result
+        description = description.format(companion.residual)
         status = STATUS_FINDING
     else:
+        sr = result
         status = STATUS_PASS if sr.passed else STATUS_FAIL
     return Check(check_id, description, reference, status,
                  float(sr.residual), float(sr.effective_tolerance),
                  sr.points)
-
-
-def identity_check(check_id: str, description: str, reference: str, sample,
-                   at, tol: float, finding: bool = False) -> Check:
-    """A check straight from an identity: :func:`sampled` over ``sample``,
-    then :func:`check_from_residual`."""
-    return check_from_residual(check_id, description, reference,
-                               sampled(sample, at, tol), finding)
 
 
 @dataclass

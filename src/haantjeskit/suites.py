@@ -1,36 +1,40 @@
 """Named verification suites.
 
-Each suite samples chart points with a seeded generator, evaluates a list of
-identities and returns a :class:`VerificationReport`.  An identity is a
-function of the whole sample, returning the residual at each point, handed
-to :func:`~haantjeskit.report.identity_check`, which judges it over the
-sample.  Checks whose outcome adjudicates a known ambiguity are emitted
-with status ``finding``: they always report their residual and the reading
-it supports, and never fail a run.
+Each suite function samples chart points with a seeded generator, builds
+the fields its identities read and returns a table: a list of entries
+``(id, description, reference, judge)``.  ``judge()`` judges one condition
+over the sample and returns its
+:class:`~haantjeskit.report.SampledResidual`, usually through
+:func:`~haantjeskit.report.sampled` with a sample function that returns the
+residual at each point.  Entries share only the set-up, so each can be
+judged alone and in any order; :func:`run_suite` judges them in order and
+builds the report.  A check whose id ends in ``_finding`` adjudicates a
+known ambiguity: its judge returns a pair, the check's result and a
+companion whose residual fills its description, and it always reports and
+never fails a run.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
-from .algebra import (algebra_rank, minimal_polynomial, verify_algebra)
+from .algebra import (algebra_rank, check_abelian, check_module_condition,
+                      check_ring_condition, minimal_polynomial)
 from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
                      ScalarField, VectorField, add_fields, apply_operator,
                      apply_transpose, constant_operator, constant_vector,
                      differential, exterior_derivative, identity_operator,
                      lie_bracket, operator_polynomial, scale_field, wedge)
-from .poisson import (_lie_bivector, _r_tensor, build_chain_oneforms,
-                      check_compatibility, check_skew_compositions,
-                      hamiltonian_field, verify_poisson)
+from .poisson import (_lie_bivector, _r_tensor, check_chain_closed,
+                      check_compatibility, check_jacobi, check_skew,
+                      check_skew_compositions, hamiltonian_field)
 from .report import (VerificationReport, _max_abs as _mag,
-                     check_from_residual, identity_check, matches, sampled,
-                     worst)
+                     check_from_residual, matches, sampled, worst)
 from .sampling import sample_points
 from .torsion import (_haantjes_components, _nijenhuis_components,
                       is_haantjes, is_nijenhuis, nijenhuis_torsion)
@@ -161,7 +165,6 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     rng = np.random.default_rng(cfg.seed + 1)
     chart3 = Chart("aux3", 3)
     sample3 = sample_points(chart3, cfg.points, cfg.seed)
-    checks = []
 
     def torsions(L, p):
         """Both torsions of ``L`` at ``p``, then ``L(p)`` and ``dL(p)``,
@@ -171,58 +174,33 @@ def suite_torsion(cfg: SuiteConfig) -> list:
                 Lc, Ld)
 
     ident = identity_operator(chart3)
-    checks.append(identity_check(
-        "identity_torsion", "both torsions of the identity operator vanish",
-        "T(I) = 0 and H(I) = 0", sample3,
-        lambda p: (_mag(*torsions(ident, p)[:2]), 1.0),
-        cfg.tol_exact))
-
-    entries = rng.uniform(-1.0, 1.0, 18).view(complex).reshape(3, 3)
-    const = constant_operator(chart3, entries.tolist())
+    values = rng.uniform(-1.0, 1.0, 18).view(complex).reshape(3, 3)
+    const = constant_operator(chart3, values.tolist())
 
     def constant_torsions(p):
         T, H, Lc, _ = torsions(const, p)
         return _mag(T, H), (1.0 + _mag(Lc)) ** 3
 
-    checks.append(identity_check(
-        "constant_operator_torsion",
-        "both torsions of a random constant operator vanish",
-        "T(L) = 0 and H(L) = 0 for dL = 0", sample3, constant_torsions,
-        cfg.tol_exact))
-
-    diagonal = []
+    diagonal = []  # (operator, sample) in dimensions 2-4
     for dim in (2, 3, 4):
         chart = Chart(f"aux{dim}d", dim)
         sample = sample_points(chart, cfg.points, cfg.seed + dim)
         for _ in range(3):
             V = _random_field(rng, VectorField, chart, (dim,))
-            D = OperatorField(chart, lambda x: np.diag(V.fn(x)))
-            diagonal.append(is_haantjes(D, sample, cfg.tol_deriv))
-    checks.append(check_from_residual(
-        "diagonal_haantjes",
-        "random smooth diagonal operators in dimensions 2-4 have vanishing "
-        "Haantjes torsion", "H(diag) = 0",
-        worst(diagonal, points=sum(sr.points for sr in diagonal))))
+            diagonal.append((OperatorField(
+                chart, lambda x, V=V: np.diag(V.fn(x))), sample))
+
+    def diagonal_haantjes():
+        results = [is_haantjes(D, s, cfg.tol_deriv) for D, s in diagonal]
+        return worst(results, points=sum(sr.points for sr in results))
 
     chart2 = Chart("aux2", 2)
     sample2 = sample_points(chart2, cfg.points, cfg.seed + 7)
     swap = OperatorField(chart2, lambda x: [[x[1], 0.0], [0.0, x[0]]])
-    checks.append(identity_check(
-        "swapped_diagonal_nijenhuis_nonzero",
-        "the operator diag(x2, x1) has nonvanishing Nijenhuis torsion yet "
-        "vanishing Haantjes torsion", "T(L) != 0, H(L) = 0", sample2,
-        lambda p: (np.maximum(
-            0.0, 1e-3 - _mag(nijenhuis_torsion(swap, p))), 1.0),
-        cfg.tol_exact))
 
     def swapped_haantjes(p):
         _, H, Lc, _ = torsions(swap, p)
         return _mag(H), (1.0 + _mag(Lc)) ** 3
-
-    checks.append(identity_check(
-        "swapped_diagonal_haantjes",
-        "Haantjes torsion of diag(x2, x1) vanishes", "H(L) = 0", sample2,
-        swapped_haantjes, cfg.tol_deriv))
 
     L = _random_field(rng, OperatorField, chart3, (3, 3))
 
@@ -230,12 +208,6 @@ def suite_torsion(cfg: SuiteConfig) -> list:
         T, H, Lc, Ld = torsions(L, p)
         return (_mag(T + T.swapaxes(-1, -2), H + H.swapaxes(-1, -2)),
                 (1.0 + _mag(Lc)) ** 3 * (1.0 + _mag(Ld)))
-
-    checks.append(identity_check(
-        "torsion_antisymmetry",
-        "both torsions of a random operator field are antisymmetric in the "
-        "lower index pair", "T^i_{jk} = -T^i_{kj}, H^i_{jk} = -H^i_{kj}",
-        sample3, antisymmetry, cfg.tol_exact))
 
     # definitional oracle on a small subsample: the component formula against
     # the vector-field bracket form applied to random fields
@@ -251,12 +223,37 @@ def suite_torsion(cfg: SuiteConfig) -> list:
         m = _mag(Lc) + _mag(Xc) + _mag(Yc)
         return _mag(*res), (1.0 + m) ** 5
 
-    checks.append(identity_check(
-        "torsion_definitional_oracle",
-        "component torsions agree with the bracket definitions applied to "
-        "random vector fields", "T(X,Y), H(X,Y) via Lie brackets",
-        sample3[:10], definitional, cfg.tol_deriv))
-    return checks
+    return [
+        ("identity_torsion", "both torsions of the identity operator vanish",
+         "T(I) = 0 and H(I) = 0",
+         partial(sampled, sample3,
+                 lambda p: (_mag(*torsions(ident, p)[:2]), 1.0),
+                 cfg.tol_exact)),
+        ("constant_operator_torsion",
+         "both torsions of a random constant operator vanish",
+         "T(L) = 0 and H(L) = 0 for dL = 0",
+         partial(sampled, sample3, constant_torsions, cfg.tol_exact)),
+        ("diagonal_haantjes",
+         "random smooth diagonal operators in dimensions 2-4 have vanishing "
+         "Haantjes torsion", "H(diag) = 0", diagonal_haantjes),
+        ("swapped_diagonal_nijenhuis_nonzero",
+         "the operator diag(x2, x1) has nonvanishing Nijenhuis torsion yet "
+         "vanishing Haantjes torsion", "T(L) != 0, H(L) = 0",
+         partial(sampled, sample2, lambda p: (np.maximum(
+             0.0, 1e-3 - _mag(nijenhuis_torsion(swap, p))), 1.0),
+             cfg.tol_exact)),
+        ("swapped_diagonal_haantjes",
+         "Haantjes torsion of diag(x2, x1) vanishes", "H(L) = 0",
+         partial(sampled, sample2, swapped_haantjes, cfg.tol_deriv)),
+        ("torsion_antisymmetry",
+         "both torsions of a random operator field are antisymmetric in the "
+         "lower index pair", "T^i_{jk} = -T^i_{kj}, H^i_{jk} = -H^i_{kj}",
+         partial(sampled, sample3, antisymmetry, cfg.tol_exact)),
+        ("torsion_definitional_oracle",
+         "component torsions agree with the bracket definitions applied to "
+         "random vector fields", "T(X,Y), H(X,Y) via Lie brackets",
+         partial(sampled, sample3[:10], definitional, cfg.tol_deriv)),
+    ]
 
 
 # -- algebra suite ----------------------------------------------------------
@@ -267,18 +264,8 @@ def suite_algebra(cfg: SuiteConfig) -> list:
     chart = complex_chart(params)
     sample = sample_points(chart, cfg.points, cfg.seed)
     N = nijenhuis_operator(params)
-    checks = [check_from_residual(
-        "recursion_operator_nijenhuis",
-        "the recursion operator of the adapted chart is torsion free",
-        "T(N) = 0", is_nijenhuis(N, sample, cfg.tol_deriv))]
-
     comb = operator_polynomial(N, [_random_field(rng, ScalarField, chart)
                                    for _ in range(3)])
-    checks.append(check_from_residual(
-        "polynomial_closure",
-        "function-coefficient polynomials in the recursion operator remain "
-        "Haantjes operators", "H(f0 I + f1 N + f2 N^2) = 0",
-        is_haantjes(comb, sample, cfg.tol_deriv)))
 
     def minpoly(p):
         mp = minimal_polynomial(N, p)
@@ -288,57 +275,56 @@ def suite_algebra(cfg: SuiteConfig) -> list:
         return (np.where(quadratic, _mag(mp.coeffs[:, :2] - expected), 1.0),
                 np.where(quadratic, 1.0 + _mag(expected), 1.0))
 
-    checks.append(identity_check(
-        "minimal_polynomial",
-        "the recursion operator satisfies a monic quadratic with the "
-        "coordinate-ratio coefficients", "N^2 + (x1/x2) N - (1/x2) I = 0",
-        sample, minpoly, 1e-6))
-
-    gens = [identity_operator(chart), N,
-            operator_polynomial(N, [0.0, 0.0, 1.0])]
-    checks.append(identity_check(
-        "algebra_rank", "the span of I, N, N^2 has pointwise dimension two",
-        "rank span{I, N, N^2} = 2", sample,
-        lambda p: (abs(algebra_rank(gens, p) - 2), 1.0), 0.5))
-
-    alg = verify_algebra([identity_operator(chart), N], sample,
-                         (_random_field(rng, ScalarField, chart),
-                          _random_field(rng, ScalarField, chart)),
-                         cfg.tol_deriv, cfg.tol_exact)
-    checks += [
-        check_from_residual(
-            "module_condition",
-            "function-linear combinations of the generators stay Haantjes",
-            "H(f Ki + g Kj) = 0", alg.module),
-        check_from_residual(
-            "ring_condition", "products of generators stay Haantjes",
-            "H(Ki Kj) = 0", alg.ring),
-        check_from_residual(
-            "abelian", "generators commute pointwise", "[Ki, Kj] = 0",
-            alg.abelian)]
-
+    powers = [identity_operator(chart), N,
+              operator_polynomial(N, [0.0, 0.0, 1.0])]
+    pair = [identity_operator(chart), N]
+    f, g = (_random_field(rng, ScalarField, chart) for _ in range(2))
     esample = sample_points(euler_chart(), cfg.points, cfg.seed + 3)
-    ealg = verify_algebra(euler_chain_operators(params), esample,
-                          (_random_field(rng, ScalarField, euler_chart()),
-                           _random_field(rng, ScalarField, euler_chart())),
-                          cfg.tol_deriv, cfg.tol_exact)
-    checks += [
-        check_from_residual(
-            "euler_family_haantjes",
-            "the diagonal operator family of the angle chart consists of "
-            "Haantjes operators", "H(Ki) = 0", ealg.haantjes),
-        check_from_residual(
-            "euler_family_module",
-            "function-linear combinations of the angle-chart family stay "
-            "Haantjes", "H(f Ki + g Kj) = 0", ealg.module),
-        check_from_residual(
-            "euler_family_ring", "products of the angle-chart family stay "
-            "Haantjes", "H(Ki Kj) = 0", ealg.ring),
-        check_from_residual(
-            "euler_family_abelian",
-            "the angle-chart family commutes pointwise", "[Ki, Kj] = 0",
-            ealg.abelian)]
-    return checks
+    family = euler_chain_operators(params)
+    ef, eg = (_random_field(rng, ScalarField, euler_chart())
+              for _ in range(2))
+    return [
+        ("recursion_operator_nijenhuis",
+         "the recursion operator of the adapted chart is torsion free",
+         "T(N) = 0", partial(is_nijenhuis, N, sample, cfg.tol_deriv)),
+        ("polynomial_closure",
+         "function-coefficient polynomials in the recursion operator remain "
+         "Haantjes operators", "H(f0 I + f1 N + f2 N^2) = 0",
+         partial(is_haantjes, comb, sample, cfg.tol_deriv)),
+        ("minimal_polynomial",
+         "the recursion operator satisfies a monic quadratic with the "
+         "coordinate-ratio coefficients", "N^2 + (x1/x2) N - (1/x2) I = 0",
+         partial(sampled, sample, minpoly, 1e-6)),
+        ("algebra_rank", "the span of I, N, N^2 has pointwise dimension two",
+         "rank span{I, N, N^2} = 2",
+         partial(sampled, sample,
+                 lambda p: (abs(algebra_rank(powers, p) - 2), 1.0), 0.5)),
+        ("module_condition",
+         "function-linear combinations of the generators stay Haantjes",
+         "H(f Ki + g Kj) = 0",
+         partial(check_module_condition, pair, f, g, sample, cfg.tol_deriv)),
+        ("ring_condition", "products of generators stay Haantjes",
+         "H(Ki Kj) = 0",
+         partial(check_ring_condition, pair, sample, cfg.tol_deriv)),
+        ("abelian", "generators commute pointwise", "[Ki, Kj] = 0",
+         partial(check_abelian, pair, sample, cfg.tol_exact)),
+        ("euler_family_haantjes",
+         "the diagonal operator family of the angle chart consists of "
+         "Haantjes operators", "H(Ki) = 0",
+         lambda: worst(is_haantjes(K, esample, cfg.tol_deriv)
+                       for K in family)),
+        ("euler_family_module",
+         "function-linear combinations of the angle-chart family stay "
+         "Haantjes", "H(f Ki + g Kj) = 0",
+         partial(check_module_condition, family, ef, eg, esample,
+                 cfg.tol_deriv)),
+        ("euler_family_ring", "products of the angle-chart family stay "
+         "Haantjes", "H(Ki Kj) = 0",
+         partial(check_ring_condition, family, esample, cfg.tol_deriv)),
+        ("euler_family_abelian",
+         "the angle-chart family commutes pointwise", "[Ki, Kj] = 0",
+         partial(check_abelian, family, esample, cfg.tol_exact)),
+    ]
 
 
 # -- angle-chart suite ------------------------------------------------------
@@ -350,37 +336,14 @@ def suite_euler(cfg: SuiteConfig) -> list:
     H = euler_hamiltonian(params)
     k1, k2, k3 = euler_chain_operators(params)
     dH = differential(H)
-    checks = [check_from_residual(
-        f"{name.lower()}_haantjes",
-        f"the diagonal operator {name} has vanishing Haantjes torsion",
-        f"H({name}) = 0", is_haantjes(K, sample, cfg.tol_deriv))
-        for name, K in (("K2", k2), ("K3", k3))]
-
     el1 = apply_transpose(k1, dH)
-    checks.append(identity_check(
-        "chain_identity",
-        "the identity maps the energy differential to itself",
-        "K1^T dH = dH", sample, matches(dH, el1), cfg.tol_exact))
-
     el2 = apply_transpose(k2, dH)
     target2 = np.array([0, 0, 0, 1, 0, 0], dtype=complex)
-    checks.append(identity_check(
-        "chain_second_integral",
-        "the second operator maps the energy differential to the "
-        "differential of the azimuthal momentum", "K2^T dH = d p_phi",
-        sample,
-        lambda p: (_mag(el2(p) - target2), 1.0 + _mag(k2(p)) + _mag(dH(p))),
-        cfg.tol_deriv))
 
     def chain_closed(p):
         J2 = el2.jacobian(p)  # d(el2) = J2^T - J2
         return (_mag(exterior_derivative(el1, p), J2.swapaxes(-1, -2) - J2),
                 1.0 + _mag(J2))
-
-    checks.append(identity_check(
-        "chain_closedness",
-        "the first two chain elements are closed one-forms",
-        "d(Ki^T dH) = 0", sample, chain_closed, cfg.tol_deriv))
 
     # Open adjudication: the third operator does not reproduce the
     # differential of the axial momentum.  Report the residual and what the
@@ -392,15 +355,32 @@ def suite_euler(cfg: SuiteConfig) -> list:
         v = el3(p)
         return _mag(v - target3), _mag(v[:, [0, 2, 5]]), 1.0 + _mag(v)
 
-    sr, axial = sampled(sample, k3_image, (cfg.tol_deriv, cfg.tol_deriv))
-    checks.append(check_from_residual(
-        "k3_image_finding",
-        "the image K3^T dH is supported on the (theta, p_theta, p_phi) "
-        "slots and is not d p_psi; the axial-momentum reading of the third "
-        "chain element does not hold (residual of K3^T dH - d p_psi "
-        f"reported; off-slot magnitude {axial.residual:.3e})",
-        "K3^T dH vs d p_psi", sr, finding=True))
-    return checks
+    return [
+        *((f"{name.lower()}_haantjes",
+           f"the diagonal operator {name} has vanishing Haantjes torsion",
+           f"H({name}) = 0", partial(is_haantjes, K, sample, cfg.tol_deriv))
+          for name, K in (("K2", k2), ("K3", k3))),
+        ("chain_identity",
+         "the identity maps the energy differential to itself",
+         "K1^T dH = dH",
+         partial(sampled, sample, matches(dH, el1), cfg.tol_exact)),
+        ("chain_second_integral",
+         "the second operator maps the energy differential to the "
+         "differential of the azimuthal momentum", "K2^T dH = d p_phi",
+         partial(sampled, sample, lambda p: (
+             _mag(el2(p) - target2), 1.0 + _mag(k2(p)) + _mag(dH(p))),
+             cfg.tol_deriv)),
+        ("chain_closedness",
+         "the first two chain elements are closed one-forms",
+         "d(Ki^T dH) = 0",
+         partial(sampled, sample, chain_closed, cfg.tol_deriv)),
+        ("k3_image_finding",
+         "the image K3^T dH is supported on the (theta, p_theta, p_phi) "
+         "slots and is not d p_psi; the axial-momentum reading of the third "
+         "chain element does not hold (residual of K3^T dH - d p_psi "
+         "reported; off-slot magnitude {:.3e})", "K3^T dH vs d p_psi",
+         partial(sampled, sample, k3_image, (cfg.tol_deriv, cfg.tol_deriv))),
+    ]
 
 
 # -- body-frame / adapted-chart suite ---------------------------------------
@@ -410,17 +390,16 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
     params = cfg.params()
     bchart = body_chart()
     bsample = sample_points(bchart, cfg.points, cfg.seed)
-    checks = []
 
     P0, P1, P2 = poisson_bivectors(params)
+    checks = []
     for name, P in (("p0", P0), ("p1", P1), ("p2", P2)):
-        ps = verify_poisson(P, bsample, cfg.tol_exact, cfg.tol_deriv)
-        checks.append(check_from_residual(
-            f"{name}_skew", f"bivector {name} is antisymmetric",
-            "P + P^T = 0", ps.skew))
-        checks.append(check_from_residual(
-            f"{name}_jacobi", f"bivector {name} satisfies the Jacobi "
-            "identity", "cyclic sum P^il d_l P^jk = 0", ps.jacobi))
+        checks += [
+            (f"{name}_skew", f"bivector {name} is antisymmetric",
+             "P + P^T = 0", partial(check_skew, P, bsample, cfg.tol_exact)),
+            (f"{name}_jacobi", f"bivector {name} satisfies the Jacobi "
+             "identity", "cyclic sum P^il d_l P^jk = 0",
+             partial(check_jacobi, P, bsample, cfg.tol_deriv))]
 
     XL = lagrange_vector_field(params)
     pairs = list(zip((P0, P1, P2), hamiltonians(params)))
@@ -430,14 +409,14 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         x = XL(p)
         flows = [(P(p), h.gradient(p)) for P, h in pairs]
         return (_mag(*(_mv(m, dh) - x for m, dh in flows)),
-                1.0 + _mag(x) + functools.reduce(
+                1.0 + _mag(x) + reduce(
                     np.maximum, (_mag(m) * _mag(dh) for m, dh in flows)))
 
-    checks.append(identity_check(
+    checks.append((
         "tri_hamiltonian",
         "all three bivector/Hamiltonian pairs generate the same flow field",
-        "P0 dh0 = P1 dh1 = P2 dh2 = X", bsample, tri_hamiltonian,
-        cfg.tol_deriv))
+        "P0 dh0 = P1 dh1 = P2 dh2 = X",
+        partial(sampled, bsample, tri_hamiltonian, cfg.tol_deriv)))
 
     # the two-Casimir ladder on the first two bivectors, and the flow field
     # decomposed over the ladder fields
@@ -445,7 +424,7 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
     minus_f3 = ScalarField(bchart, lambda x: -F["F3"].fn(x))
     half_f4 = ScalarField(bchart, lambda x: 0.5 * F["F4"].fn(x))
     X1, X2 = bihamiltonian_fields(params)
-    zero = constant_vector(bchart, [0.0] * 6)
+    zero_vector = constant_vector(bchart, [0.0] * 6)
 
     def ladder_decomposition(p):
         xl = XL(p)
@@ -453,20 +432,21 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         return _mag(v), 1.0 + _mag(xl)
 
     ladder = {
-        "P1_dF1_zero": matches(hamiltonian_field(P1, F["F1"]), zero),
-        "P0_dF1_zero": matches(hamiltonian_field(P0, F["F1"]), zero),
-        "P1_dF4half_zero": matches(hamiltonian_field(P1, half_f4), zero),
+        "P1_dF1_zero": matches(hamiltonian_field(P1, F["F1"]), zero_vector),
+        "P0_dF1_zero": matches(hamiltonian_field(P0, F["F1"]), zero_vector),
+        "P1_dF4half_zero": matches(hamiltonian_field(P1, half_f4),
+                                   zero_vector),
         "P0_dF4half_is_P1_dmF3": matches(hamiltonian_field(P0, half_f4),
                                          hamiltonian_field(P1, minus_f3)),
         "P0_dmF3_is_P1_dF2": matches(hamiltonian_field(P0, minus_f3),
                                      hamiltonian_field(P1, F["F2"])),
-        "P0_dF2_zero": matches(hamiltonian_field(P0, F["F2"]), zero),
+        "P0_dF2_zero": matches(hamiltonian_field(P0, F["F2"]), zero_vector),
         "XL_ladder_decomposition": ladder_decomposition,
     }
-    checks += [identity_check(
-        f"gz_{name}", "two-Casimir ladder relation on the first two "
-        "bivectors", name, bsample, at, cfg.tol_deriv)
-        for name, at in ladder.items()]
+    checks += [(f"gz_{name}", "two-Casimir ladder relation on the first two "
+                "bivectors", name,
+                partial(sampled, bsample, at, cfg.tol_deriv))
+               for name, at in ladder.items()]
 
     casimir_poly = [F["F2"], minus_f3, half_f4]
 
@@ -481,17 +461,17 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
             scales.append((1.0 + _mag(m)) * (1.0 + _mag(dc)))
         return (_mag(*res), *scales)
 
-    checks.append(identity_check(
+    checks.append((
         "pencil_casimir",
         "the quadratic Casimir polynomial is annihilated by the bivector "
-        "pencil", "(P0 - t P1) dC(t) = 0", bsample, pencil, cfg.tol_deriv))
-
-    checks += [identity_check(
-        f"involution_{name}",
-        f"the four integrals are in involution under {name}",
-        "{Fi, Fj} = 0", bsample, _in_involution(P, list(F.values())),
-        cfg.tol_deriv)
-        for name, P in (("p0", P0), ("p1", P1))]
+        "pencil", "(P0 - t P1) dC(t) = 0",
+        partial(sampled, bsample, pencil, cfg.tol_deriv)))
+    checks += [(f"involution_{name}",
+                f"the four integrals are in involution under {name}",
+                "{Fi, Fj} = 0",
+                partial(sampled, bsample, _in_involution(P, list(F.values())),
+                        cfg.tol_deriv))
+               for name, P in (("p0", P0), ("p1", P1))]
 
     # adapted holomorphic chart
     cchart = complex_chart(params)
@@ -499,18 +479,6 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
     to_cx = body_to_complex(params)
     P1c = p1_complex(params)
     P0c = p0_complex(params)
-
-    checks.append(identity_check(
-        "complex_p1_transform",
-        "the transported first bivector matches its closed form in the "
-        "adapted chart", "phi_* P1 = P1_adapted", csample,
-        matches(P1c, to_cx.push_bivector(P1)), cfg.tol_exact))
-    checks.append(identity_check(
-        "complex_p0_transform",
-        "the transported second bivector matches its closed form in the "
-        "adapted chart", "phi_* P0 = P0_adapted", csample,
-        matches(P0c, to_cx.push_bivector(P0)), cfg.tol_deriv))
-
     F2c, F3c = complex_integrals(params)
     pF2 = to_cx.push_scalar(F["F2"])
     pF3 = to_cx.push_scalar(F["F3"])
@@ -519,12 +487,6 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         f2, f3 = F2c(p), F3c(p)
         return (_mag(pF2(p) - f2, pF3(p) - f3),
                 1.0 + abs(f2) + abs(f3))
-
-    checks.append(identity_check(
-        "complex_integral_transform",
-        "the transported integrals match their closed forms in the adapted "
-        "chart", "Fi o phi^{-1} = Fi_adapted", csample, integral_transform,
-        cfg.tol_exact))
 
     Z1, Z2, Q = deformation(params)
     ladder_heads = [ScalarField(cchart, lambda x: x[F1C]),
@@ -536,41 +498,51 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
                       for i, z in enumerate((Z1(p), Z2(p)))
                       for j, g in enumerate(grads))), 1.0
 
-    checks.append(identity_check(
-        "transversal_normalization",
-        "the transversal frames pair to the identity against the Casimir "
-        "ladder heads", "Zi(H0^(j)) = delta_ij", csample, normalization,
-        cfg.tol_exact))
+    checks += [
+        ("complex_p1_transform",
+         "the transported first bivector matches its closed form in the "
+         "adapted chart", "phi_* P1 = P1_adapted",
+         partial(sampled, csample, matches(P1c, to_cx.push_bivector(P1)),
+                 cfg.tol_exact)),
+        ("complex_p0_transform",
+         "the transported second bivector matches its closed form in the "
+         "adapted chart", "phi_* P0 = P0_adapted",
+         partial(sampled, csample, matches(P0c, to_cx.push_bivector(P0)),
+                 cfg.tol_deriv)),
+        ("complex_integral_transform",
+         "the transported integrals match their closed forms in the adapted "
+         "chart", "Fi o phi^{-1} = Fi_adapted",
+         partial(sampled, csample, integral_transform, cfg.tol_exact)),
+        ("transversal_normalization",
+         "the transversal frames pair to the identity against the Casimir "
+         "ladder heads", "Zi(H0^(j)) = delta_ij",
+         partial(sampled, csample, normalization, cfg.tol_exact))]
 
     X1f, X2f = x_fields_complex(params)
-    zero = BivectorField(cchart, lambda x: [[0.0] * 6 for _ in range(6)])
+    zero_bivector = BivectorField(cchart,
+                                  lambda x: [[0.0] * 6 for _ in range(6)])
     for i, Z in enumerate((Z1, Z2)):
-        checks.append(identity_check(
-            f"lie_z{i + 1}_p1",
-            "the first bivector is invariant along the transversal frames",
-            "L_Z P1 = 0", csample, _lie_matches(Z, P1c, zero),
-            cfg.tol_deriv))
-        checks.append(identity_check(
-            f"lie_z{i + 1}_p0",
-            "the transversal variation of the second bivector is carried "
-            "entirely by the ladder-head wedge term",
-            "L_Z P0 = [Z, X1] ^ Z2", csample,
-            _lie_matches(Z, P0c, wedge(lie_bracket(Z, X1f), Z2)),
-            cfg.tol_deriv))
-        checks.append(identity_check(
-            f"lie_z{i + 1}_q",
-            "the deformed bivector is invariant along the transversal "
-            "frames", "L_Z Q = 0", csample, _lie_matches(Z, Q, zero),
-            cfg.tol_deriv))
+        checks += [
+            (f"lie_z{i + 1}_p1",
+             "the first bivector is invariant along the transversal frames",
+             "L_Z P1 = 0",
+             partial(sampled, csample, _lie_matches(Z, P1c, zero_bivector),
+                     cfg.tol_deriv)),
+            (f"lie_z{i + 1}_p0",
+             "the transversal variation of the second bivector is carried "
+             "entirely by the ladder-head wedge term",
+             "L_Z P0 = [Z, X1] ^ Z2",
+             partial(sampled, csample, _lie_matches(
+                 Z, P0c, wedge(lie_bracket(Z, X1f), Z2)), cfg.tol_deriv)),
+            (f"lie_z{i + 1}_q",
+             "the deformed bivector is invariant along the transversal "
+             "frames", "L_Z Q = 0",
+             partial(sampled, csample, _lie_matches(Z, Q, zero_bivector),
+                     cfg.tol_deriv))]
 
     def q_split(p):
         m = Q(p)
         return _mag(m[:, 4:, :], m[:, :, 4:]), 1.0 + _mag(m)
-
-    checks.append(identity_check(
-        "deformation_transversal_rows",
-        "the deformed bivector has vanishing transversal rows and columns",
-        "Q^{i5} = Q^{i6} = 0", csample, q_split, cfg.tol_deriv))
 
     p0_block = BivectorField(cchart, _p0_block)
 
@@ -578,46 +550,44 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         blk = p0_block(p)
         return _mag(Q(p)[:, :4, :4] - blk), 1.0 + _mag(blk)
 
-    checks.append(identity_check(
-        "deformation_leaf_block",
-        "the leaf block of the deformed bivector equals the closed-form "
-        "leaf block of the second bivector", "Q|leaf = P0|leaf", csample,
-        q_block, cfg.tol_exact))
-
     N = nijenhuis_operator(params)
 
     def factorization(p):
         n, m = N(p), P1c(p)
         return _mag(n @ m - Q(p)), (1.0 + _mag(n)) * (1.0 + _mag(m))
 
-    checks.append(identity_check(
-        "n_factorization",
-        "the recursion operator factors the deformed bivector through the "
-        "first one", "N P1 = Q", csample, factorization, cfg.tol_deriv))
-    checks.append(check_from_residual(
-        "n_nijenhuis", "the recursion operator is torsion free", "T(N) = 0",
-        is_nijenhuis(N, csample, cfg.tol_deriv)))
-    checks.append(check_from_residual(
-        "n_p1_compatible",
-        "the recursion operator is symmetric with respect to the first "
-        "bivector", "N P1 = P1 N^T",
-        check_compatibility(N, P1c, csample, cfg.tol_deriv)))
-
     K1, K2, K3 = benenti_operators(params, N)
-    checks.append(identity_check(
-        "minimal_polynomial_identity",
-        "the recursion operator is annihilated by its quadratic with the "
-        "coordinate-ratio coefficients", "N^2 + (x1/x2) N - (1/x2) I = 0",
-        csample, lambda p: (_mag(K3(p)), (1.0 + _mag(N(p))) ** 2),
-        cfg.tol_deriv))
-
-    checks.append(check_from_residual(
-        "operator_bivector_skew",
-        "compositions of family operators with the first bivector stay "
-        "antisymmetric", "Ki P, Ki P Kj^T, (Ki - f I)^s P skew",
-        check_skew_compositions(K2, N, P1c,
-                                _random_field(rng, ScalarField, cchart), 3,
-                                csample, cfg.tol_deriv)))
+    checks += [
+        ("deformation_transversal_rows",
+         "the deformed bivector has vanishing transversal rows and columns",
+         "Q^{i5} = Q^{i6} = 0",
+         partial(sampled, csample, q_split, cfg.tol_deriv)),
+        ("deformation_leaf_block",
+         "the leaf block of the deformed bivector equals the closed-form "
+         "leaf block of the second bivector", "Q|leaf = P0|leaf",
+         partial(sampled, csample, q_block, cfg.tol_exact)),
+        ("n_factorization",
+         "the recursion operator factors the deformed bivector through the "
+         "first one", "N P1 = Q",
+         partial(sampled, csample, factorization, cfg.tol_deriv)),
+        ("n_nijenhuis", "the recursion operator is torsion free", "T(N) = 0",
+         partial(is_nijenhuis, N, csample, cfg.tol_deriv)),
+        ("n_p1_compatible",
+         "the recursion operator is symmetric with respect to the first "
+         "bivector", "N P1 = P1 N^T",
+         partial(check_compatibility, N, P1c, csample, cfg.tol_deriv)),
+        ("minimal_polynomial_identity",
+         "the recursion operator is annihilated by its quadratic with the "
+         "coordinate-ratio coefficients", "N^2 + (x1/x2) N - (1/x2) I = 0",
+         partial(sampled, csample,
+                 lambda p: (_mag(K3(p)), (1.0 + _mag(N(p))) ** 2),
+                 cfg.tol_deriv)),
+        ("operator_bivector_skew",
+         "compositions of family operators with the first bivector stay "
+         "antisymmetric", "Ki P, Ki P Kj^T, (Ki - f I)^s P skew",
+         partial(check_skew_compositions, K2, N, P1c,
+                 _random_field(rng, ScalarField, cchart), 3, csample,
+                 cfg.tol_deriv))]
 
     ratio = ScalarField(cchart, lambda x: x[X1C] / x[X2C])
     inv_x2 = ScalarField(cchart, lambda x: 1.0 / x[X2C])
@@ -629,31 +599,8 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
                      _mv(n, x2v) - inv_x2(p)[:, None] * x1v),
                 (1.0 + _mag(n)) * (1.0 + _mag(x1v) + _mag(x2v)))
 
-    checks.append(identity_check(
-        "vector_chain",
-        "the recursion operator steps the ladder fields with the "
-        "minimal-polynomial corrections", "K2 X1 = X2, N X2 ~ X1", csample,
-        vector_chain, cfg.tol_deriv))
-
     mF3 = ScalarField(cchart, lambda x: -F3c.fn(x))
-    chain = build_chain_oneforms([K1, K2], mF3, csample, cfg.tol_deriv)
-    checks.append(check_from_residual(
-        "oneform_chain_closed",
-        "the operator images of the chain seed differential are closed",
-        "d(Ki^T dH) = 0", worst(chain.residuals)))
-
-    dF2 = differential(F2c)
-    el2 = chain.elements[1]
-    checks.append(identity_check(
-        "oneform_chain_step",
-        "the second chain element is the differential of the next integral",
-        "K2^T d(-F3) = dF2", csample, matches(dF2, el2), cfg.tol_deriv))
-
-    checks.append(identity_check(
-        "chain_involution",
-        "the chain Hamiltonians are in involution under the first bivector",
-        "{-F3, F2} = 0", csample, _in_involution(P1c, [mF3, F2c]),
-        cfg.tol_deriv))
+    el2 = apply_transpose(K2, differential(mF3))
 
     # X1 = P1 d(-F3) is the seed Hamiltonian field, X2 = P1 dF2
     def correspondence(p):
@@ -662,12 +609,30 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         return (_mag(lhs - _mv(k, xh), lhs - X2f(p)),
                 (1.0 + _mag(k)) * (1.0 + _mag(xh)))
 
-    checks.append(identity_check(
-        "hamiltonian_correspondence",
-        "bivector images of chain one-forms equal operator images of the "
-        "seed Hamiltonian field", "P (Ki^T dH) = Ki (P dH)", csample,
-        correspondence, cfg.tol_deriv))
-    return checks
+    return checks + [
+        ("vector_chain",
+         "the recursion operator steps the ladder fields with the "
+         "minimal-polynomial corrections", "K2 X1 = X2, N X2 ~ X1",
+         partial(sampled, csample, vector_chain, cfg.tol_deriv)),
+        ("oneform_chain_closed",
+         "the operator images of the chain seed differential are closed",
+         "d(Ki^T dH) = 0",
+         partial(check_chain_closed, [K1, K2], mF3, csample, cfg.tol_deriv)),
+        ("oneform_chain_step",
+         "the second chain element is the differential of the next integral",
+         "K2^T d(-F3) = dF2",
+         partial(sampled, csample, matches(differential(F2c), el2),
+                 cfg.tol_deriv)),
+        ("chain_involution",
+         "the chain Hamiltonians are in involution under the first bivector",
+         "{-F3, F2} = 0",
+         partial(sampled, csample, _in_involution(P1c, [mF3, F2c]),
+                 cfg.tol_deriv)),
+        ("hamiltonian_correspondence",
+         "bivector images of chain one-forms equal operator images of the "
+         "seed Hamiltonian field", "P (Ki^T dH) = Ki (P dH)",
+         partial(sampled, csample, correspondence, cfg.tol_deriv)),
+    ]
 
 
 # -- reduced (leaf) suite ---------------------------------------------------
@@ -692,13 +657,6 @@ def suite_reduced(cfg: SuiteConfig) -> list:
                      *(v[:, 4:] for v in vs)),
                 *(1.0 + _mag(a) for a in ms + vs))
 
-    checks = [identity_check(
-        "restriction_block_structure",
-        "recursion operator, first bivector and ladder fields decouple the "
-        "leaf from the transversal directions",
-        "off-blocks and transversal components vanish", embedded,
-        block_structure, cfg.tol_exact)]
-
     data = leaf_structures(params, C1, C4)
     Nl, K2l = data["N"], data["K2"]
     P0l, P1l = data["P0"], data["P1"]
@@ -711,33 +669,35 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         return (_mag(n - ratio),
                 (1.0 + _mag(n)) * (1.0 + _mag(m0)))
 
-    checks.append(identity_check(
-        "leaf_recursion_ratio",
-        "the restricted recursion operator equals the ratio of the two "
-        "restricted Poisson blocks", "N = P0 P1^{-1} on the leaf", sample,
-        recursion_ratio, cfg.tol_exact))
-
     dmF3l = differential(ScalarField(lchart, lambda x: -F3l.fn(x)))
-    el2 = apply_transpose(K2l, dmF3l)
-    dF2l = differential(F2l)
-    checks.append(identity_check(
-        "leaf_chain_step",
-        "the restricted operator family steps the restricted integral "
-        "differentials", "K2^T d(-F3) = dF2 on the leaf", sample,
-        matches(dF2l, el2), cfg.tol_deriv))
-
     c = params.c
     h1l = ScalarField(lchart,
                       lambda x: -F3l.fn(x) - (c - 1.0) * C1 * F2l.fn(x))
     comb = apply_transpose(
         add_fields(identity_operator(lchart),
                    scale_field(-(c - 1.0) * C1, K2l)), dmF3l)
-    checks.append(identity_check(
-        "leaf_h1_chain",
-        "the restricted second Hamiltonian differential decomposes over the "
-        "operator family",
-        "dh1 = -(I - (c-1) C1 K2)^T dF3 on the leaf", sample,
-        matches(differential(h1l), comb), cfg.tol_deriv))
+    checks = [
+        ("restriction_block_structure",
+         "recursion operator, first bivector and ladder fields decouple the "
+         "leaf from the transversal directions",
+         "off-blocks and transversal components vanish",
+         partial(sampled, embedded, block_structure, cfg.tol_exact)),
+        ("leaf_recursion_ratio",
+         "the restricted recursion operator equals the ratio of the two "
+         "restricted Poisson blocks", "N = P0 P1^{-1} on the leaf",
+         partial(sampled, sample, recursion_ratio, cfg.tol_exact)),
+        ("leaf_chain_step",
+         "the restricted operator family steps the restricted integral "
+         "differentials", "K2^T d(-F3) = dF2 on the leaf",
+         partial(sampled, sample, matches(differential(F2l),
+                                          apply_transpose(K2l, dmF3l)),
+                 cfg.tol_deriv)),
+        ("leaf_h1_chain",
+         "the restricted second Hamiltonian differential decomposes over the "
+         "operator family",
+         "dh1 = -(I - (c-1) C1 K2)^T dF3 on the leaf",
+         partial(sampled, sample, matches(differential(h1l), comb),
+                 cfg.tol_deriv))]
 
     sep = separation_map(params, C1, C4)
 
@@ -746,12 +706,6 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         x1, x2 = p.coords[0], p.coords[1]
         return (_mag(l1 + l2 - x1 / x2, l1 * l2 + 1.0 / x2),
                 1.0 + abs(l1) + abs(l2))
-
-    checks.append(identity_check(
-        "eigenvalue_symmetric_functions",
-        "the separation eigenvalues have the coordinate-ratio sum and "
-        "product", "l1 + l2 = x1/x2, l1 l2 = -1/x2", sample, eigen_symmetric,
-        cfg.tol_exact))
 
     def by_real_then_imag(z):
         return np.take_along_axis(
@@ -764,17 +718,20 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         return (_mag(by_real_then_imag(ours) - by_real_then_imag(ev)),
                 1.0 + _mag(ev))
 
-    checks.append(identity_check(
-        "eigenvalues_numeric",
-        "the closed-form eigenvalues match the numerical doubly degenerate "
-        "spectrum of the restricted operator", "spec K2 = {l1, l1, l2, l2}",
-        sample, eigen_numeric, 1e-7))
-
-    checks.append(identity_check(
-        "double_degeneracy",
-        "the restricted operator satisfies a quadratic on a four dimensional "
-        "leaf, so each eigenvalue is double", "deg minpoly K2 = 2", sample,
-        lambda p: (abs(minimal_polynomial(K2l, p).degree - 2), 1.0), 0.5))
+    checks += [
+        ("eigenvalue_symmetric_functions",
+         "the separation eigenvalues have the coordinate-ratio sum and "
+         "product", "l1 + l2 = x1/x2, l1 l2 = -1/x2",
+         partial(sampled, sample, eigen_symmetric, cfg.tol_exact)),
+        ("eigenvalues_numeric",
+         "the closed-form eigenvalues match the numerical doubly degenerate "
+         "spectrum of the restricted operator", "spec K2 = {l1, l1, l2, l2}",
+         partial(sampled, sample, eigen_numeric, 1e-7)),
+        ("double_degeneracy",
+         "the restricted operator satisfies a quadratic on a four dimensional "
+         "leaf, so each eigenvalue is double", "deg minpoly K2 = 2",
+         partial(sampled, sample, lambda p: (
+             abs(minimal_polynomial(K2l, p).degree - 2), 1.0), 0.5))]
 
     # Open adjudication: which eigenvalue multiplies the differential of
     # which separation variable in the eigenform relation.
@@ -788,15 +745,6 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         return (_mag(v - l2[:, None] * d), _mag(v - l1[:, None] * d),
                 (1.0 + _mag(K2l(p))) * (1.0 + _mag(d)))
 
-    crossed, direct = sampled(sample, eigenform,
-                              (cfg.tol_deriv, cfg.tol_deriv))
-    checks.append(check_from_residual(
-        "eigenform_pairing_finding",
-        "the differential of the first eigenvalue is an eigenform of the "
-        "restricted operator for the second eigenvalue (crossed pairing); "
-        f"same-index pairing leaves residual {direct.residual:.3e}",
-        "K2^T dl1 = l2 dl1", crossed, finding=True))
-
     # Open adjudication: the circulated momenta are not conjugate to the
     # eigenvalues; the corrected ones are.
     def canonical(fields):
@@ -808,44 +756,51 @@ def suite_reduced(cfg: SuiteConfig) -> list:
             return _mag(*res), 1.0 + abs(m1) + abs(m2)
         return at
 
-    printed = sampled(sample, canonical(
-        separation_fields(params, C1, C4, printed=True)), cfg.tol_deriv)
-    checks.append(identity_check(
-        "momenta_reading_finding",
-        "the eigenvalue-rescaled momenta are canonically conjugate to the "
-        "eigenvalues under the restricted bivector, while the circulated "
-        f"form leaves residual {printed.residual:.3e}",
-        "{la, mb} = i delta_ab", sample, canonical(separation),
-        cfg.tol_deriv, finding=True))
+    printed = separation_fields(params, C1, C4, printed=True)
+
+    def momenta_reading():
+        circulated = sampled(sample, canonical(printed), cfg.tol_deriv)
+        return (sampled(sample, canonical(separation), cfg.tol_deriv),
+                circulated)
 
     images = sep.apply(sample)
     iJ = np.zeros((4, 4), dtype=complex)
     iJ[0, 2] = iJ[1, 3] = 1.0j
     iJ[2, 0] = iJ[3, 1] = -1.0j
-    checks.append(identity_check(
-        "separation_darboux",
-        "the restricted bivector takes the constant canonical form in the "
-        "separation chart", "phi_* P1 = i J", images,
-        matches(BivectorField(sep.dst, lambda x: iJ),
-                sep.push_bivector(P1l)), cfg.tol_deriv))
-
     crossed = OperatorField(sep.dst,
                             lambda s: np.diag([s[1], s[0], s[1], s[0]]))
-    checks.append(identity_check(
-        "separation_operator_diagonal",
-        "the restricted operator becomes diagonal in the separation chart "
-        "with the crossed eigenvalue placement",
-        "phi_* K2 = diag(l2, l1, l2, l1)", images,
-        matches(crossed, sep.push_operator(K2l)), cfg.tol_deriv))
 
     def roundtrip(p):
         x = np.array(p.coords).T
         return (_mag(np.array(sep.invert(sep.apply(p)).coords).T - x),
                 1.0 + _mag(x))
 
-    checks.append(identity_check(
-        "separation_roundtrip", "the separation chart map inverts exactly",
-        "phi^{-1}(phi(p)) = p", sample, roundtrip, 1e-10))
+    checks += [
+        ("eigenform_pairing_finding",
+         "the differential of the first eigenvalue is an eigenform of the "
+         "restricted operator for the second eigenvalue (crossed pairing); "
+         "same-index pairing leaves residual {:.3e}", "K2^T dl1 = l2 dl1",
+         partial(sampled, sample, eigenform, (cfg.tol_deriv, cfg.tol_deriv))),
+        ("momenta_reading_finding",
+         "the eigenvalue-rescaled momenta are canonically conjugate to the "
+         "eigenvalues under the restricted bivector, while the circulated "
+         "form leaves residual {:.3e}", "{la, mb} = i delta_ab",
+         momenta_reading),
+        ("separation_darboux",
+         "the restricted bivector takes the constant canonical form in the "
+         "separation chart", "phi_* P1 = i J",
+         partial(sampled, images, matches(
+             BivectorField(sep.dst, lambda x: iJ), sep.push_bivector(P1l)),
+             cfg.tol_deriv)),
+        ("separation_operator_diagonal",
+         "the restricted operator becomes diagonal in the separation chart "
+         "with the crossed eigenvalue placement",
+         "phi_* K2 = diag(l2, l1, l2, l1)",
+         partial(sampled, images,
+                 matches(crossed, sep.push_operator(K2l)), cfg.tol_deriv)),
+        ("separation_roundtrip", "the separation chart map inverts exactly",
+         "phi^{-1}(phi(p)) = p",
+         partial(sampled, sample, roundtrip, 1e-10))]
 
     # The compatibility tensor of bivector and recursion operator vanishes
     # on the leaf, where the pair is nondegenerate; on the full chart the
@@ -861,18 +816,17 @@ def suite_reduced(cfg: SuiteConfig) -> list:
                 (1.0 + _mag(Nc)) ** 2 * (1.0 + _mag(Pc))
                 * (1.0 + _mag(ac)) * (1.0 + _mag(yc)))
 
-    checks.append(identity_check(
-        "r_tensor",
-        "the compatibility tensor of the restricted bivector and recursion "
-        "operator vanishes on random arguments", "R(P1, N)(alpha, Y) = 0",
-        sample[:20], compatibility, cfg.tol_deriv))
-
-    checks.append(identity_check(
-        "leaf_involution",
-        "the restricted integrals are in involution under the restricted "
-        "bivector", "{F2, F3} = 0 on the leaf", sample,
-        _in_involution(P1l, [F2l, F3l]), cfg.tol_deriv))
-    return checks
+    return checks + [
+        ("r_tensor",
+         "the compatibility tensor of the restricted bivector and recursion "
+         "operator vanishes on random arguments", "R(P1, N)(alpha, Y) = 0",
+         partial(sampled, sample[:20], compatibility, cfg.tol_deriv)),
+        ("leaf_involution",
+         "the restricted integrals are in involution under the restricted "
+         "bivector", "{F2, F3} = 0 on the leaf",
+         partial(sampled, sample, _in_involution(P1l, [F2l, F3l]),
+                 cfg.tol_deriv)),
+    ]
 
 
 # -- registry ----------------------------------------------------------------
@@ -889,13 +843,16 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
+    """Run a suite, or every suite for ``all`` with ids prefixed by the
+    suite name: build each table, then judge its entries in order."""
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}")
     report = VerificationReport(name, cfg.seed, cfg.as_dict())
-    if name == "all":
-        for key, suite in _SUITES.items():
-            report.extend(dataclasses.replace(check, id=f"{key}.{check.id}")
-                          for check in suite(cfg))
-    else:
-        report.extend(_SUITES[name](cfg))
+    suites = _SUITES if name == "all" else {name: _SUITES[name]}
+    for key, suite in suites.items():
+        prefix = f"{key}." if name == "all" else ""
+        report.extend(check_from_residual(prefix + check_id, description,
+                                          reference, judge())
+                      for check_id, description, reference, judge
+                      in suite(cfg))
     return report

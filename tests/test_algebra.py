@@ -5,8 +5,8 @@ import pytest
 
 from haantjeskit import (Chart, OperatorField, ScalarField, algebra_rank,
                          check_abelian, check_module_condition,
-                         identity_operator, minimal_polynomial,
-                         operator_polynomial, verify_algebra)
+                         check_ring_condition, identity_operator,
+                         minimal_polynomial, operator_polynomial)
 from haantjeskit.lagrange import TopParams, nijenhuis_operator
 from haantjeskit.lagrange.complex_chart import complex_chart
 from haantjeskit.sampling import sample_points
@@ -60,19 +60,20 @@ def test_algebra_rank_of_powers(ncase):
     assert algebra_rank(gens, sample).tolist() == [2] * len(sample)
 
 
-def test_verify_algebra_with_module_coefficients(ncase):
+def test_algebra_conditions_with_module_coefficients(ncase):
     chart, N = ncase
     sample = sample_points(chart, 15, 23)
     f = ScalarField(chart, lambda x: x[0] + x[1] * x[2])
     g = ScalarField(chart, lambda x: 1.0 + x[3] ** 2)
-    alg = verify_algebra([identity_operator(chart), N], sample, (f, g),
-                         tol=1e-9)
-    assert alg.module.passed
-    assert alg.ring.passed
-    assert alg.abelian.passed
+    pair = [identity_operator(chart), N]
+    assert check_module_condition(pair, f, g, sample, tol=1e-9).passed
+    assert check_ring_condition(pair, sample, tol=1e-9).passed
+    abelian = check_abelian(pair, sample)
+    assert abelian.passed
     # the Abelian condition pairs distinct generators only: no self pair
-    # widens its scale
-    assert alg.abelian == check_abelian(identity_operator(chart), N, sample)
+    # (I, I), at scale (1+1)^2, widens its scale past that of (I, N) at the
+    # first point, where the residual is 0 at every point
+    assert abelian.scale == 2.0 * (1.0 + np.abs(N(sample[:1])).max())
 
 
 def test_noncommuting_pair_fails_abelian():
@@ -80,7 +81,7 @@ def test_noncommuting_pair_fails_abelian():
     A = OperatorField(chart, lambda x: [[0.0, 1.0], [0.0, 0.0]])
     B = OperatorField(chart, lambda x: [[0.0, 0.0], [1.0, 0.0]])
     sample = sample_points(chart, 5, 1)
-    assert not check_abelian(A, B, sample).passed
+    assert not check_abelian([A, B], sample).passed
 
 
 def test_module_and_ring_conditions_on_diagonal_family():
@@ -90,19 +91,27 @@ def test_module_and_ring_conditions_on_diagonal_family():
     sample = sample_points(chart, 20, 2)
     f = ScalarField(chart, lambda x: x[0] * x[1])
     g = ScalarField(chart, lambda x: x[0] - x[1])
-    assert check_module_condition(K1, K2, f, g, sample).passed
-    assert verify_algebra([K1, K2], sample, (f, g)).ring.passed
+    assert check_module_condition([K1, K2], f, g, sample).passed
+    assert check_ring_condition([K1, K2], sample).passed
+
+
+def _closure_conditions(chart):
+    """The three family checks, each as a function of generators and
+    sample."""
+    one = ScalarField(chart, lambda x: 1.0)
+    return [lambda gens, s: check_module_condition(gens, one, one, s),
+            check_ring_condition, check_abelian]
 
 
 def test_empty_sample_rejected(ncase):
     chart, N = ncase
-    one = ScalarField(chart, lambda x: 1.0)
-    with pytest.raises(ValueError):
-        verify_algebra([N], [], (one, one))
+    for check in _closure_conditions(chart):
+        with pytest.raises(ValueError, match="empty sample"):
+            check([N, N], [])
 
 
 def test_single_generator_rejected(ncase):
     chart, N = ncase
-    one = ScalarField(chart, lambda x: 1.0)
-    with pytest.raises(ValueError, match="two generators"):
-        verify_algebra([N], sample_points(chart, 2, 1), (one, one))
+    for check in _closure_conditions(chart):
+        with pytest.raises(ValueError, match="two generators"):
+            check([N], sample_points(chart, 2, 1))

@@ -1,13 +1,16 @@
 """Guard for refactors of the checking code: the full-suite report at three
 points, frozen in ``tests/data`` from an earlier implementation, must keep
-every id, status and sample size exactly, and every tolerance and residual
-to rounding, so the comparison survives BLAS differences between machines.
+every id, status, sample size, description and reference exactly, and
+every tolerance and residual to rounding, so the comparison survives BLAS
+differences between machines.  A finding quotes a residual in its
+description, which is compared up to that number.
 
 The frozen files are the output of
 ``haantjeskit verify --suite all --points 3 --c C --json FILE``.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,18 @@ import pytest
 from haantjeskit.suites import SuiteConfig, run_suite
 
 DATA = Path(__file__).resolve().parent / "data"
+# the one residual a finding quotes, in the ``{:.3e}`` format
+QUOTED = re.compile(r"-?\d\.\d{3}e[+-]\d{2,3}")
+
+
+def text(check):
+    """A check's description and reference, a finding's quoted number
+    replaced by a marker."""
+    description = check["description"]
+    if check["id"].endswith("_finding"):
+        description, quoted = QUOTED.subn("<residual>", description)
+        assert quoted == 1, check["id"]
+    return description, check["reference"]
 
 
 @pytest.mark.parametrize("c", [2.0, 3.0])
@@ -28,6 +43,7 @@ def test_report_matches_frozen(c):
     for g, w in zip(got["checks"], want["checks"]):
         assert (g["status"], g["points_sampled"]) == \
             (w["status"], w["points_sampled"]), g["id"]
+        assert text(g) == text(w), g["id"]
         assert g["tolerance"] == pytest.approx(w["tolerance"], rel=1e-9), \
             g["id"]
         assert g["max_residual"] == pytest.approx(

@@ -5,12 +5,12 @@ import pytest
 
 from haantjeskit import (BivectorField, Chart, OneFormField, OperatorField,
                          ScalarField, VectorField, apply_operator,
-                         apply_transpose, build_chain_oneforms,
-                         check_compatibility, check_skew_compositions,
-                         hamiltonian_field, identity_operator,
-                         jacobi_residual, lie_derivative_bivector,
-                         lie_derivative_oneform, lie_derivative_operator,
-                         poisson_bracket, r_tensor, verify_poisson)
+                         apply_transpose, check_chain_closed,
+                         check_compatibility, check_jacobi, check_skew,
+                         check_skew_compositions, hamiltonian_field,
+                         identity_operator, jacobi_residual,
+                         lie_derivative_bivector, lie_derivative_oneform,
+                         lie_derivative_operator, poisson_bracket, r_tensor)
 from haantjeskit.sampling import sample_points
 
 from conftest import fd_jacobian, point, points_of
@@ -33,10 +33,11 @@ def sample4(chart4):
 
 
 def test_canonical_bivector_verifies(canonical, sample4):
-    ps = verify_poisson(canonical, sample4)
-    assert ps.skew.passed and ps.jacobi.passed
-    assert ps.skew.residual == 0.0
-    assert ps.jacobi.residual == 0.0
+    skew, jacobi = check_skew(canonical, sample4), check_jacobi(canonical,
+                                                               sample4)
+    assert skew.passed and jacobi.passed
+    assert skew.residual == 0.0
+    assert jacobi.residual == 0.0
 
 
 def test_lie_algebra_type_bivector_verifies():
@@ -46,8 +47,7 @@ def test_lie_algebra_type_bivector_verifies():
                                         [-x[2], 0.0, x[0]],
                                         [x[1], -x[0], 0.0]])
     sample = sample_points(chart, 15, 32)
-    ps = verify_poisson(P, sample)
-    assert ps.skew.passed and ps.jacobi.passed
+    assert check_skew(P, sample).passed and check_jacobi(P, sample).passed
 
 
 def test_non_jacobi_bivector_fails():
@@ -56,9 +56,8 @@ def test_non_jacobi_bivector_fails():
                                         [-x[0] * x[1], 0.0, x[0]],
                                         [0.0, -x[0], 0.0]])
     sample = sample_points(chart, 15, 33)
-    ps = verify_poisson(P, sample)
-    assert ps.skew.passed
-    assert not ps.jacobi.passed
+    assert check_skew(P, sample).passed
+    assert not check_jacobi(P, sample).passed
     assert np.max(jacobi_residual(P, sample)) > 1e-3
 
 
@@ -195,6 +194,8 @@ def test_chain_builders(canonical, chart4, sample4):
     N = OperatorField(chart4, lambda x: [[x[0], 0, 0, 0], [0, x[1], 0, 0],
                                          [0, 0, x[0], 0], [0, 0, 0, x[1]]])
     H = ScalarField(chart4, lambda x: x[2] ** 2 + x[3] ** 2 + x[0] * x[1])
-    chain = build_chain_oneforms([identity_operator(chart4), N], H, sample4)
-    assert len(chain.elements) == 2
-    assert chain.residuals[0].passed  # dH is closed
+    ident = identity_operator(chart4)
+    assert check_chain_closed([ident], H, sample4).passed  # dH is closed
+    # N^T dH = (x0 x1, x0 x1, 2 x0 x2, 2 x1 x3) is not closed, and a chain
+    # is judged by its worst element
+    assert not check_chain_closed([ident, N], H, sample4).passed

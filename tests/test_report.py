@@ -12,7 +12,7 @@ from haantjeskit import Chart, OperatorField, is_haantjes, sample_points
 from haantjeskit.jets import value
 from haantjeskit.poisson import _jacobi
 from haantjeskit.report import (BLOCK, SLICE, SampledResidual, _max_abs,
-                                _sliced_max, identity_check, matches,
+                                _sliced_max, check_from_residual, matches,
                                 sampled, worst)
 from haantjeskit.torsion import _haantjes_components, _nijenhuis_components
 
@@ -124,7 +124,8 @@ def test_nan_residual_fails_at_any_point(where):
     sr = sampled(SAMPLE, at, 1e-9)
     assert math.isnan(sr.residual)
     assert not sr.passed
-    assert identity_check("x", "", "", SAMPLE, at, 1e-9).status == "fail"
+    assert check_from_residual(
+        "x", "", "", sampled(SAMPLE, at, 1e-9)).status == "fail"
 
 
 def test_nan_magnitude_fails():
@@ -170,7 +171,8 @@ def test_matches_nan_in_any_field_fails(bad, where):
             np.where((name == bad) & (p == where), NAN, 1.0), 2.0)
 
     at = matches(field("G"), field("F1"), field("F2"))
-    assert identity_check("x", "", "", SAMPLE, at, 1e-9).status == "fail"
+    assert check_from_residual(
+        "x", "", "", sampled(SAMPLE, at, 1e-9)).status == "fail"
 
 
 def test_large_scale_at_one_point_does_not_cover_another():

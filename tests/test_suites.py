@@ -12,7 +12,7 @@ from haantjeskit import (Chart, OperatorField, Point, VectorField,
 from haantjeskit.charts import _Field
 from haantjeskit.report import Check, check_from_residual
 from haantjeskit.sampling import sample_points
-from haantjeskit.suites import (SUITE_NAMES, SuiteConfig,
+from haantjeskit.suites import (SUITE_NAMES, SuiteConfig, _SUITES,
                                 _bracket_haantjes, _bracket_nijenhuis,
                                 _random_field, run_suite)
 from haantjeskit.torsion import SampledResidual
@@ -80,9 +80,9 @@ def test_checks_read_each_field_once_per_sample(monkeypatch):
     """Inside each call ``at(sample)`` of the sampled-identity primitive,
     every field object is read at most once: one plain pass ``F(sample)``
     or one seeded pass ``F.jet(sample)`` (``jacobian`` and ``gradient`` go
-    through ``jet``).  Re-reads are charged to the next check built, so a
-    sampled residual that only enters another check's description counts
-    towards that check."""
+    through ``jet``).  Re-reads are charged to the next check built, which
+    is the one whose judge made them; a finding's companion result counts
+    towards its finding."""
     reads = collections.Counter()
     reread = collections.Counter()  # since the last check was built
     per_check = []
@@ -124,6 +124,28 @@ def test_checks_read_each_field_once_per_sample(monkeypatch):
     assert len(per_check) == len(report.checks) == 77
     offenders = {c.id: bad for c, bad in zip(report.checks, per_check) if bad}
     assert not offenders, offenders
+
+
+@pytest.mark.parametrize("c", [2.0, 3.0])
+def test_table_entries_are_self_contained(c):
+    """The entries of a fresh table, each judged alone and the last first,
+    give the checks of ``run_suite``: no entry depends on another having
+    been judged.  Exactly the ``_finding`` ids have status finding."""
+    cfg = SuiteConfig(points=3, c=c)
+    findings = set()
+    for name, suite in _SUITES.items():
+        table = suite(cfg)
+        assert isinstance(table, list)
+        checks = [check_from_residual(check_id, description, reference,
+                                      judge())
+                  for check_id, description, reference, judge
+                  in reversed(table)][::-1]
+        assert checks == run_suite(name, cfg).checks, name
+        assert {ch.id for ch in checks if ch.status == "finding"} == \
+            {ch.id for ch in checks if ch.id.endswith("_finding")}
+        findings |= {ch.id for ch in checks if ch.status == "finding"}
+    assert findings == {"k3_image_finding", "eigenform_pairing_finding",
+                        "momenta_reading_finding"}
 
 
 @pytest.mark.parametrize("build", [_bracket_nijenhuis, _bracket_haantjes],
@@ -232,8 +254,12 @@ def test_check_from_residual_statuses():
     bad = SampledResidual(1e-3, 1e-9, 1.0, 3)
     assert check_from_residual("a", "", "", good).status == "pass"
     assert check_from_residual("a", "", "", bad).status == "fail"
-    assert check_from_residual("a", "", "", bad,
-                               finding=True).status == "finding"
+    # a finding by its id: it reports its result whatever it is, and its
+    # companion's residual fills the description
+    finding = check_from_residual("a_finding", "other {:.3e}", "",
+                                  (bad, good))
+    assert (finding.status, finding.description, finding.max_residual) == \
+        ("finding", "other 1.000e-12", 1e-3)
 
 
 def test_failed_and_ok_properties():

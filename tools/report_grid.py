@@ -1,0 +1,69 @@
+"""Digest a fixed grid of 113 ``haantjeskit verify`` reports.
+
+The grid is every suite choice (the five suites and ``all``) at points
+3, 20 and 100, seeds 42 and 7 and inertia ratios 0.5, 2 and 10; then the
+four geometry suites (torsion, euler, euler-poisson, reduced) at 200
+points; then ``all`` at 300 points, seed 5, c = 3.  Each report runs in
+process through ``cli.main``.  For each one the script prints the sha256
+of its JSON report, the sha256 of what it printed and its exit code, and
+at the end one sha256 over all those lines.  Two checkouts that print the
+same final digest wrote the same reports byte for byte.
+
+Run from a checkout, with no options::
+
+    python3 tools/report_grid.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+GEOMETRY = ("torsion", "euler", "euler-poisson", "reduced")
+
+
+def grid():
+    """``(suite, points, seed, c)`` for each report, in order."""
+    suites = ("torsion", "algebra", "euler", "euler-poisson", "reduced",
+              "all")
+    yield from itertools.product(suites, (3, 20, 100), (42, 7),
+                                 (0.5, 2.0, 10.0))
+    for suite in GEOMETRY:
+        yield suite, 200, 42, 2.0
+    yield "all", 300, 5, 3.0
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    from haantjeskit import cli
+
+    combined = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        for suite, points, seed, c in grid():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["verify", "--suite", suite, "--points",
+                                 str(points), "--seed", str(seed),
+                                 "--c", repr(c), "--json", str(path)])
+            report = hashlib.sha256(path.read_bytes()).hexdigest()
+            printed = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            line = (f"{suite:13s} points {points:3d} seed {seed:2d} "
+                    f"c {c:4g}  json {report}  stdout {printed}  "
+                    f"exit {code}")
+            print(line)
+            combined.update(line.encode() + b"\n")
+            path.unlink()
+    print(f"combined {combined.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
