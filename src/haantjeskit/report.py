@@ -33,13 +33,14 @@ BLOCK = 256
 # Points per slice of a kernel that builds arrays of shape (N, n, n, n),
 # the torsions and the Jacobi sum, reduced slice by slice in `_sliced_max`.
 # Those temporaries, beside the arrays a read holds, set a check's memory.
-# Traced with tracemalloc at 200 points of the Euler chart (n = 6), the
-# Haantjes check of K3 peaked 1.41 MB above what the suite held before it
-# with BLOCK = 64.  With BLOCK = 256 it peaked 3.83 MB above unsliced,
-# 1.96 MB with slices of 64 points and 1.47 MB with slices of 32.  On the
-# run above, BLOCK = 256 gave a peak RSS of 46.13 MB unsliced (2 runs),
-# 43.48 MB with slices of 64 and 43.35 MB with slices of 32, at the same
-# norm_wall_s.
+# Traced with tracemalloc at 200 points of the Euler chart (n = 6), with
+# BLOCK = 256 and the kernels as batched `@` products, the Haantjes check
+# of K3 peaked 3.41 MB above what its suite held before it unsliced,
+# 1.62 MB with slices of 64 points and 1.20 MB with slices of 32 (the
+# same check with one einsum per term: 3.66, 1.87 and 1.41 MB).  On the
+# run above, with the einsum kernels, a peak RSS of 46.13 MB unsliced
+# (2 runs), 43.48 MB with slices of 64 and 43.35 MB with slices of 32, at
+# the same norm_wall_s.
 SLICE = 32
 
 

@@ -21,29 +21,47 @@ __all__ = [
 ]
 
 
-# The kernels sum their terms in place, so a sample holds few arrays of
-# shape (N, n, n, n) at a time; a sampled check reduces them in slices of
+# The kernels are batched `@` products on reshaped views of the
+# (N, n, n, n) arrays, so BLAS does the contractions and sets their
+# summation order.  They sum their terms in place, so a sample holds few
+# such arrays at a time; a sampled check reduces them in slices of
 # `report.SLICE` points.
 
+def _left(Lc: np.ndarray, A: np.ndarray) -> np.ndarray:
+    # (L A)[s, i, j, k] = L[s, i, a] A[s, a, j, k]
+    s, n = Lc.shape[:2]
+    return (Lc @ A.reshape(s, n, n * n)).reshape(s, n, n, n)
+
+
+def _right(A: np.ndarray, Lc: np.ndarray) -> np.ndarray:
+    # (A L)[s, i, j, k] = A[s, i, j, a] L[s, a, k]
+    s, n = Lc.shape[:2]
+    return (A.reshape(s, n * n, n) @ Lc).reshape(s, n, n, n)
+
+
 def _nijenhuis_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
-    # Lc[s, i, j] operator entries, Ld[s, i, j, a] their a-th partials.
-    T = np.einsum("sika,saj->sijk", Ld, Lc)
-    T -= np.einsum("sija,sak->sijk", Ld, Lc)
-    T += np.einsum("sia,sajk->sijk", Lc, Ld - Ld.transpose(0, 1, 3, 2))
+    # Lc[s, i, j] operator entries, Ld[s, i, j, a] their a-th partials;
+    # T[s, i, j, k] = L[a, j] d_a L[i, k] - L[a, k] d_a L[i, j]
+    #                 + L[i, a] (d_k L[a, j] - d_j L[a, k])
+    M = _right(Ld, Lc)
+    T = M.swapaxes(-1, -2) - M
+    T += _left(Lc, Ld - Ld.swapaxes(-1, -2))
     return T
 
 
 def _haantjes_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
-    # L^2 T(X, Y) + T(LX, LY) - L T(LX, Y) - L T(X, LY), contracted one
-    # index at a time
+    # L^2 T(X, Y) + T(LX, LY) - L T(LX, Y) - L T(X, LY), with
+    # T(X, LY) = -T(LY, X) from the antisymmetry of T:
+    # H = T(LX, LY) + L (L T(X, Y) - T(LX, Y) + T(LY, X))
     T = _nijenhuis_components(Lc, Ld)
-    LT = np.einsum("sia,sajk->sijk", Lc, T)
-    TL = np.einsum("siab,saj->sijb", T, Lc)
+    TL = Lc.swapaxes(-1, -2)[:, None] @ T  # T(LX, Y)
+    inner = _left(Lc, T)
     del T
-    H = np.einsum("sia,sajk->sijk", Lc, LT)
-    H += np.einsum("sijb,sbk->sijk", TL, Lc)
-    H -= np.einsum("sibk,sbj->sijk", LT, Lc)
-    H -= np.einsum("sijb,sbk->sijk", LT, Lc)
+    inner -= TL
+    inner += TL.swapaxes(-1, -2)
+    H = _right(TL, Lc)  # T(LX, LY)
+    del TL
+    H += _left(Lc, inner)
     return H
 
 

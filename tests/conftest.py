@@ -8,6 +8,7 @@ import pytest
 from haantjeskit import Chart, Point
 from haantjeskit.sampling import sample_points
 from haantjeskit.lagrange import TopParams
+from haantjeskit.report import _max_abs
 
 
 def fd_gradient(fn, coords, h=1e-6):
@@ -80,3 +81,19 @@ def points_of(sample):
     """The coordinate lists of a sample's points, as Python complex numbers,
     for the finite-difference oracle."""
     return np.array(sample.coords).T.tolist()
+
+
+def random_complex(rng, *shape):
+    """Complex normal entries of ``shape``."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def kernel_error(kernel, reference, power, Lc, Ld):
+    """Largest ``|kernel - reference|`` at each point of the jet
+    ``(Lc, Ld)`` over the kernel's scale ``(1+|L|)^power (1+|dL|)`` there,
+    in units of ``n^3`` machine epsilons: each component sums O(n^3)
+    products."""
+    n = Lc.shape[-1]
+    scale = (1 + _max_abs(Lc)) ** power * (1 + _max_abs(Ld))
+    return (_max_abs(kernel(Lc, Ld) - reference(Lc, Ld)) / scale
+            / (n ** 3 * np.finfo(float).eps))

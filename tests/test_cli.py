@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, deterministic JSON, schema
 conformance and the reported findings."""
 
+import dataclasses
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -231,3 +233,23 @@ def test_extreme_inertia_ratio_exits_4():
         assert r.returncode == 4, (suite, r.stderr)
         assert r.stderr.startswith(f"error: suite {suite}: {exc}:"), suite
         assert len(r.stderr.splitlines()) == 1, (suite, r.stderr)
+
+
+def test_report_grid_exits_1_when_a_report_fails(monkeypatch, capsys):
+    """``tools/report_grid.py`` exits 0 when every report passes and 1 when
+    any report exits non-zero, here one judged at tolerances no residual
+    meets."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_grid.py"
+    spec = importlib.util.spec_from_file_location("report_grid", path)
+    report_grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_grid)
+    monkeypatch.setattr(report_grid, "grid",
+                        lambda: iter([("euler", 3, 42, 2.0)]))
+    assert report_grid.main() == 0
+    run_suite = cli.run_suite
+    monkeypatch.setattr(cli, "run_suite", lambda name, cfg: run_suite(
+        name, dataclasses.replace(cfg, tol_exact=1e-300, tol_deriv=1e-300)))
+    assert report_grid.main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("exit 0") and out[2].endswith("exit 1")
+    assert out[-1] == "1 reports exited non-zero"

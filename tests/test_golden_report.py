@@ -1,9 +1,17 @@
 """Guard for refactors of the checking code: the full-suite report at three
 points, frozen in ``tests/data`` from an earlier implementation, must keep
 every id, status, sample size, description and reference exactly, and
-every tolerance and residual to rounding, so the comparison survives BLAS
-differences between machines.  A finding quotes a residual in its
-description, which is compared up to that number.
+every tolerance and residual to rounding.  A finding quotes a residual in
+its description, which is compared up to that number.
+
+The comparison does not survive every change of summation order, such as
+another BLAS or another way of contracting the torsions.  A check whose
+residual is at rounding level picks its worst point by rounding, and its
+tolerance follows the scale at that point, so the tolerance itself can
+move by more than rounding, as the Haantjes checks,
+``torsion_antisymmetry``, ``torsion_definitional_oracle`` and
+``euler_family_ring`` do.  Such a change refreezes the files and lists
+each moved value.
 
 The frozen files are the output of
 ``haantjeskit verify --suite all --points 3 --c C --json FILE``.

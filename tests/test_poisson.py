@@ -11,9 +11,11 @@ from haantjeskit import (BivectorField, Chart, OneFormField, OperatorField,
                          identity_operator, jacobi_residual,
                          lie_derivative_bivector, lie_derivative_oneform,
                          lie_derivative_operator, poisson_bracket, r_tensor)
+from haantjeskit.poisson import _jacobi
 from haantjeskit.sampling import sample_points
 
-from conftest import fd_jacobian, point, points_of
+from conftest import (fd_jacobian, kernel_error, point, points_of,
+                      random_complex)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,23 @@ def test_non_jacobi_bivector_fails():
     assert check_skew(P, sample).passed
     assert not check_jacobi(P, sample).passed
     assert np.max(jacobi_residual(P, sample)) > 1e-3
+
+
+def _jacobi_reference(Pc, Pd):
+    # one einsum, kept as the reference of the batched `@` kernel
+    term = np.einsum("sil,sjkl->sijk", Pc, Pd)
+    return term + term.transpose(0, 2, 3, 1) + term.transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("points", [1, 33])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_jacobi_kernel_matches_einsum_reference(n, points):
+    rng = np.random.default_rng(100 * n + points)
+    for _ in range(5):
+        Pc = random_complex(rng, points, n, n)
+        Pd = random_complex(rng, points, n, n, n)
+        assert np.all(kernel_error(_jacobi, _jacobi_reference, 1, Pc, Pd)
+                      <= 1)
 
 
 def test_poisson_bracket_canonical(canonical, chart4, sample4):

@@ -16,6 +16,8 @@ from haantjeskit.report import (BLOCK, SLICE, SampledResidual, _max_abs,
                                 sampled, worst)
 from haantjeskit.torsion import _haantjes_components, _nijenhuis_components
 
+from conftest import random_complex
+
 NAN = float("nan")
 # The primitive only takes the sample's length and hands the sample to the
 # identity, so an array of point indices stands in for a sample here.
@@ -78,10 +80,6 @@ def test_large_sample_is_judged_in_blocks():
     assert (ok.residual, ok.passed) == (1e-12, True)
 
 
-def _random_complex(rng, *shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
 @pytest.mark.parametrize(
     "points", sorted({1, SLICE - 1, SLICE, SLICE + 1, 63, 64, 65, 200}))
 def test_sliced_kernels_match_the_whole_sample(points):
@@ -91,8 +89,8 @@ def test_sliced_kernels_match_the_whole_sample(points):
     slice goes to the kernel as it is."""
     rng = np.random.default_rng(points)
     n = 6
-    Lc, Pc = (_random_complex(rng, points, n, n) for _ in range(2))
-    Ld, Pd = (_random_complex(rng, points, n, n, n) for _ in range(2))
+    Lc, Pc = (random_complex(rng, points, n, n) for _ in range(2))
+    Ld, Pd = (random_complex(rng, points, n, n, n) for _ in range(2))
     for kernel, c, d in [(_nijenhuis_components, Lc, Ld),
                          (_haantjes_components, Lc, Ld),
                          (_jacobi, Pc, Pd)]:

@@ -4,13 +4,16 @@ definitional oracle."""
 import numpy as np
 import pytest
 
-from haantjeskit import (Chart, OperatorField, add_fields, apply_operator,
-                         identity_operator, lie_bracket, scale_field,
-                         VectorField, haantjes_torsion, is_haantjes,
-                         is_nijenhuis, nijenhuis_torsion)
+from haantjeskit import (Chart, OperatorField, ScalarField, add_fields,
+                         apply_operator, identity_operator, lie_bracket,
+                         scale_field, VectorField, haantjes_torsion,
+                         is_haantjes, is_nijenhuis, nijenhuis_torsion)
+from haantjeskit.report import _max_abs
 from haantjeskit.sampling import sample_points
+from haantjeskit.suites import _random_field
+from haantjeskit.torsion import _haantjes_components, _nijenhuis_components
 
-from conftest import point
+from conftest import kernel_error, point, random_complex
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +101,66 @@ def test_local_formula_matches_bracket_definition(chart3, sample3):
     p = sample3[:8]
     got = np.einsum("sijk,sj,sk->si", nijenhuis_torsion(L, p), X(p), Y(p))
     assert np.max(np.abs(got - T_def(p))) < 1e-9
+
+
+# The kernels as one einsum per term of the local formulas, kept as the
+# references of the batched `@` kernels.
+
+def _nijenhuis_reference(Lc, Ld):
+    T = np.einsum("sika,saj->sijk", Ld, Lc)
+    T -= np.einsum("sija,sak->sijk", Ld, Lc)
+    T += np.einsum("sia,sajk->sijk", Lc, Ld - Ld.transpose(0, 1, 3, 2))
+    return T
+
+
+def _haantjes_reference(Lc, Ld):
+    T = _nijenhuis_reference(Lc, Ld)
+    LT = np.einsum("sia,sajk->sijk", Lc, T)
+    TL = np.einsum("siab,saj->sijb", T, Lc)
+    H = np.einsum("sia,sajk->sijk", Lc, LT)
+    H += np.einsum("sijb,sbk->sijk", TL, Lc)
+    H -= np.einsum("sibk,sbj->sijk", LT, Lc)
+    H -= np.einsum("sijb,sbk->sijk", LT, Lc)
+    return H
+
+
+@pytest.mark.parametrize("points", [1, 33])
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_kernels_match_einsum_references(n, points):
+    # against a scale, not relatively: the Haantjes torsion vanishes
+    # identically at n = 2
+    rng = np.random.default_rng(100 * n + points)
+    for _ in range(5):
+        Lc = random_complex(rng, points, n, n)
+        Ld = random_complex(rng, points, n, n, n)
+        assert np.all(kernel_error(_nijenhuis_components, _nijenhuis_reference,
+                                   1, Lc, Ld) <= 1)
+        assert np.all(kernel_error(_haantjes_components, _haantjes_reference,
+                                   3, Lc, Ld) <= 1)
+
+
+def test_haantjes_of_fI_plus_gL_is_g4_times_haantjes_of_L():
+    # H_{fI+gL} = g^4 H_L for any operator L and scalar fields f, g: a
+    # check on Haantjes torsions that do not vanish.  With g^3 in place of
+    # g^4 the identity fails by about its own size.
+    rng = np.random.default_rng(5)
+    chart = Chart("aux3", 3)
+    sample = sample_points(chart, 100, 42)
+    L = _random_field(rng, OperatorField, chart, (3, 3))
+    f = _random_field(rng, ScalarField, chart)
+    g = _random_field(rng, ScalarField, chart)
+    M = add_fields(scale_field(f, identity_operator(chart)),
+                   scale_field(g, L))
+    H_L, H_M, gv = (haantjes_torsion(L, sample), haantjes_torsion(M, sample),
+                    g(sample)[:, None, None, None])
+
+    def relative(power):
+        want = gv ** power * H_L
+        return _max_abs(H_M - want) / _max_abs(want)
+
+    assert np.median(_max_abs(H_L)) > 1.0
+    assert relative(4).max() < 1e-12
+    assert np.median(relative(3)) > 0.5
 
 
 def test_empty_sample_rejected(chart3):

@@ -7,7 +7,9 @@ points; then ``all`` at 300 points, seed 5, c = 3.  Each report runs in
 process through ``cli.main``.  For each one the script prints the sha256
 of its JSON report, the sha256 of what it printed and its exit code, and
 at the end one sha256 over all those lines.  Two checkouts that print the
-same final digest wrote the same reports byte for byte.
+same final digest wrote the same reports byte for byte.  The script exits
+1 when any report exits non-zero, so a check that fails anywhere on the
+grid fails the run.
 
 Run from a checkout, with no options::
 
@@ -45,6 +47,7 @@ def main() -> int:
     from haantjeskit import cli
 
     combined = hashlib.sha256()
+    failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         for suite, points, seed, c in grid():
@@ -60,9 +63,12 @@ def main() -> int:
                     f"exit {code}")
             print(line)
             combined.update(line.encode() + b"\n")
+            failed += code != 0
             path.unlink()
     print(f"combined {combined.hexdigest()}")
-    return 0
+    if failed:
+        print(f"{failed} reports exited non-zero")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
