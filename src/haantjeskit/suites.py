@@ -25,6 +25,7 @@ import numpy as np
 
 from .algebra import (algebra_rank, check_abelian, check_module_condition,
                       check_ring_condition, minimal_polynomial)
+from .jets import Jet, value
 from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
                      ScalarField, VectorField, add_fields, apply_operator,
                      apply_transpose, constant_operator, constant_vector,
@@ -79,21 +80,71 @@ def _random_field(rng, kind, chart, shape=()):
     random quadratic polynomial ``c0 + x . (lin + Q x)`` in the chart
     coordinates.  The complex coefficients are drawn in one call, component
     after component, ``c0``, ``lin`` and ``Q`` by rows, each as its real
-    and imaginary part uniform in [-1, 1]."""
+    and imaginary part uniform in [-1, 1].
+
+    One call of the component function evaluates every component at once:
+    the coefficients are arrays with the component first, the coordinates
+    jets with leading unit axes, and the jet arithmetic broadcasts between
+    them.  Each component takes the same operations in the same order as
+    the object-array form ``c0 + x @ (lin + Q @ x)``: ``x_k * Q[:, k]``
+    summed over ``k`` in order, ``+ lin``, ``x_j * t_j`` summed over ``j``
+    in order, ``+ c0``; so it rounds the same, bit for bit, over every
+    sample a report reads (README § "The sample axis" names the two inputs
+    where the last bit can differ).  The coordinates are numbers or
+    first-order jets, batched or not: a random field has no second
+    derivatives, and reading one at depth 2 (the jet of its differential)
+    raises ``TypeError``."""
     n = chart.dim
     size = math.prod(shape)
     coeffs = rng.uniform(-1.0, 1.0, 2 * size * (1 + n + n * n))
-    polys = [(c[0], np.array(c[1:n + 1], dtype=object),
-              np.array(c[n + 1:], dtype=object).reshape(n, n))
-             for c in coeffs.view(complex).reshape(size, -1).tolist()]
+    c = coeffs.view(complex).reshape(size, -1, 1)
+    c0, lin = c[:, 0], c[:, 1:n + 1]
+    quad = c[:, n + 1:].reshape(size, n, n, 1)
 
     def fn(x):
-        x = np.asarray(x, dtype=object)
-        out = np.array([c0 + x @ (lin + quad @ x) for c0, lin, quad in polys],
+        x2, x3 = zip(*map(_unit_axes, x))
+        t = _in_order([x3[k] * quad[:, :, k] for k in range(n)]) + lin
+        r = _in_order([x2[j] * _entry(t, np.s_[:, j]) for j in range(n)]) + c0
+        point = (0,) if all(np.ndim(value(v)) == 0 for v in x) else ()
+        out = np.array([_entry(r, (i,) + point) for i in range(size)],
                        dtype=object)
         return out.reshape(shape)[()]  # a scalar's one entry, unwrapped
 
     return kind(chart, fn)
+
+
+def _unit_axes(v):
+    """A coordinate with one and with two leading unit axes, to broadcast
+    against coefficients of shape ``(size, 1)`` and ``(size, n, 1)``; a
+    number broadcasts as it is, and an unbatched jet becomes a sample of
+    one."""
+    if not isinstance(v, Jet):
+        return v, v
+    g = v.grad
+    if isinstance(v.val, Jet) or g.dtype == object:
+        raise TypeError("random fields are first-order: their coordinates "
+                        "must be numbers or jets over numbers")
+    return tuple(
+        Jet(np.reshape(v.val, (1,) * a + (-1,)),
+            g.reshape(g.shape[:1] + (1,) * a + (g.shape[1:] or (1,)))
+            if len(g) else g)
+        for a in (1, 2))
+
+
+def _in_order(terms):
+    """``terms[0] + terms[1] + ...`` from the left, a jet kept left of an
+    array (an array on the left would make an object array of the sum)."""
+    return reduce(lambda a, b: b + a if isinstance(b, Jet)
+                  and not isinstance(a, Jet) else a + b, terms)
+
+
+def _entry(a, index):
+    """``a[index]`` of an array, or of a jet's value and the same entries of
+    its gradient (after the variable axis)."""
+    if not isinstance(a, Jet):
+        return a[index]
+    g = a.grad
+    return Jet(a.val[index], g[(slice(None),) + index] if len(g) else g)
 
 
 def _mv(m, v):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from haantjeskit import (Point, SingularPointError, differential,
-                         hamiltonian_field, is_haantjes)
+from haantjeskit import (Point, ScalarField, SingularPointError,
+                         differential, hamiltonian_field, is_haantjes)
 from haantjeskit.lagrange import (TopParams, benenti_operators,
                                   bihamiltonian_fields, body_chart,
                                   body_to_complex, complex_chart,
@@ -246,6 +246,34 @@ def test_separation_darboux_form(tp):
     target[2, 0] = target[3, 1] = -1.0j
     q = sep.apply(sample_points(sep.src, 8, 46))
     assert np.max(np.abs(pushed(q) - target)) < 1e-9
+
+
+def _levi_civita(H, p):
+    """Levi-Civita's separability residual of ``H`` over the sample ``p``,
+    the coordinates ordered ``(q1, q2, p1, p2)``, relative to
+    ``(1 + |dH|)^2 (1 + |d2H|)`` at each point.  ``H`` separates in these
+    coordinates exactly when the residual vanishes."""
+    dH, d2H = differential(H).jet(p)
+    qi, qj, pi, pj = dH.T
+    r = (qi * qj * d2H[:, 2, 3] + pi * pj * d2H[:, 0, 1]
+         - qi * pj * d2H[:, 2, 1] - pi * qj * d2H[:, 0, 3])
+    return np.abs(r) / ((1.0 + np.abs(dH).max(axis=1)) ** 2
+                        * (1.0 + np.abs(d2H).max(axis=(1, 2))))
+
+
+def test_separation_coordinates_pass_levi_civita(tp):
+    """A function of the two leaf integrals separates in the
+    Darboux-Haantjes coordinates ``(l1, l2, m1, m2)``, the paper's claim
+    (b); in the leaf coordinates ``(x1, x2, y1, y2)`` F3 does not, so the
+    test can fail."""
+    data = leaf_structures(tp, 0.4, 1.3)
+    F2, F3 = data["F2"], data["F3"]
+    sep = separation_map(tp, 0.4, 1.3)
+    sample = sample_points(sep.src, 100, 42)
+    H = sep.push_scalar(ScalarField(sep.src,
+                                    lambda x: F2.fn(x) / F3.fn(x)))
+    assert _levi_civita(H, sep.apply(sample)).max() <= 1e-12
+    assert _levi_civita(F3, sample).max() > 0.1
 
 
 def test_coincident_eigenvalues_rejected(tp):

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from haantjeskit import (Chart, OperatorField, Point, VectorField,
-                         VerificationReport, report as report_module)
+from haantjeskit import (Chart, OperatorField, Point, ScalarField,
+                         VectorField, VerificationReport, differential,
+                         jets, report as report_module)
 from haantjeskit.charts import _Field
 from haantjeskit.report import Check, check_from_residual
 from haantjeskit.sampling import sample_points
@@ -55,6 +56,101 @@ def test_random_field_draws_its_coefficients_component_by_component():
         quad = np.array(c[1 + n:]).reshape(n, n)
         expected = c[0] + x @ (np.array(c[1:1 + n]) + quad @ x)
         assert values[i, j] == pytest.approx(expected, rel=1e-14)
+
+
+def _reference_field(rng, kind, chart, shape):
+    """The same draw as ``_random_field``, evaluated one component at a time
+    over numpy object arrays: ``c0 + x @ (lin + Q @ x)``."""
+    n = chart.dim
+    size = int(np.prod(shape))
+    coeffs = rng.uniform(-1.0, 1.0, 2 * size * (1 + n + n * n))
+    polys = [(c[0], np.array(c[1:n + 1], dtype=object),
+              np.array(c[n + 1:], dtype=object).reshape(n, n))
+             for c in coeffs.view(complex).reshape(size, -1).tolist()]
+
+    def fn(x):
+        x = np.asarray(x, dtype=object)
+        out = np.array([c0 + x @ (lin + quad @ x) for c0, lin, quad in polys],
+                       dtype=object)
+        return out.reshape(shape)[()]
+
+    return kind(chart, fn)
+
+
+def _both_fields(kind, n, seed=3):
+    shape = {ScalarField: (), VectorField: (n,), OperatorField: (n, n)}[kind]
+    chart = Chart(f"r{n}", n)
+    return (_random_field(np.random.default_rng(seed), kind, chart, shape),
+            _reference_field(np.random.default_rng(seed), kind, chart, shape))
+
+
+def _entries(components):
+    """Value and gradient of each component (``None`` for a number)."""
+    return [(e.val, e.grad) if isinstance(e, jets.Jet) else (e, None)
+            for e in np.asarray(components, dtype=object).flat]
+
+
+KINDS = [ScalarField, VectorField, OperatorField]
+
+
+@pytest.mark.parametrize("points", [1, 33])
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_random_field_rounds_like_the_object_array_formula(kind, n, points):
+    """One broadcast pass over all components gives, bit for bit, the
+    values and partials of the per-component object-array formula."""
+    F, ref = _both_fields(kind, n)
+    p = sample_points(F.chart, points, 11)
+    assert np.array_equal(F(p), ref(p))
+    (v, d), (rv, rd) = F.jet(p), ref.jet(p)
+    assert np.array_equal(v, rv) and np.array_equal(d, rd)
+
+
+@pytest.mark.parametrize("points", [1, 33])
+@pytest.mark.parametrize("n, numbers", [(3, [0.4]), (6, [0.4, 1.3])],
+                         ids=["n3", "n6"])
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_random_field_takes_numbers_among_jet_coordinates(kind, n, numbers,
+                                                          points):
+    """Coordinates that end in numbers, as ``restrict_to_leaf`` pins the
+    Casimir levels, give the same components as the object-array formula,
+    for seeded and for plain jets.  (With one seeded variable at one
+    point, numpy multiplies the formula's ``(1, 1)`` gradient by its
+    ``(1,)`` value in its unfused scalar loop, so there the two forms can
+    differ in the last bit; no chart of the package has one coordinate.)"""
+    F, ref = _both_fields(kind, n)
+    p = sample_points(F.chart, points, 12)
+    leaf = list(p.coords[:n - len(numbers)])
+    for x in (jets.seed(leaf) + numbers, jets.lift(leaf) + numbers):
+        got, want = _entries(F.fn(x)), _entries(ref.fn(x))
+        assert len(got) == len(want)
+        for (v, g), (rv, rg) in zip(got, want):
+            assert np.array_equal(v, rv) and np.array_equal(g, rg)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_random_field_of_numbers_is_numbers(kind):
+    """An unbatched list of numbers, as a finite-difference oracle passes
+    it to ``fn``, gives numbers.  The object-array formula computes them in
+    Python's complex arithmetic, which numpy's may round differently in the
+    last bit."""
+    F, ref = _both_fields(kind, 3)
+    y = [0.5 - 0.25j, 2.0 + 1.0j, -0.75]
+    got, want = _entries(F.fn(y)), _entries(ref.fn(y))
+    assert len(got) == len(want)
+    for (v, g), (rv, _) in zip(got, want):
+        assert g is None and isinstance(v, complex)
+        assert v == pytest.approx(rv, rel=1e-14, abs=1e-14)
+
+
+def test_random_field_refuses_a_second_order_read():
+    """A random field is first-order: the jet of its differential raises a
+    ``TypeError`` that says so."""
+    f, _ = _both_fields(ScalarField, 3)
+    p = sample_points(f.chart, 4, 13)
+    assert differential(f)(p).shape == (4, 3)
+    with pytest.raises(TypeError, match="random fields are first-order"):
+        differential(f).jet(p)
 
 
 @pytest.mark.parametrize("c", [1e-6, 0.5, 1.5, 3.0, 10.0, 100.0])

@@ -1,0 +1,67 @@
+"""Exact certificates for closed forms, with the inertia ratio ``c`` a
+positive symbol.
+
+The sampled checks judge an identity at float points for one value of
+``c``.  Here the component functions run on sympy symbols instead, with
+``TopParams(c=Symbol('c', positive=True))``; ``nsimplify`` turns their
+float literals (``1.0``, ``0.5``, ``2.0``) into rationals, and each
+identity must cancel to exactly 0 for every ``c``.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+
+from haantjeskit.lagrange import (TopParams, benenti_operators,  # noqa: E402
+                                  complex_integrals, nijenhuis_operator)
+
+C = sp.Symbol("c", positive=True)
+PARAMS = TopParams(c=C)
+X = sp.symbols("x1 x2 y1 y2 f1 f4")
+
+
+def _exact(expr):
+    return sp.nsimplify(expr, rational=True)
+
+
+def _matrix(field):
+    """The operator's components at the symbolic coordinates, exact."""
+    return sp.Matrix(field.fn(list(X))).applyfunc(_exact)
+
+
+def _gradient(field):
+    f = _exact(field.fn(list(X)))
+    return sp.Matrix([sp.diff(f, v) for v in X])
+
+
+def test_recursion_operator_is_nijenhuis_for_every_c():
+    """``T^i_jk = L^a_j d_a L^i_k - L^a_k d_a L^i_j
+    - L^i_a (d_j L^a_k - d_k L^a_j)`` cancels in all 90 components
+    ``j < k`` of the recursion operator."""
+    L = _matrix(nijenhuis_operator(PARAMS))
+    n = len(X)
+    dL = [L.diff(v) for v in X]  # dL[a][i, k] = d_a L^i_k
+    nonzero = []
+    for i, (j, k) in itertools.product(range(n),
+                                       itertools.combinations(range(n), 2)):
+        t = sum(L[a, j] * dL[a][i, k] - L[a, k] * dL[a][i, j]
+                - L[i, a] * (dL[j][a, k] - dL[k][a, j]) for a in range(n))
+        if sp.cancel(sp.together(t)) != 0:
+            nonzero.append((i, j, k))
+    assert nonzero == []
+
+
+def test_second_chain_element_is_the_differential_of_f2_for_every_c():
+    """``K2^T d(-F3) = dF2`` exactly: the sampled check
+    ``euler-poisson.oneform_chain_step`` loses this identity to rounding
+    at c = 1e6 (the strict xfail in ``test_suites.py``), not to algebra."""
+    N = nijenhuis_operator(PARAMS)
+    _, K2, _ = benenti_operators(PARAMS, N)
+    F2, F3 = complex_integrals(PARAMS)
+    residual = _matrix(K2).T * -_gradient(F3) - _gradient(F2)
+    assert residual.applyfunc(lambda e: sp.cancel(sp.together(e))) \
+        == sp.zeros(len(X), 1)
