@@ -362,12 +362,13 @@ def operator_polynomial(L: OperatorField, coeffs: Sequence) -> OperatorField:
     def fn(x):
         n = L.chart.dim
         m = _components(L.fn, x)
-        # Python floats: an object-dtype np.zeros would hold the int 0
+        # Python floats: an object-dtype np.eye or np.zeros would hold ints;
+        # the zero operator is the sum of no terms
         power = np.eye(n).astype(object)
         acc = np.zeros((n, n)).astype(object)
         for k, c in enumerate(coeffs):
             if k > 0:
-                power = power @ m
+                power = m if k == 1 else power @ m
             acc = acc + power * (c.fn(x) if isinstance(c, ScalarField) else c)
         return acc
 

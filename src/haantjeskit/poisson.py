@@ -14,7 +14,7 @@ import numpy as np
 
 from .charts import (BivectorField, OneFormField, OperatorField, Point,
                      ScalarField, VectorField, _same_chart, apply_operator,
-                     apply_transpose, differential)
+                     differential)
 from .report import (SampledResidual, _first_order, _max_abs, _sliced_max,
                      sampled, worst)
 
@@ -182,21 +182,22 @@ def check_chain_closed(generators, H: ScalarField, sample,
     The terms of ``J = d(K^T dH)`` can cancel, so the scale is not
     ``1 + |J|`` but the backward-error bound
     ``1 + |J| + |dK| |dH| + |K| |d^2 H|``, its products summed entry by
-    entry as the terms of ``J`` are (the componentwise bound)."""
+    entry as the terms of ``J`` are (the componentwise bound).  ``J`` and
+    its terms are contracted from one jet of ``K`` and one of ``dH``."""
     dH = differential(H)
 
-    def closedness(K):
-        el = apply_transpose(K, dH)
+    def jacobian(Kc, Kd, h, hd):
+        # J[i, k] = sum_j d_k K[j, i] h[j] + K[j, i] d_k h[j]
+        return (np.einsum("sjik,sj->sik", Kd, h)
+                + np.einsum("sji,sjk->sik", Kc, hd))
 
+    def closedness(K):
         def at(p):
-            J = el.jacobian(p)  # d(el) = J^T - J
-            Kc, Kd = K.jet(p)
-            h, hd = dH.jet(p)
-            # J[i, k] = sum_j d_k K[j, i] h[j] + K[j, i] d_k h[j]
-            terms = (np.einsum("sjik,sj->sik", abs(Kd), abs(h))
-                     + np.einsum("sji,sjk->sik", abs(Kc), abs(hd)))
+            parts = (*K.jet(p), *dH.jet(p))
+            J = jacobian(*parts)  # d(K^T dH) = J^T - J
             return (_max_abs(J.swapaxes(-1, -2) - J),
-                    1.0 + _max_abs(J) + _max_abs(terms))
+                    1.0 + _max_abs(J)
+                    + _max_abs(jacobian(*(abs(a) for a in parts))))
         return at
 
     return worst(sampled(sample, closedness(K), tol) for K in generators)

@@ -124,30 +124,19 @@ def sampled(sample, at, tol):
     ``residual / scale <= tol`` at every point, and the result holds the
     residual and the scale of the worst point.  A NaN residual or
     magnitude at any point is the worst point, so the check fails.
-
-    Several residuals read from one evaluation pass are judged together by
-    passing a tuple of tolerances: ``at`` then returns that many residuals
-    before the magnitudes, each is judged against the one pointwise scale,
-    and a tuple of results comes back.
     """
     n = len(sample)
     if n == 0:
         raise ValueError("empty sample")
-    many = isinstance(tol, tuple)
-    tols = tol if many else (tol,)
-    k = len(tols)
     parts = ([sample] if n <= BLOCK else
              (sample[i:i + BLOCK] for i in range(0, n, BLOCK)))
-    blocks = []  # the worst point of each block, for each residual
+    blocks = []  # the worst point of each block
     for part in parts:
-        values = at(part)
-        scale = np.maximum(1.0, functools.reduce(np.maximum, values[k:]))
-        for r, t in zip(values[:k], tols):
-            j = np.argmax(r / scale / t)  # the key of `worst`; a NaN first
-            blocks.append(SampledResidual(_entry(r, j), t,
-                                          _entry(scale, j), n))
-    out = tuple(worst(blocks[j::k]) for j in range(k))
-    return out if many else out[0]
+        r, *magnitudes = at(part)
+        scale = np.maximum(1.0, functools.reduce(np.maximum, magnitudes))
+        j = np.argmax(r / scale / tol)  # the key of `worst`; a NaN first
+        blocks.append(SampledResidual(_entry(r, j), tol, _entry(scale, j), n))
+    return worst(blocks)
 
 
 def _entry(v, j) -> float:

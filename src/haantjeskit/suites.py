@@ -29,8 +29,8 @@ from .jets import Jet, value
 from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
                      ScalarField, VectorField, add_fields, apply_operator,
                      apply_transpose, constant_operator, constant_vector,
-                     differential, exterior_derivative, identity_operator,
-                     lie_bracket, operator_polynomial, scale_field, wedge)
+                     differential, identity_operator, lie_bracket,
+                     operator_polynomial, scale_field, wedge)
 from .poisson import (_lie_bivector, _r_tensor, check_chain_closed,
                       check_compatibility, check_jacobi, check_skew,
                       check_skew_compositions, hamiltonian_field)
@@ -224,13 +224,13 @@ def suite_torsion(cfg: SuiteConfig) -> list:
         return (_nijenhuis_components(Lc, Ld), _haantjes_components(Lc, Ld),
                 Lc, Ld)
 
-    ident = identity_operator(chart3)
+    def torsion_free(L):
+        """Judge of "both torsions of ``L`` vanish" on ``sample3``."""
+        return lambda: worst([is_nijenhuis(L, sample3, cfg.tol_exact),
+                              is_haantjes(L, sample3, cfg.tol_exact)])
+
     values = rng.uniform(-1.0, 1.0, 18).view(complex).reshape(3, 3)
     const = constant_operator(chart3, values.tolist())
-
-    def constant_torsions(p):
-        T, H, Lc, _ = torsions(const, p)
-        return _mag(T, H), (1.0 + _mag(Lc)) ** 3
 
     diagonal = []  # (operator, sample) in dimensions 2-4
     for dim in (2, 3, 4):
@@ -248,11 +248,6 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     chart2 = Chart("aux2", 2)
     sample2 = sample_points(chart2, cfg.points, cfg.seed + 7)
     swap = OperatorField(chart2, lambda x: [[x[1], 0.0], [0.0, x[0]]])
-
-    def swapped_haantjes(p):
-        _, H, Lc, _ = torsions(swap, p)
-        return _mag(H), (1.0 + _mag(Lc)) ** 3
-
     L = _random_field(rng, OperatorField, chart3, (3, 3))
 
     def antisymmetry(p):
@@ -276,14 +271,10 @@ def suite_torsion(cfg: SuiteConfig) -> list:
 
     return [
         ("identity_torsion", "both torsions of the identity operator vanish",
-         "T(I) = 0 and H(I) = 0",
-         partial(sampled, sample3,
-                 lambda p: (_mag(*torsions(ident, p)[:2]), 1.0),
-                 cfg.tol_exact)),
+         "T(I) = 0 and H(I) = 0", torsion_free(identity_operator(chart3))),
         ("constant_operator_torsion",
          "both torsions of a random constant operator vanish",
-         "T(L) = 0 and H(L) = 0 for dL = 0",
-         partial(sampled, sample3, constant_torsions, cfg.tol_exact)),
+         "T(L) = 0 and H(L) = 0 for dL = 0", torsion_free(const)),
         ("diagonal_haantjes",
          "random smooth diagonal operators in dimensions 2-4 have vanishing "
          "Haantjes torsion", "H(diag) = 0", diagonal_haantjes),
@@ -295,7 +286,7 @@ def suite_torsion(cfg: SuiteConfig) -> list:
              cfg.tol_exact)),
         ("swapped_diagonal_haantjes",
          "Haantjes torsion of diag(x2, x1) vanishes", "H(L) = 0",
-         partial(sampled, sample2, swapped_haantjes, cfg.tol_deriv)),
+         partial(is_haantjes, swap, sample2, cfg.tol_deriv)),
         ("torsion_antisymmetry",
          "both torsions of a random operator field are antisymmetric in the "
          "lower index pair", "T^i_{jk} = -T^i_{kj}, H^i_{jk} = -H^i_{kj}",
@@ -387,14 +378,8 @@ def suite_euler(cfg: SuiteConfig) -> list:
     H = euler_hamiltonian(params)
     k1, k2, k3 = euler_chain_operators(params)
     dH = differential(H)
-    el1 = apply_transpose(k1, dH)
     el2 = apply_transpose(k2, dH)
     target2 = np.array([0, 0, 0, 1, 0, 0], dtype=complex)
-
-    def chain_closed(p):
-        J2 = el2.jacobian(p)  # d(el2) = J2^T - J2
-        return (_mag(exterior_derivative(el1, p), J2.swapaxes(-1, -2) - J2),
-                1.0 + _mag(J2))
 
     # Open adjudication: the third operator does not reproduce the
     # differential of the axial momentum.  Report the residual and what the
@@ -402,9 +387,13 @@ def suite_euler(cfg: SuiteConfig) -> list:
     el3 = apply_transpose(k3, dH)
     target3 = np.array([0, 0, 0, 0, 0, 1], dtype=complex)
 
-    def k3_image(p):
-        v = el3(p)
-        return _mag(v - target3), _mag(v[:, [0, 2, 5]]), 1.0 + _mag(v)
+    def k3_image(part):
+        """Sample function of "``part`` of the image ``K3^T dH`` vanishes",
+        at scale ``1 + |K3^T dH|``."""
+        def at(p):
+            v = el3(p)
+            return _mag(part(v)), 1.0 + _mag(v)
+        return at
 
     return [
         *((f"{name.lower()}_haantjes",
@@ -414,7 +403,8 @@ def suite_euler(cfg: SuiteConfig) -> list:
         ("chain_identity",
          "the identity maps the energy differential to itself",
          "K1^T dH = dH",
-         partial(sampled, sample, matches(dH, el1), cfg.tol_exact)),
+         partial(sampled, sample, matches(dH, apply_transpose(k1, dH)),
+                 cfg.tol_exact)),
         ("chain_second_integral",
          "the second operator maps the energy differential to the "
          "differential of the azimuthal momentum", "K2^T dH = d p_phi",
@@ -424,13 +414,16 @@ def suite_euler(cfg: SuiteConfig) -> list:
         ("chain_closedness",
          "the first two chain elements are closed one-forms",
          "d(Ki^T dH) = 0",
-         partial(sampled, sample, chain_closed, cfg.tol_deriv)),
+         partial(check_chain_closed, [k1, k2], H, sample, cfg.tol_deriv)),
         ("k3_image_finding",
          "the image K3^T dH is supported on the (theta, p_theta, p_phi) "
          "slots and is not d p_psi; the axial-momentum reading of the third "
          "chain element does not hold (residual of K3^T dH - d p_psi "
          "reported; off-slot magnitude {:.3e})", "K3^T dH vs d p_psi",
-         partial(sampled, sample, k3_image, (cfg.tol_deriv, cfg.tol_deriv))),
+         lambda: (sampled(sample, k3_image(lambda v: v - target3),
+                          cfg.tol_deriv),
+                  sampled(sample, k3_image(lambda v: v[:, [0, 2, 5]]),
+                          cfg.tol_deriv))),
     ]
 
 
@@ -790,11 +783,15 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     dl1 = differential(separation[0])
     K2T_dl1 = apply_transpose(K2l, dl1)
 
-    def eigenform(p):
-        l1, l2, _, _ = sep.apply(p).coords
-        v, d = K2T_dl1(p), dl1(p)
-        return (_mag(v - l2[:, None] * d), _mag(v - l1[:, None] * d),
-                (1.0 + _mag(K2l(p))) * (1.0 + _mag(d)))
+    def eigenform(k):
+        """Sample function of ``K2^T dl1 = lk dl1`` for the k-th separation
+        eigenvalue ``lk``, at scale ``(1 + |K2|)(1 + |dl1|)``."""
+        def at(p):
+            lk = sep.apply(p).coords[k]
+            v, d = K2T_dl1(p), dl1(p)
+            return (_mag(v - lk[:, None] * d),
+                    (1.0 + _mag(K2l(p))) * (1.0 + _mag(d)))
+        return at
 
     # Open adjudication: the circulated momenta are not conjugate to the
     # eigenvalues; the corrected ones are.
@@ -831,7 +828,8 @@ def suite_reduced(cfg: SuiteConfig) -> list:
          "the differential of the first eigenvalue is an eigenform of the "
          "restricted operator for the second eigenvalue (crossed pairing); "
          "same-index pairing leaves residual {:.3e}", "K2^T dl1 = l2 dl1",
-         partial(sampled, sample, eigenform, (cfg.tol_deriv, cfg.tol_deriv))),
+         lambda: (sampled(sample, eigenform(1), cfg.tol_deriv),
+                  sampled(sample, eigenform(0), cfg.tol_deriv))),
         ("momenta_reading_finding",
          "the eigenvalue-rescaled momenta are canonically conjugate to the "
          "eigenvalues under the restricted bivector, while the circulated "

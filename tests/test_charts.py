@@ -158,6 +158,8 @@ def test_operator_algebra(chart3, sample3):
     assert np.max(np.abs(compose_operators(L, I)(p) - L(p))) < 1e-14
     sq = operator_polynomial(L, [0.0, 0.0, 1.0])
     assert np.max(np.abs(sq(p) - L(p) @ L(p))) < 1e-13
+    assert np.array_equal(operator_polynomial(L, [0.0, 1.0])(p), L(p))
+    assert np.array_equal(operator_polynomial(L, [])(p), np.zeros((1, 3, 3)))
     f = ScalarField(chart3, lambda x: 2.0)
     comb = add_fields(scale_field(f, L), scale_field(-2.0, L))
     assert np.max(np.abs(comb(p))) < 1e-14

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from haantjeskit import (Point, ScalarField, SingularPointError,
-                         differential, hamiltonian_field, is_haantjes)
+from haantjeskit import (OperatorField, Point, ScalarField,
+                         SingularPointError, differential, hamiltonian_field,
+                         identity_operator, is_haantjes, is_nijenhuis,
+                         operator_polynomial)
+from haantjeskit.algebra import (algebra_rank, check_abelian,
+                                 check_module_condition, check_ring_condition)
 from haantjeskit.lagrange import (TopParams, benenti_operators,
                                   bihamiltonian_fields, body_chart,
                                   body_to_complex, complex_chart,
@@ -16,8 +20,10 @@ from haantjeskit.lagrange import (TopParams, benenti_operators,
                                   p0_complex, p1_complex, poisson_bivectors,
                                   restrict_to_leaf, separation_map,
                                   x_fields_complex)
+from haantjeskit.poisson import check_compatibility
 from haantjeskit.sampling import sample_points
-from haantjeskit.suites import SuiteConfig, run_suite
+from haantjeskit.suites import (LEAF_C1, LEAF_C4, SuiteConfig, _random_field,
+                                run_suite)
 
 from conftest import point
 
@@ -274,6 +280,55 @@ def test_separation_coordinates_pass_levi_civita(tp):
                                     lambda x: F2.fn(x) / F3.fn(x)))
     assert _levi_civita(H, sep.apply(sample)).max() <= 1e-12
     assert _levi_civita(F3, sample).max() > 0.1
+
+
+def _leaf_sample(c):
+    data = leaf_structures(TopParams(c=c), LEAF_C1, LEAF_C4)
+    return data, sample_points(data["chart"], 100, 7)
+
+
+def _squares(K):
+    """``I``, ``K`` and ``K^2``, whose span has the dimension of the
+    algebra ``K`` generates."""
+    return [identity_operator(K.chart), K, operator_polynomial(K, [0, 0, 1])]
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
+def test_leaf_is_symplectic_haantjes(c):
+    """The paper's claim (a) on the symplectic leaf: ``N`` is Nijenhuis,
+    ``K2`` is Haantjes and compatible with ``P1``, and ``{I, K2}`` is a
+    Haantjes algebra (module, ring and Abelian conditions) of rank two;
+    each residual is judged at 1e-12 of its scale."""
+    data, sample = _leaf_sample(c)
+    K2 = data["K2"]
+    pair = [identity_operator(K2.chart), K2]
+    rng = np.random.default_rng(7)
+    f, g = (_random_field(rng, ScalarField, K2.chart) for _ in range(2))
+    results = {
+        "nijenhuis N": is_nijenhuis(data["N"], sample, 1e-12),
+        "haantjes K2": is_haantjes(K2, sample, 1e-12),
+        "K2 P1 = P1 K2^T": check_compatibility(K2, data["P1"], sample,
+                                               1e-12),
+        "module": check_module_condition(pair, f, g, sample, 1e-12),
+        "ring": check_ring_condition(pair, sample, 1e-12),
+        "abelian": check_abelian(pair, sample, 1e-12),
+    }
+    failed = {k: r.residual / r.scale for k, r in results.items()
+              if not r.passed}
+    assert not failed, failed
+    assert np.all(algebra_rank(_squares(K2), sample) == 2)
+
+
+def test_leaf_axioms_reject_a_random_operator():
+    """The leaf axioms' judges can fail: a random quadratic operator on the
+    leaf chart is not Haantjes, and it generates an algebra of rank
+    three."""
+    data, sample = _leaf_sample(2.0)
+    R = _random_field(np.random.default_rng(7), OperatorField,
+                      data["chart"], (4, 4))
+    sr = is_haantjes(R, sample, 1e-12)
+    assert sr.residual / sr.scale > 0.1
+    assert np.all(algebra_rank(_squares(R), sample) == 3)
 
 
 def test_coincident_eigenvalues_rejected(tp):

@@ -1,6 +1,6 @@
 """The sampled-identity primitive: every point judged against its own
-scale, several residuals from one pass, NaN propagation, and the one way
-results are combined."""
+scale, one pass per block, NaN propagation, and the one way results are
+combined."""
 
 import math
 
@@ -44,21 +44,17 @@ def test_pointwise_scale_over_several_magnitudes():
     assert sr.scale == 5.0
 
 
-def test_several_residuals_from_one_pass():
+def test_one_block_goes_to_the_identity_as_it_is():
     seen = []
 
     def at(p):
         seen.append(p)
-        return p, 2.0 * p, 10.0
+        return 2.0 * p, 10.0
 
-    a, b = sampled(SAMPLE, at, (1.0, 2.0))
+    sr = sampled(SAMPLE, at, 1.0)
     # one call, with the sample itself, not a copy
     assert len(seen) == 1 and seen[0] is SAMPLE
-    assert (a.residual, a.tolerance, a.scale) == (2.0, 1.0, 10.0)
-    assert (b.residual, b.tolerance, b.scale) == (4.0, 2.0, 10.0)
-    # each residual has its own worst point against the shared scale
-    c, d = sampled(SAMPLE, lambda p: (3.0 - p, p, 1.0 + p), (1.0, 1.0))
-    assert (c.residual, c.scale, d.residual, d.scale) == (3.0, 1.0, 2.0, 3.0)
+    assert (sr.residual, sr.tolerance, sr.scale) == (4.0, 1.0, 10.0)
 
 
 def test_large_sample_is_judged_in_blocks():

@@ -4,7 +4,8 @@ definitional oracle."""
 import numpy as np
 import pytest
 
-from haantjeskit import (Chart, OperatorField, ScalarField, add_fields,
+from haantjeskit import (Chart, ChartMap, OperatorField, ScalarField,
+                         add_fields,
                          apply_operator, identity_operator, lie_bracket,
                          scale_field, VectorField, haantjes_torsion,
                          is_haantjes, is_nijenhuis, nijenhuis_torsion)
@@ -161,6 +162,31 @@ def test_haantjes_of_fI_plus_gL_is_g4_times_haantjes_of_L():
     assert np.median(_max_abs(H_L)) > 1.0
     assert relative(4).max() < 1e-12
     assert np.median(relative(3)) > 0.5
+
+
+def test_torsions_are_tensors_under_a_chart_change():
+    # T(phi_* L) = J T(L) J^-1 J^-1 at phi(p), and the same for H, with J
+    # the Jacobian of phi at p: a check on nonvanishing torsions of a
+    # transported operator.  Dropping one J^-1 breaks it by about its own
+    # size.
+    rng = np.random.default_rng(5)
+    chart = Chart("aux3", 3)
+    phi = ChartMap(chart, Chart("aux3 image", 3),
+                   lambda x: [x[0], x[1] + x[0] * x[0], x[2] + x[0] * x[1]],
+                   lambda u: [u[0], u[1] - u[0] * u[0],
+                              u[2] - u[0] * (u[1] - u[0] * u[0])])
+    sample = sample_points(chart, 100, 42)
+    L = _random_field(rng, OperatorField, chart, (3, 3))
+    J = phi.jacobian(sample)
+    Jinv = np.linalg.inv(J)
+    for torsion in (nijenhuis_torsion, haantjes_torsion):
+        T = torsion(L, sample)
+        pushed = torsion(phi.push_operator(L), phi.apply(sample))
+        want = np.einsum("sia,sabc,sbj,sck->sijk", J, T, Jinv, Jinv)
+        dropped = np.einsum("sia,sajc,sck->sijk", J, T, Jinv)
+        assert np.median(_max_abs(T)) > 1.0
+        assert (_max_abs(pushed - want) / _max_abs(want)).max() < 1e-11
+        assert np.median(_max_abs(pushed - dropped) / _max_abs(want)) > 0.5
 
 
 def test_empty_sample_rejected(chart3):
