@@ -76,7 +76,7 @@ class Chart:
 
     ``singular`` lists scalar functions of the coordinates whose zero sets
     are excluded from the chart domain; samplers keep a margin away from
-    them and evaluation raises exactly on them.
+    them and building a :class:`Point` raises exactly on them.
     """
 
     name: str
@@ -100,7 +100,9 @@ class Point:
 
     Numbers broadcast against arrays, so a point given by numbers is a
     sample of one.  ``len`` is ``N``; an index gives the sample of that one
-    point and a slice a sub-sample.
+    point and a slice a sub-sample.  A sample with a point on a singular
+    set of its chart raises :class:`SingularPointError`, so every sample
+    that exists is valid and field reads check only its chart.
     """
 
     chart: Chart
@@ -123,6 +125,11 @@ class Point:
                              "one-dimensional array")
         if not np.all(np.isfinite(vals)):
             raise ChartError("non-finite coordinate")
+        for s in self.chart.singular:
+            if np.any(np.abs(s(list(vals))) < _SINGULAR_TOL):
+                raise SingularPointError(
+                    f"point lies on a singular set of chart "
+                    f"{self.chart.name!r}")
         vals.flags.writeable = False
         object.__setattr__(self, "coords", tuple(vals))
 
@@ -153,23 +160,16 @@ class _Field:
         self.chart = chart
         self.fn = fn
 
-    def _require(self, p: Point):
-        _same_chart(self.chart, p.chart)
-        for s in self.chart.singular:
-            if np.any(np.abs(s(list(p.coords))) < _SINGULAR_TOL):
-                raise SingularPointError(
-                    f"point lies on a singular set of chart {self.chart.name!r}")
-
     def __call__(self, p: Point) -> np.ndarray:
         """Components from a plain pass, shape ``(N,) + shape``."""
-        self._require(p)
+        _same_chart(self.chart, p.chart)
         return _read(self.fn, p.coords)
 
     def jet(self, p: Point) -> tuple:
         """Components and their partials from one seeded pass; the last
         index of the partials is the variable, so a vector's ``[s, i, k]``
         is the k-th partial of the i-th component at the s-th point."""
-        self._require(p)
+        _same_chart(self.chart, p.chart)
         return _read(self.fn, p.coords, seeded=True)
 
     def jacobian(self, p: Point) -> np.ndarray:
@@ -397,8 +397,8 @@ class ChartMap:
     Tensor transport uses the forward jacobian and the jacobian of the
     inverse map, so no matrix inversion is ever performed and transported
     fields stay differentiable.  A sample is mapped by reading the map as a
-    vector field on its chart, so a point on a singular set of that chart
-    raises like any other field read.
+    vector field on its chart, and its image is a :class:`Point` of the
+    other chart, so an image on a singular set of that chart raises.
     """
 
     def __init__(self, src: Chart, dst: Chart, forward: Callable,

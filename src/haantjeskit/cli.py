@@ -5,17 +5,17 @@ per check; ``haantjeskit integrate`` runs the fixed-step flow integrator and
 reports the worst invariant drift.
 
 Exit codes: 0 all checks pass (findings do not fail), 1 at least one check
-failed, 2 usage error (also a sample or a trajectory too large for
-memory), 3 I/O error, 4 numerical failure: the flow blew up,
-or a check raised a chart error (such as a singular point), a linear-algebra
-error, a value error or an arithmetic error (such as an overflow; numpy
-floating-point errors raise, not warn, inside ``verify``).
+failed, 2 usage error (a value that ``SuiteConfig``, ``TopParams`` or
+``integrate_flow`` rejects, as the CLI only parses, or a sample or a
+trajectory too large for memory), 3 I/O error, 4 numerical failure: the
+flow blew up, or a check raised a chart error (such as a singular point),
+a linear-algebra error, a value error or an arithmetic error (such as an
+overflow; numpy floating-point errors raise, not warn, inside ``verify``).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -67,23 +67,13 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _positive(x: float) -> bool:
-    """Finite and strictly positive; NaN fails."""
-    return math.isfinite(x) and x > 0
-
-
 def _cmd_verify(args) -> int:
-    if args.points <= 0:
-        return _usage_error("--points must be positive")
-    if args.seed < 0:
-        return _usage_error("--seed must be non-negative")
-    if not (_positive(args.tol_exact) and _positive(args.tol_deriv)):
-        return _usage_error("tolerances must be finite and positive")
-    if not _positive(args.c):
-        return _usage_error("--c must be finite and positive")
-    cfg = SuiteConfig(seed=args.seed, points=args.points,
-                      tol_exact=args.tol_exact, tol_deriv=args.tol_deriv,
-                      c=args.c)
+    try:
+        cfg = SuiteConfig(seed=args.seed, points=args.points,
+                          tol_exact=args.tol_exact, tol_deriv=args.tol_deriv,
+                          c=args.c)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     try:
         # numpy overflows raise, so they end in the one error line below
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -117,20 +107,11 @@ def _cmd_integrate(args) -> int:
         values = [float(v) for v in args.init.split(",")]
     except ValueError:
         return _usage_error("--init must be six comma-separated numbers")
-    if len(values) != 6:
-        return _usage_error("--init must have exactly six components")
-    if not all(math.isfinite(v) for v in values):
-        return _usage_error("--init must be finite")
-    if not (_positive(args.dt) and math.isfinite(args.tmax)
-            and args.tmax >= 0):
-        return _usage_error("--dt must be positive and --tmax non-negative")
-    if not math.isfinite(args.tmax / args.dt):
-        return _usage_error("--tmax / --dt must be a finite step count")
-    if not _positive(args.c):
-        return _usage_error("--c must be finite and positive")
-    params = TopParams(c=args.c)
     try:
-        traj = integrate_flow(params, np.array(values), args.dt, args.tmax)
+        traj = integrate_flow(TopParams(c=args.c), values, args.dt,
+                              args.tmax)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     except FlowBlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

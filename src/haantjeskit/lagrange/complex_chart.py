@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..charts import (BivectorField, Chart, ChartMap, OperatorField,
-                      ScalarField)
+                      ScalarField, add_fields, constant_vector,
+                      identity_operator, operator_polynomial, scale_field,
+                      wedge)
 from ..poisson import hamiltonian_field
 from .body import body_chart
 from .params import TopParams
@@ -143,7 +145,6 @@ def p0_complex(params: TopParams) -> BivectorField:
 def deformation(params: TopParams):
     """Transversal frames normalized against the Casimir ladder heads, and
     the deformed bivector whose transversal rows and columns vanish."""
-    from ..charts import constant_vector, wedge, add_fields, scale_field
     chart = complex_chart(params)
     Z1 = constant_vector(chart, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     Z2 = constant_vector(chart, [0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
@@ -185,7 +186,6 @@ def nijenhuis_operator(params: TopParams) -> OperatorField:
 def benenti_operators(params: TopParams, N: OperatorField):
     """Triangular relations expressing the operator family through the
     minimal-polynomial coefficients of the cyclic generator ``N``."""
-    from ..charts import identity_operator, operator_polynomial
     chart = complex_chart(params)
     z2_mf3 = ScalarField(chart, lambda x: x[X1C] / x[X2C])
     z2_f2 = ScalarField(chart, lambda x: -1.0 / x[X2C])

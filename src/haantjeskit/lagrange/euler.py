@@ -32,14 +32,14 @@ def euler_chart() -> Chart:
 
 
 def euler_hamiltonian(params: TopParams) -> ScalarField:
-    A, c = params.A, params.c
+    c = params.c
 
     def fn(x):
         s = sin_(x[THETA])
         gap = x[P_PHI] - x[P_PSI] * cos_(x[THETA])
         kinetic = (x[P_THETA] ** 2 + gap * gap / (s * s)
-                   + x[P_PSI] ** 2 / c) / (2.0 * A)
-        return kinetic + A * cos_(x[THETA])
+                   + x[P_PSI] ** 2 / c) / 2.0
+        return kinetic + cos_(x[THETA])
 
     return ScalarField(euler_chart(), fn)
 
@@ -47,7 +47,6 @@ def euler_hamiltonian(params: TopParams) -> ScalarField:
 def euler_chain_operators(params: TopParams):
     """The identity plus the two diagonal operators acting on the
     ``(phi, p_phi)`` and ``(theta, p_theta)`` blocks."""
-    A = params.A
     chart = euler_chart()
 
     def diag(entries_fn):
@@ -59,13 +58,13 @@ def euler_chain_operators(params: TopParams):
 
     def k2_entries(x):
         s = sin_(x[THETA])
-        f = A * s * s / (x[P_PHI] - x[P_PSI] * cos_(x[THETA]))
+        f = s * s / (x[P_PHI] - x[P_PSI] * cos_(x[THETA]))
         return [f, 0.0, 0.0, f, 0.0, 0.0]
 
     def k3_entries(x):
         s = sin_(x[THETA])
         ct = cos_(x[THETA])
-        f = -A * s * s / (ct * (x[P_PHI] - x[P_PSI] * ct))
+        f = -s * s / (ct * (x[P_PHI] - x[P_PSI] * ct))
         return [0.0, f, 0.0, 0.0, f, 0.0]
 
     k1 = diag(lambda x: [1.0] * 6)

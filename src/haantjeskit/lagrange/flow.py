@@ -36,12 +36,13 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
     The right-hand side is the component function of
     :func:`lagrange_vector_field`, and the recorded invariants are those of
     :func:`integrals` and :func:`hamiltonians`, evaluated on the state
-    columns.  Raises :class:`FlowBlowupError` carrying the last valid time
-    when the state stops being finite, and :class:`MemoryError` when the
-    trajectory does not fit in memory.
+    columns.  Raises ``ValueError`` for an input out of range (``dt`` not
+    finite and positive, for one), :class:`FlowBlowupError` carrying the
+    last valid time when the state stops being finite, and
+    :class:`MemoryError` when the trajectory does not fit in memory.
     """
-    if dt <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("step size must be finite and positive")
     if t_max < 0:
         raise ValueError("final time must be non-negative")
     if not math.isfinite(t_max / dt):

@@ -13,7 +13,9 @@ import numpy as np
 from ..charts import (BivectorField, Chart, ChartMap, OneFormField,
                       OperatorField, ScalarField, VectorField)
 from ..jets import sqrt_
-from .complex_chart import complex_chart, nijenhuis_operator
+from .complex_chart import (benenti_operators, complex_chart,
+                            complex_integrals, deformation,
+                            nijenhuis_operator, p1_complex)
 from .params import TopParams
 
 _LEAF_COORDS = ("x1", "x2", "y1", "y2")
@@ -56,8 +58,6 @@ def restrict_to_leaf(field, params: TopParams, C1, C4):
 def leaf_structures(params: TopParams, C1, C4) -> dict:
     """All restricted data on one leaf: Poisson blocks, recursion operator,
     the second operator of the family, and the two restricted integrals."""
-    from .complex_chart import (complex_integrals, deformation, p1_complex,
-                                benenti_operators)
     N = nijenhuis_operator(params)
     _, K2, _ = benenti_operators(params, N)
     F2c, F3c = complex_integrals(params)

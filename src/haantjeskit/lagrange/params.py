@@ -2,23 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class TopParams:
-    """Inertia ratio ``c`` (symmetry axis over equatorial) and equatorial
-    moment ``A``; the torque scale is fixed to ``A``.
+    """Inertia ratio ``c`` (symmetry axis over equatorial); the equatorial
+    moment and the torque scale are fixed to 1.
 
+    ``c`` must be finite and positive; a positive sympy symbol is accepted.
     ``c = 1`` is the degenerate spherically-symmetric case; generic runs
     keep ``c != 1``.
     """
 
     c: float = 2.0
-    A: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("inertia ratio must be positive")
-        if self.A <= 0:
-            raise ValueError("equatorial inertia moment must be positive")
+        # `not c > 0` rejects NaN; math.isfinite would refuse a sympy symbol
+        if not self.c > 0 or self.c == math.inf:
+            raise ValueError("inertia ratio c must be finite and positive")

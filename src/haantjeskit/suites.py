@@ -58,18 +58,31 @@ LEAF_C4 = 1.3
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """The parameters of a run; one out of range raises ``ValueError``."""
+
     seed: int = 42
     points: int = 100
     tol_exact: float = 1e-12
     tol_deriv: float = 1e-9
     c: float = 2.0
 
+    def __post_init__(self):
+        if not self.points > 0:
+            raise ValueError("points must be positive")
+        if not self.seed >= 0:
+            raise ValueError("seed must be non-negative")
+        for name in ("tol_exact", "tol_deriv"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        self.params()  # TopParams judges c
+
     def params(self) -> TopParams:
         return TopParams(c=self.c)
 
     def as_dict(self) -> dict:
+        # the report schema requires the equatorial moment, fixed to 1
         return {"points": self.points, "tol_exact": self.tol_exact,
-                "tol_deriv": self.tol_deriv, "c": self.c, "A": TopParams.A,
+                "tol_deriv": self.tol_deriv, "c": self.c, "A": 1.0,
                 "leaf_C1": LEAF_C1, "leaf_C4": LEAF_C4}
 
 

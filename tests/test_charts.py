@@ -50,19 +50,62 @@ def test_singular_point_raises():
     assert f(point(chart, 2.0, 4.0)) == 2.0
 
 
+def test_singular_point_cannot_be_built():
+    """A sample with one point on a singular set raises when it is built,
+    before any field reads it."""
+    chart = Chart("s", 2, singular=(lambda x: x[0], lambda x: x[0] - x[1]))
+    with pytest.raises(SingularPointError):
+        Point(chart, (0.0, 1.0))
+    with pytest.raises(SingularPointError):
+        Point(chart, (np.array([1.0, 2.0, 3.0]), np.array([0.5, 2.0, 1.0])))
+    assert len(Point(chart, (np.array([1.0, 2.0]), 0.5))) == 2
+
+
+def test_field_reads_evaluate_no_singular_predicate():
+    """A built sample is valid, so reading it checks only its chart: a
+    counting predicate runs when the sample is built and never on a read."""
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return x[0]
+
+    chart = Chart("s", 2, singular=(counted,))
+    p = Point(chart, (np.array([1.0, 2.0]), np.array([3.0, 4.0])))
+    assert len(calls) == 1
+    calls.clear()
+    f = ScalarField(chart, lambda x: x[1] / x[0])
+    L = OperatorField(chart, lambda x: [[x[0], x[1]], [x[1], 0.0]])
+    for _ in range(5):
+        f(p)
+        L.jet(p)
+    assert calls == []
+
+
 @pytest.mark.parametrize("method", ["apply", "jacobian", "invert"])
 def test_chart_map_raises_on_singular_point(method):
-    """A chart map reads a sample like any field: a point on a singular set
-    of the chart it maps from raises."""
+    """A point on a singular set of the chart a map reads cannot be built,
+    so the map never reads one."""
     sep = separation_map(TopParams(), LEAF_C1, LEAF_C4)
     singular = {
         # discriminant x1^2 + 4 x2 = 0, where the eigenvalues coincide
-        "apply": point(sep.src, 2.0, -1.0, 0.1, 0.2),
-        "jacobian": point(sep.src, 2.0, -1.0, 0.1, 0.2),
-        "invert": point(sep.dst, 0.5, 0.5, 0.1, 0.2),  # l1 = l2
+        "apply": (sep.src, 2.0, -1.0, 0.1, 0.2),
+        "jacobian": (sep.src, 2.0, -1.0, 0.1, 0.2),
+        "invert": (sep.dst, 0.5, 0.5, 0.1, 0.2),  # l1 = l2
     }
     with pytest.raises(SingularPointError):
-        getattr(sep, method)(singular[method])
+        getattr(sep, method)(point(*singular[method]))
+
+
+def test_chart_map_raises_on_singular_image():
+    """A regular point whose image lies on a singular set of the chart it
+    maps to raises: body points with ``g3 = i g2`` map to ``x2 = 0``."""
+    to_complex = body_to_complex(TopParams())
+    q = to_complex.apply(point(body_chart(), 0.3, -0.2, 0.5, 0.1, 0.4, 0.8))
+    assert len(q) == 1
+    with pytest.raises(SingularPointError):
+        to_complex.apply(point(body_chart(), 0.3, -0.2, 0.5, 0.1, 0.4,
+                               0.4j))
 
 
 def test_sampler_respects_margin_and_seed():

@@ -114,10 +114,13 @@ def test_usage_errors_exit_2():
     ["integrate", "--init", "0.1,0.2,0.3,0.4,0.5,0.6", "--dt", "1e-300",
      "--tmax", "1e300"],
     ["integrate", "--init", "0,1,1,1,0,1", "--dt", "1e-300", "--tmax", "1"],
+    ["verify", "--tol-deriv", "0"],
+    ["integrate", "--init", "1,2,3,4,5,6", "--dt", "inf"],
 ])
 def test_bad_numbers_exit_2(argv, capsys):
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_unknown_flag_exits_2():

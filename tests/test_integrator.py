@@ -45,8 +45,9 @@ def test_trajectory_shapes():
 
 def test_input_validation():
     params = TopParams()
-    with pytest.raises(ValueError):
-        integrate_flow(params, Y0, -1e-3, 1.0)
+    for dt in (-1e-3, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step size"):
+            integrate_flow(params, Y0, dt, 1.0)
     with pytest.raises(ValueError):
         integrate_flow(params, Y0, 1e-3, -1.0)
     with pytest.raises(ValueError):

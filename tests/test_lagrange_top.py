@@ -44,10 +44,9 @@ def csample(tp):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        TopParams(c=0.0)
-    with pytest.raises(ValueError):
-        TopParams(A=-1.0)
+    for c in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            TopParams(c=c)
 
 
 def test_euler_hamiltonian_frozen(tp):
@@ -338,6 +337,5 @@ def test_coincident_eigenvalues_rejected(tp):
     from haantjeskit.lagrange.leaf import _eigenvalues
     l1, l2 = _eigenvalues(2.0, -1.0)
     assert abs(l1 - l2) < 1e-13
-    p = point(chart, 2.0, -1.0, 0.1, 0.2)
     with pytest.raises(SingularPointError):
-        separation_map(tp, 0.4, 1.3).apply(p)
+        separation_map(tp, 0.4, 1.3).apply(point(chart, 2.0, -1.0, 0.1, 0.2))

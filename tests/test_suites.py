@@ -26,6 +26,24 @@ def test_registry_names():
         run_suite("bogus", SuiteConfig())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("points", 0), ("points", -3), ("seed", -1),
+    *((tol, v) for tol in ("tol_exact", "tol_deriv")
+      for v in (0.0, -1e-9, np.nan, np.inf)),
+    *(("c", v) for v in (0.0, -2.0, np.nan, np.inf, -np.inf))])
+def test_config_rejects_values_out_of_range(field, value):
+    """A run cannot be configured with a value out of range, so no suite
+    judges a sample drawn with one."""
+    with pytest.raises(ValueError):
+        SuiteConfig(**{field: value})
+
+
+def test_config_accepts_a_positive_symbol():
+    sp = pytest.importorskip("sympy")
+    c = sp.Symbol("c", positive=True)
+    assert SuiteConfig(c=c).params().c is c
+
+
 @pytest.mark.parametrize("name", ["torsion", "algebra", "euler",
                                   "euler-poisson", "reduced"])
 def test_each_suite_passes_at_small_sample(name):
