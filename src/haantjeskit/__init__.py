@@ -23,9 +23,8 @@ from .algebra import (MinimalPolynomial, algebra_rank, check_abelian,
                       minimal_polynomial)
 from .poisson import (check_chain_closed, check_compatibility, check_jacobi,
                       check_skew, check_skew_compositions, hamiltonian_field,
-                      jacobi_residual, lie_derivative_bivector,
-                      lie_derivative_oneform, lie_derivative_operator,
-                      poisson_bracket, r_tensor)
+                      jacobi_residual, lie_derivative,
+                      lie_derivative_operator, poisson_bracket, r_tensor)
 from .sampling import sample_points
 from .report import Check, SampledResidual, VerificationReport
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -47,8 +46,8 @@ __all__ = [
     "check_module_condition", "check_ring_condition", "minimal_polynomial",
     "check_chain_closed", "check_compatibility", "check_jacobi", "check_skew",
     "check_skew_compositions", "hamiltonian_field", "jacobi_residual",
-    "lie_derivative_bivector", "lie_derivative_oneform",
-    "lie_derivative_operator", "poisson_bracket", "r_tensor",
+    "lie_derivative", "lie_derivative_operator", "poisson_bracket",
+    "r_tensor",
     "sample_points",
     "Check", "VerificationReport",
     "SUITE_NAMES", "SuiteConfig", "run_suite",

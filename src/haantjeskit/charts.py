@@ -152,8 +152,9 @@ class _Field:
     """Base for all field kinds: a chart plus a pure component function.
 
     Every kind is read the same way; the subclasses are kind tags that the
-    field algebra checks.  A scalar field's components are one number per
-    point.
+    field algebra checks, and each names its index slots, ``"u"`` upper and
+    ``"d"`` lower, for :func:`~haantjeskit.poisson.lie_derivative`.  A
+    scalar field's components are one number per point.
     """
 
     def __init__(self, chart: Chart, fn: Callable):
@@ -178,23 +179,24 @@ class _Field:
 
 class ScalarField(_Field):
 
+    slots = ""
     gradient = _Field.jacobian
 
 
 class VectorField(_Field):
-    pass
+    slots = "u"
 
 
 class OneFormField(_Field):
-    pass
+    slots = "d"
 
 
 class OperatorField(_Field):
-    pass
+    slots = "ud"
 
 
 class BivectorField(_Field):
-    pass
+    slots = "uu"
 
 
 # -- jet-generic internal evaluation (inputs may already be jets) -----------

@@ -21,8 +21,7 @@ from .report import (SampledResidual, _first_order, _max_abs, _sliced_max,
 __all__ = [
     "jacobi_residual", "check_skew", "check_jacobi", "poisson_bracket",
     "hamiltonian_field", "check_compatibility", "check_skew_compositions",
-    "lie_derivative_operator", "lie_derivative_oneform",
-    "lie_derivative_bivector", "r_tensor",
+    "lie_derivative", "lie_derivative_operator", "r_tensor",
     "check_chain_closed",
 ]
 
@@ -107,46 +106,33 @@ def check_skew_compositions(Ki: OperatorField, Kj: OperatorField,
 
 
 # -- Lie derivatives over a sample ------------------------------------------
-#
-# Every kernel takes components and partials with the sample axis first.
 
-def _lie_operator(Zc, Zd, Nc, Nd) -> np.ndarray:
-    # Zd[s, i, k] = d_k Z^i, Nd[s, i, j, k] = d_k N^i_j
-    return (np.einsum("sk,sijk->sij", Zc, Nd)
-            - np.einsum("skj,sik->sij", Nc, Zd)
-            + np.einsum("sik,skj->sij", Nc, Zd))
-
-
-def lie_derivative_operator(Z: VectorField, N: OperatorField,
-                            p: Point) -> np.ndarray:
-    """``(L_Z N)^i_j = Z^k d_k N^i_j - N^k_j d_k Z^i + N^i_k d_j Z^k``."""
-    return _lie_operator(*Z.jet(p), *N.jet(p))
-
-
-def _lie_oneform(Yc, Yd, Ac, Ad) -> np.ndarray:
-    # Yd[s, i, k] = d_k Y^i, Ad[s, i, k] = d_k a_i
-    return (np.einsum("sk,sik->si", Yc, Ad)
-            + np.einsum("sk,ski->si", Ac, Yd))
+def _lie(Zc, Zd, Tc, Td, slots: str) -> np.ndarray:
+    # Zd[s, i, k] = d_k Z^i, Td[s, ..., k] = d_k T^{...}; `slots` names
+    # T's indices in order, "u" upper and "d" lower, at most two
+    idx = "ij"[:len(slots)]
+    L = np.einsum(f"sk,s{idx}k->s{idx}", Zc, Td)
+    for a, (slot, i) in enumerate(zip(slots, idx)):
+        t = f"s{idx[:a]}k{idx[a + 1:]}"
+        if slot == "u":
+            L = L - np.einsum(f"{t},s{i}k->s{idx}", Tc, Zd)
+        else:
+            L = L + np.einsum(f"{t},sk{i}->s{idx}", Tc, Zd)
+    return L
 
 
-def lie_derivative_oneform(Y: VectorField, alpha: OneFormField,
-                           p: Point) -> np.ndarray:
-    """Cartan formula in components:
-    ``(L_Y a)_i = Y^k d_k a_i + a_k d_i Y^k``."""
-    return _lie_oneform(*Y.jet(p), *alpha.jet(p))
+def lie_derivative(Z: VectorField, T, p: Point) -> np.ndarray:
+    """``L_Z T`` at each point of ``p`` for a field ``T`` of any kind, from
+    one jet of each field: ``Z^k d_k T``, then for each index of ``T`` in
+    order ``- T^{..k..} d_k Z^i`` if it is upper or ``+ T_{..k..} d_j Z^k``
+    if it is lower.  So a scalar gives ``Z^k d_k f``, a vector the bracket
+    ``[Z, Y]``, and an operator
+    ``(L_Z N)^i_j = Z^k d_k N^i_j - N^k_j d_k Z^i + N^i_k d_j Z^k``."""
+    return _lie(*Z.jet(p), *T.jet(p), T.slots)
 
 
-def _lie_bivector(Zc, Zd, Pc, Pd) -> np.ndarray:
-    # Zd[s, i, k] = d_k Z^i, Pd[s, i, j, k] = d_k P^{ij}
-    return (np.einsum("sk,sijk->sij", Zc, Pd)
-            - np.einsum("skj,sik->sij", Pc, Zd)
-            - np.einsum("sik,sjk->sij", Pc, Zd))
-
-
-def lie_derivative_bivector(Z: VectorField, P: BivectorField,
-                            p: Point) -> np.ndarray:
-    """``(L_Z P)^{ij} = Z^k d_k P^{ij} - P^{kj} d_k Z^i - P^{ik} d_k Z^j``."""
-    return _lie_bivector(*Z.jet(p), *P.jet(p))
+# an older name, still imported by `bench/micro.py`
+lie_derivative_operator = lie_derivative
 
 
 def _r_tensor(Pc, Pd, Nc, Nd, ac, ad, yc, yd) -> np.ndarray:
@@ -157,8 +143,8 @@ def _r_tensor(Pc, Pd, Nc, Nd, ac, ad, yc, yd) -> np.ndarray:
     nta_d = np.einsum("sijk,si->sjk", Nd, ac) + Nc.swapaxes(-1, -2) @ ad
     ny = np.einsum("sij,sj->si", Nc, yc)
     ny_d = np.einsum("sijk,sj->sik", Nd, yc) + Nc @ yd
-    inner = _lie_oneform(yc, yd, nta, nta_d) - _lie_oneform(ny, ny_d, ac, ad)
-    return (np.einsum("sij,sj->si", _lie_operator(pa, pa_d, Nc, Nd), yc)
+    inner = _lie(yc, yd, nta, nta_d, "d") - _lie(ny, ny_d, ac, ad, "d")
+    return (np.einsum("sij,sj->si", _lie(pa, pa_d, Nc, Nd, "ud"), yc)
             - np.einsum("sij,sj->si", Pc, inner))
 
 

@@ -36,11 +36,11 @@ BLOCK = 256
 # Traced with tracemalloc at 200 points of the Euler chart (n = 6), with
 # BLOCK = 256 and the kernels as batched `@` products, the Haantjes check
 # of K3 peaked 3.41 MB above what its suite held before it unsliced,
-# 1.62 MB with slices of 64 points and 1.20 MB with slices of 32 (the
-# same check with one einsum per term: 3.66, 1.87 and 1.41 MB).  On the
-# run above, with the einsum kernels, a peak RSS of 46.13 MB unsliced
-# (2 runs), 43.48 MB with slices of 64 and 43.35 MB with slices of 32, at
-# the same norm_wall_s.
+# 1.62 MB with slices of 64 points and 1.20 MB with slices of 32.  On a
+# shared 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), 3 alternating 10-s
+# `bench/run.py --workload geometry-large --seed 42` runs a side gave a
+# peak RSS of 42.9-43.3 MB with slices of 32 and 45.9-46.0 MB unsliced,
+# at a norm_wall_s of 0.089-0.099 s and 0.095-0.105 s.
 SLICE = 32
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import operator
+
 import numpy as np
 
 from .charts import Chart, ChartError, Point
@@ -13,6 +16,15 @@ IMAG = 1.0
 MIN_TRIES = 100000
 TRIES_PER_POINT = 100
 DEFAULT_MARGIN = 0.1
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python ``int``; a ``bool`` or a value that is not an
+    integer, ``3.0`` included, raises ``ValueError``."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def sample_points(chart: Chart, n_points: int, seed: int, *,
@@ -29,11 +41,13 @@ def sample_points(chart: Chart, n_points: int, seed: int, *,
 
     The try budget is ``TRIES_PER_POINT`` per requested point, and at least
     ``MIN_TRIES``; a sample the budget cannot fill raises
-    :class:`~haantjeskit.charts.ChartError`.
+    :class:`~haantjeskit.charts.ChartError`.  A size or seed that is not an
+    integer, or is a ``bool``, raises ``ValueError``.
     """
+    n_points = _integer("sample size", n_points)
     if n_points <= 0:
         raise ValueError("sample size must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed))
     dim = chart.dim
     per_try = dim if real else 2 * dim
     kept = []

@@ -31,12 +31,12 @@ from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
                      apply_transpose, constant_operator, constant_vector,
                      differential, identity_operator, lie_bracket,
                      operator_polynomial, scale_field, wedge)
-from .poisson import (_lie_bivector, _r_tensor, check_chain_closed,
+from .poisson import (_lie, _r_tensor, check_chain_closed,
                       check_compatibility, check_jacobi, check_skew,
                       check_skew_compositions, hamiltonian_field)
 from .report import (VerificationReport, _max_abs as _mag,
                      check_from_residual, matches, sampled, worst)
-from .sampling import sample_points
+from .sampling import _integer, sample_points
 from .torsion import (_haantjes_components, _nijenhuis_components,
                       is_haantjes, is_nijenhuis, nijenhuis_torsion)
 from .lagrange import (TopParams, benenti_operators, bihamiltonian_fields,
@@ -58,7 +58,8 @@ LEAF_C4 = 1.3
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """The parameters of a run; one out of range raises ``ValueError``."""
+    """The parameters of a run; one out of range raises ``ValueError``.
+    ``points`` and ``seed`` are stored as Python ``int``."""
 
     seed: int = 42
     points: int = 100
@@ -67,6 +68,8 @@ class SuiteConfig:
     c: float = 2.0
 
     def __post_init__(self):
+        for name in ("points", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not self.points > 0:
             raise ValueError("points must be positive")
         if not self.seed >= 0:
@@ -191,7 +194,7 @@ def _lie_matches(Z, P, W):
     def at(p):
         Pc, Pd = P.jet(p)
         w = W(p)
-        return (_mag(_lie_bivector(*Z.jet(p), Pc, Pd) - w),
+        return (_mag(_lie(*Z.jet(p), Pc, Pd, P.slots) - w),
                 1.0 + _mag(Pc) + _mag(w))
 
     return at

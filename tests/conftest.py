@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,21 @@ from haantjeskit import Chart, Point
 from haantjeskit.sampling import sample_points
 from haantjeskit.lagrange import TopParams
 from haantjeskit.report import _max_abs
+
+# the frozen full-suite report at three points and c = 2, the one list of
+# checks the tests read
+GOLDEN_REPORT = (Path(__file__).resolve().parent / "data"
+                 / "report_all_p3_c2.json")
+
+
+def golden_ids():
+    """The check ids of the frozen report, each ``suite.check``."""
+    return [c["id"] for c in json.loads(GOLDEN_REPORT.read_text())["checks"]]
+
+
+def golden_findings():
+    """The frozen report's ids that end in ``_finding``."""
+    return {i for i in golden_ids() if i.endswith("_finding")}
 
 
 def fd_gradient(fn, coords, h=1e-6):

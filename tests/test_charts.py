@@ -115,8 +115,12 @@ def test_sampler_respects_margin_and_seed():
     assert np.all(np.abs(pts.coords[0]) >= 0.25)
     again = sample_points(chart, 50, 3, margin=0.25)
     assert np.array_equal(np.array(pts.coords), np.array(again.coords))
-    with pytest.raises(ValueError):
-        sample_points(chart, 0, 3)
+    for n_points in (0, 2.5, 3.0, True):
+        with pytest.raises(ValueError):
+            sample_points(chart, n_points, 3)
+    for seed in (1.5, 3.0, True):
+        with pytest.raises(ValueError):
+            sample_points(chart, 50, seed)
 
 
 def test_sampler_budget_scales_with_sample_size():

@@ -45,6 +45,15 @@ def test_verify_torsion_passes(tmp_path):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_numpy_integer_config_gives_a_schema_valid_report():
+    """NumPy integers are stored as Python ints, so the report
+    serializes and its ``points`` and ``seed`` are JSON integers."""
+    cfg = suites.SuiteConfig(points=np.int64(3), seed=np.int64(5))
+    assert type(cfg.points) is int and type(cfg.seed) is int
+    report = json.loads(suites.run_suite("torsion", cfg).to_json())
+    jsonschema.validate(report, SCHEMA)
+
+
 def test_verify_json_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--suite", "torsion", "--points", "10",

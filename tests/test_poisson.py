@@ -8,9 +8,9 @@ from haantjeskit import (BivectorField, Chart, OneFormField, OperatorField,
                          apply_transpose, check_chain_closed,
                          check_compatibility, check_jacobi, check_skew,
                          check_skew_compositions, hamiltonian_field,
-                         identity_operator, jacobi_residual,
-                         lie_derivative_bivector, lie_derivative_oneform,
-                         lie_derivative_operator, poisson_bracket, r_tensor)
+                         identity_operator, jacobi_residual, lie_bracket,
+                         lie_derivative, lie_derivative_operator,
+                         poisson_bracket, r_tensor)
 from haantjeskit.poisson import _jacobi
 from haantjeskit.sampling import sample_points
 
@@ -144,22 +144,45 @@ def test_lie_derivatives_match_fd(chart4, sample4):
         return np.linalg.solve(J, N(q)[0] @ J)
 
     fd = (pullback_N(h) - pullback_N(-h)) / (2.0 * h)
-    got = lie_derivative_operator(Z, N, p)[0]
+    got = lie_derivative(Z, N, p)[0]
     assert np.max(np.abs(got - fd)) < 1e-4
 
     # one-form and bivector versions through their component formulas,
     # over a sample
     s = sample4[:5]
     Zc, Zd = Z(s), Z.jacobian(s)
-    got_a = lie_derivative_oneform(Z, a, s)
+    got_a = lie_derivative(Z, a, s)
     want_a = (np.einsum("sk,sik->si", Zc, a.jacobian(s))
               + np.einsum("sk,ski->si", a(s), Zd))
     assert np.max(np.abs(got_a - want_a)) < 1e-12
-    got_P = lie_derivative_bivector(Z, P, s)
+    got_P = lie_derivative(Z, P, s)
     Pc = P(s)
     want_P = (np.einsum("sk,sijk->sij", Zc, P.jacobian(s))
               - Zd @ Pc - (Zd @ Pc.swapaxes(-1, -2)).swapaxes(-1, -2))
     assert np.max(np.abs(got_P - want_P)) < 1e-12
+    assert lie_derivative_operator is lie_derivative
+
+
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_lie_derivative_of_vector_is_the_bracket(chart4, sample4):
+    """The sampled kernel on a vector field against the jet-level
+    ``lie_bracket``, the two Lie implementations checked against each
+    other."""
+    X = VectorField(chart4, lambda x: [x[1], x[0] * x[2], 1.0, x[3] ** 2])
+    Y = VectorField(chart4, lambda x: [x[2] ** 2, 1.0, x[0] * x[3], x[1]])
+    assert _relative(lie_derivative(X, Y, sample4),
+                     lie_bracket(X, Y)(sample4)) <= 1e-13
+
+
+def test_lie_derivative_of_scalar_is_the_directional_derivative(
+        chart4, sample4):
+    Z = VectorField(chart4, lambda x: [x[1], x[0] * x[2], 1.0, x[3] ** 2])
+    f = ScalarField(chart4, lambda x: x[0] * x[1] ** 2 + x[2] * x[3])
+    want = np.einsum("sk,sk->s", Z(sample4), f.gradient(sample4))
+    assert _relative(lie_derivative(Z, f, sample4), want) <= 1e-13
 
 
 def test_compatibility_and_skew_compositions(canonical, chart4, sample4):
@@ -200,10 +223,10 @@ def test_r_tensor_matches_derived_field_formula(chart4, sample4):
     Y = VectorField(chart4, lambda x: [1.0, x[3], x[0] * x[1], x[2]])
     p = sample4[:5]
     first = np.einsum("sij,sj->si",
-                      lie_derivative_operator(apply_operator(P, a), N, p),
+                      lie_derivative(apply_operator(P, a), N, p),
                       Y(p))
-    inner = (lie_derivative_oneform(Y, apply_transpose(N, a), p)
-             - lie_derivative_oneform(apply_operator(N, Y), a, p))
+    inner = (lie_derivative(Y, apply_transpose(N, a), p)
+             - lie_derivative(apply_operator(N, Y), a, p))
     want = first - np.einsum("sij,sj->si", P(p), inner)
     assert np.all(np.max(np.abs(want), axis=1) > 1e-3)
     assert np.max(np.abs(r_tensor(P, N, a, Y, p) - want)) < 1e-12

@@ -18,6 +18,8 @@ from haantjeskit.suites import (SUITE_NAMES, SuiteConfig, _SUITES,
                                 _random_field, run_suite)
 from haantjeskit.torsion import SampledResidual
 
+from conftest import golden_findings, golden_ids
+
 
 def test_registry_names():
     assert set(SUITE_NAMES) == {"torsion", "algebra", "euler",
@@ -30,10 +32,13 @@ def test_registry_names():
     ("points", 0), ("points", -3), ("seed", -1),
     *((tol, v) for tol in ("tol_exact", "tol_deriv")
       for v in (0.0, -1e-9, np.nan, np.inf)),
-    *(("c", v) for v in (0.0, -2.0, np.nan, np.inf, -np.inf))])
+    *(("c", v) for v in (0.0, -2.0, np.nan, np.inf, -np.inf)),
+    *((name, v) for name in ("points", "seed") for v in (2.5, 3.0, True))])
 def test_config_rejects_values_out_of_range(field, value):
     """A run cannot be configured with a value out of range, so no suite
-    judges a sample drawn with one."""
+    judges a sample drawn with one; ``points`` and ``seed`` must be
+    integers, not floats, which slice no sample, or bools, which the report
+    schema rejects."""
     with pytest.raises(ValueError):
         SuiteConfig(**{field: value})
 
@@ -235,7 +240,7 @@ def test_checks_read_each_field_once_per_sample(monkeypatch):
     monkeypatch.setattr(report_module, "Check", recording_check)
     report = run_suite("all", SuiteConfig(points=2))
 
-    assert len(per_check) == len(report.checks) == 77
+    assert len(per_check) == len(report.checks) == len(golden_ids())
     offenders = {c.id: bad for c, bad in zip(report.checks, per_check) if bad}
     assert not offenders, offenders
 
@@ -257,9 +262,9 @@ def test_table_entries_are_self_contained(c):
         assert checks == run_suite(name, cfg).checks, name
         assert {ch.id for ch in checks if ch.status == "finding"} == \
             {ch.id for ch in checks if ch.id.endswith("_finding")}
-        findings |= {ch.id for ch in checks if ch.status == "finding"}
-    assert findings == {"k3_image_finding", "eigenform_pairing_finding",
-                        "momenta_reading_finding"}
+        findings |= {f"{name}.{ch.id}" for ch in checks
+                     if ch.status == "finding"}
+    assert findings == golden_findings()
 
 
 @pytest.mark.parametrize("build", [_bracket_nijenhuis, _bracket_haantjes],

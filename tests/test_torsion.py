@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from haantjeskit import (Chart, ChartMap, OperatorField, ScalarField,
-                         add_fields,
-                         apply_operator, identity_operator, lie_bracket,
-                         scale_field, VectorField, haantjes_torsion,
-                         is_haantjes, is_nijenhuis, nijenhuis_torsion)
+                         add_fields, identity_operator, scale_field,
+                         VectorField, haantjes_torsion, is_haantjes,
+                         is_nijenhuis, nijenhuis_torsion)
 from haantjeskit.report import _max_abs
 from haantjeskit.sampling import sample_points
-from haantjeskit.suites import _random_field
+from haantjeskit.suites import _bracket_nijenhuis, _random_field
 from haantjeskit.torsion import _haantjes_components, _nijenhuis_components
 
 from conftest import kernel_error, point, random_complex
@@ -83,22 +82,13 @@ def test_torsion_antisymmetric_in_lower_indices(chart3, sample3):
     assert antisymmetry(haantjes_torsion(L, sample3[:5])) < 1e-11
 
 
-def _bracket_torsion(L, X, Y):
-    LX, LY = apply_operator(L, X), apply_operator(L, Y)
-    t = lie_bracket(LX, LY)
-    t = add_fields(t, scale_field(-1.0, apply_operator(L, lie_bracket(LX, Y))))
-    t = add_fields(t, scale_field(-1.0, apply_operator(L, lie_bracket(X, LY))))
-    return add_fields(t, apply_operator(
-        L, apply_operator(L, lie_bracket(X, Y))))
-
-
 def test_local_formula_matches_bracket_definition(chart3, sample3):
     L = OperatorField(chart3, lambda x: [[x[0] * x[1], x[2], 1.0],
                                          [0.0, x[1] ** 2, x[0]],
                                          [x[2], 0.0, x[0] + x[1]]])
     X = VectorField(chart3, lambda x: [x[1], 1.0, x[0] * x[2]])
     Y = VectorField(chart3, lambda x: [1.0, x[2] ** 2, x[1]])
-    T_def = _bracket_torsion(L, X, Y)
+    T_def = _bracket_nijenhuis(L, X, Y)
     p = sample3[:8]
     got = np.einsum("sijk,sj,sk->si", nijenhuis_torsion(L, p), X(p), Y(p))
     assert np.max(np.abs(got - T_def(p))) < 1e-9
