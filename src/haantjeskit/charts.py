@@ -343,13 +343,13 @@ def add_fields(a, b):
 
 
 def scale_field(s, f):
-    """Multiply a field by a constant or by a scalar field."""
+    """Multiply a field by a constant or by a scalar field, which is read
+    through the pass like ``f``."""
     if isinstance(s, ScalarField):
         _same_chart(s.chart, f.chart)
-        sval = s.fn
-    else:
-        sval = lambda x: s
-    return type(f)(f.chart, lambda x: _components(f.fn, x) * sval(x))
+        return type(f)(f.chart, lambda x: _components(f.fn, x)
+                       * _components(s.fn, x))
+    return type(f)(f.chart, lambda x: _components(f.fn, x) * s)
 
 
 def compose_operators(L: OperatorField, M: OperatorField) -> OperatorField:
@@ -371,7 +371,8 @@ def operator_polynomial(L: OperatorField, coeffs: Sequence) -> OperatorField:
         for k, c in enumerate(coeffs):
             if k > 0:
                 power = m if k == 1 else power @ m
-            acc = acc + power * (c.fn(x) if isinstance(c, ScalarField) else c)
+            acc = acc + power * (_components(c.fn, x)
+                                 if isinstance(c, ScalarField) else c)
         return acc
 
     return OperatorField(L.chart, fn)

@@ -32,10 +32,24 @@ def _discriminant(x):
     return x[X1C] ** 2 + 4.0 * x[X2C]
 
 
+def _chart_name(kind: str, **values) -> str:
+    """``kind(name=value, ...)``: a chart whose singular sets depend on
+    parameters carries them in its name, so fields read only samples drawn
+    for the same values.  Equal numbers give equal names whatever their
+    type; a symbol names itself."""
+    def label(v):
+        try:
+            z = complex(v) + 0  # -0.0 names as 0.0
+        except TypeError:
+            return str(v)
+        return repr(z.real) if z.imag == 0 else repr(z)
+    return f"{kind}({', '.join(f'{k}={label(v)}' for k, v in values.items())})"
+
+
 def complex_chart(params: TopParams) -> Chart:
     """Singular where the leaf degenerates (``x2 = 0``), where the solved
     operator entries blow up, and on the eigenvalue branch cut."""
-    return Chart("complex", 6, _COORDS,
+    return Chart(_chart_name("complex", c=params.c), 6, _COORDS,
                  singular=(lambda x: x[X2C], _delta(params.c), _discriminant))
 
 
@@ -122,36 +136,34 @@ def x_fields_complex(params: TopParams):
     bivector."""
     P1c = p1_complex(params)
     F2c, F3c = complex_integrals(params)
-    mF3c = ScalarField(P1c.chart, lambda x: -F3c.fn(x))
-    return hamiltonian_field(P1c, mF3c), hamiltonian_field(P1c, F2c)
+    return (hamiltonian_field(P1c, scale_field(-1.0, F3c)),
+            hamiltonian_field(P1c, F2c))
+
+
+def _p0_terms(params: TopParams):
+    """``P0`` in the adapted chart, its transversal term ``X1 ^ Z2``, which
+    ``Q`` subtracts as the same object, and the frame ``Z2``."""
+    chart = complex_chart(params)
+    X1f, _ = x_fields_complex(params)
+    Z2 = constant_vector(chart, [0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
+    transversal = wedge(X1f, Z2)
+    leaf = BivectorField(chart, lambda x: _on_leaf(_p0_block(x)))
+    return add_fields(leaf, transversal), transversal, Z2
 
 
 def p0_complex(params: TopParams) -> BivectorField:
-    """Second Poisson bivector in the adapted chart: leaf block plus the
-    transversal column carrying twice the first ladder field."""
-    chart = complex_chart(params)
-    X1f, _ = x_fields_complex(params)
-
-    def fn(x):
-        out = _on_leaf(_p0_block(x))
-        xv = X1f.fn(x)[:F4C]
-        out[:F4C, F4C] = 2.0 * xv
-        out[F4C, :F4C] = -2.0 * xv
-        return out
-
-    return BivectorField(chart, fn)
+    """Second Poisson bivector in the adapted chart: the leaf block plus the
+    transversal term ``X1 ^ Z2``."""
+    return _p0_terms(params)[0]
 
 
 def deformation(params: TopParams):
     """Transversal frames normalized against the Casimir ladder heads, and
-    the deformed bivector whose transversal rows and columns vanish."""
-    chart = complex_chart(params)
-    Z1 = constant_vector(chart, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    Z2 = constant_vector(chart, [0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
-    X1f, _ = x_fields_complex(params)
-    Q = add_fields(p0_complex(params),
-                   scale_field(-1.0, wedge(X1f, Z2)))
-    return Z1, Z2, Q
+    the deformed bivector ``Q = P0 - X1 ^ Z2``, whose transversal rows and
+    columns vanish."""
+    P0, transversal, Z2 = _p0_terms(params)
+    Z1 = constant_vector(P0.chart, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    return Z1, Z2, add_fields(P0, scale_field(-1.0, transversal))
 
 
 def nijenhuis_operator(params: TopParams) -> OperatorField:

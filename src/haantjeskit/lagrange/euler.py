@@ -4,7 +4,7 @@ integrals."""
 
 from __future__ import annotations
 
-from ..charts import Chart, OperatorField, ScalarField
+from ..charts import Chart, OperatorField, ScalarField, identity_operator
 from ..jets import cos_, sin_
 from .params import TopParams
 
@@ -67,5 +67,4 @@ def euler_chain_operators(params: TopParams):
         f = -s * s / (ct * (x[P_PHI] - x[P_PSI] * ct))
         return [0.0, f, 0.0, 0.0, f, 0.0]
 
-    k1 = diag(lambda x: [1.0] * 6)
-    return k1, diag(k2_entries), diag(k3_entries)
+    return identity_operator(chart), diag(k2_entries), diag(k3_entries)

@@ -13,7 +13,7 @@ import numpy as np
 from ..charts import (BivectorField, Chart, ChartMap, OneFormField,
                       OperatorField, ScalarField, VectorField)
 from ..jets import sqrt_
-from .complex_chart import (benenti_operators, complex_chart,
+from .complex_chart import (_chart_name, benenti_operators, complex_chart,
                             complex_integrals, deformation,
                             nijenhuis_operator, p1_complex)
 from .params import TopParams
@@ -24,7 +24,7 @@ _LEAF_COORDS = ("x1", "x2", "y1", "y2")
 def leaf_chart(params: TopParams, C1: complex, C4: complex) -> Chart:
     """Singular where the complex chart is, at the pinned Casimir levels."""
     return Chart(
-        "leaf", 4, _LEAF_COORDS,
+        _chart_name("leaf", c=params.c, C1=C1, C4=C4), 4, _LEAF_COORDS,
         singular=tuple(lambda x, s=s: s(_embed(x, C1, C4))
                        for s in complex_chart(params).singular))
 

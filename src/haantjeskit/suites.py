@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -27,10 +28,10 @@ from .algebra import (algebra_rank, check_abelian, check_module_condition,
                       check_ring_condition, minimal_polynomial)
 from .jets import Jet, value
 from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
-                     ScalarField, VectorField, add_fields, apply_operator,
-                     apply_transpose, constant_operator, constant_vector,
-                     differential, identity_operator, lie_bracket,
-                     operator_polynomial, scale_field, wedge)
+                     ScalarField, VectorField, _components, add_fields,
+                     apply_operator, apply_transpose, constant_operator,
+                     constant_vector, differential, identity_operator,
+                     lie_bracket, operator_polynomial, scale_field, wedge)
 from .poisson import (_lie, _r_tensor, check_chain_closed,
                       check_compatibility, check_jacobi, check_skew,
                       check_skew_compositions, hamiltonian_field)
@@ -56,10 +57,22 @@ LEAF_C1 = 0.4
 LEAF_C4 = 1.3
 
 
+def _real(name: str, value, symbolic=False):
+    """``value`` as a Python ``float``; a ``bool`` or a value that is not a
+    real number raises ``ValueError``.  With ``symbolic``, a real symbolic
+    value (``is_real`` true, as for a positive sympy symbol) is kept."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    if symbolic and getattr(value, "is_real", None) is True:
+        return value
+    raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """The parameters of a run; one out of range raises ``ValueError``.
-    ``points`` and ``seed`` are stored as Python ``int``."""
+    ``points`` and ``seed`` are stored as Python ``int``, the tolerances
+    and a numeric ``c`` as Python ``float``."""
 
     seed: int = 42
     points: int = 100
@@ -75,8 +88,10 @@ class SuiteConfig:
         if not self.seed >= 0:
             raise ValueError("seed must be non-negative")
         for name in ("tol_exact", "tol_deriv"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        object.__setattr__(self, "c", _real("c", self.c, symbolic=True))
         self.params()  # TopParams judges c
 
     def params(self) -> TopParams:
@@ -254,8 +269,8 @@ def suite_torsion(cfg: SuiteConfig) -> list:
         sample = sample_points(chart, cfg.points, cfg.seed + dim)
         for _ in range(3):
             V = _random_field(rng, VectorField, chart, (dim,))
-            diagonal.append((OperatorField(
-                chart, lambda x, V=V: np.diag(V.fn(x))), sample))
+            diagonal.append((OperatorField(chart, lambda x, V=V: np.diag(
+                _components(V.fn, x))), sample))
 
     def diagonal_haantjes():
         results = [is_haantjes(D, s, cfg.tol_deriv) for D, s in diagonal]
@@ -481,8 +496,8 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
     # the two-Casimir ladder on the first two bivectors, and the flow field
     # decomposed over the ladder fields
     F = integrals(params)
-    minus_f3 = ScalarField(bchart, lambda x: -F["F3"].fn(x))
-    half_f4 = ScalarField(bchart, lambda x: 0.5 * F["F4"].fn(x))
+    minus_f3 = scale_field(-1.0, F["F3"])
+    half_f4 = scale_field(0.5, F["F4"])
     X1, X2 = bihamiltonian_fields(params)
     zero_vector = constant_vector(bchart, [0.0] * 6)
 
@@ -659,7 +674,7 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
                      _mv(n, x2v) - inv_x2(p)[:, None] * x1v),
                 (1.0 + _mag(n)) * (1.0 + _mag(x1v) + _mag(x2v)))
 
-    mF3 = ScalarField(cchart, lambda x: -F3c.fn(x))
+    mF3 = scale_field(-1.0, F3c)
     el2 = apply_transpose(K2, differential(mF3))
 
     # X1 = P1 d(-F3) is the seed Hamiltonian field, X2 = P1 dF2
@@ -729,13 +744,12 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         return (_mag(n - ratio),
                 (1.0 + _mag(n)) * (1.0 + _mag(m0)))
 
-    dmF3l = differential(ScalarField(lchart, lambda x: -F3l.fn(x)))
-    c = params.c
-    h1l = ScalarField(lchart,
-                      lambda x: -F3l.fn(x) - (c - 1.0) * C1 * F2l.fn(x))
+    mF3l = scale_field(-1.0, F3l)
+    dmF3l = differential(mF3l)
+    k = -(params.c - 1.0) * C1
+    h1l = add_fields(mF3l, scale_field(k, F2l))
     comb = apply_transpose(
-        add_fields(identity_operator(lchart),
-                   scale_field(-(c - 1.0) * C1, K2l)), dmF3l)
+        add_fields(identity_operator(lchart), scale_field(k, K2l)), dmF3l)
     checks = [
         ("restriction_block_structure",
          "recursion operator, first bivector and ladder fields decouple the "

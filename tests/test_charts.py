@@ -42,6 +42,28 @@ def test_chart_mismatch_raises():
         f(p)
 
 
+def test_model_charts_are_named_by_their_parameters():
+    """A field of one inertia ratio reads no sample of another, whose
+    singular sets differ: the point below is valid at c = 2 and lies on the
+    c = 3 set delta = 0.  Equal values name the same chart whatever their
+    type."""
+    p = point(complex_chart(TopParams(2.0)), 1.0, -3.0, 0.5, 0.5, 1.0, 1.0)
+    with pytest.raises(ChartMismatchError):
+        nijenhuis_operator(TopParams(3.0))(p)
+    same = nijenhuis_operator(TopParams(np.float32(2.0)))
+    assert np.all(np.isfinite(same(p)))
+    leaf = leaf_chart(TopParams(2.0), LEAF_C1, LEAF_C4)
+    assert leaf == leaf_chart(TopParams(np.float64(2.0)),
+                              np.float64(LEAF_C1), complex(LEAF_C4))
+    F2l = restrict_to_leaf(complex_integrals(TopParams(2.0))[0],
+                           TopParams(2.0), LEAF_C1, LEAF_C4)
+    for other in (leaf_chart(TopParams(3.0), LEAF_C1, LEAF_C4),
+                  leaf_chart(TopParams(2.0), LEAF_C1, 2.0 * LEAF_C4)):
+        assert other != leaf
+        with pytest.raises(ChartMismatchError):
+            F2l(sample_points(other, 3, 0))
+
+
 def test_singular_point_raises():
     chart = Chart("s", 2, singular=(lambda x: x[0],))
     f = ScalarField(chart, lambda x: x[1] / x[0])
@@ -470,6 +492,28 @@ def test_scale_field_reads_coefficient_once_per_evaluation(chart3, sample3):
             calls.clear()
             evaluate(p)
             assert len(calls) == 1, (type(f).__name__, evaluate)
+
+
+def test_shared_coefficient_is_read_once_per_pass(chart3, sample3):
+    """A scalar-field coefficient is read through the pass, so one that
+    scales several parts of one field runs once per read of the field."""
+    calls = []
+
+    def coeff(x):
+        calls.append(1)
+        return x[0] * x[1] + 2.0
+
+    s = ScalarField(chart3, coeff)
+    A = VectorField(chart3, lambda x: [x[0], x[1] * x[2], 1.0])
+    B = VectorField(chart3, lambda x: [x[2], 1.0, x[0] * x[0]])
+    L = OperatorField(chart3, lambda x: [[x[i] * x[j] for j in range(3)]
+                                         for i in range(3)])
+    for g in (add_fields(scale_field(s, A), scale_field(s, B)),
+              operator_polynomial(L, [s, s, s])):
+        for read in (g, g.jet):
+            calls.clear()
+            read(sample3)
+            assert len(calls) == 1, (type(g).__name__, read)
 
 
 def test_identity_operator_builds_no_jet(chart3, sample3, monkeypatch):

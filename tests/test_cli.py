@@ -54,6 +54,18 @@ def test_numpy_integer_config_gives_a_schema_valid_report():
     jsonschema.validate(report, SCHEMA)
 
 
+def test_numpy_real_config_gives_a_schema_valid_report():
+    """NumPy reals are stored as Python floats, so the report serializes
+    and its tolerances and ``c`` are JSON numbers."""
+    cfg = suites.SuiteConfig(points=3, c=np.float32(2.0),
+                             tol_exact=np.float64(1e-12),
+                             tol_deriv=np.float32(1e-9))
+    assert all(type(v) is float for v in (cfg.c, cfg.tol_exact,
+                                          cfg.tol_deriv))
+    report = json.loads(suites.run_suite("torsion", cfg).to_json())
+    jsonschema.validate(report, SCHEMA)
+
+
 def test_verify_json_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--suite", "torsion", "--points", "10",

@@ -1,5 +1,7 @@
 """The heavy-top case study against frozen hand-computed values."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,26 @@ def _embedded_leaf_sample(tp, seed):
     """A leaf sample and the same points in the complex chart."""
     sample = sample_points(leaf_chart(tp, 0.4, 1.3), 5, seed)
     return sample, Point(complex_chart(tp), (*sample.coords, 0.4, 1.3))
+
+
+def test_deformed_bivector_reads_its_transversal_term_once(
+        tp, csample, monkeypatch):
+    """``Q = P0 - X1 ^ Z2`` subtracts the term object that ``P0`` adds to
+    its leaf block, so one read of ``Q`` evaluates ``X1 = P1 d(-F3)``, and
+    with it the first bivector's block, once."""
+    module = importlib.import_module("haantjeskit.lagrange.complex_chart")
+    block, calls = module._p1_block, []
+
+    def counting(x):
+        calls.append(1)
+        return block(x)
+
+    monkeypatch.setattr(module, "_p1_block", counting)
+    _, _, Q = deformation(tp)
+    for read in (Q, Q.jet):
+        calls.clear()
+        read(csample)
+        assert len(calls) == 1, read
 
 
 def test_raw_second_bivector_does_not_restrict(tp):

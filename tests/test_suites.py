@@ -33,12 +33,15 @@ def test_registry_names():
     *((tol, v) for tol in ("tol_exact", "tol_deriv")
       for v in (0.0, -1e-9, np.nan, np.inf)),
     *(("c", v) for v in (0.0, -2.0, np.nan, np.inf, -np.inf)),
-    *((name, v) for name in ("points", "seed") for v in (2.5, 3.0, True))])
+    *((name, v) for name in ("points", "seed") for v in (2.5, 3.0, True)),
+    *((name, v) for name in ("tol_exact", "tol_deriv", "c")
+      for v in (True, 2.0 + 0j, "1e-9"))])
 def test_config_rejects_values_out_of_range(field, value):
     """A run cannot be configured with a value out of range, so no suite
     judges a sample drawn with one; ``points`` and ``seed`` must be
-    integers, not floats, which slice no sample, or bools, which the report
-    schema rejects."""
+    integers, not floats, which slice no sample, and the tolerances and
+    ``c`` real numbers; neither may be a bool, which the report schema
+    rejects."""
     with pytest.raises(ValueError):
         SuiteConfig(**{field: value})
 
