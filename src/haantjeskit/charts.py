@@ -153,8 +153,8 @@ class _Field:
 
     Every kind is read the same way; the subclasses are kind tags that the
     field algebra checks, and each names its index slots, ``"u"`` upper and
-    ``"d"`` lower, for :func:`~haantjeskit.poisson.lie_derivative`.  A
-    scalar field's components are one number per point.
+    ``"d"`` lower, for :func:`~haantjeskit.poisson.lie_derivative` and
+    :meth:`ChartMap.push`.  A scalar's components are one number per point.
     """
 
     def __init__(self, chart: Chart, fn: Callable):
@@ -397,11 +397,12 @@ def constant_operator(chart: Chart, m) -> OperatorField:
 class ChartMap:
     """A differentiable coordinate change with an explicit inverse.
 
-    Tensor transport uses the forward jacobian and the jacobian of the
-    inverse map, so no matrix inversion is ever performed and transported
-    fields stay differentiable.  A sample is mapped by reading the map as a
-    vector field on its chart, and its image is a :class:`Point` of the
-    other chart, so an image on a singular set of that chart raises.
+    :meth:`push` moves a field of every kind by one rule: one contraction
+    per slot, with the forward jacobian or the jacobian of the inverse
+    map, so no matrix inversion is ever performed and moved fields stay
+    differentiable.  A sample is mapped by reading the map as a vector
+    field on its chart, and its image is a :class:`Point` of the other
+    chart, so an image on a singular set of that chart raises.
     """
 
     def __init__(self, src: Chart, dst: Chart, forward: Callable,
@@ -424,27 +425,25 @@ class ChartMap:
         sample."""
         return self._forward.jacobian(p)
 
-    def push_scalar(self, f: ScalarField) -> ScalarField:
-        _same_chart(self.src, f.chart)
-        return ScalarField(self.dst, lambda xi: f.fn(self.inverse(xi)))
-
-    def push_bivector(self, P: BivectorField) -> BivectorField:
-        _same_chart(self.src, P.chart)
-
-        def fn(xi):
-            x = self.inverse(xi)
-            J = _seeded(self.forward, x)[1]
-            return J @ _components(P.fn, x) @ J.T
-
-        return BivectorField(self.dst, fn)
-
-    def push_operator(self, L: OperatorField) -> OperatorField:
-        _same_chart(self.src, L.chart)
+    def push(self, T):
+        """``T`` on the other chart: its components at the preimage, each
+        slot contracted in order, an upper one with the forward jacobian
+        ``J`` and a lower one with the inverse map's jacobian ``Jinv``, so
+        a bivector goes to ``J @ P @ J.T`` and an operator to
+        ``J @ L @ Jinv``; a scalar keeps its value."""
+        _same_chart(self.src, T.chart)
 
         def fn(xi):
-            x, Jinv = _seeded(self.inverse, xi)  # Jinv[src_k][dst_j]
-            x = list(x)
-            J = _seeded(self.forward, x)[1]
-            return J @ _components(L.fn, x) @ Jinv
+            if "d" in T.slots:
+                x, Jinv = _seeded(self.inverse, xi)  # Jinv[src_k][dst_j]
+                x = list(x)
+            else:
+                x = self.inverse(xi)
+            out = _components(T.fn, x)
+            J = _seeded(self.forward, x)[1] if T.slots else None
+            for k, slot in enumerate(T.slots):
+                A = J if slot == "u" else Jinv.T
+                out = A @ out if k == 0 else out @ A.T
+            return out
 
-        return OperatorField(self.dst, fn)
+        return type(T)(self.dst, fn)

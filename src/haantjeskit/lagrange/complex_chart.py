@@ -174,7 +174,7 @@ def nijenhuis_operator(params: TopParams) -> OperatorField:
 
     def fn(x):
         x1, x2, y1, y2, f1, f4 = x
-        delta = x1 ** 2 + (c - 1.0) * f1 * x1 + x2
+        delta = _delta(c)(x)
         out = [[0.0] * 6 for _ in range(6)]
         # leaf block: two identical 2x2 companion blocks
         out[0][1] = 1.0 / x2

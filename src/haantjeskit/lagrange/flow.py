@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..sampling import _real
 from .body import hamiltonians, integrals, lagrange_vector_field
 from .params import TopParams
 
@@ -37,10 +38,12 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
     :func:`lagrange_vector_field`, and the recorded invariants are those of
     :func:`integrals` and :func:`hamiltonians`, evaluated on the state
     columns.  Raises ``ValueError`` for an input out of range (``dt`` not
-    finite and positive, for one), :class:`FlowBlowupError` carrying the
+    finite and positive, for one) or a ``dt`` or ``t_max`` that is a
+    ``bool`` or not a real number, :class:`FlowBlowupError` carrying the
     last valid time when the state stops being finite, and
     :class:`MemoryError` when the trajectory does not fit in memory.
     """
+    dt, t_max = _real("step size", dt), _real("final time", t_max)
     if not 0 < dt < math.inf:
         raise ValueError("step size must be finite and positive")
     if t_max < 0:

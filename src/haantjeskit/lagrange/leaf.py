@@ -8,10 +8,8 @@ with the two Casimir levels pinned to constants.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..charts import (BivectorField, Chart, ChartMap, OneFormField,
-                      OperatorField, ScalarField, VectorField)
+                      OperatorField, ScalarField, VectorField, _components)
 from ..jets import sqrt_
 from .complex_chart import (_chart_name, benenti_operators, complex_chart,
                             complex_integrals, deformation,
@@ -48,7 +46,7 @@ def restrict_to_leaf(field, params: TopParams, C1, C4):
         raise TypeError(f"cannot restrict field of type {kind.__name__}")
 
     def fn(x):
-        v = np.asarray(field.fn(_embed(x, C1, C4)), dtype=object)
+        v = _components(field.fn, _embed(x, C1, C4))
         # the leaf slots of every index: v[:4], v[:4, :4], or a scalar
         return v[(slice(4),) * v.ndim]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import numbers
 import operator
 
 import numpy as np
@@ -25,6 +26,14 @@ def _integer(name: str, value) -> int:
         with contextlib.suppress(TypeError):
             return operator.index(value)
     raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a Python ``float``; a ``bool`` or a value that is not a
+    real number raises ``ValueError``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, not {value!r}")
 
 
 def sample_points(chart: Chart, n_points: int, seed: int, *,

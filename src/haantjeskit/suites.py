@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -37,7 +36,7 @@ from .poisson import (_lie, _r_tensor, check_chain_closed,
                       check_skew_compositions, hamiltonian_field)
 from .report import (VerificationReport, _max_abs as _mag,
                      check_from_residual, matches, sampled, worst)
-from .sampling import _integer, sample_points
+from .sampling import _integer, _real, sample_points
 from .torsion import (_haantjes_components, _nijenhuis_components,
                       is_haantjes, is_nijenhuis, nijenhuis_torsion)
 from .lagrange import (TopParams, benenti_operators, bihamiltonian_fields,
@@ -55,17 +54,6 @@ __all__ = ["SuiteConfig", "SUITE_NAMES", "run_suite"]
 # Casimir levels pinning the symplectic leaf used by the reduced suite.
 LEAF_C1 = 0.4
 LEAF_C4 = 1.3
-
-
-def _real(name: str, value, symbolic=False):
-    """``value`` as a Python ``float``; a ``bool`` or a value that is not a
-    real number raises ``ValueError``.  With ``symbolic``, a real symbolic
-    value (``is_real`` true, as for a positive sympy symbol) is kept."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    if symbolic and getattr(value, "is_real", None) is True:
-        return value
-    raise ValueError(f"{name} must be a real number, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +79,7 @@ class SuiteConfig:
             object.__setattr__(self, name, _real(name, getattr(self, name)))
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        object.__setattr__(self, "c", _real("c", self.c, symbolic=True))
-        self.params()  # TopParams judges c
+        object.__setattr__(self, "c", TopParams(self.c).c)
 
     def params(self) -> TopParams:
         return TopParams(c=self.c)
@@ -555,8 +542,8 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
     P1c = p1_complex(params)
     P0c = p0_complex(params)
     F2c, F3c = complex_integrals(params)
-    pF2 = to_cx.push_scalar(F["F2"])
-    pF3 = to_cx.push_scalar(F["F3"])
+    pF2 = to_cx.push(F["F2"])
+    pF3 = to_cx.push(F["F3"])
 
     def integral_transform(p):
         f2, f3 = F2c(p), F3c(p)
@@ -577,12 +564,12 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         ("complex_p1_transform",
          "the transported first bivector matches its closed form in the "
          "adapted chart", "phi_* P1 = P1_adapted",
-         partial(sampled, csample, matches(P1c, to_cx.push_bivector(P1)),
+         partial(sampled, csample, matches(P1c, to_cx.push(P1)),
                  cfg.tol_exact)),
         ("complex_p0_transform",
          "the transported second bivector matches its closed form in the "
          "adapted chart", "phi_* P0 = P0_adapted",
-         partial(sampled, csample, matches(P0c, to_cx.push_bivector(P0)),
+         partial(sampled, csample, matches(P0c, to_cx.push(P0)),
                  cfg.tol_deriv)),
         ("complex_integral_transform",
          "the transported integrals match their closed forms in the adapted "
@@ -869,14 +856,14 @@ def suite_reduced(cfg: SuiteConfig) -> list:
          "the restricted bivector takes the constant canonical form in the "
          "separation chart", "phi_* P1 = i J",
          partial(sampled, images, matches(
-             BivectorField(sep.dst, lambda x: iJ), sep.push_bivector(P1l)),
+             BivectorField(sep.dst, lambda x: iJ), sep.push(P1l)),
              cfg.tol_deriv)),
         ("separation_operator_diagonal",
          "the restricted operator becomes diagonal in the separation chart "
          "with the crossed eigenvalue placement",
          "phi_* K2 = diag(l2, l1, l2, l1)",
          partial(sampled, images,
-                 matches(crossed, sep.push_operator(K2l)), cfg.tol_deriv)),
+                 matches(crossed, sep.push(K2l)), cfg.tol_deriv)),
         ("separation_roundtrip", "the separation chart map inverts exactly",
          "phi^{-1}(phi(p)) = p",
          partial(sampled, sample, roundtrip, 1e-10))]

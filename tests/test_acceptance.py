@@ -189,8 +189,8 @@ def test_criterion_8_separation_chart(capsys):
     target = np.zeros((4, 4), dtype=complex)
     target[0, 2] = target[1, 3] = 1.0j
     target[2, 0] = target[3, 1] = -1.0j
-    pushedP = sep.push_bivector(data["P1"])
-    pushedK = sep.push_operator(data["K2"])
+    pushedP = sep.push(data["P1"])
+    pushedK = sep.push(data["K2"])
     q = sep.apply(sample)
     darboux = mag(pushedP(q) - target)
     l1, l2 = q.coords[0], q.coords[1]

@@ -14,15 +14,18 @@ from haantjeskit import (BivectorField, Chart, ChartError,
                          identity_operator, lie_bracket, operator_polynomial,
                          scale_field, wedge)
 from haantjeskit import jets
+from haantjeskit.algebra import algebra_rank, check_ring_condition
 from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
-                                  complex_chart, complex_integrals,
-                                  leaf_chart, nijenhuis_operator, p0_complex,
-                                  p1_complex, restrict_to_leaf,
+                                  complex_chart, complex_integrals, integrals,
+                                  lagrange_vector_field, leaf_chart,
+                                  nijenhuis_operator, p0_complex, p1_complex,
+                                  poisson_bivectors, restrict_to_leaf,
                                   separation_map, x_fields_complex)
+from haantjeskit.poisson import check_compatibility, check_jacobi
 from haantjeskit.report import matches, sampled
 from haantjeskit.sampling import sample_points
 from haantjeskit.suites import LEAF_C1, LEAF_C4
-from haantjeskit.torsion import is_nijenhuis
+from haantjeskit.torsion import is_haantjes, is_nijenhuis
 
 from conftest import fd_gradient, fd_jacobian, point, points_of
 
@@ -256,10 +259,10 @@ def _shear(chart3):
                    y[2] - y[0] * (y[1] - y[0] ** 2)])
 
 
-def test_chart_map_push_scalar_and_roundtrip(chart3, sample3):
+def test_chart_map_pushes_a_scalar_and_roundtrip(chart3, sample3):
     cmap = _shear(chart3)
     f = ScalarField(chart3, lambda x: x[0] * x[2] + x[1] ** 2)
-    pushed = cmap.push_scalar(f)
+    pushed = cmap.push(f)
     p = sample3[:8]
     q = cmap.apply(p)
     assert np.max(np.abs(pushed(q) - f(p))) < 1e-12
@@ -279,11 +282,108 @@ def test_bivector_and_operator_transport_consistency(chart3, sample3):
     p = sample3[:5]
     q = cmap.apply(p)
     J = cmap.jacobian(p)
-    assert np.max(np.abs(cmap.push_bivector(P)(q)
+    assert np.max(np.abs(cmap.push(P)(q)
                          - J @ P(p) @ J.swapaxes(-1, -2))) < 1e-10
-    got = cmap.push_operator(L)(q)
+    got = cmap.push(L)(q)
     want = J @ L(p) @ np.linalg.inv(J)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def _relative(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _naturality_cases(chart3, sample3):
+    """Each chart map with a scalar, an operator, a vector and a bivector
+    on its source chart and a sample of its target chart."""
+    L = OperatorField(chart3, lambda x: [[x[0], x[1] * x[2], 1.0],
+                                         [2.0, x[0] * x[0], x[2]],
+                                         [x[1], 0.0, x[0] + x[2]]])
+    X = VectorField(chart3, lambda x: [x[1] * x[2], x[0] ** 2, 1.0])
+    P = BivectorField(chart3, lambda x: [[0.0, x[0], -1.0],
+                                         [-x[0], 0.0, x[1] * x[2]],
+                                         [1.0, -x[1] * x[2], 0.0]])
+    f = ScalarField(chart3, lambda x: x[0] * x[2] + x[1] ** 2)
+    shear = _shear(chart3)
+    params = TopParams(2.0)
+    F = integrals(params)
+    body_op = OperatorField(
+        body_chart(),
+        lambda x: [[x[i] * x[j] + (1.0 if i == j else 0.0) for j in range(6)]
+                   for i in range(6)])
+    return {
+        "shear": (shear, f, L, X, P, shear.apply(sample3)),
+        "body_to_complex": (body_to_complex(params), F["F3"], body_op,
+                            lagrange_vector_field(params),
+                            poisson_bivectors(params)[1],
+                            sample_points(complex_chart(params), 20, 43)),
+    }
+
+
+@pytest.mark.parametrize("name", ["shear", "body_to_complex"])
+def test_push_is_natural(name, chart3, sample3):
+    """``push`` commutes with the field algebra: the differential of a
+    scalar (a one-form), an operator applied to a vector (a vector) and a
+    Hamiltonian field (a bivector applied to a one-form) give the same
+    field whether built before or after the move."""
+    cmap, f, L, X, P, q = _naturality_cases(chart3, sample3)[name]
+    pairs = [
+        (cmap.push(differential(f)), differential(cmap.push(f))),
+        (cmap.push(apply_operator(L, X)),
+         apply_operator(cmap.push(L), cmap.push(X))),
+        (cmap.push(hamiltonian_field(P, f)),
+         hamiltonian_field(cmap.push(P), cmap.push(f))),
+    ]
+    for moved, built in pairs:
+        assert _relative(moved(q), built(q)) < 1e-13
+    for got, want in zip(pairs[0][0].jet(q), pairs[0][1].jet(q)):
+        assert _relative(got, want) < 1e-13
+
+
+def _separated(l1, l2, m1, m2, coupling=0.0):
+    return [[l1, 0.0, 0.0, 0.0], [coupling * m1, l2, 0.0, 0.0],
+            [0.0, 0.0, l1, 0.0], [0.0, 0.0, 0.0, l2]]
+
+
+def test_pushed_separated_operator_keeps_its_algebra():
+    """A known answer: ``L = diag(l1, l2, l1, l2)`` with the canonical
+    bivector on a separated chart is a Nijenhuis operator compatible with
+    a Poisson bivector, and ``{I, L}`` is a Haantjes algebra of rank 2.
+    Moved by a polynomial map with an exact inverse, the pair keeps all of
+    it, and moving back recovers ``L``.  An off-diagonal entry coupled to
+    ``m1`` breaks the Haantjes property, so the judges can fail."""
+    src = Chart("separated", 4, ("l1", "l2", "m1", "m2"),
+                singular=(lambda x: x[0] - x[1],))
+    # l1 - l2 at the preimage
+    dst = Chart("separated image", 4,
+                singular=(lambda y: y[0] - y[1] + y[0] ** 2,))
+
+    def inverse(y):
+        b = y[1] - y[0] ** 2
+        c = y[2] - y[0] * b
+        return [y[0], b, c, y[3] - c ** 2]
+
+    phi = ChartMap(src, dst,
+                   lambda x: [x[0], x[1] + x[0] ** 2, x[2] + x[0] * x[1],
+                              x[3] + x[2] ** 2],
+                   inverse)
+    back = ChartMap(dst, src, phi.inverse, phi.forward)
+    L = OperatorField(src, lambda x: _separated(*x))
+    P = BivectorField(src, lambda x: [[0.0, 0.0, 1.0, 0.0],
+                                      [0.0, 0.0, 0.0, 1.0],
+                                      [-1.0, 0.0, 0.0, 0.0],
+                                      [0.0, -1.0, 0.0, 0.0]])
+    sample = sample_points(src, 100, 13)
+    q = phi.apply(sample)
+    Lq, Pq = phi.push(L), phi.push(P)
+    for judged in (is_nijenhuis(Lq, q), is_haantjes(Lq, q),
+                   check_ring_condition([identity_operator(dst), Lq], q),
+                   check_compatibility(Lq, Pq, q), check_jacobi(Pq, q)):
+        assert judged.passed, judged
+    assert np.all(algebra_rank([identity_operator(dst), Lq], q) == 2)
+    assert _relative(back.push(Lq)(sample), L(sample)) < 1e-12
+    coupled = OperatorField(src, lambda x: _separated(*x, coupling=0.5))
+    assert not is_haantjes(phi.push(coupled), q).passed
 
 
 def test_field_algebra_matches_index_loops(chart3, sample3):
@@ -350,9 +450,9 @@ def test_field_algebra_matches_index_loops(chart3, sample3):
         ref = type(F)(F.chart, loops)
         p = sample3[:3]
         assert all(map(np.array_equal, F.jet(p), ref.jet(p))), loops
-    for F, loops in [(cmap.push_bivector(BivectorField(chart3, M.fn)),
+    for F, loops in [(cmap.push(BivectorField(chart3, M.fn)),
                       pushed_bivector),
-                     (cmap.push_operator(L), pushed_operator)]:
+                     (cmap.push(L), pushed_operator)]:
         ref = type(F)(F.chart, loops)
         q = cmap.apply(sample3[:3])
         assert all(map(np.array_equal, F.jet(q), ref.jet(q))), loops
@@ -389,7 +489,7 @@ def _jet_cases(c):
         "P0": P0,
         "X1": X1,
         "X2": X2,
-        "pushed": body_to_complex(params).push_operator(body_op),
+        "pushed": body_to_complex(params).push(body_op),
         "scaled_operator": scale_field(coeff, N),
         "scaled_vector": scale_field(coeff, X1),
         "bracket": lie_bracket(X1, X2),
@@ -407,8 +507,8 @@ def _jet_cases(c):
     cases["leaf_vector"] = (leaf(X2), leaf_sample)
     sep = separation_map(params, LEAF_C1, LEAF_C4)
     sep_sample = sep.apply(leaf_sample)
-    cases["separation_bivector"] = (sep.push_bivector(leaf(P1)), sep_sample)
-    cases["separation_operator"] = (sep.push_operator(leaf(N)), sep_sample)
+    cases["separation_bivector"] = (sep.push(leaf(P1)), sep_sample)
+    cases["separation_operator"] = (sep.push(leaf(N)), sep_sample)
     return cases
 
 
@@ -468,7 +568,7 @@ def test_sample_read_equals_stacked_point_reads():
                              _stacked(lambda p: coords(sep.apply(p)), sample))
     assert _same_to_rounding(coords(sep.invert(images)),
                              _stacked(lambda q: coords(sep.invert(q)), images))
-    pushed = sep.push_scalar(ScalarField(sep.src, lambda x: x[0] * x[3]))
+    pushed = sep.push(ScalarField(sep.src, lambda x: x[0] * x[3]))
     assert _same_to_rounding(pushed(images), _stacked(pushed, images))
 
 

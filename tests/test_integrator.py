@@ -60,6 +60,13 @@ def test_input_validation():
         for t_max in (0.0, 1.0):
             with pytest.raises(ValueError, match="finite"):
                 integrate_flow(params, y0, 1e-3, t_max)
+    # a bool or a value that is not a real number is refused by type
+    for dt in (True, "1e-3", 1e-3 + 0j):
+        with pytest.raises(ValueError, match="step size"):
+            integrate_flow(params, Y0, dt, 2.0)
+    for t_max in (True, "1", 1.0 + 0j):
+        with pytest.raises(ValueError, match="final time"):
+            integrate_flow(params, Y0, 1e-3, t_max)
 
 
 def test_blowup_reported_with_last_time():

@@ -49,6 +49,18 @@ def test_params_validation():
     for c in (0.0, -1.0, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             TopParams(c=c)
+    # a bool or a value that is not a real number is refused by type
+    for c in (True, "3", 2.0 + 0j):
+        with pytest.raises(ValueError, match="real number"):
+            TopParams(c=c)
+    sp = pytest.importorskip("sympy")
+    with pytest.raises(ValueError, match="real number"):
+        TopParams(c=sp.Symbol("c", real=True))
+
+
+def test_params_store_a_real_c_as_a_python_float():
+    c = TopParams(np.float32(2.0)).c
+    assert type(c) is float and c == 2.0
 
 
 def test_euler_hamiltonian_frozen(tp):
@@ -267,7 +279,7 @@ def test_separation_map_roundtrip(tp):
 def test_separation_darboux_form(tp):
     sep = separation_map(tp, 0.4, 1.3)
     data = leaf_structures(tp, 0.4, 1.3)
-    pushed = sep.push_bivector(data["P1"])
+    pushed = sep.push(data["P1"])
     target = np.zeros((4, 4), dtype=complex)
     target[0, 2] = target[1, 3] = 1.0j
     target[2, 0] = target[3, 1] = -1.0j
@@ -297,7 +309,7 @@ def test_separation_coordinates_pass_levi_civita(tp):
     F2, F3 = data["F2"], data["F3"]
     sep = separation_map(tp, 0.4, 1.3)
     sample = sample_points(sep.src, 100, 42)
-    H = sep.push_scalar(ScalarField(sep.src,
+    H = sep.push(ScalarField(sep.src,
                                     lambda x: F2.fn(x) / F3.fn(x)))
     assert _levi_civita(H, sep.apply(sample)).max() <= 1e-12
     assert _levi_civita(F3, sample).max() > 0.1

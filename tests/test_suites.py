@@ -52,6 +52,12 @@ def test_config_accepts_a_positive_symbol():
     assert SuiteConfig(c=c).params().c is c
 
 
+def test_config_rejects_a_symbol_not_declared_positive():
+    sp = pytest.importorskip("sympy")
+    with pytest.raises(ValueError):
+        SuiteConfig(c=sp.Symbol("c", real=True))
+
+
 @pytest.mark.parametrize("name", ["torsion", "algebra", "euler",
                                   "euler-poisson", "reduced"])
 def test_each_suite_passes_at_small_sample(name):

@@ -171,7 +171,7 @@ def test_torsions_are_tensors_under_a_chart_change():
     Jinv = np.linalg.inv(J)
     for torsion in (nijenhuis_torsion, haantjes_torsion):
         T = torsion(L, sample)
-        pushed = torsion(phi.push_operator(L), phi.apply(sample))
+        pushed = torsion(phi.push(L), phi.apply(sample))
         want = np.einsum("sia,sabc,sbj,sck->sijk", J, T, Jinv, Jinv)
         dropped = np.einsum("sia,sajc,sck->sijk", J, T, Jinv)
         assert np.median(_max_abs(T)) > 1.0
