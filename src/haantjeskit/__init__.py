@@ -14,8 +14,9 @@ from .charts import (BivectorField, Chart, ChartError, ChartMap,
                      ScalarField, SingularPointError, VectorField,
                      add_fields, apply_operator, apply_transpose,
                      compose_operators, constant_operator, constant_vector,
-                     differential, exterior_derivative, identity_operator,
-                     lie_bracket, operator_polynomial, scale_field, wedge)
+                     diagonal_operator, differential, exterior_derivative,
+                     identity_operator, lie_bracket, operator_polynomial,
+                     scale_field, wedge)
 from .torsion import (haantjes_torsion, is_haantjes, is_nijenhuis,
                       nijenhuis_torsion)
 from .algebra import (MinimalPolynomial, algebra_rank, check_abelian,
@@ -37,8 +38,8 @@ __all__ = [
     "OneFormField", "OperatorField", "Point", "ScalarField",
     "SingularPointError", "VectorField",
     "add_fields", "apply_operator", "apply_transpose", "compose_operators",
-    "constant_operator", "constant_vector", "differential",
-    "exterior_derivative", "identity_operator", "lie_bracket",
+    "constant_operator", "constant_vector", "diagonal_operator",
+    "differential", "exterior_derivative", "identity_operator", "lie_bracket",
     "operator_polynomial", "scale_field", "wedge",
     "SampledResidual", "haantjes_torsion", "is_haantjes", "is_nijenhuis",
     "nijenhuis_torsion",

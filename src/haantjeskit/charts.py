@@ -49,7 +49,7 @@ __all__ = [
     "Chart", "Point", "ChartError", "ChartMismatchError", "SingularPointError",
     "ScalarField", "VectorField", "OneFormField", "OperatorField",
     "BivectorField", "ChartMap",
-    "differential", "exterior_derivative", "wedge",
+    "differential", "exterior_derivative", "wedge", "diagonal_operator",
     "apply_operator", "apply_transpose", "lie_bracket",
     "add_fields", "scale_field", "compose_operators", "operator_polynomial",
     "identity_operator", "constant_operator", "constant_vector",
@@ -289,6 +289,25 @@ def _seeded(fn, x):
 # expression.  Jets go on the right of arrays (``arr * jet``): a jet on the
 # left would take the whole array as one value.
 
+def _derived(kind, combine, *parts):
+    """The one rule for combining fields: a ``kind`` field on the chart its
+    field parts must share, with components ``combine`` of the parts' (each
+    field read once per pass through the memo, each number as it is)."""
+    fields = [q for q in parts if isinstance(q, _Field)]
+    for q in fields[1:]:
+        _same_chart(fields[0].chart, q.chart)
+    return kind(fields[0].chart, lambda x: combine(*(
+        _components(q.fn, x) if isinstance(q, _Field) else q for q in parts)))
+
+
+def _coefficient(s):
+    """``s``, refused with ``TypeError`` unless a number or a scalar field."""
+    if not (isinstance(s, (int, float, complex, np.number, ScalarField))
+            or getattr(s, "is_complex", None) is True):  # a sympy number
+        raise TypeError(f"coefficient {s!r} is not a number or a ScalarField")
+    return s
+
+
 def differential(f: ScalarField) -> OneFormField:
     return OneFormField(f.chart, lambda x: _seeded(f.fn, x)[1])
 
@@ -301,25 +320,19 @@ def exterior_derivative(alpha: OneFormField, p: Point) -> np.ndarray:
 
 
 def wedge(X: VectorField, Z: VectorField) -> BivectorField:
-    _same_chart(X.chart, Z.chart)
-
-    def fn(x):
-        outer = np.outer(_components(X.fn, x), _components(Z.fn, x))
+    def antisymmetrized(u, v):
+        outer = np.outer(u, v)
         return outer - outer.T
 
-    return BivectorField(X.chart, fn)
+    return _derived(BivectorField, antisymmetrized, X, Z)
 
 
 def apply_operator(L: OperatorField, X: VectorField) -> VectorField:
-    _same_chart(L.chart, X.chart)
-    return VectorField(
-        L.chart, lambda x: _components(L.fn, x) @ _components(X.fn, x))
+    return _derived(VectorField, lambda m, v: m @ v, L, X)
 
 
 def apply_transpose(L: OperatorField, alpha: OneFormField) -> OneFormField:
-    _same_chart(L.chart, alpha.chart)
-    return OneFormField(
-        L.chart, lambda x: _components(L.fn, x).T @ _components(alpha.fn, x))
+    return _derived(OneFormField, lambda m, a: m.T @ a, L, alpha)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -335,47 +348,42 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 def add_fields(a, b):
-    _same_chart(a.chart, b.chart)
     if type(a) is not type(b):
         raise TypeError("can only add fields of the same kind")
-    return type(a)(
-        a.chart, lambda x: _components(a.fn, x) + _components(b.fn, x))
+    return _derived(type(a), lambda u, v: u + v, a, b)
 
 
 def scale_field(s, f):
-    """Multiply a field by a constant or by a scalar field, which is read
-    through the pass like ``f``."""
-    if isinstance(s, ScalarField):
-        _same_chart(s.chart, f.chart)
-        return type(f)(f.chart, lambda x: _components(f.fn, x)
-                       * _components(s.fn, x))
-    return type(f)(f.chart, lambda x: _components(f.fn, x) * s)
+    """Multiply a field by a coefficient ``s``: a number, or a scalar field
+    on ``f``'s chart, read through the pass like ``f``."""
+    return _derived(type(f), lambda v, c: v * c, f, _coefficient(s))
 
 
 def compose_operators(L: OperatorField, M: OperatorField) -> OperatorField:
-    _same_chart(L.chart, M.chart)
-    return OperatorField(
-        L.chart, lambda x: _components(L.fn, x) @ _components(M.fn, x))
+    return _derived(OperatorField, lambda m, n: m @ n, L, M)
 
 
 def operator_polynomial(L: OperatorField, coeffs: Sequence) -> OperatorField:
-    """``sum_k coeffs[k] L^k`` with constant or scalar-field coefficients."""
+    """``sum_k coeffs[k] L^k``; each coefficient as for :func:`scale_field`."""
+    n = L.chart.dim
 
-    def fn(x):
-        n = L.chart.dim
-        m = _components(L.fn, x)
+    def polynomial(m, *cs):
         # Python floats: an object-dtype np.eye or np.zeros would hold ints;
         # the zero operator is the sum of no terms
         power = np.eye(n).astype(object)
         acc = np.zeros((n, n)).astype(object)
-        for k, c in enumerate(coeffs):
+        for k, c in enumerate(cs):
             if k > 0:
                 power = m if k == 1 else power @ m
-            acc = acc + power * (_components(c.fn, x)
-                                 if isinstance(c, ScalarField) else c)
+            acc = acc + power * c
         return acc
 
-    return OperatorField(L.chart, fn)
+    return _derived(OperatorField, polynomial, L, *map(_coefficient, coeffs))
+
+
+def diagonal_operator(V: VectorField) -> OperatorField:
+    """The operator with ``V``'s components on its diagonal."""
+    return _derived(OperatorField, np.diag, V)
 
 
 # -- simple constructors ----------------------------------------------------

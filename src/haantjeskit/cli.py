@@ -41,17 +41,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--points", type=int, default=100)
-    v.add_argument("--tol-exact", type=float, default=1e-12)
-    v.add_argument("--tol-deriv", type=float, default=1e-9)
+    v.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    v.add_argument("--points", type=int, default=SuiteConfig.points)
+    v.add_argument("--tol-exact", type=float, default=SuiteConfig.tol_exact)
+    v.add_argument("--tol-deriv", type=float, default=SuiteConfig.tol_deriv)
     v.add_argument("--json", type=str, default=None,
                    help="write the report as JSON to this path")
-    v.add_argument("--c", type=float, default=2.0,
+    v.add_argument("--c", type=float, default=SuiteConfig.c,
                    help="inertia ratio of the top")
 
     g = sub.add_parser("integrate", help="integrate the body-frame flow")
-    g.add_argument("--c", type=float, default=2.0)
+    g.add_argument("--c", type=float, default=TopParams.c)
     g.add_argument("--init", type=str, required=True,
                    help="six comma-separated initial values "
                         "(w1,w2,w3,g1,g2,g3)")

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..charts import BivectorField, Chart, ScalarField, VectorField
+from ..charts import (BivectorField, Chart, ScalarField, VectorField,
+                      add_fields, scale_field)
 from .params import TopParams
 
 W1, W2, W3, G1, G2, G3 = range(6)
@@ -35,16 +36,14 @@ def integrals(params: TopParams) -> dict:
 
 
 def hamiltonians(params: TopParams):
-    """The three Hamiltonians of the tri-Hamiltonian formulation."""
-    c = params.c
+    """The three Hamiltonians, combined from the integrals by the field
+    algebra: ``F4/2 + (c-1) F1 F3``, ``-F3 - (c-1) F1 F2`` and ``F2``."""
     F = integrals(params)
-    chart = body_chart()
-    h0 = ScalarField(chart, lambda x: 0.5 * F["F4"].fn(x)
-                     + (c - 1.0) * F["F1"].fn(x) * F["F3"].fn(x))
-    h1 = ScalarField(chart, lambda x: -F["F3"].fn(x)
-                     - (c - 1.0) * F["F1"].fn(x) * F["F2"].fn(x))
-    h2 = F["F2"]
-    return h0, h1, h2
+    cF1 = scale_field(params.c - 1.0, F["F1"])  # built once, shared
+    h0 = add_fields(scale_field(0.5, F["F4"]), scale_field(cF1, F["F3"]))
+    h1 = add_fields(scale_field(-1.0, F["F3"]),
+                    scale_field(-1.0, scale_field(cF1, F["F2"])))
+    return h0, h1, F["F2"]
 
 
 def lagrange_vector_field(params: TopParams) -> VectorField:

@@ -4,7 +4,8 @@ integrals."""
 
 from __future__ import annotations
 
-from ..charts import Chart, OperatorField, ScalarField, identity_operator
+from ..charts import (Chart, ScalarField, VectorField, diagonal_operator,
+                      identity_operator)
 from ..jets import cos_, sin_
 from .params import TopParams
 
@@ -49,13 +50,6 @@ def euler_chain_operators(params: TopParams):
     ``(phi, p_phi)`` and ``(theta, p_theta)`` blocks."""
     chart = euler_chart()
 
-    def diag(entries_fn):
-        def fn(x):
-            d = entries_fn(x)
-            return [[d[i] if i == j else 0.0 for j in range(6)]
-                    for i in range(6)]
-        return OperatorField(chart, fn)
-
     def k2_entries(x):
         s = sin_(x[THETA])
         f = s * s / (x[P_PHI] - x[P_PSI] * cos_(x[THETA]))
@@ -67,4 +61,6 @@ def euler_chain_operators(params: TopParams):
         f = -s * s / (ct * (x[P_PHI] - x[P_PSI] * ct))
         return [0.0, f, 0.0, 0.0, f, 0.0]
 
-    return identity_operator(chart), diag(k2_entries), diag(k3_entries)
+    return (identity_operator(chart),
+            diagonal_operator(VectorField(chart, k2_entries)),
+            diagonal_operator(VectorField(chart, k3_entries)))

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sampling import _real
-from .body import hamiltonians, integrals, lagrange_vector_field
+from ..charts import Point
+from .body import body_chart, hamiltonians, integrals, lagrange_vector_field
 from .params import TopParams
 
 INVARIANT_NAMES = ("F1", "F2", "F3", "F4", "h0", "h1", "h2")
@@ -36,11 +37,11 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
 
     The right-hand side is the component function of
     :func:`lagrange_vector_field`, and the recorded invariants are those of
-    :func:`integrals` and :func:`hamiltonians`, evaluated on the state
-    columns.  Raises ``ValueError`` for an input out of range (``dt`` not
-    finite and positive, for one) or a ``dt`` or ``t_max`` that is a
-    ``bool`` or not a real number, :class:`FlowBlowupError` carrying the
-    last valid time when the state stops being finite, and
+    :func:`integrals` and :func:`hamiltonians`, read on the trajectory as
+    one body-chart sample.  Raises ``ValueError`` for an input out of range
+    (``dt`` not finite and positive, for one) or a ``dt`` or ``t_max`` that
+    is a ``bool`` or not a real number, :class:`FlowBlowupError` carrying
+    the last valid time when the state stops being finite, and
     :class:`MemoryError` when the trajectory does not fit in memory.
     """
     dt, t_max = _real("step size", dt), _real("final time", t_max)
@@ -94,10 +95,10 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
             raise FlowBlowupError(k * dt)
         states[k + 1] = (y1, y2, y3, y4, y5, y6)
     times = np.arange(n_steps + 1) * dt
-    columns = list(states.T)
+    trajectory = Point(body_chart(), tuple(states.T))
     recorded = [*integrals(params).values(), *hamiltonians(params)]
-    return Trajectory(times, states,
-                      np.column_stack([F.fn(columns) for F in recorded]))
+    return Trajectory(times, states, np.column_stack(
+        [F(trajectory).real for F in recorded]))
 
 
 def max_relative_drift(traj: Trajectory) -> float:

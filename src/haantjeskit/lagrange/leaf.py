@@ -8,8 +8,8 @@ with the two Casimir levels pinned to constants.
 
 from __future__ import annotations
 
-from ..charts import (BivectorField, Chart, ChartMap, OneFormField,
-                      OperatorField, ScalarField, VectorField, _components)
+from ..charts import (Chart, ChartMap, ScalarField, _components, _Field,
+                      _same_chart)
 from ..jets import sqrt_
 from .complex_chart import (_chart_name, benenti_operators, complex_chart,
                             complex_integrals, deformation,
@@ -32,7 +32,8 @@ def _embed(coords, C1, C4):
 
 
 def restrict_to_leaf(field, params: TopParams, C1, C4):
-    """Pin the Casimir levels and drop the transversal slots.
+    """Pin the Casimir levels and drop the transversal slots of a field on
+    ``complex_chart(params)``; one on another chart raises.
 
     This is the restriction only for a field that does not couple the leaf
     to the transversal directions: a vector without transversal components,
@@ -40,17 +41,16 @@ def restrict_to_leaf(field, params: TopParams, C1, C4):
     checks that; the suites judge it for the fields they restrict.  A
     one-form pulls back by dropping its slots either way.
     """
-    kind = type(field)
-    if not isinstance(field, (ScalarField, OneFormField, VectorField,
-                              OperatorField, BivectorField)):
-        raise TypeError(f"cannot restrict field of type {kind.__name__}")
+    if not isinstance(field, _Field):
+        raise TypeError(f"cannot restrict a {type(field).__name__}")
+    _same_chart(complex_chart(params), field.chart)
 
     def fn(x):
         v = _components(field.fn, _embed(x, C1, C4))
         # the leaf slots of every index: v[:4], v[:4, :4], or a scalar
         return v[(slice(4),) * v.ndim]
 
-    return kind(leaf_chart(params, C1, C4), fn)
+    return type(field)(leaf_chart(params, C1, C4), fn)
 
 
 def leaf_structures(params: TopParams, C1, C4) -> dict:

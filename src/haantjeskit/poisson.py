@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .charts import (BivectorField, OneFormField, OperatorField, Point,
-                     ScalarField, VectorField, _same_chart, apply_operator,
-                     differential)
+                     ScalarField, VectorField, apply_operator, differential)
 from .report import (SampledResidual, _first_order, _max_abs, _sliced_max,
                      sampled, worst)
 
@@ -63,8 +62,6 @@ def check_jacobi(P: BivectorField, sample,
 def poisson_bracket(P: BivectorField, f: ScalarField, g: ScalarField,
                     p: Point) -> np.ndarray:
     """``<df, P dg>`` at each point of ``p``."""
-    _same_chart(P.chart, f.chart)
-    _same_chart(P.chart, g.chart)
     return np.einsum("si,sij,sj->s", f.gradient(p), P(p), g.gradient(p))
 
 
@@ -153,8 +150,6 @@ def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
     """Compatibility tensor of a bivector and an operator applied to a
     one-form and a vector:
     ``L_{P a}(N) Y - P (L_Y (N^T a) - L_{N Y} a)``."""
-    for f in (N, alpha, Y):
-        _same_chart(P.chart, f.chart)
     return _r_tensor(*P.jet(p), *N.jet(p), *alpha.jet(p), *Y.jet(p))
 
 

@@ -27,9 +27,9 @@ from .algebra import (algebra_rank, check_abelian, check_module_condition,
                       check_ring_condition, minimal_polynomial)
 from .jets import Jet, value
 from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
-                     ScalarField, VectorField, _components, add_fields,
-                     apply_operator, apply_transpose, constant_operator,
-                     constant_vector, differential, identity_operator,
+                     ScalarField, VectorField, add_fields, apply_operator,
+                     apply_transpose, constant_operator, constant_vector,
+                     diagonal_operator, differential, identity_operator,
                      lie_bracket, operator_polynomial, scale_field, wedge)
 from .poisson import (_lie, _r_tensor, check_chain_closed,
                       check_compatibility, check_jacobi, check_skew,
@@ -93,12 +93,12 @@ class SuiteConfig:
 
 # -- seeded random auxiliary fields ----------------------------------------
 
-def _random_field(rng, kind, chart, shape=()):
-    """A field of ``kind`` on ``chart`` with components of ``shape``, each a
-    random quadratic polynomial ``c0 + x . (lin + Q x)`` in the chart
-    coordinates.  The complex coefficients are drawn in one call, component
-    after component, ``c0``, ``lin`` and ``Q`` by rows, each as its real
-    and imaginary part uniform in [-1, 1].
+def _random_field(rng, kind, chart):
+    """A field of ``kind`` on ``chart`` with ``dim ** len(kind.slots)``
+    components, each a random quadratic polynomial ``c0 + x . (lin + Q x)``
+    in the chart coordinates.  The complex coefficients are drawn in one
+    call, component after component, ``c0``, ``lin`` and ``Q`` by rows,
+    each as its real and imaginary part uniform in [-1, 1].
 
     One call of the component function evaluates every component at once:
     the coefficients are arrays with the component first, the coordinates
@@ -113,6 +113,7 @@ def _random_field(rng, kind, chart, shape=()):
     derivatives, and reading one at depth 2 (the jet of its differential)
     raises ``TypeError``."""
     n = chart.dim
+    shape = (n,) * len(kind.slots)
     size = math.prod(shape)
     coeffs = rng.uniform(-1.0, 1.0, 2 * size * (1 + n + n * n))
     c = coeffs.view(complex).reshape(size, -1, 1)
@@ -255,9 +256,8 @@ def suite_torsion(cfg: SuiteConfig) -> list:
         chart = Chart(f"aux{dim}d", dim)
         sample = sample_points(chart, cfg.points, cfg.seed + dim)
         for _ in range(3):
-            V = _random_field(rng, VectorField, chart, (dim,))
-            diagonal.append((OperatorField(chart, lambda x, V=V: np.diag(
-                _components(V.fn, x))), sample))
+            diagonal.append((diagonal_operator(
+                _random_field(rng, VectorField, chart)), sample))
 
     def diagonal_haantjes():
         results = [is_haantjes(D, s, cfg.tol_deriv) for D, s in diagonal]
@@ -266,7 +266,7 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     chart2 = Chart("aux2", 2)
     sample2 = sample_points(chart2, cfg.points, cfg.seed + 7)
     swap = OperatorField(chart2, lambda x: [[x[1], 0.0], [0.0, x[0]]])
-    L = _random_field(rng, OperatorField, chart3, (3, 3))
+    L = _random_field(rng, OperatorField, chart3)
 
     def antisymmetry(p):
         T, H, Lc, Ld = torsions(L, p)
@@ -275,8 +275,8 @@ def suite_torsion(cfg: SuiteConfig) -> list:
 
     # definitional oracle on a small subsample: the component formula against
     # the vector-field bracket form applied to random fields
-    X = _random_field(rng, VectorField, chart3, (3,))
-    Y = _random_field(rng, VectorField, chart3, (3,))
+    X = _random_field(rng, VectorField, chart3)
+    Y = _random_field(rng, VectorField, chart3)
     fields = (_bracket_nijenhuis(L, X, Y), _bracket_haantjes(L, X, Y))
 
     def definitional(p):
@@ -832,8 +832,8 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     iJ = np.zeros((4, 4), dtype=complex)
     iJ[0, 2] = iJ[1, 3] = 1.0j
     iJ[2, 0] = iJ[3, 1] = -1.0j
-    crossed = OperatorField(sep.dst,
-                            lambda s: np.diag([s[1], s[0], s[1], s[0]]))
+    crossed = diagonal_operator(
+        VectorField(sep.dst, lambda s: [s[1], s[0], s[1], s[0]]))
 
     def roundtrip(p):
         x = np.array(p.coords).T
@@ -872,8 +872,8 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     # on the leaf, where the pair is nondegenerate; on the full chart the
     # transversal block of the operator does not participate in a
     # bivector/operator pair and the tensor has no reason to vanish.
-    alpha = _random_field(rng, OneFormField, lchart, (lchart.dim,))
-    Yf = _random_field(rng, VectorField, lchart, (lchart.dim,))
+    alpha = _random_field(rng, OneFormField, lchart)
+    Yf = _random_field(rng, VectorField, lchart)
 
     def compatibility(p):
         (Pc, Pd), (Nc, Nd) = P1l.jet(p), Nl.jet(p)

@@ -55,7 +55,7 @@ def test_criterion_1_diagonal_operators(capsys):
     for k in range(10):
         dim = 2 + k % 3
         chart = Chart(f"acc{k}", dim)
-        V = _random_field(rng, VectorField, chart, (dim,))
+        V = _random_field(rng, VectorField, chart)
         L = OperatorField(chart, lambda x, V=V: np.diag(V.fn(x)))
         sample = sample_points(chart, POINTS, SEED + k)
         worst = max(worst, is_haantjes(L, sample, 1e-9).residual)
@@ -238,7 +238,7 @@ def test_criterion_10_ad_vs_fd(capsys):
     for k in range(10):
         dim = 2 + k % 3
         chart = Chart(f"fd{k}", dim)
-        L = _random_field(rng, OperatorField, chart, (dim, dim))
+        L = _random_field(rng, OperatorField, chart)
         sample = sample_points(chart, 5, SEED + k, real=True)
         Ld_fd = np.array([
             [fd_jacobian(lambda y, i=i: L.fn(y)[i], x) for i in range(dim)]

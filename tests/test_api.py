@@ -3,6 +3,7 @@ entry behind in an ``__all__``; the Lagrange-top model does not judge."""
 
 import ast
 import importlib
+import re
 import importlib.util
 import pkgutil
 from pathlib import Path
@@ -45,3 +46,18 @@ def test_lagrange_does_not_import_report():
             elif isinstance(node, ast.Import):
                 imported |= {a.name for a in node.names}
     assert "haantjeskit.report" not in imported
+
+
+def test_readme_library_use_runs(capsys):
+    """README's "Library use" block runs as written and its comments hold,
+    so a change to the public API cannot leave it stale."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("SampledResidual(")
+    assert namespace["is_haantjes"](namespace["L"], namespace["sample"]).passed
+    assert namespace["Lc"].shape == (50, 2, 2)
+    assert namespace["dL"].shape == (50, 2, 2, 2)
+    assert len(namespace["p"]) == 1

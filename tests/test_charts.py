@@ -4,15 +4,14 @@ against the finite-difference oracle."""
 import numpy as np
 import pytest
 
-from haantjeskit import (BivectorField, Chart, ChartError,
-                         ChartMismatchError, ChartMap, OneFormField,
-                         OperatorField, Point, ScalarField,
-                         SingularPointError, VectorField, add_fields,
-                         apply_operator, apply_transpose, compose_operators,
-                         constant_operator, constant_vector, differential,
-                         exterior_derivative, hamiltonian_field,
-                         identity_operator, lie_bracket, operator_polynomial,
-                         scale_field, wedge)
+from haantjeskit import (BivectorField, Chart, ChartError, ChartMismatchError,
+                         ChartMap, OneFormField, OperatorField, Point,
+                         ScalarField, SingularPointError, VectorField,
+                         add_fields, apply_operator, apply_transpose,
+                         compose_operators, constant_operator, constant_vector,
+                         diagonal_operator, differential, exterior_derivative,
+                         hamiltonian_field, identity_operator, lie_bracket,
+                         operator_polynomial, scale_field, wedge)
 from haantjeskit import jets
 from haantjeskit.algebra import algebra_rank, check_ring_condition
 from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
@@ -248,6 +247,73 @@ def test_apply_operator_and_transpose(chart3, sample3):
                          - np.einsum("sij,sj->si", L(p), X(p)))) < 1e-14
     assert np.max(np.abs(apply_transpose(L, a)(p)
                          - np.einsum("sji,sj->si", L(p), a(p)))) < 1e-14
+
+
+# each constructor of the field algebra, with the parts it combines
+CONSTRUCTORS = {
+    "wedge": (lambda L, X, Y, A, f: wedge(X, Y), "XY"),
+    "apply_operator": (lambda L, X, Y, A, f: apply_operator(L, X), "LX"),
+    "apply_transpose": (lambda L, X, Y, A, f: apply_transpose(L, A), "LA"),
+    "compose_operators": (lambda L, X, Y, A, f: compose_operators(L, L), "L"),
+    "add_fields": (lambda L, X, Y, A, f: add_fields(X, Y), "XY"),
+    "scale_field": (lambda L, X, Y, A, f: scale_field(f, L), "Lf"),
+    "operator_polynomial": (
+        lambda L, X, Y, A, f: operator_polynomial(L, [1.0, f]), "Lf"),
+    "diagonal_operator": (lambda L, X, Y, A, f: diagonal_operator(X), "X"),
+}
+
+
+@pytest.mark.parametrize("moved", "LXYAf")
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_field_algebra_refuses_parts_on_other_charts(name, moved, chart3):
+    """A constructor whose field parts lie on two charts raises when it is
+    built, so no part is read at another chart's coordinates.  Parts on one
+    chart give a field on it."""
+    other = Chart("elsewhere", 3)
+    parts = {"L": OperatorField(chart3, lambda x: np.eye(3).tolist()),
+             "X": VectorField(chart3, lambda x: [x[0], 1.0, x[2]]),
+             "Y": VectorField(chart3, lambda x: [1.0, x[1], 0.0]),
+             "A": OneFormField(chart3, lambda x: [x[2], 0.0, 1.0]),
+             "f": ScalarField(chart3, lambda x: x[0] * x[1])}
+    parts[moved] = type(parts[moved])(other, parts[moved].fn)
+    build, uses = CONSTRUCTORS[name]
+    if moved in uses and len(set(uses)) > 1:
+        with pytest.raises(ChartMismatchError):
+            build(**parts)
+    else:
+        assert build(**parts).chart == (other if set(uses) == {moved}
+                                        else chart3)
+
+
+def test_field_algebra_refuses_a_bad_coefficient_when_built(chart3):
+    """A coefficient is a number or a scalar field; anything else, a vector
+    field included, raises ``TypeError`` when the field is built, not at
+    its first read."""
+    L = OperatorField(chart3, lambda x: np.eye(3).tolist())
+    X = VectorField(chart3, lambda x: [x[0], 1.0, x[2]])
+    for bad in ("2", [1.0, 2.0, 3.0], np.ones(3), None, X):
+        with pytest.raises(TypeError):
+            scale_field(bad, L)
+        with pytest.raises(TypeError):
+            operator_polynomial(L, [1.0, bad])
+    p = point(chart3, 1.0, 2.0, 3.0)
+    for good in (2, 2.5, 1j, np.float32(2.0), np.complex128(1j)):
+        assert np.array_equal(scale_field(good, L)(p), good * L(p))
+
+
+def test_diagonal_operator(chart3, sample3):
+    """``V``'s components on the diagonal and zeros elsewhere, with the
+    partials of a matrix built by hand from ``V``."""
+    V = VectorField(chart3, lambda x: [x[0] * x[1], 2.0, x[2] ** 2])
+    D = diagonal_operator(V)
+    assert isinstance(D, OperatorField) and D.chart == chart3
+    v, dv = V.jet(sample3)
+    d, dd = D.jet(sample3)
+    want = np.zeros_like(dd)
+    for i in range(3):
+        want[:, i, i] = dv[:, i]
+    assert np.array_equal(d, np.stack([np.diag(row) for row in v]))
+    assert np.array_equal(dd, want)
 
 
 def _shear(chart3):

@@ -99,6 +99,19 @@ def test_euler_suite_reports_finding(tmp_path):
     assert finding["max_residual"] > 1.0  # an honest nonzero residual
 
 
+def test_verify_defaults_are_the_config_defaults(tmp_path):
+    """With no option but the suite and the path, the report records the
+    defaults of ``SuiteConfig``, seed 42 among them; ``integrate`` takes
+    its default ``c`` from ``TopParams``."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "euler", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["params"] == suites.SuiteConfig().as_dict()
+    assert report["seed"] == suites.SuiteConfig().seed == 42
+    args = cli._build_parser().parse_args(["integrate", "--init", "0"])
+    assert args.c == haantjeskit.lagrange.TopParams().c
+
+
 def test_reduced_suite_reports_findings(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "--suite", "reduced", "--points", "10",

@@ -34,6 +34,24 @@ def test_axial_spin_exactly_conserved():
     assert np.max(np.abs(traj.states[:, 2] - Y0[2])) == 0.0
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
+def test_recorded_invariants_are_the_closed_forms(c):
+    """The invariants read through the field algebra equal the closed forms
+    of F1..F4, ``h0 = F4/2 + (c-1) F1 F3`` and ``h1 = -F3 - (c-1) F1 F2``,
+    evaluated in float arithmetic on the state columns."""
+    traj = integrate_flow(TopParams(c), Y0, 1e-2, 5.0)
+    w1, w2, w3, g1, g2, g3 = traj.states.T
+    F1 = w3
+    F2 = 0.5 * (w1 ** 2 + w2 ** 2 + c * w3 ** 2) - g3
+    F3 = w1 * g1 + w2 * g2 + c * w3 * g3
+    F4 = g1 ** 2 + g2 ** 2 + g3 ** 2
+    h0 = 0.5 * F4 + (c - 1.0) * F1 * F3
+    h1 = -F3 - (c - 1.0) * F1 * F2
+    reference = np.column_stack([F1, F2, F3, F4, h0, h1, F2])
+    assert traj.invariants.dtype == float
+    np.testing.assert_array_max_ulp(traj.invariants, reference, maxulp=4)
+
+
 def test_trajectory_shapes():
     traj = integrate_flow(TopParams(), Y0, 1e-2, 1.0)
     assert traj.times.shape == (101,)

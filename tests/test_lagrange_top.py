@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from haantjeskit import (OperatorField, Point, ScalarField,
+from haantjeskit import (ChartMismatchError, OperatorField, Point, ScalarField,
                          SingularPointError, differential, hamiltonian_field,
                          identity_operator, is_haantjes, is_nijenhuis,
                          operator_polynomial)
@@ -248,6 +248,18 @@ def test_ladder_fields_restrict(tp):
         assert np.array_equal(restricted(sample), v[:, :4])
 
 
+def test_restriction_refuses_a_field_off_the_complex_chart(tp):
+    """Only a field on ``complex_chart(params)`` restricts: a body-chart
+    field would be read at ``(x1, x2, y1, y2, C1, C4)``, and a complex-chart
+    field of another ``c`` is singular on other sets."""
+    for field in (integrals(tp)["F2"],
+                  complex_integrals(TopParams(3.0))[0]):
+        with pytest.raises(ChartMismatchError):
+            restrict_to_leaf(field, tp, 0.4, 1.3)
+    with pytest.raises(TypeError):
+        restrict_to_leaf(lambda x: x[0], tp, 0.4, 1.3)
+
+
 def test_leaf_recursion_frozen(tp):
     data = leaf_structures(tp, 0.4, 1.3)
     p = point(data["chart"], 0.0, 1.0, 0.3, 0.7)
@@ -357,8 +369,7 @@ def test_leaf_axioms_reject_a_random_operator():
     leaf chart is not Haantjes, and it generates an algebra of rank
     three."""
     data, sample = _leaf_sample(2.0)
-    R = _random_field(np.random.default_rng(7), OperatorField,
-                      data["chart"], (4, 4))
+    R = _random_field(np.random.default_rng(7), OperatorField, data["chart"])
     sr = is_haantjes(R, sample, 1e-12)
     assert sr.residual / sr.scale > 0.1
     assert np.all(algebra_rank(_squares(R), sample) == 3)

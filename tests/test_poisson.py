@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from haantjeskit import (BivectorField, Chart, OneFormField, OperatorField,
-                         ScalarField, VectorField, apply_operator,
-                         apply_transpose, check_chain_closed,
+from haantjeskit import (BivectorField, Chart, ChartMismatchError,
+                         OneFormField, OperatorField, ScalarField, VectorField,
+                         apply_operator, apply_transpose, check_chain_closed,
                          check_compatibility, check_jacobi, check_skew,
                          check_skew_compositions, hamiltonian_field,
                          identity_operator, jacobi_residual, lie_bracket,
@@ -230,6 +230,28 @@ def test_r_tensor_matches_derived_field_formula(chart4, sample4):
     want = first - np.einsum("sij,sj->si", P(p), inner)
     assert np.all(np.max(np.abs(want), axis=1) > 1e-3)
     assert np.max(np.abs(r_tensor(P, N, a, Y, p) - want)) < 1e-12
+
+
+def test_bracket_and_r_tensor_refuse_a_field_on_another_chart(
+        canonical, chart4, sample4):
+    """Each field is judged against the sample by its own read, so one on
+    another chart raises whichever argument it is."""
+    other = Chart("q4", 4)
+    f = ScalarField(chart4, lambda x: x[0] * x[2])
+    N = identity_operator(chart4)
+    a = OneFormField(chart4, lambda x: [x[1], 1.0, 0.0, x[0]])
+    Y = VectorField(chart4, lambda x: [1.0, x[3], 0.0, x[2]])
+    p = sample4[:3]
+    moved = lambda F: type(F)(other, F.fn)
+    for args in ((moved(canonical), f, f), (canonical, moved(f), f),
+                 (canonical, f, moved(f))):
+        with pytest.raises(ChartMismatchError):
+            poisson_bracket(*args, p)
+    fields = [canonical, N, a, Y]
+    for k in range(4):
+        args = fields[:k] + [moved(fields[k])] + fields[k + 1:]
+        with pytest.raises(ChartMismatchError):
+            r_tensor(*args, p)
 
 
 def test_chain_builders(canonical, chart4, sample4):

@@ -76,7 +76,7 @@ def test_random_field_draws_its_coefficients_component_by_component():
     one number at a time."""
     n, shape = 2, (2, 2)
     whole, single = np.random.default_rng(5), np.random.default_rng(5)
-    F = _random_field(whole, OperatorField, Chart("r2", n), shape)
+    F = _random_field(whole, OperatorField, Chart("r2", n))
     terms = 1 + n + n * n
     coeffs = [complex(single.uniform(-1.0, 1.0), single.uniform(-1.0, 1.0))
               for _ in range(4 * terms)]
@@ -90,10 +90,11 @@ def test_random_field_draws_its_coefficients_component_by_component():
         assert values[i, j] == pytest.approx(expected, rel=1e-14)
 
 
-def _reference_field(rng, kind, chart, shape):
+def _reference_field(rng, kind, chart):
     """The same draw as ``_random_field``, evaluated one component at a time
     over numpy object arrays: ``c0 + x @ (lin + Q @ x)``."""
     n = chart.dim
+    shape = (n,) * len(kind.slots)
     size = int(np.prod(shape))
     coeffs = rng.uniform(-1.0, 1.0, 2 * size * (1 + n + n * n))
     polys = [(c[0], np.array(c[1:n + 1], dtype=object),
@@ -110,10 +111,9 @@ def _reference_field(rng, kind, chart, shape):
 
 
 def _both_fields(kind, n, seed=3):
-    shape = {ScalarField: (), VectorField: (n,), OperatorField: (n, n)}[kind]
     chart = Chart(f"r{n}", n)
-    return (_random_field(np.random.default_rng(seed), kind, chart, shape),
-            _reference_field(np.random.default_rng(seed), kind, chart, shape))
+    return (_random_field(np.random.default_rng(seed), kind, chart),
+            _reference_field(np.random.default_rng(seed), kind, chart))
 
 
 def _entries(components):

@@ -17,8 +17,8 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from haantjeskit.lagrange import (TopParams, benenti_operators,  # noqa: E402
-                                  complex_integrals, nijenhuis_operator,
-                                  poisson_bivectors)
+                                  complex_integrals, hamiltonians,
+                                  nijenhuis_operator, poisson_bivectors)
 
 C = sp.Symbol("c", positive=True)
 PARAMS = TopParams(c=C)
@@ -96,3 +96,16 @@ def test_body_bivectors_are_compatible_poisson_for_every_c():
     wrong[0, 1] = wrong[0, 1].subs(C, C + 1)
     wrong[1, 0] = -wrong[0, 1]
     assert len(_jacobi_failures(wrong, BODY)) == 2
+
+
+def test_hamiltonians_take_a_symbolic_c():
+    """The field algebra takes ``c - 1`` with ``c`` a positive symbol as a
+    number, so ``h0`` and ``h1`` are their closed forms for every ``c``."""
+    w1, w2, w3, g1, g2, g3 = BODY
+    F2 = (w1 ** 2 + w2 ** 2 + C * w3 ** 2) / 2 - g3
+    F3 = w1 * g1 + w2 * g2 + C * w3 * g3
+    F4 = g1 ** 2 + g2 ** 2 + g3 ** 2
+    h0, h1, h2 = (_exact(h.fn(list(BODY))) for h in hamiltonians(PARAMS))
+    for got, want in ((h0, F4 / 2 + (C - 1) * w3 * F3),
+                      (h1, -F3 - (C - 1) * w3 * F2), (h2, F2)):
+        assert sp.expand(got - want) == 0

@@ -137,7 +137,7 @@ def test_haantjes_of_fI_plus_gL_is_g4_times_haantjes_of_L():
     rng = np.random.default_rng(5)
     chart = Chart("aux3", 3)
     sample = sample_points(chart, 100, 42)
-    L = _random_field(rng, OperatorField, chart, (3, 3))
+    L = _random_field(rng, OperatorField, chart)
     f = _random_field(rng, ScalarField, chart)
     g = _random_field(rng, ScalarField, chart)
     M = add_fields(scale_field(f, identity_operator(chart)),
@@ -166,7 +166,7 @@ def test_torsions_are_tensors_under_a_chart_change():
                    lambda u: [u[0], u[1] - u[0] * u[0],
                               u[2] - u[0] * (u[1] - u[0] * u[0])])
     sample = sample_points(chart, 100, 42)
-    L = _random_field(rng, OperatorField, chart, (3, 3))
+    L = _random_field(rng, OperatorField, chart)
     J = phi.jacobian(sample)
     Jinv = np.linalg.inv(J)
     for torsion in (nijenhuis_torsion, haantjes_torsion):
