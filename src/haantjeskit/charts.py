@@ -16,21 +16,19 @@ arrays and are built as numpy expressions over them (``L @ X``,
 ``J @ P @ J.T``, ...), so they remain differentiable to the depth the
 computation needs.
 
-Every field kind is read through the same two passes over a sample:
-``f(p)`` evaluates the component function once on the plain coordinates,
-and ``f.jet(p)`` once on seeded jets, giving the components and their
-partials (last index the variable).  Results are numeric arrays with the
-sample axis first: ``(N,) + shape`` for the components and
-``(N,) + shape + (dim,)`` for the partials.  ``f.jacobian(p)`` is
+Every field kind is read in the same two modes over a whole sample, never
+point by point: ``f(p)`` evaluates the component function on the plain
+coordinates, and ``f.jet(p)`` on seeded jets, giving the components and
+their partials (last index the variable).  Results are read-only numeric
+arrays with the sample axis first: ``(N,) + shape`` for the components
+and ``(N,) + shape + (dim,)`` for the partials.  ``f.jacobian(p)`` is
 ``f.jet(p)[1]``, and a scalar field's ``gradient`` is its ``jacobian``.
 Derived fields and chart maps take partials through the same seeded pass,
 :func:`_seeded`, which also accepts coordinates that are already jets.
-Reading a sample once per field is the rule the checks keep: one plain or
-one seeded pass per field and sample, never one per point.  Within a pass
-the rule holds for subfields too: each component function runs once per
-coordinate list, and each coordinate list is seeded once, so the subfields
-of a derived field share their values and seeds.  The memo ends with the
-pass, and the components it shares are read-only.
+Reads share their work within a pass: one read, or one call of a sample
+function by :func:`~haantjeskit.report.sampled`.  In a pass each component
+function, subfields included, runs once per coordinate list and mode, and
+each sample is lifted once and seeded once; the memo ends with the pass.
 
 Real charts embed with zero imaginary parts; every evaluation is pure and
 deterministic.
@@ -164,14 +162,14 @@ class _Field:
     def __call__(self, p: Point) -> np.ndarray:
         """Components from a plain pass, shape ``(N,) + shape``."""
         _same_chart(self.chart, p.chart)
-        return _read(self.fn, p.coords)
+        return _once(_read, self.fn, p.coords, False)
 
     def jet(self, p: Point) -> tuple:
         """Components and their partials from one seeded pass; the last
         index of the partials is the variable, so a vector's ``[s, i, k]``
         is the k-th partial of the i-th component at the s-th point."""
         _same_chart(self.chart, p.chart)
-        return _read(self.fn, p.coords, seeded=True)
+        return _once(_read, self.fn, p.coords, True)
 
     def jacobian(self, p: Point) -> np.ndarray:
         return self.jet(p)[1]
@@ -208,6 +206,16 @@ class BivectorField(_Field):
 # the open pass's results, or None between passes; evaluation is one thread
 _memo = None
 
+# Points per pass: `report.sampled` calls its sample function, and
+# `integrate_flow` reads its invariants, on blocks of at most BLOCK points,
+# so BLOCK bounds the memory of a pass.  A jet pass is mostly Python-level
+# work whose cost hardly depends on the sample size, so fewer passes are
+# faster.  Measured with `bench/run.py --workload geometry-large --seconds
+# 30` (200 points a check) on a shared 2-vCPU Xeon VM, medians of 4
+# rotating runs at seeds 42 and 7: BLOCK = 64 gave a norm_wall_s of 0.262 s
+# and a peak RSS of 42.98 MB, BLOCK = 256 gave 0.140 s and 43.35 MB.
+BLOCK = 256
+
 
 def _once(make, *args):
     """``make(*args)``, computed once per pass for the same ``make`` and the
@@ -241,25 +249,26 @@ def _components(fn, x):
     return _once(_evaluate, fn, x)
 
 
-def _read(fn, coords, seeded=False):
-    """One pass of ``fn`` over a sample's coordinate arrays: the components
-    as a complex array with the sample axis first, and with ``seeded`` also
-    their partials, the last index being the variable.  Constant entries
-    broadcast along the sample."""
-    size, n = len(coords[0]), len(coords)
-    out = _components(fn, jets.seed(coords) if seeded else jets.lift(coords))
+def _read(fn, coords, seeded):
+    """One read of ``fn`` over a sample's coordinate arrays: the components
+    as a read-only complex array with the sample axis first, and with
+    ``seeded`` also their read-only partials, the last index being the
+    variable.  Constant entries broadcast along the sample.  The readers
+    call it through `_once`, and it lifts and seeds the sample through
+    `_once`, so a derived field that seeds ``F`` shares ``F.jet(p)``'s."""
+    size, width = len(coords[0]), len(coords) if seeded else 0
+    x = _once(jets.lift, coords)
+    out = _components(fn, _once(jets.seed, x) if seeded else x)
     vals = np.empty((size, out.size), dtype=complex)
-    grads = np.zeros((size, out.size, n if seeded else 0), dtype=complex)
+    grads = np.zeros((size, out.size, width), dtype=complex)
     for k, e in enumerate(out.flat):
+        vals[:, k] = jets.value(e)
         if isinstance(e, jets.Jet):
-            vals[:, k] = e.val
             grads[:, k] = e.grad.T
-        else:
-            vals[:, k] = e
     vals = vals.reshape((size,) + out.shape)
-    if not seeded:
-        return vals
-    return vals, grads.reshape((size,) + out.shape + (n,))
+    grads = grads.reshape((size,) + out.shape + (width,))
+    vals.flags.writeable = grads.flags.writeable = False
+    return (vals, grads) if seeded else vals
 
 
 def _objects(entries, shape):
@@ -289,14 +298,20 @@ def _seeded(fn, x):
 # expression.  Jets go on the right of arrays (``arr * jet``): a jet on the
 # left would take the whole array as one value.
 
-def _derived(kind, combine, *parts):
-    """The one rule for combining fields: a ``kind`` field on the chart its
-    field parts must share, with components ``combine`` of the parts' (each
-    field read once per pass through the memo, each number as it is)."""
-    fields = [q for q in parts if isinstance(q, _Field)]
-    for q in fields[1:]:
-        _same_chart(fields[0].chart, q.chart)
-    return kind(fields[0].chart, lambda x: combine(*(
+def _derived(kind, combine, *fields, coefficients=()):
+    """The one rule for combining fields: a ``kind`` field on the chart of
+    ``fields``, with components ``combine`` of the fields' and then of the
+    coefficients' (each field read once per pass through the memo, each
+    number as it is).  Anything but a field among ``fields``, a coefficient
+    that `_coefficient` refuses, or a part on another chart raises here."""
+    for q in fields:
+        if not isinstance(q, _Field):
+            raise TypeError(f"{q!r} is not a field")
+    parts = [*fields, *map(_coefficient, coefficients)]
+    for q in parts[1:]:
+        if isinstance(q, _Field):
+            _same_chart(parts[0].chart, q.chart)
+    return kind(parts[0].chart, lambda x: combine(*(
         _components(q.fn, x) if isinstance(q, _Field) else q for q in parts)))
 
 
@@ -356,7 +371,7 @@ def add_fields(a, b):
 def scale_field(s, f):
     """Multiply a field by a coefficient ``s``: a number, or a scalar field
     on ``f``'s chart, read through the pass like ``f``."""
-    return _derived(type(f), lambda v, c: v * c, f, _coefficient(s))
+    return _derived(type(f), lambda v, c: v * c, f, coefficients=[s])
 
 
 def compose_operators(L: OperatorField, M: OperatorField) -> OperatorField:
@@ -378,7 +393,7 @@ def operator_polynomial(L: OperatorField, coeffs: Sequence) -> OperatorField:
             acc = acc + power * c
         return acc
 
-    return _derived(OperatorField, polynomial, L, *map(_coefficient, coeffs))
+    return _derived(OperatorField, polynomial, L, coefficients=coeffs)
 
 
 def diagonal_operator(V: VectorField) -> OperatorField:

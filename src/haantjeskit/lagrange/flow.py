@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import charts
 from ..sampling import _real
-from ..charts import Point
 from .body import body_chart, hamiltonians, integrals, lagrange_vector_field
 from .params import TopParams
 
@@ -37,12 +37,13 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
 
     The right-hand side is the component function of
     :func:`lagrange_vector_field`, and the recorded invariants are those of
-    :func:`integrals` and :func:`hamiltonians`, read on the trajectory as
-    one body-chart sample.  Raises ``ValueError`` for an input out of range
-    (``dt`` not finite and positive, for one) or a ``dt`` or ``t_max`` that
-    is a ``bool`` or not a real number, :class:`FlowBlowupError` carrying
-    the last valid time when the state stops being finite, and
-    :class:`MemoryError` when the trajectory does not fit in memory.
+    :func:`integrals` and :func:`hamiltonians`, read on the trajectory in
+    blocks of ``charts.BLOCK`` points.  Raises ``ValueError`` for an input
+    out of range (``dt`` not finite and positive, for one) or a ``dt`` or
+    ``t_max`` that is a ``bool`` or not a real number,
+    :class:`FlowBlowupError` carrying the last valid time when the state
+    stops being finite, and :class:`MemoryError` when the trajectory does
+    not fit in memory.
     """
     dt, t_max = _real("step size", dt), _real("final time", t_max)
     if not 0 < dt < math.inf:
@@ -95,10 +96,13 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
             raise FlowBlowupError(k * dt)
         states[k + 1] = (y1, y2, y3, y4, y5, y6)
     times = np.arange(n_steps + 1) * dt
-    trajectory = Point(body_chart(), tuple(states.T))
     recorded = [*integrals(params).values(), *hamiltonians(params)]
-    return Trajectory(times, states, np.column_stack(
-        [F(trajectory).real for F in recorded]))
+    blocks = (charts.Point(body_chart(),
+                           tuple(states[i:i + charts.BLOCK].T))
+              for i in range(0, n_steps + 1, charts.BLOCK))
+    return Trajectory(times, states, np.concatenate([
+        np.column_stack([F(block).real for F in recorded])
+        for block in blocks]))
 
 
 def max_relative_drift(traj: Trajectory) -> float:

@@ -132,8 +132,15 @@ def lie_derivative(Z: VectorField, T, p: Point) -> np.ndarray:
 lie_derivative_operator = lie_derivative
 
 
-def _r_tensor(Pc, Pd, Nc, Nd, ac, ad, yc, yd) -> np.ndarray:
-    # P a, N^T a and N Y with their partials by the product rule
+def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
+             Y: VectorField, p: Point) -> np.ndarray:
+    """Compatibility tensor of a bivector and an operator applied to a
+    one-form and a vector:
+    ``L_{P a}(N) Y - P (L_Y (N^T a) - L_{N Y} a)``, from one jet of each
+    argument; ``P a``, ``N^T a`` and ``N Y`` take their partials by the
+    product rule."""
+    (Pc, Pd), (Nc, Nd) = P.jet(p), N.jet(p)
+    (ac, ad), (yc, yd) = alpha.jet(p), Y.jet(p)
     pa = np.einsum("sij,sj->si", Pc, ac)
     pa_d = np.einsum("sijk,sj->sik", Pd, ac) + Pc @ ad
     nta = np.einsum("sij,si->sj", Nc, ac)
@@ -143,14 +150,6 @@ def _r_tensor(Pc, Pd, Nc, Nd, ac, ad, yc, yd) -> np.ndarray:
     inner = _lie(yc, yd, nta, nta_d, "d") - _lie(ny, ny_d, ac, ad, "d")
     return (np.einsum("sij,sj->si", _lie(pa, pa_d, Nc, Nd, "ud"), yc)
             - np.einsum("sij,sj->si", Pc, inner))
-
-
-def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
-             Y: VectorField, p: Point) -> np.ndarray:
-    """Compatibility tensor of a bivector and an operator applied to a
-    one-form and a vector:
-    ``L_{P a}(N) Y - P (L_Y (N^T a) - L_{N Y} a)``."""
-    return _r_tensor(*P.jet(p), *N.jet(p), *alpha.jet(p), *Y.jet(p))
 
 
 # -- Magri chains -----------------------------------------------------------

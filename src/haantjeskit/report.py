@@ -17,29 +17,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import charts
+
 __all__ = ["SampledResidual", "sampled", "matches", "worst",
            "Check", "VerificationReport", "check_from_residual"]
-
-# Points per call of a sample function, so one jet pass reads every field
-# of a check for samples up to BLOCK points.  A jet pass is mostly
-# Python-level work whose cost hardly depends on the sample size, so fewer
-# passes are faster.  Measured with `bench/run.py --workload
-# geometry-large --seconds 30` (200 points a check) on a shared 2-vCPU
-# Xeon VM, medians of 4 rotating runs at seeds 42 and 7: BLOCK = 64 gave a
-# norm_wall_s of 0.262 s and a peak RSS of 42.98 MB, BLOCK = 256 gave
-# 0.140 s and 43.35 MB, with SLICE below.
-BLOCK = 256
 
 # Points per slice of a kernel that builds arrays of shape (N, n, n, n),
 # the torsions and the Jacobi sum, reduced slice by slice in `_sliced_max`.
 # Those temporaries, beside the arrays a read holds, set a check's memory.
 # Traced with tracemalloc at 200 points of the Euler chart (n = 6), with
-# BLOCK = 256 and the kernels as batched `@` products, the Haantjes check
-# of K3 peaked 3.41 MB above what its suite held before it unsliced,
-# 1.62 MB with slices of 64 points and 1.20 MB with slices of 32.  On a
-# shared 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), 3 alternating 10-s
-# `bench/run.py --workload geometry-large --seed 42` runs a side gave a
-# peak RSS of 42.9-43.3 MB with slices of 32 and 45.9-46.0 MB unsliced,
+# `charts.BLOCK` = 256 and the kernels as batched `@` products, the
+# Haantjes check of K3 peaked 3.41 MB above what its suite held before it
+# unsliced, 1.62 MB with slices of 64 points and 1.20 MB with slices of 32.
+# On a shared 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), 3 alternating
+# 10-s `bench/run.py --workload geometry-large --seed 42` runs a side gave
+# a peak RSS of 42.9-43.3 MB with slices of 32 and 45.9-46.0 MB unsliced,
 # at a norm_wall_s of 0.089-0.099 s and 0.095-0.105 s.
 SLICE = 32
 
@@ -118,21 +110,23 @@ def sampled(sample, at, tol):
     ``at(sample)`` returns the residual at each point followed by the
     magnitudes that set the scale, ``(residual, s1, s2, ...)``, each an
     array with one entry per point (or a number, the same at every point).
-    It is called once per block of at most ``BLOCK`` points, so once, with
-    the sample itself, for most samples.  The scale at a point is the
-    largest of 1 and every ``sk`` there.  The check passes when
-    ``residual / scale <= tol`` at every point, and the result holds the
-    residual and the scale of the worst point.  A NaN residual or
-    magnitude at any point is the worst point, so the check fails.
+    It is called once per block of at most ``charts.BLOCK`` points, so
+    once, with the sample itself, for most samples, and each call is one
+    pass, in which the reads of every field share their work.  The scale
+    at a point is the largest of 1 and every ``sk`` there.  The check
+    passes when ``residual / scale <= tol`` at every point, and the result
+    holds the residual and the scale of the worst point.  A NaN residual
+    or magnitude at any point is the worst point, so the check fails.
     """
     n = len(sample)
     if n == 0:
         raise ValueError("empty sample")
-    parts = ([sample] if n <= BLOCK else
-             (sample[i:i + BLOCK] for i in range(0, n, BLOCK)))
+    block = charts.BLOCK
+    parts = ([sample] if n <= block else
+             (sample[i:i + block] for i in range(0, n, block)))
     blocks = []  # the worst point of each block
     for part in parts:
-        r, *magnitudes = at(part)
+        r, *magnitudes = charts._once(at, part)
         scale = np.maximum(1.0, functools.reduce(np.maximum, magnitudes))
         j = np.argmax(r / scale / tol)  # the key of `worst`; a NaN first
         blocks.append(SampledResidual(_entry(r, j), tol, _entry(scale, j), n))

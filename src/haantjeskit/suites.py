@@ -31,14 +31,14 @@ from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
                      apply_transpose, constant_operator, constant_vector,
                      diagonal_operator, differential, identity_operator,
                      lie_bracket, operator_polynomial, scale_field, wedge)
-from .poisson import (_lie, _r_tensor, check_chain_closed,
-                      check_compatibility, check_jacobi, check_skew,
-                      check_skew_compositions, hamiltonian_field)
+from .poisson import (check_chain_closed, check_compatibility, check_jacobi,
+                      check_skew, check_skew_compositions, hamiltonian_field,
+                      lie_derivative, poisson_bracket, r_tensor)
 from .report import (VerificationReport, _max_abs as _mag,
                      check_from_residual, matches, sampled, worst)
 from .sampling import _integer, _real, sample_points
-from .torsion import (_haantjes_components, _nijenhuis_components,
-                      is_haantjes, is_nijenhuis, nijenhuis_torsion)
+from .torsion import (haantjes_torsion, is_haantjes, is_nijenhuis,
+                      nijenhuis_torsion)
 from .lagrange import (TopParams, benenti_operators, bihamiltonian_fields,
                        body_chart, body_to_complex, complex_chart,
                        complex_integrals, deformation, euler_chain_operators,
@@ -171,34 +171,26 @@ def _mv(m, v):
     return np.einsum("sij,sj->si", m, v)
 
 
-def _pairing(a, m, b):
-    """``<a, m b>`` at each point of a sample."""
-    return np.einsum("si,sij,sj->s", a, m, b)
-
-
 def _in_involution(P, fields):
     """Sample function of "every pairwise bracket ``<df, P dg>`` of
-    ``fields`` vanishes", each pair at scale ``(1 + |df|)(1 + |dg|)``;
-    ``P`` and each gradient are read once."""
-    pairs = list(itertools.combinations(range(len(fields)), 2))
+    ``fields`` vanishes", each pair at scale ``(1 + |df|)(1 + |dg|)``."""
+    pairs = list(itertools.combinations(fields, 2))
 
     def at(p):
-        m = P(p)
-        g = [f.gradient(p) for f in fields]
-        return (_mag(*(_pairing(g[a], m, g[b]) for a, b in pairs)),
-                *((1.0 + _mag(g[a])) * (1.0 + _mag(g[b])) for a, b in pairs))
+        return (_mag(*(poisson_bracket(P, f, g, p) for f, g in pairs)),
+                *((1.0 + _mag(f.gradient(p))) * (1.0 + _mag(g.gradient(p)))
+                  for f, g in pairs))
 
     return at
 
 
 def _lie_matches(Z, P, W):
     """Sample function of the identity ``L_Z P = W`` at scale
-    ``1 + |P| + |W|``; ``P`` is read once, through its jet."""
+    ``1 + |P| + |W|``."""
     def at(p):
-        Pc, Pd = P.jet(p)
         w = W(p)
-        return (_mag(_lie(*Z.jet(p), Pc, Pd, P.slots) - w),
-                1.0 + _mag(Pc) + _mag(w))
+        return (_mag(lie_derivative(Z, P, p) - w),
+                1.0 + _mag(P.jet(p)[0]) + _mag(w))
 
     return at
 
@@ -236,13 +228,6 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     chart3 = Chart("aux3", 3)
     sample3 = sample_points(chart3, cfg.points, cfg.seed)
 
-    def torsions(L, p):
-        """Both torsions of ``L`` at ``p``, then ``L(p)`` and ``dL(p)``,
-        all from one jet pass."""
-        Lc, Ld = L.jet(p)
-        return (_nijenhuis_components(Lc, Ld), _haantjes_components(Lc, Ld),
-                Lc, Ld)
-
     def torsion_free(L):
         """Judge of "both torsions of ``L`` vanish" on ``sample3``."""
         return lambda: worst([is_nijenhuis(L, sample3, cfg.tol_exact),
@@ -269,7 +254,8 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     L = _random_field(rng, OperatorField, chart3)
 
     def antisymmetry(p):
-        T, H, Lc, Ld = torsions(L, p)
+        T, H = nijenhuis_torsion(L, p), haantjes_torsion(L, p)
+        Lc, Ld = L.jet(p)
         return (_mag(T + T.swapaxes(-1, -2), H + H.swapaxes(-1, -2)),
                 (1.0 + _mag(Lc)) ** 3 * (1.0 + _mag(Ld)))
 
@@ -280,11 +266,11 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     fields = (_bracket_nijenhuis(L, X, Y), _bracket_haantjes(L, X, Y))
 
     def definitional(p):
-        T, H, Lc, _ = torsions(L, p)
+        T, H = nijenhuis_torsion(L, p), haantjes_torsion(L, p)
         Xc, Yc = X(p), Y(p)
         res = (np.einsum("sijk,sj,sk->si", t, Xc, Yc) - f(p)
                for t, f in zip((T, H), fields))
-        m = _mag(Lc) + _mag(Xc) + _mag(Yc)
+        m = _mag(L.jet(p)[0]) + _mag(Xc) + _mag(Yc)
         return _mag(*res), (1.0 + m) ** 5
 
     return [
@@ -814,9 +800,9 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     # eigenvalues; the corrected ones are.
     def canonical(fields):
         def at(p):
-            m = P1l(p)
-            (_, _, m1, m2), g = zip(*(f.jet(p) for f in fields))
-            res = (_pairing(g[a], m, g[2 + b]) - (1.0j if a == b else 0.0)
+            m1, m2 = (f.jet(p)[0] for f in fields[2:])
+            res = (poisson_bracket(P1l, fields[a], fields[2 + b], p)
+                   - (1.0j if a == b else 0.0)
                    for a in range(2) for b in range(2))
             return _mag(*res), 1.0 + abs(m1) + abs(m2)
         return at
@@ -876,9 +862,8 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     Yf = _random_field(rng, VectorField, lchart)
 
     def compatibility(p):
-        (Pc, Pd), (Nc, Nd) = P1l.jet(p), Nl.jet(p)
-        (ac, ad), (yc, yd) = alpha.jet(p), Yf.jet(p)
-        return (_mag(_r_tensor(Pc, Pd, Nc, Nd, ac, ad, yc, yd)),
+        Pc, Nc, ac, yc = (F.jet(p)[0] for F in (P1l, Nl, alpha, Yf))
+        return (_mag(r_tensor(P1l, Nl, alpha, Yf, p)),
                 (1.0 + _mag(Nc)) ** 2 * (1.0 + _mag(Pc))
                 * (1.0 + _mag(ac)) * (1.0 + _mag(yc)))
 

@@ -48,6 +48,27 @@ def test_lagrange_does_not_import_report():
     assert "haantjeskit.report" not in imported
 
 
+def test_benchmark_imports_resolve():
+    """Every name that a benchmark module imports from the package still
+    resolves, as an attribute or as a submodule such as ``cli``, so a
+    rename cannot break a benchmark run that tier-1 never imports."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    names, missing = [], []
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "haantjeskit"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    names.append(name)
+                    if not (hasattr(module, alias.name)
+                            or hasattr(module, "__path__")
+                            and importlib.util.find_spec(name)):
+                        missing.append(f"{path.name}: {name}")
+    assert names and not missing, missing
+
+
 def test_readme_library_use_runs(capsys):
     """README's "Library use" block runs as written and its comments hold,
     so a change to the public API cannot leave it stale."""

@@ -12,7 +12,7 @@ from haantjeskit import (BivectorField, Chart, ChartError, ChartMismatchError,
                          diagonal_operator, differential, exterior_derivative,
                          hamiltonian_field, identity_operator, lie_bracket,
                          operator_polynomial, scale_field, wedge)
-from haantjeskit import jets
+from haantjeskit import charts, jets
 from haantjeskit.algebra import algebra_rank, check_ring_condition
 from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
                                   complex_chart, complex_integrals, integrals,
@@ -299,6 +299,24 @@ def test_field_algebra_refuses_a_bad_coefficient_when_built(chart3):
     p = point(chart3, 1.0, 2.0, 3.0)
     for good in (2, 2.5, 1j, np.float32(2.0), np.complex128(1j)):
         assert np.array_equal(scale_field(good, L)(p), good * L(p))
+
+
+def test_field_algebra_refuses_a_non_field_when_built(chart3):
+    """Where a constructor takes a field it takes a field, and a number
+    only where a coefficient stands: anything else raises ``TypeError``
+    when the field is built, not an ``IndexError`` or a read of a list as
+    a constant."""
+    L = OperatorField(chart3, lambda x: np.eye(3).tolist())
+    X = VectorField(chart3, lambda x: [x[0], 1.0, x[2]])
+    for build in (lambda: scale_field(2.0, 3.0),
+                  lambda: add_fields(1.0, 2.0),
+                  lambda: diagonal_operator([1.0, 2.0]),
+                  lambda: apply_operator(L, [1.0, 2.0, 3.0]),
+                  lambda: wedge(X, [1.0, 2.0, 3.0]),
+                  lambda: wedge(X, 2.0),
+                  lambda: compose_operators(L, 2.0)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_diagonal_operator(chart3, sample3):
@@ -680,6 +698,51 @@ def test_shared_coefficient_is_read_once_per_pass(chart3, sample3):
             calls.clear()
             read(sample3)
             assert len(calls) == 1, (type(g).__name__, read)
+
+
+def test_reads_in_one_pass_share_their_work(chart3, sample3):
+    """Within one pass a field is read once per sample and mode, whichever
+    reader asks: a second plain read returns the first one's array, and the
+    jet of ``f`` and its differential share one seeded evaluation of
+    ``f``."""
+    calls = []
+
+    def fn(x):
+        calls.append(1)
+        return x[0] * x[1] + x[2]
+
+    f = ScalarField(chart3, fn)
+
+    def at(p):
+        return f(p), f(p), f.jet(p), differential(f)(p)
+
+    first, again, (vals, grads), df = charts._once(at, sample3)
+    assert again is first and len(calls) == 2
+    assert np.array_equal(df, grads) and np.array_equal(vals, first)
+
+
+def test_read_results_are_read_only(chart3, sample3):
+    """Readers in one pass share their results, so the components and
+    partials a read returns cannot be written."""
+    X = VectorField(chart3, lambda x: [x[0], x[1] * x[2], 1.0])
+    for out in (X(sample3), *X.jet(sample3)):
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0] = 0.0
+
+
+def test_a_read_outside_sampled_is_its_own_pass(chart3, sample3):
+    """A read that no pass encloses opens one and closes it, as a call of
+    a sample function does, so nothing either evaluated outlives it and
+    the next read evaluates again."""
+    calls = []
+    X = VectorField(chart3, lambda x: calls.append(1) or [x[0], x[1], 1.0])
+    for read in (X, X.jet, X, X.jet):
+        read(sample3)
+        assert charts._memo is None
+    assert len(calls) == 4
+    sampled(sample3, lambda p: (0.0 * X(p)[:, 0].real, 1.0), 1e-12)
+    assert charts._memo is None and len(calls) == 5
 
 
 def test_identity_operator_builds_no_jet(chart3, sample3, monkeypatch):

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from haantjeskit import charts
 from haantjeskit.lagrange import (TopParams, integrate_flow,
                                   lagrange_vector_field, max_relative_drift,
                                   write_csv)
@@ -32,6 +33,29 @@ def test_axial_spin_exactly_conserved():
     traj = integrate_flow(TopParams(), Y0, 1e-3, 2.0)
     # the third angular velocity has zero time derivative identically
     assert np.max(np.abs(traj.states[:, 2] - Y0[2])) == 0.0
+
+
+def test_invariants_are_read_in_blocks(monkeypatch):
+    """The recorded invariants are read in samples of at most
+    ``charts.BLOCK`` points, which together cover the trajectory once per
+    invariant, and they equal one read of the whole trajectory bit for
+    bit."""
+    sizes = []
+    read = charts._read
+
+    def recording(fn, coords, seeded):
+        sizes.append(len(coords[0]))
+        return read(fn, coords, seeded)
+
+    monkeypatch.setattr(charts, "_read", recording)
+    traj = integrate_flow(TopParams(), Y0, 1e-3, 1.0)
+    assert max(sizes) <= charts.BLOCK < len(traj.times)
+    assert sum(sizes) == 7 * len(traj.times)
+    monkeypatch.setattr(charts, "BLOCK", len(traj.times))
+    sizes.clear()
+    whole = integrate_flow(TopParams(), Y0, 1e-3, 1.0)
+    assert set(sizes) == {len(traj.times)}
+    assert np.array_equal(whole.invariants, traj.invariants)
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])

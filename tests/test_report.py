@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from haantjeskit import Chart, OperatorField, is_haantjes, sample_points
+from haantjeskit.charts import BLOCK
 from haantjeskit.jets import value
 from haantjeskit.poisson import _jacobi
-from haantjeskit.report import (BLOCK, SLICE, SampledResidual, _max_abs,
+from haantjeskit.report import (SLICE, SampledResidual, _max_abs,
                                 _sliced_max, check_from_residual, matches,
                                 sampled, worst)
 from haantjeskit.torsion import _haantjes_components, _nijenhuis_components

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from haantjeskit import (Chart, OperatorField, Point, ScalarField,
-                         VectorField, VerificationReport, differential,
+                         VectorField, VerificationReport, charts, differential,
                          jets, report as report_module)
-from haantjeskit.charts import _Field
 from haantjeskit.report import Check, check_from_residual
 from haantjeskit.sampling import sample_points
 from haantjeskit.suites import (SUITE_NAMES, SuiteConfig, _SUITES,
@@ -197,40 +196,52 @@ def test_checks_pass_across_inertia_ratios(c):
 def test_report_does_not_depend_on_block_size(monkeypatch, name, points):
     """Reading a sample in blocks of 64 points gives the same report, byte
     for byte, as reading it in one block."""
-    assert report_module.BLOCK >= points
+    assert charts.BLOCK >= points
     cfg = SuiteConfig(points=points)
     whole = run_suite(name, cfg).to_json()
-    monkeypatch.setattr(report_module, "BLOCK", 64)
+    monkeypatch.setattr(charts, "BLOCK", 64)
     assert run_suite(name, cfg).to_json() == whole
 
 
-def test_checks_read_each_field_once_per_sample(monkeypatch):
+def _arrays(x):
+    """The arrays under a coordinate list, each with the number of seeded
+    levels above it: two lists that wrap the same arrays at the same depth
+    are one coordinate list in one mode, whatever their wrappers."""
+    def leaf(v, depth):
+        if isinstance(v, jets.Jet):
+            return leaf(v.val, depth + bool(len(v.grad)))
+        return id(v), depth
+    return tuple(leaf(v, 0) for v in x)
+
+
+def test_each_check_runs_a_component_function_once_per_sample_and_mode(
+        monkeypatch):
     """Inside each call ``at(sample)`` of the sampled-identity primitive,
-    every field object is read at most once: one plain pass ``F(sample)``
-    or one seeded pass ``F.jet(sample)`` (``jacobian`` and ``gradient`` go
-    through ``jet``).  Re-reads are charged to the next check built, which
-    is the one whose judge made them; a finding's companion result counts
-    towards its finding."""
-    reads = collections.Counter()
-    reread = collections.Counter()  # since the last check was built
+    every component function runs at most once per coordinate list and
+    mode, subfields included, whichever readers and derived fields reach
+    it: the call is one pass.  Repeats are charged to the next check
+    built, which is the one whose judge made them."""
+    runs = []  # (fn, x) of each evaluation since the last `at` began
+    repeats = collections.Counter()  # since the last check was built
     per_check = []
+    evaluate = charts._evaluate
 
-    def counting(method):
-        def wrapper(self, p):
-            reads[self] += 1
-            return method(self, p)
-        return wrapper
+    def counting_evaluate(fn, x):
+        runs.append((fn, x))  # holds x, so no id is reused meanwhile
+        return evaluate(fn, x)
 
-    monkeypatch.setattr(_Field, "__call__", counting(_Field.__call__))
-    monkeypatch.setattr(_Field, "jet", counting(_Field.jet))
-
+    monkeypatch.setattr(charts, "_evaluate", counting_evaluate)
     real_sampled = report_module.sampled
+    inside = []
 
     def counting_sampled(sample, at, *args, **kwargs):
-        def counted(whole):
-            reads.clear()
-            out = at(whole)
-            reread.update(type(f).__name__ for f, n in reads.items() if n > 1)
+        def counted(p):
+            runs.clear()
+            out = at(p)
+            inside.append(len(runs))
+            seen = collections.Counter((fn, _arrays(x)) for fn, x in runs)
+            repeats.update(getattr(fn, "__qualname__", repr(fn))
+                           for (fn, _), n in seen.items() if n > 1)
             return out
         return real_sampled(sample, counted, *args, **kwargs)
 
@@ -242,14 +253,15 @@ def test_checks_read_each_field_once_per_sample(monkeypatch):
     real_check = report_module.Check
 
     def recording_check(check_id, *args):
-        per_check.append(dict(reread))
-        reread.clear()
+        per_check.append(dict(repeats))
+        repeats.clear()
         return real_check(check_id, *args)
 
     monkeypatch.setattr(report_module, "Check", recording_check)
-    report = run_suite("all", SuiteConfig(points=2))
+    report = run_suite("all", SuiteConfig(points=20))
 
     assert len(per_check) == len(report.checks) == len(golden_ids())
+    assert sum(inside) > len(report.checks)
     offenders = {c.id: bad for c, bad in zip(report.checks, per_check) if bad}
     assert not offenders, offenders
 
