@@ -38,12 +38,18 @@ def integrals(params: TopParams) -> dict:
 def hamiltonians(params: TopParams):
     """The three Hamiltonians, combined from the integrals by the field
     algebra: ``F4/2 + (c-1) F1 F3``, ``-F3 - (c-1) F1 F2`` and ``F2``."""
+    return _recorded(params)[4:]
+
+
+def _recorded(params: TopParams) -> tuple:
+    """F1..F4, h0, h1 and h2, the Hamiltonians built on the same integral
+    fields, so a pass that reads all seven evaluates each integral once."""
     F = integrals(params)
     cF1 = scale_field(params.c - 1.0, F["F1"])  # built once, shared
     h0 = add_fields(scale_field(0.5, F["F4"]), scale_field(cF1, F["F3"]))
     h1 = add_fields(scale_field(-1.0, F["F3"]),
                     scale_field(-1.0, scale_field(cF1, F["F2"])))
-    return h0, h1, F["F2"]
+    return (*F.values(), h0, h1, F["F2"])
 
 
 def lagrange_vector_field(params: TopParams) -> VectorField:

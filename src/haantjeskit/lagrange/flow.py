@@ -10,10 +10,8 @@ import numpy as np
 
 from .. import charts
 from ..sampling import _real
-from .body import body_chart, hamiltonians, integrals, lagrange_vector_field
+from .body import _recorded, body_chart, lagrange_vector_field
 from .params import TopParams
-
-INVARIANT_NAMES = ("F1", "F2", "F3", "F4", "h0", "h1", "h2")
 
 CSV_HEADER = "t,w1,w2,w3,g1,g2,g3,F1,F2,F3,F4,h0,h1,h2"
 
@@ -37,10 +35,11 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
 
     The right-hand side is the component function of
     :func:`lagrange_vector_field`, and the recorded invariants are those of
-    :func:`integrals` and :func:`hamiltonians`, read on the trajectory in
-    blocks of ``charts.BLOCK`` points.  Raises ``ValueError`` for an input
-    out of range (``dt`` not finite and positive, for one) or a ``dt`` or
-    ``t_max`` that is a ``bool`` or not a real number,
+    :func:`integrals` and :func:`hamiltonians`, read on the trajectory as
+    one field, one pass per block of ``charts.BLOCK`` points.  Raises
+    ``ValueError`` for an input out of range (``dt`` not finite and
+    positive, for one) or a ``dt`` or ``t_max`` that is a ``bool`` or not a
+    real number,
     :class:`FlowBlowupError` carrying the last valid time when the state
     stops being finite, and :class:`MemoryError` when the trajectory does
     not fit in memory.
@@ -96,13 +95,14 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
             raise FlowBlowupError(k * dt)
         states[k + 1] = (y1, y2, y3, y4, y5, y6)
     times = np.arange(n_steps + 1) * dt
-    recorded = [*integrals(params).values(), *hamiltonians(params)]
+    # one pass per block evaluates each integral once for all seven
+    recorded = charts._derived(charts.VectorField, lambda *v: np.stack(v),
+                               *_recorded(params))
     blocks = (charts.Point(body_chart(),
                            tuple(states[i:i + charts.BLOCK].T))
               for i in range(0, n_steps + 1, charts.BLOCK))
-    return Trajectory(times, states, np.concatenate([
-        np.column_stack([F(block).real for F in recorded])
-        for block in blocks]))
+    return Trajectory(times, states, np.concatenate(
+        [recorded(block).real for block in blocks]))
 
 
 def max_relative_drift(traj: Trajectory) -> float:
@@ -115,8 +115,6 @@ def max_relative_drift(traj: Trajectory) -> float:
 
 def write_csv(traj: Trajectory, path: str) -> None:
     # 17 significant digits so trajectories diff bit-faithfully
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for t, s, inv in zip(traj.times, traj.states, traj.invariants):
-            row = [t, *s, *inv]
-            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
+    np.savetxt(path, np.column_stack([traj.times, traj.states,
+                                      traj.invariants]),
+               fmt="%.16e", delimiter=",", header=CSV_HEADER, comments="")

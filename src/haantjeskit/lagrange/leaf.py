@@ -9,7 +9,7 @@ with the two Casimir levels pinned to constants.
 from __future__ import annotations
 
 from ..charts import (Chart, ChartMap, ScalarField, _components, _Field,
-                      _same_chart)
+                      _once, _same_chart)
 from ..jets import sqrt_
 from .complex_chart import (_chart_name, benenti_operators, complex_chart,
                             complex_integrals, deformation,
@@ -46,7 +46,8 @@ def restrict_to_leaf(field, params: TopParams, C1, C4):
     _same_chart(complex_chart(params), field.chart)
 
     def fn(x):
-        v = _components(field.fn, _embed(x, C1, C4))
+        # one embedded list per pass, so restricted fields share their parts
+        v = _components(field.fn, _once(_embed, x, C1, C4))
         # the leaf slots of every index: v[:4], v[:4, :4], or a scalar
         return v[(slice(4),) * v.ndim]
 
@@ -99,20 +100,23 @@ def _separation(x):
     return [l1, l2, m1, m2]
 
 
-def _printed_momenta(x):
+def _printed(x):
+    """The separation variables with the circulated momenta in place of
+    ``m1, m2``."""
     x1, x2, y1, y2 = x
     l1, l2 = _eigenvalues(x1, x2)
-    return [(l2 * y1 + y2) / l1, (l1 * y1 + y2) / l2]
+    return [l1, l2, (l2 * y1 + y2) / l1, (l1 * y1 + y2) / l2]
 
 
 def separation_fields(params: TopParams, C1, C4, printed: bool = False):
     """The separation variables ``(l1, l2, m1, m2)`` as scalar fields on the
     leaf chart, so brackets and differentials come from jets; with
-    ``printed`` the momenta are the circulated ones."""
+    ``printed`` the momenta are the circulated ones.  The four are
+    components of one evaluation per pass."""
     chart = leaf_chart(params, C1, C4)
-    fns = _separation if not printed else (
-        lambda x: _separation(x)[:2] + _printed_momenta(x))
-    return [ScalarField(chart, lambda x, a=a: fns(x)[a]) for a in range(4)]
+    fn = _printed if printed else _separation
+    return [ScalarField(chart, lambda x, a=a: _components(fn, x)[a])
+            for a in range(4)]
 
 
 def separation_map(params: TopParams, C1, C4) -> ChartMap:

@@ -288,5 +288,8 @@ def test_report_grid_exits_1_when_a_report_fails(monkeypatch, capsys):
         name, dataclasses.replace(cfg, tol_exact=1e-300, tol_deriv=1e-300)))
     assert report_grid.main() == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0].endswith("exit 0") and out[2].endswith("exit 1")
+    # each run prints its report line, the combined digest and the
+    # integrate CSV digests
+    assert out[0].endswith("exit 0") and out[3].endswith("exit 1")
+    assert out[2].startswith("integrate csv ")
     assert out[-1] == "1 reports exited non-zero"

@@ -36,10 +36,9 @@ def test_axial_spin_exactly_conserved():
 
 
 def test_invariants_are_read_in_blocks(monkeypatch):
-    """The recorded invariants are read in samples of at most
-    ``charts.BLOCK`` points, which together cover the trajectory once per
-    invariant, and they equal one read of the whole trajectory bit for
-    bit."""
+    """The recorded invariants are read as one field in samples of at most
+    ``charts.BLOCK`` points, which together cover the trajectory once, and
+    they equal one read of the whole trajectory bit for bit."""
     sizes = []
     read = charts._read
 
@@ -50,7 +49,7 @@ def test_invariants_are_read_in_blocks(monkeypatch):
     monkeypatch.setattr(charts, "_read", recording)
     traj = integrate_flow(TopParams(), Y0, 1e-3, 1.0)
     assert max(sizes) <= charts.BLOCK < len(traj.times)
-    assert sum(sizes) == 7 * len(traj.times)
+    assert sum(sizes) == len(traj.times)
     monkeypatch.setattr(charts, "BLOCK", len(traj.times))
     sizes.clear()
     whole = integrate_flow(TopParams(), Y0, 1e-3, 1.0)

@@ -5,6 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
+from haantjeskit import charts
 from haantjeskit import (ChartMismatchError, OperatorField, Point, ScalarField,
                          SingularPointError, differential, hamiltonian_field,
                          identity_operator, is_haantjes, is_nijenhuis,
@@ -20,8 +21,8 @@ from haantjeskit.lagrange import (TopParams, benenti_operators,
                                   leaf_chart, lagrange_vector_field,
                                   leaf_structures, nijenhuis_operator,
                                   p0_complex, p1_complex, poisson_bivectors,
-                                  restrict_to_leaf, separation_map,
-                                  x_fields_complex)
+                                  restrict_to_leaf, separation_fields,
+                                  separation_map, x_fields_complex)
 from haantjeskit.poisson import check_compatibility
 from haantjeskit.sampling import sample_points
 from haantjeskit.suites import (LEAF_C1, LEAF_C4, SuiteConfig, _random_field,
@@ -310,6 +311,45 @@ def _levi_civita(H, p):
          - qi * pj * d2H[:, 2, 1] - pi * qj * d2H[:, 0, 3])
     return np.abs(r) / ((1.0 + np.abs(dH).max(axis=1)) ** 2
                         * (1.0 + np.abs(d2H).max(axis=(1, 2))))
+
+
+def _runs_in_one_pass(monkeypatch, fields, p):
+    """The component functions that one pass reading ``fields`` at ``p``,
+    plain and seeded, evaluates, one entry per run."""
+    runs, evaluate = [], charts._evaluate
+
+    def counting_evaluate(fn, x):
+        runs.append(fn)
+        return evaluate(fn, x)
+
+    monkeypatch.setattr(charts, "_evaluate", counting_evaluate)
+    charts._once(lambda: [(f(p), f.jet(p)) for f in fields])
+    return runs
+
+
+def test_restricted_fields_share_their_embedding(tp, monkeypatch):
+    """The restricted ``N`` and ``K2 = N + x1/x2`` take one embedded
+    coordinate list per pass, so a pass that reads both runs the recursion
+    operator's component function once per mode."""
+    N = nijenhuis_operator(tp)
+    _, K2, _ = benenti_operators(tp, N)
+    fields = [restrict_to_leaf(f, tp, 0.4, 1.3) for f in (N, K2)]
+    sample = sample_points(fields[0].chart, 5, 47)
+    runs = _runs_in_one_pass(monkeypatch, fields, sample)
+    assert runs.count(N.fn) == 2
+
+
+@pytest.mark.parametrize("printed", [False, True])
+def test_separation_variables_are_one_evaluation(tp, monkeypatch, printed):
+    """The four separation variables are components of one evaluation per
+    pass: a pass that reads all four runs their component function once
+    per mode, with the corrected and with the circulated momenta."""
+    leaf = importlib.import_module("haantjeskit.lagrange.leaf")
+    fields = separation_fields(tp, 0.4, 1.3, printed=printed)
+    sample = sample_points(fields[0].chart, 5, 48)
+    runs = _runs_in_one_pass(monkeypatch, fields, sample)
+    fn = leaf._printed if printed else leaf._separation
+    assert runs.count(fn) == 2
 
 
 def test_separation_coordinates_pass_levi_civita(tp):

@@ -11,6 +11,11 @@ same final digest wrote the same reports byte for byte.  The script exits
 1 when any report exits non-zero, so a check that fails anywhere on the
 grid fails the run.
 
+After the combined digest it runs the two reference ``haantjeskit
+integrate`` calls with ``--csv`` and prints the sha256 of both CSVs on one
+line, so trajectories are compared the same way; an ``integrate`` call that
+exits non-zero fails the run too.
+
 Run from a checkout, with no options::
 
     python3 tools/report_grid.py
@@ -42,6 +47,11 @@ def grid():
     yield "all", 300, 5, 3.0
 
 
+# the two reference ``integrate`` calls: (c, initial state, dt, t_max)
+INTEGRATE = (("2.0", "0.3,-0.7,0.2,0.5,0.4,-0.6", "1e-3", "20"),
+             ("0.5", "0.1,0.7,-0.2,0.9,0.4,-0.6", "1e-3", "5"))
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     from haantjeskit import cli
@@ -65,7 +75,17 @@ def main() -> int:
             combined.update(line.encode() + b"\n")
             failed += code != 0
             path.unlink()
-    print(f"combined {combined.hexdigest()}")
+        print(f"combined {combined.hexdigest()}")
+        csvs, csv = [], Path(tmp) / "trajectory.csv"
+        for c, init, dt, tmax in INTEGRATE:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["integrate", "--c", c, "--init", init,
+                                 "--dt", dt, "--tmax", tmax,
+                                 "--csv", str(csv)])
+            csvs.append(hashlib.sha256(csv.read_bytes()).hexdigest())
+            failed += code != 0
+            csv.unlink()
+    print(f"integrate csv {'  '.join(csvs)}")
     if failed:
         print(f"{failed} reports exited non-zero")
     return 1 if failed else 0
