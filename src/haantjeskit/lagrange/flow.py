@@ -114,7 +114,11 @@ def max_relative_drift(traj: Trajectory) -> float:
 
 
 def write_csv(traj: Trajectory, path: str) -> None:
-    # 17 significant digits so trajectories diff bit-faithfully
-    np.savetxt(path, np.column_stack([traj.times, traj.states,
-                                      traj.invariants]),
-               fmt="%.16e", delimiter=",", header=CSV_HEADER, comments="")
+    # 17 significant digits so trajectories diff bit-faithfully; a text
+    # handle keeps the file plain text whatever its suffix (numpy
+    # compresses a path ending in .gz)
+    with open(path, "w") as fh:
+        np.savetxt(fh, np.column_stack([traj.times, traj.states,
+                                        traj.invariants]),
+                   fmt="%.16e", delimiter=",", header=CSV_HEADER,
+                   comments="")

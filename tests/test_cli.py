@@ -273,9 +273,10 @@ def test_extreme_inertia_ratio_exits_4():
 
 
 def test_report_grid_exits_1_when_a_report_fails(monkeypatch, capsys):
-    """``tools/report_grid.py`` exits 0 when every report passes and 1 when
-    any report exits non-zero, here one judged at tolerances no residual
-    meets."""
+    """``tools/report_grid.py`` exits 0 when every call passes and 1 when
+    any exits non-zero: here a report judged at tolerances no residual
+    meets, then an ``integrate`` call with a negative final time, whose
+    exit code stands in place of its CSV digest."""
     path = Path(__file__).resolve().parent.parent / "tools" / "report_grid.py"
     spec = importlib.util.spec_from_file_location("report_grid", path)
     report_grid = importlib.util.module_from_spec(spec)
@@ -283,13 +284,24 @@ def test_report_grid_exits_1_when_a_report_fails(monkeypatch, capsys):
     monkeypatch.setattr(report_grid, "grid",
                         lambda: iter([("euler", 3, 42, 2.0)]))
     assert report_grid.main() == 0
+    # each run prints its report line, the combined digest and the
+    # integrate CSV digests
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("exit 0") and len(out) == 3
+    assert out[2].startswith("integrate csv ") and "exit" not in out[2]
     run_suite = cli.run_suite
     monkeypatch.setattr(cli, "run_suite", lambda name, cfg: run_suite(
         name, dataclasses.replace(cfg, tol_exact=1e-300, tol_deriv=1e-300)))
     assert report_grid.main() == 1
     out = capsys.readouterr().out.splitlines()
-    # each run prints its report line, the combined digest and the
-    # integrate CSV digests
-    assert out[0].endswith("exit 0") and out[3].endswith("exit 1")
-    assert out[2].startswith("integrate csv ")
+    assert out[0].endswith("exit 1")
+    assert out[-1] == "1 reports exited non-zero"
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    (c, init, dt, _), second = report_grid.INTEGRATE
+    monkeypatch.setattr(report_grid, "INTEGRATE",
+                        ((c, init, dt, "-1"), second))
+    assert report_grid.main() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("exit 0")
+    assert out[2].startswith("integrate csv exit 2  ")
     assert out[-1] == "1 reports exited non-zero"

@@ -327,18 +327,6 @@ def _runs_in_one_pass(monkeypatch, fields, p):
     return runs
 
 
-def test_restricted_fields_share_their_embedding(tp, monkeypatch):
-    """The restricted ``N`` and ``K2 = N + x1/x2`` take one embedded
-    coordinate list per pass, so a pass that reads both runs the recursion
-    operator's component function once per mode."""
-    N = nijenhuis_operator(tp)
-    _, K2, _ = benenti_operators(tp, N)
-    fields = [restrict_to_leaf(f, tp, 0.4, 1.3) for f in (N, K2)]
-    sample = sample_points(fields[0].chart, 5, 47)
-    runs = _runs_in_one_pass(monkeypatch, fields, sample)
-    assert runs.count(N.fn) == 2
-
-
 @pytest.mark.parametrize("printed", [False, True])
 def test_separation_variables_are_one_evaluation(tp, monkeypatch, printed):
     """The four separation variables are components of one evaluation per

@@ -14,7 +14,8 @@ grid fails the run.
 After the combined digest it runs the two reference ``haantjeskit
 integrate`` calls with ``--csv`` and prints the sha256 of both CSVs on one
 line, so trajectories are compared the same way; an ``integrate`` call that
-exits non-zero fails the run too.
+exits non-zero fails the run too, and its exit code stands in place of its
+digest.
 
 Run from a checkout, with no options::
 
@@ -82,9 +83,11 @@ def main() -> int:
                 code = cli.main(["integrate", "--c", c, "--init", init,
                                  "--dt", dt, "--tmax", tmax,
                                  "--csv", str(csv)])
-            csvs.append(hashlib.sha256(csv.read_bytes()).hexdigest())
+            # a failed call writes no CSV: its exit code stands in the line
             failed += code != 0
-            csv.unlink()
+            csvs.append(f"exit {code}" if code else
+                        hashlib.sha256(csv.read_bytes()).hexdigest())
+            csv.unlink(missing_ok=True)
     print(f"integrate csv {'  '.join(csvs)}")
     if failed:
         print(f"{failed} reports exited non-zero")
