@@ -28,7 +28,11 @@ Derived fields and chart maps take partials through the same seeded pass,
 Reads share their work within a pass: one read, or one call of a sample
 function by :func:`~haantjeskit.report.sampled`.  In a pass each component
 function, subfields included, runs once per coordinate list and mode, and
-each sample is lifted once and seeded once; the memo ends with the pass.
+each sample is lifted once and seeded once.  The memo ends with the pass,
+but for samples of at most ``SHARED`` points
+:func:`~haantjeskit.suites.run_suite` keeps the evaluations (component
+functions, lifted and seeded coordinates) until a whole table is judged,
+so the checks of one table share them as well; reads stay one per pass.
 
 Real charts embed with zero imaginary parts; every evaluation is pure and
 deterministic.
@@ -36,6 +40,7 @@ deterministic.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -205,6 +210,8 @@ class BivectorField(_Field):
 
 # the open pass's results, or None between passes; evaluation is one thread
 _memo = None
+# the evaluations shared by the checks of one table, or None (see `_sharing`)
+_table = None
 
 # Points per pass: `report.sampled` calls its sample function, and
 # `integrate_flow` reads its invariants, on blocks of at most BLOCK points,
@@ -217,22 +224,55 @@ _memo = None
 BLOCK = 256
 
 
-def _once(make, *args):
+# Points up to which the checks of one table share their evaluations (see
+# `_sharing`).  Shared evaluations outlive the pass, so SHARED is set by
+# memory: no sample size may need more than per-call passes do at BLOCK
+# points.  Traced with tracemalloc per `run_suite` at c = 2 (Python 3.11.7,
+# numpy 2.4.6), the largest suite, euler-poisson, peaked at 3.19 MB with
+# shared evaluations at 100 points, the default `--points`, and at 3.29 MB
+# with per-call passes at 256 points; shared at 200 points it peaked at
+# 6.09 MB, against 2.59 MB per call.
+SHARED = 100
+
+
+@contextlib.contextmanager
+def _sharing(points):
+    """Within the block, for a sample of at most ``SHARED`` points, keep the
+    evaluations of every pass (component functions, lifted and seeded
+    coordinates) until the block ends, so reads on the same coordinate
+    lists share them across passes; reads and sample-function results stay
+    one per pass.  Larger samples keep each pass's memo alone."""
+    global _table
+    if points > SHARED:
+        yield
+        return
+    _table = {}
+    try:
+        yield
+    finally:
+        _table = None
+
+
+def _once(make, *args, shared=False):
     """``make(*args)``, computed once per pass for the same ``make`` and the
     same argument objects.  The outermost call opens the pass and closes it
-    when it returns, so nothing outlives the evaluation that asked for it."""
+    when it returns, so nothing outlives the evaluation that asked for it;
+    only a ``shared`` call, an evaluation (a component function's run, a
+    lift, a seed), made while `_sharing` is open is kept until that
+    ends."""
     global _memo
     if _memo is None:
         _memo = {}
         try:
-            return _once(make, *args)
+            return _once(make, *args, shared=shared)
         finally:
             _memo = None
+    memo = _table if shared and _table is not None else _memo
     key = (make, *map(id, args))
-    hit = _memo.get(key)
+    hit = memo.get(key)
     if hit is None:
         # the entry holds the arguments, so no id is reused while it lives
-        hit = _memo[key] = (make(*args), args)
+        hit = memo[key] = (make(*args), args)
     return hit[0]
 
 
@@ -243,10 +283,11 @@ def _evaluate(fn, x):
 def _components(fn, x):
     """``fn(x)`` as a numpy object array of numbers or jets.
 
-    Within a pass ``fn`` runs once on ``x``, and every later caller gets the
-    same array, so no component function or derived field may write into
-    what this returns: build a new array instead."""
-    return _once(_evaluate, fn, x)
+    Within a pass, or a table judged under `_sharing`, ``fn`` runs once on
+    ``x``, and every later caller gets the same array, so no component
+    function or derived field may write into what this returns: build a
+    new array instead."""
+    return _once(_evaluate, fn, x, shared=True)
 
 
 def _read(fn, coords, seeded):
@@ -257,8 +298,8 @@ def _read(fn, coords, seeded):
     call it through `_once`, and it lifts and seeds the sample through
     `_once`, so a derived field that seeds ``F`` shares ``F.jet(p)``'s."""
     size, width = len(coords[0]), len(coords) if seeded else 0
-    x = _once(jets.lift, coords)
-    out = _components(fn, _once(jets.seed, x) if seeded else x)
+    x = _once(jets.lift, coords, shared=True)
+    out = _components(fn, _once(jets.seed, x, shared=True) if seeded else x)
     vals = np.empty((size, out.size), dtype=complex)
     grads = np.zeros((size, out.size, width), dtype=complex)
     for k, e in enumerate(out.flat):
@@ -285,7 +326,7 @@ def _seeded(fn, x):
     last index being the variable.  Within a pass ``x`` is seeded once, so
     sibling subfields share the seeded coordinates and their components."""
     n = len(x)
-    out = _components(fn, _once(jets.seed, x))
+    out = _components(fn, _once(jets.seed, x, shared=True))
     vals = _objects([jets.value(v) for v in out.flat], out.shape)
     grads = _objects([g for v in out.flat for g in jets.gradient(v, n)],
                      out.shape + (n,))

@@ -9,7 +9,7 @@ with the two Casimir levels pinned to constants.
 from __future__ import annotations
 
 from ..charts import (Chart, ChartMap, ScalarField, _components, _Field,
-                      _same_chart)
+                      _once, _same_chart)
 from ..jets import sqrt_
 from .complex_chart import (_chart_name, benenti_operators, complex_chart,
                             complex_integrals, deformation,
@@ -46,7 +46,9 @@ def restrict_to_leaf(field, params: TopParams, C1, C4):
     _same_chart(complex_chart(params), field.chart)
 
     def fn(x):
-        v = _components(field.fn, _embed(x, C1, C4))
+        # one embedded list per coordinate list, so restricted fields that
+        # share a part share its evaluation
+        v = _components(field.fn, _once(_embed, x, C1, C4, shared=True))
         # the leaf slots of every index: v[:4], v[:4, :4], or a scalar
         return v[(slice(4),) * v.ndim]
 

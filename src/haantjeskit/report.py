@@ -173,7 +173,9 @@ class Check:
     points_sampled: int
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # the fields in declaration order; shallow, as every field is a
+        # str, float or int, where `dataclasses.asdict` deep-copies
+        return dict(vars(self))
 
 
 def check_from_residual(check_id: str, description: str, reference: str,

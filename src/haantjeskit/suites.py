@@ -8,7 +8,9 @@ over the sample and returns its
 :func:`~haantjeskit.report.sampled` with a sample function that returns the
 residual at each point.  Entries share only the set-up, so each can be
 judged alone and in any order; :func:`run_suite` judges them in order and
-builds the report.  A check whose id ends in ``_finding`` adjudicates a
+builds the report, and on samples of at most ``charts.SHARED`` points the
+entries of a table share their evaluations while it judges them, which
+changes no result.  A check whose id ends in ``_finding`` adjudicates a
 known ambiguity: its judge returns a pair, the check's result and a
 companion whose residual fills its description, and it always reports and
 never fails a run.
@@ -23,6 +25,7 @@ from functools import partial, reduce
 
 import numpy as np
 
+from . import charts
 from .algebra import (algebra_rank, check_abelian, check_module_condition,
                       check_ring_condition, minimal_polynomial)
 from .jets import Jet, value
@@ -895,15 +898,19 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
     """Run a suite, or every suite for ``all`` with ids prefixed by the
-    suite name: build each table, then judge its entries in order."""
+    suite name: build each table, then judge its entries in order, sharing
+    evaluations across them while the table is judged (see
+    ``charts._sharing``)."""
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}")
     report = VerificationReport(name, cfg.seed, cfg.as_dict())
     suites = _SUITES if name == "all" else {name: _SUITES[name]}
     for key, suite in suites.items():
         prefix = f"{key}." if name == "all" else ""
-        report.extend(check_from_residual(prefix + check_id, description,
-                                          reference, judge())
-                      for check_id, description, reference, judge
-                      in suite(cfg))
+        table = suite(cfg)
+        with charts._sharing(cfg.points):
+            report.extend(check_from_residual(prefix + check_id, description,
+                                              reference, judge())
+                          for check_id, description, reference, judge
+                          in table)
     return report

@@ -1,8 +1,10 @@
 """Suite registry and report structure."""
 
 import collections
+import contextlib
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,41 +216,67 @@ def _arrays(x):
     return tuple(leaf(v, 0) for v in x)
 
 
-def test_each_check_runs_a_component_function_once_per_sample_and_mode(
-        monkeypatch):
-    """Inside each call ``at(sample)`` of the sampled-identity primitive,
-    every component function runs at most once per coordinate list and
-    mode, subfields included, whichever readers and derived fields reach
-    it: the call is one pass.  Repeats are charged to the next check
-    built, which is the one whose judge made them."""
-    runs = []  # (fn, x) of each evaluation since the last `at` began
+def _evaluations_and_repeats(monkeypatch, points):
+    """The counts of component evaluations and reads in
+    ``run_suite("all", SuiteConfig(points=points))``, and the repeated
+    evaluations charged to each check.  A repeat is an evaluation of a
+    component function on a coordinate list and mode it already ran on in
+    the same scope: the judging of a whole table when ``points`` is at most
+    ``charts.SHARED``, else one call ``at(sample)`` of the sampled-identity
+    primitive.  Repeats are charged to the next check built, which is the
+    one whose judge made them."""
+    scope = None  # (fn, arrays) -> x of each evaluation in the open scope
     repeats = collections.Counter()  # since the last check was built
     per_check = []
-    evaluate = charts._evaluate
+    calls = collections.Counter()
+    evaluate, read = charts._evaluate, charts._read
 
     def counting_evaluate(fn, x):
-        runs.append((fn, x))  # holds x, so no id is reused meanwhile
+        calls["evaluate"] += 1
+        if scope is not None:
+            key = (fn, _arrays(x))
+            if key in scope:
+                repeats[getattr(fn, "__qualname__", repr(fn))] += 1
+            scope[key] = x  # holds x, so no id is reused meanwhile
         return evaluate(fn, x)
 
+    def counting_read(*args):
+        calls["read"] += 1
+        return read(*args)
+
+    @contextlib.contextmanager
+    def scoped():
+        nonlocal scope
+        scope = {}
+        try:
+            yield
+        finally:
+            scope = None
+
     monkeypatch.setattr(charts, "_evaluate", counting_evaluate)
-    real_sampled = report_module.sampled
-    inside = []
+    monkeypatch.setattr(charts, "_read", counting_read)
+    if points <= charts.SHARED:
+        real_sharing = charts._sharing
 
-    def counting_sampled(sample, at, *args, **kwargs):
-        def counted(p):
-            runs.clear()
-            out = at(p)
-            inside.append(len(runs))
-            seen = collections.Counter((fn, _arrays(x)) for fn, x in runs)
-            repeats.update(getattr(fn, "__qualname__", repr(fn))
-                           for (fn, _), n in seen.items() if n > 1)
-            return out
-        return real_sampled(sample, counted, *args, **kwargs)
+        @contextlib.contextmanager
+        def counting_sharing(n):
+            with real_sharing(n), scoped():
+                yield
 
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("haantjeskit")
-                and getattr(module, "sampled", None) is real_sampled):
-            monkeypatch.setattr(module, "sampled", counting_sampled)
+        monkeypatch.setattr(charts, "_sharing", counting_sharing)
+    else:
+        real_sampled = report_module.sampled
+
+        def counting_sampled(sample, at, *args, **kwargs):
+            def counted(p):
+                with scoped():
+                    return at(p)
+            return real_sampled(sample, counted, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("haantjeskit")
+                    and getattr(module, "sampled", None) is real_sampled):
+                monkeypatch.setattr(module, "sampled", counting_sampled)
 
     real_check = report_module.Check
 
@@ -258,12 +286,79 @@ def test_each_check_runs_a_component_function_once_per_sample_and_mode(
         return real_check(check_id, *args)
 
     monkeypatch.setattr(report_module, "Check", recording_check)
-    report = run_suite("all", SuiteConfig(points=20))
-
+    report = run_suite("all", SuiteConfig(points=points))
     assert len(per_check) == len(report.checks) == len(golden_ids())
-    assert sum(inside) > len(report.checks)
-    offenders = {c.id: bad for c, bad in zip(report.checks, per_check) if bad}
-    assert not offenders, offenders
+    return dict(calls), {c.id: bad for c, bad
+                         in zip(report.checks, per_check) if bad}
+
+
+def test_each_check_runs_a_component_function_once_per_sample_and_mode(
+        monkeypatch):
+    """Every component function runs at most once per coordinate list and
+    mode, subfields included, whichever readers and derived fields reach
+    it: across a whole table on samples of at most ``charts.SHARED``
+    points, else inside each call ``at(sample)``, which is one pass.
+    Reads stay one per pass, so only the count of evaluations depends on
+    the sample size."""
+    for points, evaluations in [(20, 417), (charts.SHARED + 1, 684)]:
+        with monkeypatch.context() as mp:
+            calls, offenders = _evaluations_and_repeats(mp, points)
+        assert calls == {"evaluate": evaluations, "read": 229}, points
+        assert not offenders, (points, offenders)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_report_does_not_depend_on_shared_evaluations(monkeypatch, c):
+    """Sharing evaluations across a table's checks changes no byte of a
+    report, and each entry judged alone gives the result it gives inside
+    its table."""
+    cfg = SuiteConfig(points=20, c=c)
+    assert cfg.points <= charts.SHARED
+    shared = [run_suite(name, cfg).to_json() for name in _SUITES]
+    for name, suite in _SUITES.items():
+        table = suite(cfg)
+        alone = [judge() for *_, judge in reversed(table)][::-1]
+        with charts._sharing(cfg.points):
+            assert [judge() for *_, judge in table] == alone, name
+    monkeypatch.setattr(charts, "SHARED", 0)
+    assert [run_suite(name, cfg).to_json() for name in _SUITES] == shared
+
+
+@pytest.mark.parametrize("points", [3, charts.SHARED + 1])
+def test_shared_evaluations_end_with_the_table(monkeypatch, points):
+    """A table's judges share evaluations only on samples of at most
+    ``charts.SHARED`` points, and ``run_suite`` drops them once the table
+    is judged, also when a judge raises."""
+    seen = []
+
+    def judge():
+        seen.append(charts._table is not None)
+        raise RuntimeError("judge failed")
+
+    monkeypatch.setitem(_SUITES, "torsion",
+                        lambda cfg: [("broken", "", "", judge)])
+    with pytest.raises(RuntimeError, match="judge failed"):
+        run_suite("torsion", SuiteConfig(points=points))
+    assert seen == [points <= charts.SHARED]
+    assert charts._table is None
+
+
+def test_shared_evaluations_hold_no_more_than_one_block():
+    """The memory that shared evaluations hold is bounded as a pass's is:
+    every suite's traced peak at ``charts.SHARED`` points, evaluations
+    shared, stays within 10% of the euler-poisson suite's at
+    ``charts.BLOCK`` points, read in per-call passes."""
+    def peak(name, points):
+        tracemalloc.start()
+        try:
+            run_suite(name, SuiteConfig(points=points))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = 1.1 * peak("euler-poisson", charts.BLOCK)
+    peaks = {name: peak(name, charts.SHARED) for name in _SUITES}
+    assert max(peaks.values()) <= bound, (peaks, bound)
 
 
 @pytest.mark.parametrize("c", [2.0, 3.0])
