@@ -10,16 +10,21 @@ residual at each point.  Entries share only the set-up, so each can be
 judged alone and in any order; :func:`run_suite` judges them in order and
 builds the report, and on samples of at most ``charts.SHARED`` points the
 entries of a table share their evaluations while it judges them, which
-changes no result.  A check whose id ends in ``_finding`` adjudicates a
-known ambiguity: its judge returns a pair, the check's result and a
-companion whose residual fills its description, and it always reports and
-never fails a run.
+changes no result.  The tables themselves are independent, so ``all``
+judges them on up to min(tables, usable CPUs) processes and gives the
+same bytes on any number; ``taskset -c 0`` runs everything in one
+process, for profilers.  A check whose id ends in ``_finding``
+adjudicates a known ambiguity: its judge returns a pair, the check's
+result and a companion whose residual fills its description, and it
+always reports and never fails a run.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -52,7 +57,7 @@ from .lagrange import (TopParams, benenti_operators, bihamiltonian_fields,
                        separation_map, x_fields_complex)
 from .lagrange.complex_chart import F1C, F4C, X1C, X2C, _p0_block
 
-__all__ = ["SuiteConfig", "SUITE_NAMES", "run_suite"]
+__all__ = ["SuiteConfig", "SUITE_NAMES", "LostWorkerError", "run_suite"]
 
 # Casimir levels pinning the symplectic leaf used by the reduced suite.
 LEAF_C1 = 0.4
@@ -896,21 +901,152 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
+class LostWorkerError(RuntimeError):
+    """A worker process of :func:`run_suite` ended without sending the
+    checks of the tables it had claimed."""
+
+
+def _judge_table(suite, cfg: SuiteConfig, prefix: str) -> list:
+    """The checks of one table: build it, then judge its entries in order,
+    sharing evaluations across them while the table is judged (see
+    ``charts._sharing``)."""
+    table = suite(cfg)
+    with charts._sharing(cfg.points):
+        return [check_from_residual(prefix + check_id, description,
+                                    reference, judge())
+                for check_id, description, reference, judge in table]
+
+
 def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
     """Run a suite, or every suite for ``all`` with ids prefixed by the
-    suite name: build each table, then judge its entries in order, sharing
-    evaluations across them while the table is judged (see
-    ``charts._sharing``)."""
+    suite name.  Each table is one job, `_judge_table`.  The five jobs of
+    ``all`` are shared among min(5, usable CPUs) processes (see
+    `_in_workers`) and their checks listed in table order, so the report
+    has the same bytes on any number of processes; under ``taskset -c 0``,
+    or for a single suite, everything runs in this process, as a profiler
+    needs."""
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}")
     report = VerificationReport(name, cfg.seed, cfg.as_dict())
     suites = _SUITES if name == "all" else {name: _SUITES[name]}
-    for key, suite in suites.items():
-        prefix = f"{key}." if name == "all" else ""
-        table = suite(cfg)
-        with charts._sharing(cfg.points):
-            report.extend(check_from_residual(prefix + check_id, description,
-                                              reference, judge())
-                          for check_id, description, reference, judge
-                          in table)
+    jobs = {key: partial(_judge_table, suite, cfg,
+                         f"{key}." if name == "all" else "")
+            for key, suite in suites.items()}
+    for checks in _in_workers(jobs):
+        report.extend(checks)
     return report
+
+
+# -- jobs in worker processes ------------------------------------------------
+
+def _in_workers(jobs: dict) -> list:
+    """``[job() for job in jobs.values()]``, the jobs shared among one
+    process per CPU this process may run on, at most one per job, and one
+    where the CPU set is unknown: this one and workers forked from it.
+
+    Each process claims its next job by reading the job's index, one byte,
+    from a pipe filled and closed for writing before the first fork, so
+    the jobs balance themselves.  A worker sends ``{index: result or
+    exception}`` through a pipe of its own (see `_work`).  The results are
+    returned in order.  Otherwise the first job in order that raised, or
+    whose worker ended without sending, decides: its exception is raised
+    again here, or a `LostWorkerError` naming every table lost.  Every
+    worker is reaped before this returns or raises, and killed first if
+    this process raises meanwhile, so none outlives the call."""
+    count = (min(len(jobs), len(os.sched_getaffinity(0)))
+             if hasattr(os, "sched_getaffinity") else 1)
+    if count == 1:
+        return [job() for job in jobs.values()]
+    names, jobs = list(jobs), list(jobs.values())
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(jobs))))
+    os.close(fill)
+    pids, replies, sent = [], [], []
+    try:
+        for _ in range(count - 1):
+            reply, send = os.pipe()
+            # Fork safety: OpenBLAS ends its thread pool in an atfork
+            # handler of its own, so this process forks with one thread
+            # (2 threads before `fork`, 1 after, on a 2-vCPU VM with
+            # numpy 2.4.6), and Python 3.12's DeprecationWarning on forking
+            # a multi-threaded process should not fire.  Where it does fire
+            # (on the Python 3.12 leg of CI, say), a thread outlived the
+            # fork, and a worker risks a lock that thread held.
+            try:
+                pid = os.fork()
+            except OSError:
+                # no more processes: those started share the jobs
+                os.close(reply)
+                os.close(send)
+                break
+            if pid == 0:
+                _work(jobs, queue, send)
+            os.close(send)
+            pids.append(pid)
+            replies.append(reply)
+        done = _claim(jobs, queue)
+        for reply in replies:
+            with open(reply, "rb", closefd=False) as fh:
+                sent.append(fh.read())
+    except BaseException:
+        import signal  # only here, so the CLI starts without it
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in (queue, *replies):
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for status, data in zip(statuses, sent):
+        if status == 0:
+            done.update(pickle.loads(data))
+    for i in range(len(jobs)):
+        if i not in done:
+            lost = [name for j, name in enumerate(names) if j not in done]
+            raise LostWorkerError(
+                "a worker process ended without sending the checks of "
+                f"{', '.join(lost)}")
+        if isinstance(done[i], BaseException):
+            raise done[i]
+    return [done[i] for i in range(len(jobs))]
+
+
+def _claim(jobs: list, queue: int) -> dict:
+    """Run the jobs whose indices this process reads from the pipe
+    ``queue``, one byte each, until it is empty: ``{index: result}``, with
+    the exception of a job that raised as its result."""
+    done = {}
+    while claimed := os.read(queue, 1):
+        i = claimed[0]
+        try:
+            done[i] = jobs[i]()
+        except Exception as exc:
+            done[i] = exc
+    return done
+
+
+def _work(jobs: list, queue: int, send: int):
+    """The life of a worker process: claim jobs, pickle their results into
+    the pipe ``send`` and end with ``os._exit``, never returning into the
+    caller's stack, so it flushes no stdio buffer it inherited and runs no
+    atexit handler; exit status 0 means the results were sent."""
+    code = 1
+    try:
+        done = {i: _portable(result)
+                for i, result in _claim(jobs, queue).items()}
+        with open(send, "wb") as fh:
+            fh.write(pickle.dumps(done))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _portable(result):
+    """``result``, unless it is an exception that does not survive
+    pickling: then a ``RuntimeError`` with its type and message."""
+    if isinstance(result, BaseException):
+        try:
+            pickle.loads(pickle.dumps(result))
+        except Exception:
+            return RuntimeError(f"{type(result).__name__}: {result}")
+    return result

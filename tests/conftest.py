@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
+import os
+import select
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from haantjeskit import Chart, Point
+from haantjeskit import Chart, Point, suites
 from haantjeskit.sampling import sample_points
 from haantjeskit.lagrange import TopParams
 from haantjeskit.report import _max_abs
@@ -27,6 +31,53 @@ def golden_ids():
 def golden_findings():
     """The frozen report's ids that end in ``_finding``."""
     return {i for i in golden_ids() if i.endswith("_finding")}
+
+
+def use_cpus(monkeypatch, n):
+    """Let ``run_suite`` see ``n`` usable CPUs, so that ``all`` runs on
+    min(5, n) processes; with one, everything runs in this process, as a
+    test that records calls in this process needs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def no_worker_left():
+    """Every process ``run_suite`` forked has ended and been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def tables_in_workers(monkeypatch, in_worker, in_parent=lambda name: []):
+    """Replace every table of ``suites._SUITES`` by one that, in a worker
+    process, writes its index to a pipe and returns ``in_worker(name)``,
+    and in this process waits up to 10 s until some worker has written
+    and returns ``in_parent(name)``, so at least one table runs in a
+    worker whichever process claims which.  Yields a function that reads
+    the names of the tables workers ran, once ``run_suite`` is done."""
+    parent = os.getpid()
+    names = list(suites._SUITES)
+    ran, wrote = os.pipe()
+
+    def table(name, cfg):
+        if os.getpid() != parent:
+            os.write(wrote, bytes([names.index(name)]))
+            return in_worker(name)
+        select.select([ran], [], [], 10)
+        return in_parent(name)
+
+    def worker_tables():
+        os.set_blocking(ran, False)
+        return [names[i] for i in sorted(os.read(ran, len(names)))]
+
+    for name in names:
+        monkeypatch.setitem(suites._SUITES, name,
+                            functools.partial(table, name))
+    try:
+        yield worker_tables
+    finally:
+        os.close(ran)
+        os.close(wrote)
 
 
 def fd_gradient(fn, coords, h=1e-6):

@@ -18,6 +18,8 @@ import haantjeskit
 from haantjeskit import ChartError, SingularPointError, cli, sampling, suites
 from haantjeskit.cli import main
 
+from conftest import no_worker_left, tables_in_workers, use_cpus
+
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent
      / "docs" / "report_schema.json").read_text())
@@ -244,6 +246,35 @@ def test_verify_out_of_memory_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --points")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("in_worker, code, err", [
+    (lambda name: _raise(SingularPointError(f"{name} is singular")), 4,
+     lambda ran: f"error: suite all: SingularPointError: {ran[0]} is "
+                 "singular"),
+    (lambda name: os._exit(1), 4,
+     lambda ran: "error: suite all: LostWorkerError: a worker process "
+                 f"ended without sending the checks of {', '.join(ran)}"),
+    (lambda name: _raise(MemoryError()), 2,
+     lambda ran: "error: --points is more than memory holds")],
+    ids=["raised", "lost", "memory"])
+def test_verify_maps_a_worker_failure_to_one_error_line(
+        in_worker, code, err, monkeypatch, capsys):
+    """A table that raises in a worker process, or a worker that ends
+    without sending its checks, ends ``verify --suite all`` with exit 4
+    and one error line; a ``MemoryError`` in a worker is still exit 2.
+    ``err`` gives the line from the tables that workers ran.  No worker
+    is left running."""
+    use_cpus(monkeypatch, 2)
+    with tables_in_workers(monkeypatch, in_worker) as worker_tables:
+        assert main(["verify", "--points", "3"]) == code
+        ran = worker_tables()
+    assert capsys.readouterr().err == err(ran) + "\n"
+    no_worker_left()
 
 
 def test_sampling_failure_exits_4(monkeypatch, capsys):

@@ -3,23 +3,26 @@
 import collections
 import contextlib
 import json
+import os
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from haantjeskit import (Chart, OperatorField, Point, ScalarField,
-                         VectorField, VerificationReport, charts, differential,
-                         jets, report as report_module)
+                         SingularPointError, VectorField, VerificationReport,
+                         charts, differential, jets, report as report_module)
 from haantjeskit.report import Check, check_from_residual
 from haantjeskit.sampling import sample_points
-from haantjeskit.suites import (SUITE_NAMES, SuiteConfig, _SUITES,
-                                _bracket_haantjes, _bracket_nijenhuis,
-                                _random_field, run_suite)
+from haantjeskit.suites import (SUITE_NAMES, LostWorkerError, SuiteConfig,
+                                _SUITES, _bracket_haantjes,
+                                _bracket_nijenhuis, _random_field, run_suite)
 from haantjeskit.torsion import SampledResidual
 
-from conftest import golden_findings, golden_ids
+from conftest import (golden_findings, golden_ids, no_worker_left,
+                      tables_in_workers, use_cpus)
 
 
 def test_registry_names():
@@ -286,6 +289,8 @@ def _evaluations_and_repeats(monkeypatch, points):
         return real_check(check_id, *args)
 
     monkeypatch.setattr(report_module, "Check", recording_check)
+    # the counters live in this process, so every table must run here
+    use_cpus(monkeypatch, 1)
     report = run_suite("all", SuiteConfig(points=points))
     assert len(per_check) == len(report.checks) == len(golden_ids())
     return dict(calls), {c.id: bad for c, bad
@@ -359,6 +364,153 @@ def test_shared_evaluations_hold_no_more_than_one_block():
     bound = 1.1 * peak("euler-poisson", charts.BLOCK)
     peaks = {name: peak(name, charts.SHARED) for name in _SUITES}
     assert max(peaks.values()) <= bound, (peaks, bound)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("points", [3, 20, charts.SHARED + 1])
+def test_report_does_not_depend_on_the_number_of_processes(
+        monkeypatch, points, c):
+    """``all`` gives the same report, byte for byte, whether its five
+    tables are judged in this process alone (one usable CPU, or a platform
+    without ``os.sched_getaffinity``) or on one process each (five CPUs),
+    and no worker outlives the run."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    cfg = SuiteConfig(points=points, c=c)
+    reports = {}
+    for cpus in (1, 5, None):
+        forks.clear()
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            use_cpus(monkeypatch, cpus)
+        reports[cpus] = run_suite("all", cfg).to_json()
+        assert len(forks) == (cpus or 1) - 1, cpus
+        no_worker_left()
+    assert reports[1] == reports[5] == reports[None]
+
+
+def test_a_fork_that_fails_leaves_the_jobs_to_the_processes_started(
+        monkeypatch):
+    """When the system refuses a new process, the processes already
+    started judge every table, and the report is the same."""
+    cfg = SuiteConfig(points=3)
+    use_cpus(monkeypatch, 1)
+    alone = run_suite("all", cfg).to_json()
+    forks = []
+    fork = os.fork
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    use_cpus(monkeypatch, 5)
+    assert run_suite("all", cfg).to_json() == alone
+    assert len(forks) == 2
+    no_worker_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 5])
+def test_a_table_that_raises_in_a_worker_raises_here(monkeypatch, cpus):
+    """An exception raised by a table in a worker process is raised by
+    ``run_suite`` with its type and message, the earliest table's when
+    workers ran several."""
+    def singular(name):
+        raise SingularPointError(f"table {name} hit a singular point")
+
+    use_cpus(monkeypatch, cpus)
+    with tables_in_workers(monkeypatch, singular) as worker_tables:
+        with pytest.raises(SingularPointError) as info:
+            run_suite("all", SuiteConfig(points=3))
+        first = worker_tables()[0]
+    assert str(info.value) == f"table {first} hit a singular point"
+    no_worker_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_the_earliest_table_that_raises_decides(monkeypatch, cpus):
+    """When two tables raise, ``run_suite`` raises the exception of the
+    earlier one in table order, on any number of processes, even when the
+    later one raises first."""
+    def slow_value_error(cfg):
+        time.sleep(0.05)
+        raise ValueError("algebra failed")
+
+    def singular(cfg):
+        raise SingularPointError("reduced failed")
+
+    use_cpus(monkeypatch, cpus)
+    for name in _SUITES:
+        monkeypatch.setitem(_SUITES, name, lambda cfg: [])
+    monkeypatch.setitem(_SUITES, "algebra", slow_value_error)
+    monkeypatch.setitem(_SUITES, "reduced", singular)
+    with pytest.raises(ValueError, match="^algebra failed$"):
+        run_suite("all", SuiteConfig(points=3))
+    no_worker_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 5])
+def test_a_worker_that_ends_without_sending_is_an_error(monkeypatch, cpus):
+    """A worker that ends without sending its checks makes ``run_suite``
+    raise a ``RuntimeError`` that names the tables it had claimed: no hang
+    and no partial report."""
+    with tables_in_workers(monkeypatch, lambda name: os._exit(1)) as \
+            worker_tables:
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(LostWorkerError) as info:
+            run_suite("all", SuiteConfig(points=3))
+        lost = worker_tables()
+    assert isinstance(info.value, RuntimeError)
+    assert str(info.value) == ("a worker process ended without sending the "
+                               f"checks of {', '.join(lost)}")
+    no_worker_left()
+
+
+def test_an_exception_that_cannot_be_pickled_keeps_its_message(
+        monkeypatch):
+    """An exception of a worker that pickle cannot carry here is raised as
+    a ``RuntimeError`` with its type and message."""
+    class Local(Exception):
+        pass
+
+    def local(name):
+        raise Local(f"in {name}")
+
+    use_cpus(monkeypatch, 2)
+    with tables_in_workers(monkeypatch, local) as worker_tables:
+        with pytest.raises(RuntimeError) as info:
+            run_suite("all", SuiteConfig(points=3))
+        first = worker_tables()[0]
+    assert str(info.value) == f"Local: in {first}"
+    no_worker_left()
+
+
+def test_workers_are_killed_when_this_process_raises(monkeypatch):
+    """An exception that stops this process while workers still judge
+    their tables (here a ``BaseException``, as ``KeyboardInterrupt`` is)
+    kills and reaps them before it propagates."""
+    class Stop(BaseException):
+        pass
+
+    def stop(name):
+        raise Stop
+
+    use_cpus(monkeypatch, 5)
+    start = time.monotonic()
+    with tables_in_workers(monkeypatch, lambda name: time.sleep(60), stop):
+        with pytest.raises(Stop):
+            run_suite("all", SuiteConfig(points=3))
+    assert time.monotonic() - start < 30
+    no_worker_left()
 
 
 @pytest.mark.parametrize("c", [2.0, 3.0])
