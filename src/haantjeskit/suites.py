@@ -924,7 +924,8 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
     `_in_workers`) and their checks listed in table order, so the report
     has the same bytes on any number of processes; under ``taskset -c 0``,
     or for a single suite, everything runs in this process, as a profiler
-    needs."""
+    needs.  A caller with other threads running forks them away with
+    ``all``; one usable CPU (``os.sched_setaffinity(0, {0})``) opts out."""
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}")
     report = VerificationReport(name, cfg.seed, cfg.as_dict())
@@ -955,8 +956,6 @@ def _in_workers(jobs: dict) -> list:
     this process raises meanwhile, so none outlives the call."""
     count = (min(len(jobs), len(os.sched_getaffinity(0)))
              if hasattr(os, "sched_getaffinity") else 1)
-    if count == 1:
-        return [job() for job in jobs.values()]
     names, jobs = list(jobs), list(jobs.values())
     queue, fill = os.pipe()
     os.write(fill, bytes(range(len(jobs))))
@@ -1032,21 +1031,10 @@ def _work(jobs: list, queue: int, send: int):
     atexit handler; exit status 0 means the results were sent."""
     code = 1
     try:
-        done = {i: _portable(result)
-                for i, result in _claim(jobs, queue).items()}
+        done = _claim(jobs, queue)
         with open(send, "wb") as fh:
             fh.write(pickle.dumps(done))
         code = 0
     finally:
         os._exit(code)
 
-
-def _portable(result):
-    """``result``, unless it is an exception that does not survive
-    pickling: then a ``RuntimeError`` with its type and message."""
-    if isinstance(result, BaseException):
-        try:
-            pickle.loads(pickle.dumps(result))
-        except Exception:
-            return RuntimeError(f"{type(result).__name__}: {result}")
-    return result

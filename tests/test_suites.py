@@ -475,25 +475,6 @@ def test_a_worker_that_ends_without_sending_is_an_error(monkeypatch, cpus):
     no_worker_left()
 
 
-def test_an_exception_that_cannot_be_pickled_keeps_its_message(
-        monkeypatch):
-    """An exception of a worker that pickle cannot carry here is raised as
-    a ``RuntimeError`` with its type and message."""
-    class Local(Exception):
-        pass
-
-    def local(name):
-        raise Local(f"in {name}")
-
-    use_cpus(monkeypatch, 2)
-    with tables_in_workers(monkeypatch, local) as worker_tables:
-        with pytest.raises(RuntimeError) as info:
-            run_suite("all", SuiteConfig(points=3))
-        first = worker_tables()[0]
-    assert str(info.value) == f"Local: in {first}"
-    no_worker_left()
-
-
 def test_workers_are_killed_when_this_process_raises(monkeypatch):
     """An exception that stops this process while workers still judge
     their tables (here a ``BaseException``, as ``KeyboardInterrupt`` is)
