@@ -10,9 +10,10 @@ failed, 2 usage error (a value that ``SuiteConfig``, ``TopParams`` or
 trajectory too large for memory), 3 I/O error, 4 numerical failure: the
 flow blew up, or a check raised a chart error (such as a singular point),
 a linear-algebra error, a value error or an arithmetic error (such as an
-overflow; numpy floating-point errors raise, not warn, inside ``verify``),
-or a worker process that judges tables of ``verify --suite all`` ended
-without sending its checks (see ``suites.run_suite``).
+overflow; numpy floating-point errors raise, not warn, inside ``verify``).
+``verify --suite all`` judges its tables in worker processes, and here
+again any table a worker could not judge, so it exits as a run in one
+process would (see ``suites.run_suite``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .charts import ChartError
 from .lagrange import TopParams, integrate_flow, max_relative_drift, write_csv
 from .lagrange.flow import FlowBlowupError
-from .suites import SUITE_NAMES, LostWorkerError, SuiteConfig, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,7 +82,7 @@ def _cmd_verify(args) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             report = run_suite(args.suite, cfg)
     except (ChartError, np.linalg.LinAlgError, ValueError,
-            ArithmeticError, LostWorkerError) as exc:
+            ArithmeticError) as exc:
         print(f"error: suite {args.suite}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -22,6 +22,10 @@ class FlowBlowupError(RuntimeError):
         super().__init__(f"non-finite state; last valid time t = {t_last:.6g}")
         self.t_last = t_last
 
+    def __reduce__(self):
+        # a pickle rebuilds the error from its time, not from its message
+        return type(self), (self.t_last,)
+
 
 @dataclass(frozen=True)
 class Trajectory:

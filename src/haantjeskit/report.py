@@ -41,14 +41,10 @@ def _sliced_max(kernel, *arrays):
     kernel called on slices of at most ``SLICE`` points of the arrays
     (sample axis first), so its temporaries never span more points.  The
     kernel must act on each point alone; then the result is the same as
-    over the whole sample, bit for bit.  A sample of one slice is passed
-    as it is."""
-    n = len(arrays[0])
-    if n <= SLICE:
-        return _max_abs(kernel(*arrays))
+    over the whole sample, bit for bit."""
     return np.concatenate([
         _max_abs(kernel(*(a[i:i + SLICE] for a in arrays)))
-        for i in range(0, n, SLICE)])
+        for i in range(0, len(arrays[0]), SLICE)])
 
 
 def _first_order(F, sample, tol, kernel, power):

@@ -12,15 +12,16 @@ builds the report, and on samples of at most ``charts.SHARED`` points the
 entries of a table share their evaluations while it judges them, which
 changes no result.  The tables themselves are independent, so ``all``
 judges them on up to min(tables, usable CPUs) processes and gives the
-same bytes on any number; ``taskset -c 0`` runs everything in one
-process, for profilers.  A check whose id ends in ``_finding``
-adjudicates a known ambiguity: its judge returns a pair, the check's
-result and a companion whose residual fills its description, and it
-always reports and never fails a run.
+same bytes, or raises the same error, on any number; ``taskset -c 0``
+runs everything in one process, for profilers.  A check whose id ends
+in ``_finding`` adjudicates a known ambiguity: its judge returns a pair,
+the check's result and a companion whose residual fills its
+description, and it always reports and never fails a run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -57,7 +58,7 @@ from .lagrange import (TopParams, benenti_operators, bihamiltonian_fields,
                        separation_map, x_fields_complex)
 from .lagrange.complex_chart import F1C, F4C, X1C, X2C, _p0_block
 
-__all__ = ["SuiteConfig", "SUITE_NAMES", "LostWorkerError", "run_suite"]
+__all__ = ["SuiteConfig", "SUITE_NAMES", "run_suite"]
 
 # Casimir levels pinning the symplectic leaf used by the reduced suite.
 LEAF_C1 = 0.4
@@ -901,11 +902,6 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-class LostWorkerError(RuntimeError):
-    """A worker process of :func:`run_suite` ended without sending the
-    checks of the tables it had claimed."""
-
-
 def _judge_table(suite, cfg: SuiteConfig, prefix: str) -> list:
     """The checks of one table: build it, then judge its entries in order,
     sharing evaluations across them while the table is judged (see
@@ -922,17 +918,19 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
     suite name.  Each table is one job, `_judge_table`.  The five jobs of
     ``all`` are shared among min(5, usable CPUs) processes (see
     `_in_workers`) and their checks listed in table order, so the report
-    has the same bytes on any number of processes; under ``taskset -c 0``,
-    or for a single suite, everything runs in this process, as a profiler
-    needs.  A caller with other threads running forks them away with
-    ``all``; one usable CPU (``os.sched_setaffinity(0, {0})``) opts out."""
+    has the same bytes on any number of processes, and a run that raises
+    raises what one process would: the first table in order that raises
+    decides, with its own exception.  Under ``taskset -c 0``, or for a
+    single suite, everything runs in this process, as a profiler needs.
+    A caller with other threads running forks them away with ``all``; one
+    usable CPU (``os.sched_setaffinity(0, {0})``) opts out."""
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}")
     report = VerificationReport(name, cfg.seed, cfg.as_dict())
     suites = _SUITES if name == "all" else {name: _SUITES[name]}
-    jobs = {key: partial(_judge_table, suite, cfg,
-                         f"{key}." if name == "all" else "")
-            for key, suite in suites.items()}
+    jobs = [partial(_judge_table, suite, cfg,
+                    f"{key}." if name == "all" else "")
+            for key, suite in suites.items()]
     for checks in _in_workers(jobs):
         report.extend(checks)
     return report
@@ -940,23 +938,23 @@ def run_suite(name: str, cfg: SuiteConfig) -> VerificationReport:
 
 # -- jobs in worker processes ------------------------------------------------
 
-def _in_workers(jobs: dict) -> list:
-    """``[job() for job in jobs.values()]``, the jobs shared among one
-    process per CPU this process may run on, at most one per job, and one
-    where the CPU set is unknown: this one and workers forked from it.
+def _in_workers(jobs: list) -> list:
+    """``[job() for job in jobs]``, the jobs shared among one process per
+    CPU this process may run on, at most one per job, and one where the
+    CPU set is unknown: this one and workers forked from it.
 
     Each process claims its next job by reading the job's index, one byte,
     from a pipe filled and closed for writing before the first fork, so
-    the jobs balance themselves.  A worker sends ``{index: result or
-    exception}`` through a pipe of its own (see `_work`).  The results are
-    returned in order.  Otherwise the first job in order that raised, or
-    whose worker ended without sending, decides: its exception is raised
-    again here, or a `LostWorkerError` naming every table lost.  Every
-    worker is reaped before this returns or raises, and killed first if
-    this process raises meanwhile, so none outlives the call."""
+    the jobs balance themselves.  A worker sends the results of the jobs
+    that returned through a pipe of its own (see `_work`).  Once every
+    worker is reaped, this process runs each job still without a result,
+    in order: the job raised, or its worker ended without sending.  So the
+    first job in order that raises decides, with its own exception and
+    traceback, as in a run without workers.  Every worker is killed if
+    this process raises meanwhile, and reaped, so none outlives the
+    call."""
     count = (min(len(jobs), len(os.sched_getaffinity(0)))
              if hasattr(os, "sched_getaffinity") else 1)
-    names, jobs = list(jobs), list(jobs.values())
     queue, fill = os.pipe()
     os.write(fill, bytes(range(len(jobs))))
     os.close(fill)
@@ -999,28 +997,18 @@ def _in_workers(jobs: dict) -> list:
     for status, data in zip(statuses, sent):
         if status == 0:
             done.update(pickle.loads(data))
-    for i in range(len(jobs)):
-        if i not in done:
-            lost = [name for j, name in enumerate(names) if j not in done]
-            raise LostWorkerError(
-                "a worker process ended without sending the checks of "
-                f"{', '.join(lost)}")
-        if isinstance(done[i], BaseException):
-            raise done[i]
-    return [done[i] for i in range(len(jobs))]
+    return [done[i] if i in done else job() for i, job in enumerate(jobs)]
 
 
 def _claim(jobs: list, queue: int) -> dict:
     """Run the jobs whose indices this process reads from the pipe
-    ``queue``, one byte each, until it is empty: ``{index: result}``, with
-    the exception of a job that raised as its result."""
+    ``queue``, one byte each, until it is empty: ``{index: result}`` of
+    the jobs that returned.  A job that raises is left out, for
+    `_in_workers` to run again."""
     done = {}
     while claimed := os.read(queue, 1):
-        i = claimed[0]
-        try:
-            done[i] = jobs[i]()
-        except Exception as exc:
-            done[i] = exc
+        with contextlib.suppress(Exception):
+            done[claimed[0]] = jobs[claimed[0]]()
     return done
 
 
@@ -1037,4 +1025,3 @@ def _work(jobs: list, queue: int, send: int):
         code = 0
     finally:
         os._exit(code)
-

@@ -48,34 +48,38 @@ def no_worker_left():
 
 
 @contextlib.contextmanager
-def tables_in_workers(monkeypatch, in_worker, in_parent=lambda name: []):
-    """Replace every table of ``suites._SUITES`` by one that, in a worker
-    process, writes its index to a pipe and returns ``in_worker(name)``,
-    and in this process waits up to 10 s until some worker has written
-    and returns ``in_parent(name)``, so at least one table runs in a
-    worker whichever process claims which.  Yields a function that reads
-    the names of the tables workers ran, once ``run_suite`` is done."""
+def tables_in_workers(in_worker, in_parent=lambda name: None):
+    """Wrap every table of ``suites._SUITES`` so that, in a worker process,
+    it writes its index to a pipe and calls ``in_worker(name)``, and in
+    this process waits up to 10 s until some worker has written and calls
+    ``in_parent(name)``, so at least one table runs in a worker whichever
+    process claims which; then it builds the table as before.  Yields a
+    function that reads the names of the tables workers ran, once
+    ``run_suite`` is done, and restores the tables on exit."""
     parent = os.getpid()
-    names = list(suites._SUITES)
+    tables = dict(suites._SUITES)
+    names = list(tables)
     ran, wrote = os.pipe()
 
     def table(name, cfg):
         if os.getpid() != parent:
             os.write(wrote, bytes([names.index(name)]))
-            return in_worker(name)
-        select.select([ran], [], [], 10)
-        return in_parent(name)
+            in_worker(name)
+        else:
+            select.select([ran], [], [], 10)
+            in_parent(name)
+        return tables[name](cfg)
 
     def worker_tables():
         os.set_blocking(ran, False)
         return [names[i] for i in sorted(os.read(ran, len(names)))]
 
-    for name in names:
-        monkeypatch.setitem(suites._SUITES, name,
-                            functools.partial(table, name))
+    suites._SUITES.update(
+        {name: functools.partial(table, name) for name in names})
     try:
         yield worker_tables
     finally:
+        suites._SUITES.update(tables)
         os.close(ran)
         os.close(wrote)
 

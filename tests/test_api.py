@@ -1,8 +1,10 @@
 """Every exported name resolves, so a deleted function cannot leave a stale
-entry behind in an ``__all__``; the Lagrange-top model does not judge."""
+entry behind in an ``__all__``; the Lagrange-top model does not judge; the
+package's exceptions pickle."""
 
 import ast
 import importlib
+import pickle
 import re
 import importlib.util
 import pkgutil
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import haantjeskit
+from haantjeskit import ChartError, ChartMismatchError, SingularPointError
+from haantjeskit.lagrange.flow import FlowBlowupError
 
 MODULES = sorted(
     info.name for info in pkgutil.walk_packages(haantjeskit.__path__,
@@ -24,6 +28,20 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported)
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("error", [
+    ChartError("could not sample 3 points"),
+    ChartMismatchError("fields on charts 'body' and 'euler'"),
+    SingularPointError("point lies on a singular set of chart 'complex'"),
+    FlowBlowupError(1.5)], ids=lambda error: type(error).__name__)
+def test_errors_survive_a_pickle_round_trip(error):
+    """Each exception class the package raises comes back from a pickle
+    with its type and message, and ``FlowBlowupError`` with its time."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert vars(copy) == vars(error)
 
 
 def test_star_import():

@@ -252,28 +252,29 @@ def _raise(exc):
     raise exc
 
 
-@pytest.mark.parametrize("in_worker, code, err", [
-    (lambda name: _raise(SingularPointError(f"{name} is singular")), 4,
-     lambda ran: f"error: suite all: SingularPointError: {ran[0]} is "
-                 "singular"),
-    (lambda name: os._exit(1), 4,
-     lambda ran: "error: suite all: LostWorkerError: a worker process "
-                 f"ended without sending the checks of {', '.join(ran)}"),
-    (lambda name: _raise(MemoryError()), 2,
-     lambda ran: "error: --points is more than memory holds")],
+@pytest.mark.parametrize("fault, everywhere, code, err", [
+    (lambda name: _raise(SingularPointError(f"{name} is singular")), True, 4,
+     "error: suite all: SingularPointError: torsion is singular\n"),
+    (lambda name: os._exit(1), False, 0, ""),
+    (lambda name: _raise(MemoryError()), True, 2,
+     "error: --points is more than memory holds\n")],
     ids=["raised", "lost", "memory"])
 def test_verify_maps_a_worker_failure_to_one_error_line(
-        in_worker, code, err, monkeypatch, capsys):
-    """A table that raises in a worker process, or a worker that ends
-    without sending its checks, ends ``verify --suite all`` with exit 4
-    and one error line; a ``MemoryError`` in a worker is still exit 2.
-    ``err`` gives the line from the tables that workers ran.  No worker
-    is left running."""
+        fault, everywhere, code, err, monkeypatch, capsys):
+    """A worker that ends without sending its checks changes nothing: the
+    tables it had claimed are judged in this process, and the output is
+    that of one process.  A table that raises everywhere ends
+    ``verify --suite all`` with the first table's error line alone, exit 4
+    or, for a ``MemoryError``, exit 2.  No worker is left running."""
+    use_cpus(monkeypatch, 1)
+    assert main(["verify", "--points", "3"]) == 0
+    alone = capsys.readouterr().out
     use_cpus(monkeypatch, 2)
-    with tables_in_workers(monkeypatch, in_worker) as worker_tables:
+    in_parent = fault if everywhere else (lambda name: None)
+    with tables_in_workers(fault, in_parent) as worker_tables:
         assert main(["verify", "--points", "3"]) == code
-        ran = worker_tables()
-    assert capsys.readouterr().err == err(ran) + "\n"
+        assert worker_tables()
+    assert capsys.readouterr() == (alone if code == 0 else "", err)
     no_worker_left()
 
 

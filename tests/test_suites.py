@@ -7,6 +7,7 @@ import os
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from haantjeskit import (Chart, OperatorField, Point, ScalarField,
                          charts, differential, jets, report as report_module)
 from haantjeskit.report import Check, check_from_residual
 from haantjeskit.sampling import sample_points
-from haantjeskit.suites import (SUITE_NAMES, LostWorkerError, SuiteConfig,
-                                _SUITES, _bracket_haantjes,
-                                _bracket_nijenhuis, _random_field, run_suite)
+from haantjeskit.lagrange.flow import FlowBlowupError
+from haantjeskit.suites import (SUITE_NAMES, SuiteConfig, _SUITES,
+                                _bracket_haantjes, _bracket_nijenhuis,
+                                _random_field, run_suite)
 from haantjeskit.torsion import SampledResidual
 
 from conftest import (golden_findings, golden_ids, no_worker_left,
@@ -333,7 +335,8 @@ def test_report_does_not_depend_on_shared_evaluations(monkeypatch, c):
 def test_shared_evaluations_end_with_the_table(monkeypatch, points):
     """A table's judges share evaluations only on samples of at most
     ``charts.SHARED`` points, and ``run_suite`` drops them once the table
-    is judged, also when a judge raises."""
+    is judged, also when a judge raises: here twice, where the table was
+    claimed and again when ``run_suite`` judges it to raise."""
     seen = []
 
     def judge():
@@ -344,7 +347,7 @@ def test_shared_evaluations_end_with_the_table(monkeypatch, points):
                         lambda cfg: [("broken", "", "", judge)])
     with pytest.raises(RuntimeError, match="judge failed"):
         run_suite("torsion", SuiteConfig(points=points))
-    assert seen == [points <= charts.SHARED]
+    assert seen == [points <= charts.SHARED] * 2
     assert charts._table is None
 
 
@@ -421,19 +424,24 @@ def test_a_fork_that_fails_leaves_the_jobs_to_the_processes_started(
 
 @pytest.mark.parametrize("cpus", [2, 5])
 def test_a_table_that_raises_in_a_worker_raises_here(monkeypatch, cpus):
-    """An exception raised by a table in a worker process is raised by
-    ``run_suite`` with its type and message, the earliest table's when
-    workers ran several."""
-    def singular(name):
-        raise SingularPointError(f"table {name} hit a singular point")
-
+    """A table that raises in every process, workers included, makes
+    ``run_suite`` raise its own exception, type, message and attributes
+    intact, here the first table's, as in one process."""
     use_cpus(monkeypatch, cpus)
-    with tables_in_workers(monkeypatch, singular) as worker_tables:
-        with pytest.raises(SingularPointError) as info:
-            run_suite("all", SuiteConfig(points=3))
-        first = worker_tables()[0]
-    assert str(info.value) == f"table {first} hit a singular point"
-    no_worker_left()
+    for error in (lambda name: SingularPointError(f"table {name} is singular"),
+                  lambda name: FlowBlowupError(1.5)):
+        def fault(name):
+            raise error(name)
+
+        with tables_in_workers(fault, fault) as worker_tables:
+            with pytest.raises(Exception) as info:
+                run_suite("all", SuiteConfig(points=3))
+            assert worker_tables()
+        first = error("torsion")
+        assert type(info.value) is type(first)
+        assert str(info.value) == str(first)
+        assert vars(info.value) == vars(first)  # FlowBlowupError's t_last
+        no_worker_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 5])
@@ -458,20 +466,44 @@ def test_the_earliest_table_that_raises_decides(monkeypatch, cpus):
     no_worker_left()
 
 
+def _no_memory(name):
+    raise MemoryError
+
+
+def _singular(name):
+    raise SingularPointError(f"table {name} is singular")
+
+
 @pytest.mark.parametrize("cpus", [2, 5])
-def test_a_worker_that_ends_without_sending_is_an_error(monkeypatch, cpus):
-    """A worker that ends without sending its checks makes ``run_suite``
-    raise a ``RuntimeError`` that names the tables it had claimed: no hang
-    and no partial report."""
-    with tables_in_workers(monkeypatch, lambda name: os._exit(1)) as \
-            worker_tables:
-        use_cpus(monkeypatch, cpus)
-        with pytest.raises(LostWorkerError) as info:
-            run_suite("all", SuiteConfig(points=3))
-        lost = worker_tables()
-    assert isinstance(info.value, RuntimeError)
-    assert str(info.value) == ("a worker process ended without sending the "
-                               f"checks of {', '.join(lost)}")
+@pytest.mark.parametrize("fault", [lambda name: os._exit(1), _no_memory,
+                                   _singular],
+                         ids=["exit", "memory", "singular"])
+def test_a_table_a_worker_could_not_judge_is_judged_here(
+        monkeypatch, fault, cpus):
+    """A table whose worker ends without sending its checks, or that
+    raises only in a worker, is judged again in this process: the report
+    is the one-process report, byte for byte."""
+    cfg = SuiteConfig(points=3)
+    use_cpus(monkeypatch, 1)
+    alone = run_suite("all", cfg).to_json()
+    use_cpus(monkeypatch, cpus)
+    with tables_in_workers(fault) as worker_tables:
+        assert run_suite("all", cfg).to_json() == alone
+        assert worker_tables()
+    no_worker_left()
+
+
+def test_forking_gives_no_warning(monkeypatch):
+    """``all`` forks its workers from a process with one thread, so
+    Python's ``DeprecationWarning`` on forking a multi-threaded process
+    (Python 3.12 and later) does not fire; see the fork-safety comment in
+    ``suites._in_workers``."""
+    use_cpus(monkeypatch, 5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_suite("all", SuiteConfig(points=3))
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)
+                and "fork" in str(w.message)]
     no_worker_left()
 
 
@@ -487,7 +519,7 @@ def test_workers_are_killed_when_this_process_raises(monkeypatch):
 
     use_cpus(monkeypatch, 5)
     start = time.monotonic()
-    with tables_in_workers(monkeypatch, lambda name: time.sleep(60), stop):
+    with tables_in_workers(lambda name: time.sleep(60), stop):
         with pytest.raises(Stop):
             run_suite("all", SuiteConfig(points=3))
     assert time.monotonic() - start < 30
