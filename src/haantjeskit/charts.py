@@ -24,7 +24,9 @@ arrays with the sample axis first: ``(N,) + shape`` for the components
 and ``(N,) + shape + (dim,)`` for the partials.  ``f.jacobian(p)`` is
 ``f.jet(p)[1]``, and a scalar field's ``gradient`` is its ``jacobian``.
 Derived fields and chart maps take partials through the same seeded pass,
-:func:`_seeded`, which also accepts coordinates that are already jets.
+:func:`_seeded`, which also accepts coordinates that are already jets; a
+partial exactly 0 or 1 at every point comes out as that number, so the
+zeros of a chart map's jacobians cost no jet arithmetic.
 Reads share their work within a pass: one read, or one call of a sample
 function by :func:`~haantjeskit.report.sampled`.  In a pass each component
 function, subfields included, runs once per coordinate list and mode, and
@@ -328,9 +330,17 @@ def _seeded(fn, x):
     n = len(x)
     out = _components(fn, _once(jets.seed, x, shared=True))
     vals = _objects([jets.value(v) for v in out.flat], out.shape)
-    grads = _objects([g for v in out.flat for g in jets.gradient(v, n)],
-                     out.shape + (n,))
+    grads = _objects([_exact(g) for v in out.flat
+                      for g in jets.gradient(v, n)], out.shape + (n,))
     return vals, grads
+
+
+def _exact(g):
+    """A ``(1,)`` partial exactly 0 or 1 as that number, for the jets'
+    exact-constant rules; any other keeps its array, so its rounding."""
+    if isinstance(g, np.ndarray) and g.shape == (1,) and g[0] in (0, 1):
+        return 1.0 if g[0] == 1 else 0.0
+    return g
 
 
 # -- field algebra ----------------------------------------------------------
@@ -459,7 +469,9 @@ def constant_operator(chart: Chart, m) -> OperatorField:
 
 
 class ChartMap:
-    """A differentiable coordinate change with an explicit inverse.
+    """A differentiable map with an explicit right inverse: a coordinate
+    change, or a projection onto a submanifold chart, the embedding its
+    inverse.
 
     :meth:`push` moves a field of every kind by one rule: one contraction
     per slot, with the forward jacobian or the jacobian of the inverse
@@ -494,19 +506,19 @@ class ChartMap:
         slot contracted in order, an upper one with the forward jacobian
         ``J`` and a lower one with the inverse map's jacobian ``Jinv``, so
         a bivector goes to ``J @ P @ J.T`` and an operator to
-        ``J @ L @ Jinv``; a scalar keeps its value."""
+        ``J @ L @ Jinv``; a scalar keeps its value.  Pushed fields share one
+        preimage per coordinate list, and so the evaluations of their parts."""
+        if not isinstance(T, _Field):
+            raise TypeError(f"{T!r} is not a field")
         _same_chart(self.src, T.chart)
 
         def fn(xi):
-            if "d" in T.slots:
-                x, Jinv = _seeded(self.inverse, xi)  # Jinv[src_k][dst_j]
-                x = list(x)
-            else:
-                x = self.inverse(xi)
+            x = _once(list, _components(self.inverse, xi), shared=True)
             out = _components(T.fn, x)
-            J = _seeded(self.forward, x)[1] if T.slots else None
             for k, slot in enumerate(T.slots):
-                A = J if slot == "u" else Jinv.T
+                # J[dst_i][src_k], Jinv[src_k][dst_j]
+                A = (_seeded(self.forward, x)[1] if slot == "u"
+                     else _seeded(self.inverse, xi)[1].T)
                 out = A @ out if k == 0 else out @ A.T
             return out
 

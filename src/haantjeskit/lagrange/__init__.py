@@ -9,7 +9,7 @@ from .complex_chart import (complex_chart, body_to_complex,
                             complex_integrals, p0_complex, p1_complex,
                             x_fields_complex, deformation,
                             nijenhuis_operator, benenti_operators)
-from .leaf import (leaf_chart, restrict_to_leaf, leaf_structures,
+from .leaf import (leaf_chart, leaf_map, leaf_structures,
                    separation_map, separation_fields)
 from .flow import Trajectory, integrate_flow, max_relative_drift, write_csv
 
@@ -21,7 +21,7 @@ __all__ = [
     "complex_chart", "body_to_complex", "complex_integrals",
     "p0_complex", "p1_complex", "x_fields_complex", "deformation",
     "nijenhuis_operator", "benenti_operators",
-    "leaf_chart", "restrict_to_leaf", "leaf_structures",
+    "leaf_chart", "leaf_map", "leaf_structures",
     "separation_map", "separation_fields",
     "Trajectory", "integrate_flow", "max_relative_drift", "write_csv",
 ]

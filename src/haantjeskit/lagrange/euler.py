@@ -37,7 +37,7 @@ def euler_hamiltonian(params: TopParams) -> ScalarField:
 
     def fn(x):
         s = sin_(x[THETA])
-        gap = x[P_PHI] - x[P_PSI] * cos_(x[THETA])
+        gap = _momentum_gap(x)
         kinetic = (x[P_THETA] ** 2 + gap * gap / (s * s)
                    + x[P_PSI] ** 2 / c) / 2.0
         return kinetic + cos_(x[THETA])
@@ -52,13 +52,12 @@ def euler_chain_operators(params: TopParams):
 
     def k2_entries(x):
         s = sin_(x[THETA])
-        f = s * s / (x[P_PHI] - x[P_PSI] * cos_(x[THETA]))
+        f = s * s / _momentum_gap(x)
         return [f, 0.0, 0.0, f, 0.0, 0.0]
 
     def k3_entries(x):
         s = sin_(x[THETA])
-        ct = cos_(x[THETA])
-        f = -s * s / (ct * (x[P_PHI] - x[P_PSI] * ct))
+        f = -s * s / (cos_(x[THETA]) * _momentum_gap(x))
         return [0.0, f, 0.0, 0.0, f, 0.0]
 
     return (identity_operator(chart),

@@ -8,8 +8,7 @@ with the two Casimir levels pinned to constants.
 
 from __future__ import annotations
 
-from ..charts import (Chart, ChartMap, ScalarField, _components, _Field,
-                      _once, _same_chart)
+from ..charts import Chart, ChartMap, ScalarField, _components
 from ..jets import sqrt_
 from .complex_chart import (_chart_name, benenti_operators, complex_chart,
                             complex_integrals, deformation,
@@ -31,28 +30,18 @@ def _embed(coords, C1, C4):
     return list(coords) + [C1, C4]
 
 
-def restrict_to_leaf(field, params: TopParams, C1, C4):
-    """Pin the Casimir levels and drop the transversal slots of a field on
-    ``complex_chart(params)``; one on another chart raises.
+def leaf_map(params: TopParams, C1, C4) -> ChartMap:
+    """The projection of ``complex_chart(params)`` onto the leaf, inverted
+    by the embedding at the pinned Casimir levels; its ``push`` drops the
+    transversal slots (``J v = v[:4]``, ``J L Jinv = L[:4, :4]``, ...).
 
-    This is the restriction only for a field that does not couple the leaf
+    That is the restriction only for a field that does not couple the leaf
     to the transversal directions: a vector without transversal components,
     an operator or bivector without transversal off-blocks.  Nothing here
     checks that; the suites judge it for the fields they restrict.  A
-    one-form pulls back by dropping its slots either way.
-    """
-    if not isinstance(field, _Field):
-        raise TypeError(f"cannot restrict a {type(field).__name__}")
-    _same_chart(complex_chart(params), field.chart)
-
-    def fn(x):
-        # one embedded list per coordinate list, so restricted fields that
-        # share a part share its evaluation
-        v = _components(field.fn, _once(_embed, x, C1, C4, shared=True))
-        # the leaf slots of every index: v[:4], v[:4, :4], or a scalar
-        return v[(slice(4),) * v.ndim]
-
-    return type(field)(leaf_chart(params, C1, C4), fn)
+    one-form pulls back by dropping its slots either way."""
+    return ChartMap(complex_chart(params), leaf_chart(params, C1, C4),
+                    lambda x: x[:4], lambda x: _embed(x, C1, C4))
 
 
 def leaf_structures(params: TopParams, C1, C4) -> dict:
@@ -61,7 +50,7 @@ def leaf_structures(params: TopParams, C1, C4) -> dict:
     N = nijenhuis_operator(params)
     _, K2, _ = benenti_operators(params, N)
     F2c, F3c = complex_integrals(params)
-    r = lambda f: restrict_to_leaf(f, params, C1, C4)
+    r = leaf_map(params, C1, C4).push
     # the raw second bivector does not restrict (its transversal column
     # carries the ladder field); the deformed bivector does, and its leaf
     # block is the second Poisson block of the pair

@@ -35,7 +35,7 @@ from . import charts
 from .algebra import (algebra_rank, check_abelian, check_module_condition,
                       check_ring_condition, minimal_polynomial)
 from .jets import Jet, value
-from .charts import (BivectorField, Chart, OperatorField, OneFormField, Point,
+from .charts import (BivectorField, Chart, OperatorField, OneFormField,
                      ScalarField, VectorField, add_fields, apply_operator,
                      apply_transpose, constant_operator, constant_vector,
                      diagonal_operator, differential, identity_operator,
@@ -53,9 +53,9 @@ from .lagrange import (TopParams, benenti_operators, bihamiltonian_fields,
                        complex_integrals, deformation, euler_chain_operators,
                        euler_chart, euler_hamiltonian, hamiltonians,
                        integrals, lagrange_vector_field, leaf_chart,
-                       leaf_structures, nijenhuis_operator, p0_complex,
-                       p1_complex, poisson_bivectors, separation_fields,
-                       separation_map, x_fields_complex)
+                       leaf_map, leaf_structures, nijenhuis_operator,
+                       p0_complex, p1_complex, poisson_bivectors,
+                       separation_fields, separation_map, x_fields_complex)
 from .lagrange.complex_chart import F1C, F4C, X1C, X2C, _p0_block
 
 __all__ = ["SuiteConfig", "SUITE_NAMES", "run_suite"]
@@ -700,8 +700,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
     C1, C4 = LEAF_C1, LEAF_C4
     lchart = leaf_chart(params, C1, C4)
     sample = sample_points(lchart, cfg.points, cfg.seed)
-    cchart = complex_chart(params)
-    embedded = Point(cchart, (*sample.coords, C1, C4))
+    embedded = leaf_map(params, C1, C4).invert(sample)
 
     N = nijenhuis_operator(params)
     P1c = p1_complex(params)

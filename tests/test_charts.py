@@ -17,8 +17,8 @@ from haantjeskit.algebra import algebra_rank, check_ring_condition
 from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
                                   complex_chart, complex_integrals, integrals,
                                   lagrange_vector_field, leaf_chart,
-                                  nijenhuis_operator, p0_complex, p1_complex,
-                                  poisson_bivectors, restrict_to_leaf,
+                                  leaf_map, nijenhuis_operator, p0_complex,
+                                  p1_complex, poisson_bivectors,
                                   separation_map, x_fields_complex)
 from haantjeskit.poisson import check_compatibility, check_jacobi
 from haantjeskit.report import matches, sampled
@@ -57,8 +57,8 @@ def test_model_charts_are_named_by_their_parameters():
     leaf = leaf_chart(TopParams(2.0), LEAF_C1, LEAF_C4)
     assert leaf == leaf_chart(TopParams(np.float64(2.0)),
                               np.float64(LEAF_C1), complex(LEAF_C4))
-    F2l = restrict_to_leaf(complex_integrals(TopParams(2.0))[0],
-                           TopParams(2.0), LEAF_C1, LEAF_C4)
+    F2l = leaf_map(TopParams(2.0), LEAF_C1, LEAF_C4).push(
+        complex_integrals(TopParams(2.0))[0])
     for other in (leaf_chart(TopParams(3.0), LEAF_C1, LEAF_C4),
                   leaf_chart(TopParams(2.0), LEAF_C1, 2.0 * LEAF_C4)):
         assert other != leaf
@@ -355,6 +355,15 @@ def test_chart_map_pushes_a_scalar_and_roundtrip(chart3, sample3):
                          - np.array(p.coords))) < 1e-12
 
 
+def test_chart_map_refuses_to_push_a_non_field():
+    """A function or a number is no field: push raises ``TypeError``, as
+    the field algebra does, not ``AttributeError``."""
+    cmap = body_to_complex(TopParams())
+    for thing in (lambda x: x, 3.0):
+        with pytest.raises(TypeError):
+            cmap.push(thing)
+
+
 def test_bivector_and_operator_transport_consistency(chart3, sample3):
     cmap = _shear(chart3)
     P = BivectorField(chart3, lambda x: [[0.0, x[0], -1.0],
@@ -585,7 +594,7 @@ def _jet_cases(c):
     sample = sample_points(chart, 3, 5)
     cases = {name: (F, sample) for name, F in fields.items()}
 
-    leaf = lambda f: restrict_to_leaf(f, params, LEAF_C1, LEAF_C4)
+    leaf = leaf_map(params, LEAF_C1, LEAF_C4).push
     leaf_sample = sample_points(leaf_chart(params, LEAF_C1, LEAF_C4), 3, 5)
     cases["leaf_operator"] = (leaf(N), leaf_sample)
     cases["leaf_vector"] = (leaf(X2), leaf_sample)

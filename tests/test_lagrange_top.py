@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from haantjeskit import charts
-from haantjeskit import (ChartMismatchError, OperatorField, Point, ScalarField,
-                         SingularPointError, differential, hamiltonian_field,
-                         identity_operator, is_haantjes, is_nijenhuis,
-                         operator_polynomial)
+from haantjeskit import (ChartMismatchError, OperatorField, ScalarField,
+                         SingularPointError, apply_transpose, differential,
+                         hamiltonian_field, identity_operator, is_haantjes,
+                         is_nijenhuis, operator_polynomial, scale_field)
 from haantjeskit.algebra import (algebra_rank, check_abelian,
                                  check_module_condition, check_ring_condition)
 from haantjeskit.lagrange import (TopParams, benenti_operators,
@@ -19,9 +19,9 @@ from haantjeskit.lagrange import (TopParams, benenti_operators,
                                   euler_chain_operators, euler_chart,
                                   euler_hamiltonian, hamiltonians, integrals,
                                   leaf_chart, lagrange_vector_field,
-                                  leaf_structures, nijenhuis_operator,
-                                  p0_complex, p1_complex, poisson_bivectors,
-                                  restrict_to_leaf, separation_fields,
+                                  leaf_map, leaf_structures,
+                                  nijenhuis_operator, p0_complex, p1_complex,
+                                  poisson_bivectors, separation_fields,
                                   separation_map, x_fields_complex)
 from haantjeskit.poisson import check_compatibility
 from haantjeskit.sampling import sample_points
@@ -76,7 +76,6 @@ def test_euler_chain_operator_identity(tp):
     k1, k2, k3 = euler_chain_operators(tp)
     dH = differential(H)
     p = point(euler_chart(), 0.2, 1.1, -0.4, 0.8, 0.3, 0.5)
-    from haantjeskit import apply_transpose
     v2 = apply_transpose(k2, dH)(p)[0]
     assert np.max(np.abs(v2 - np.array([0, 0, 0, 1, 0, 0]))) < 1e-12
     v3 = apply_transpose(k3, dH)(p)[0]
@@ -204,10 +203,10 @@ def test_deformed_bivector_structure(tp, csample):
     assert np.max(np.abs(Z2(p) - np.array([0, 0, 0, 0, 0, 2]))) == 0.0
 
 
-def _embedded_leaf_sample(tp, seed):
+def _embedded_leaf_sample(tp, seed, points=5):
     """A leaf sample and the same points in the complex chart."""
-    sample = sample_points(leaf_chart(tp, 0.4, 1.3), 5, seed)
-    return sample, Point(complex_chart(tp), (*sample.coords, 0.4, 1.3))
+    sample = sample_points(leaf_chart(tp, 0.4, 1.3), points, seed)
+    return sample, leaf_map(tp, 0.4, 1.3).invert(sample)
 
 
 def test_deformed_bivector_reads_its_transversal_term_once(
@@ -239,26 +238,47 @@ def test_raw_second_bivector_does_not_restrict(tp):
 
 
 def test_ladder_fields_restrict(tp):
-    sample, embedded = _embedded_leaf_sample(tp, 44)
+    """The ladder fields do not couple the leaf to the transversal
+    directions, and pushing a field of every kind along the leaf map gives,
+    bit for bit, its leaf slots on the embedded sample, in a plain and in a
+    seeded read, whose partials are those along the first four
+    coordinates.  On one point every partial is a ``(1,)`` array, a value
+    of that point, not a constant."""
+    _, embedded = _embedded_leaf_sample(tp, 44)
     for X in x_fields_complex(tp):
         v = X(embedded)
         coupling = np.abs(v[:, 4:]).max(axis=1)
         assert np.all(coupling <= 1e-12 * (1.0 + np.abs(v).max(axis=1)))
-        restricted = restrict_to_leaf(X, tp, 0.4, 1.3)
-        assert restricted.chart.dim == 4
-        assert np.array_equal(restricted(sample), v[:, :4])
+    N = nijenhuis_operator(tp)
+    _, K2, _ = benenti_operators(tp, N)
+    F2, F3 = complex_integrals(tp)
+    fields = [F2, *x_fields_complex(tp),
+              apply_transpose(K2, differential(scale_field(-1.0, F3))),
+              N, K2, p1_complex(tp), deformation(tp)[2]]
+    restrict = leaf_map(tp, 0.4, 1.3).push
+    for points in (1, 5):
+        sample, embedded = _embedded_leaf_sample(tp, 44, points)
+        for F in fields:
+            leaf = (slice(None),) + (slice(4),) * len(F.slots)
+            restricted = restrict(F)
+            assert restricted.chart == leaf_chart(tp, 0.4, 1.3)
+            assert np.array_equal(restricted(sample), F(embedded)[leaf])
+            (v, d), (fv, fd) = restricted.jet(sample), F.jet(embedded)
+            assert np.array_equal(v, fv[leaf]), (points, F)
+            assert np.array_equal(d, fd[leaf + (slice(4),)]), (points, F)
 
 
 def test_restriction_refuses_a_field_off_the_complex_chart(tp):
     """Only a field on ``complex_chart(params)`` restricts: a body-chart
     field would be read at ``(x1, x2, y1, y2, C1, C4)``, and a complex-chart
     field of another ``c`` is singular on other sets."""
+    restrict = leaf_map(tp, 0.4, 1.3).push
     for field in (integrals(tp)["F2"],
                   complex_integrals(TopParams(3.0))[0]):
         with pytest.raises(ChartMismatchError):
-            restrict_to_leaf(field, tp, 0.4, 1.3)
+            restrict(field)
     with pytest.raises(TypeError):
-        restrict_to_leaf(lambda x: x[0], tp, 0.4, 1.3)
+        restrict(lambda x: x[0])
 
 
 def test_leaf_recursion_frozen(tp):

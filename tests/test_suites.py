@@ -150,7 +150,7 @@ def test_random_field_rounds_like_the_object_array_formula(kind, n, points):
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
 def test_random_field_takes_numbers_among_jet_coordinates(kind, n, numbers,
                                                           points):
-    """Coordinates that end in numbers, as ``restrict_to_leaf`` pins the
+    """Coordinates that end in numbers, as ``leaf_map``'s inverse pins the
     Casimir levels, give the same components as the object-array formula,
     for seeded and for plain jets.  (With one seeded variable at one
     point, numpy multiplies the formula's ``(1, 1)`` gradient by its
@@ -307,10 +307,10 @@ def test_each_check_runs_a_component_function_once_per_sample_and_mode(
     points, else inside each call ``at(sample)``, which is one pass.
     Reads stay one per pass, so only the count of evaluations depends on
     the sample size."""
-    for points, evaluations in [(20, 417), (charts.SHARED + 1, 684)]:
+    for points, evaluations in [(20, 427), (charts.SHARED + 1, 726)]:
         with monkeypatch.context() as mp:
             calls, offenders = _evaluations_and_repeats(mp, points)
-        assert calls == {"evaluate": evaluations, "read": 229}, points
+        assert calls == {"evaluate": evaluations, "read": 230}, points
         assert not offenders, (points, offenders)
 
 

@@ -1,15 +1,17 @@
-"""Digest a fixed grid of 113 ``haantjeskit verify`` reports.
+"""Digest a fixed grid of 185 ``haantjeskit verify`` reports.
 
 The grid is every suite choice (the five suites and ``all``) at points
-3, 20 and 100, seeds 42 and 7 and inertia ratios 0.5, 2 and 10; then the
-four geometry suites (torsion, euler, euler-poisson, reduced) at 200
-points; then ``all`` at 300 points, seed 5, c = 3.  Each report runs in
-process through ``cli.main``.  For each one the script prints the sha256
-of its JSON report, the sha256 of what it printed and its exit code, and
-at the end one sha256 over all those lines.  Two checkouts that print the
-same final digest wrote the same reports byte for byte.  The script exits
-1 when any report exits non-zero, so a check that fails anywhere on the
-grid fails the run.
+1, 2, 3, 20 and 100, seeds 42 and 7 and inertia ratios 0.5, 2 and 10; then
+the four geometry suites (torsion, euler, euler-poisson, reduced) at 200
+points; then ``all`` at 300 points, seed 5, c = 3.  One point is the
+smallest sample the CLI takes, and two the smallest that the sweep-small
+benchmark runs; on one point every partial is that point's value, not a
+constant.  Each report runs in process through ``cli.main``.  For each
+one the script prints the sha256 of its JSON report, the sha256 of what
+it printed and its exit code, and at the end one sha256 over all those
+lines.  Two checkouts that print the same final digest wrote the same
+reports byte for byte.  The script exits 1 when any report exits
+non-zero, so a check that fails anywhere on the grid fails the run.
 
 After the combined digest it runs the two reference ``haantjeskit
 integrate`` calls with ``--csv`` and prints the sha256 of both CSVs on one
@@ -41,7 +43,7 @@ def grid():
     """``(suite, points, seed, c)`` for each report, in order."""
     suites = ("torsion", "algebra", "euler", "euler-poisson", "reduced",
               "all")
-    yield from itertools.product(suites, (3, 20, 100), (42, 7),
+    yield from itertools.product(suites, (1, 2, 3, 20, 100), (42, 7),
                                  (0.5, 2.0, 10.0))
     for suite in GEOMETRY:
         yield suite, 200, 42, 2.0
