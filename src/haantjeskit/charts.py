@@ -215,14 +215,15 @@ _memo = None
 # the evaluations shared by the checks of one table, or None (see `_sharing`)
 _table = None
 
-# Points per pass: `report.sampled` calls its sample function, and
-# `integrate_flow` reads its invariants, on blocks of at most BLOCK points,
-# so BLOCK bounds the memory of a pass.  A jet pass is mostly Python-level
-# work whose cost hardly depends on the sample size, so fewer passes are
-# faster.  Measured with `bench/run.py --workload geometry-large --seconds
-# 30` (200 points a check) on a shared 2-vCPU Xeon VM, medians of 4
-# rotating runs at seeds 42 and 7: BLOCK = 64 gave a norm_wall_s of 0.262 s
-# and a peak RSS of 42.98 MB, BLOCK = 256 gave 0.140 s and 43.35 MB.
+# Points per pass: `report.sampled` calls its sample function on blocks of
+# at most BLOCK points, so BLOCK bounds the memory of a pass (the
+# integrator reads its invariants in passes of its own, `flow.PASS`).  A
+# jet pass is mostly Python-level work whose cost hardly depends on the
+# sample size, so fewer passes are faster.  Measured with `bench/run.py
+# --workload geometry-large --seconds 30` (200 points a check) on a shared
+# 2-vCPU Xeon VM, medians of 4 rotating runs at seeds 42 and 7: BLOCK = 64
+# gave a norm_wall_s of 0.262 s and a peak RSS of 42.98 MB, BLOCK = 256
+# gave 0.140 s and 43.35 MB.
 BLOCK = 256
 
 

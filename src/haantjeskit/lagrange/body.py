@@ -53,12 +53,13 @@ def _recorded(params: TopParams) -> tuple:
 
 
 def lagrange_vector_field(params: TopParams) -> VectorField:
-    c = params.c
+    one_minus_c = 1.0 - params.c
+    c_minus_one = -one_minus_c
 
     def fn(x):
         w1, w2, w3, g1, g2, g3 = x
-        return [(1.0 - c) * w2 * w3 - g2,
-                -(1.0 - c) * w3 * w1 + g1,
+        return [one_minus_c * w2 * w3 - g2,
+                c_minus_one * w3 * w1 + g1,
                 0.0,
                 g2 * w3 - g3 * w2,
                 g3 * w1 - g1 * w3,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from haantjeskit import charts
-from haantjeskit.lagrange import (TopParams, integrate_flow,
+from haantjeskit.lagrange import (TopParams, flow, integrate_flow,
                                   lagrange_vector_field, max_relative_drift,
                                   write_csv)
 from haantjeskit.lagrange.flow import CSV_HEADER, FlowBlowupError
@@ -35,10 +35,8 @@ def test_axial_spin_exactly_conserved():
     assert np.max(np.abs(traj.states[:, 2] - Y0[2])) == 0.0
 
 
-def test_invariants_are_read_in_blocks(monkeypatch):
-    """The recorded invariants are read as one field in samples of at most
-    ``charts.BLOCK`` points, which together cover the trajectory once, and
-    they equal one read of the whole trajectory bit for bit."""
+def _read_sizes(monkeypatch):
+    """The sample sizes of the reads of ``charts._read``, as they happen."""
     sizes = []
     read = charts._read
 
@@ -47,13 +45,47 @@ def test_invariants_are_read_in_blocks(monkeypatch):
         return read(fn, coords, seeded)
 
     monkeypatch.setattr(charts, "_read", recording)
-    traj = integrate_flow(TopParams(), Y0, 1e-3, 1.0)
-    assert max(sizes) <= charts.BLOCK < len(traj.times)
+    return sizes
+
+
+def test_invariants_are_read_in_blocks(monkeypatch):
+    """The recorded invariants are read as one field in samples of at most
+    ``flow.PASS`` points, which together cover the trajectory once, and
+    they equal one read of the whole trajectory bit for bit."""
+    sizes, t_max = _read_sizes(monkeypatch), 2 * flow.PASS * 1e-3
+    traj = integrate_flow(TopParams(), Y0, 1e-3, t_max)
+    assert len(sizes) == 3
+    assert max(sizes) <= flow.PASS < len(traj.times)
     assert sum(sizes) == len(traj.times)
-    monkeypatch.setattr(charts, "BLOCK", len(traj.times))
+    monkeypatch.setattr(flow, "PASS", len(traj.times))
     sizes.clear()
-    whole = integrate_flow(TopParams(), Y0, 1e-3, 1.0)
-    assert set(sizes) == {len(traj.times)}
+    whole = integrate_flow(TopParams(), Y0, 1e-3, t_max)
+    assert sizes == [len(traj.times)]
+    assert np.array_equal(whole.states, traj.states)
+    assert np.array_equal(whole.invariants, traj.invariants)
+
+
+@pytest.mark.parametrize("n_states", [
+    1, flow.ROWS - 1, flow.ROWS, flow.ROWS + 1, 2 * flow.ROWS + 1,
+    flow.PASS - 1, flow.PASS, flow.PASS + 1])
+def test_block_boundaries(monkeypatch, n_states):
+    """At a state count one below, equal to and one above a multiple of
+    the row block ``flow.ROWS`` and of the invariant pass ``flow.PASS``,
+    and at ``t_max = 0`` (one state), the states are the array form's bit
+    for bit, the passes cover the trajectory once in order, and the
+    invariants equal one read of the whole trajectory bit for bit."""
+    dt = 1e-2
+    sizes = _read_sizes(monkeypatch)
+    traj = integrate_flow(TopParams(), Y0, dt, (n_states - 1) * dt)
+    assert traj.states.shape == (n_states, 6)
+    assert traj.invariants.shape == (n_states, 7)
+    assert np.array_equal(traj.times, np.arange(n_states) * dt)
+    assert np.array_equal(traj.states, np.array(
+        _array_rk4(TopParams(), Y0, dt, n_states - 1)))
+    assert sizes == [min(flow.PASS, n_states - i)
+                     for i in range(0, n_states, flow.PASS)]
+    monkeypatch.setattr(flow, "PASS", n_states)
+    whole = integrate_flow(TopParams(), Y0, dt, (n_states - 1) * dt)
     assert np.array_equal(whole.invariants, traj.invariants)
 
 
@@ -127,6 +159,20 @@ def test_blowup_time_is_last_finite_state():
     states = _array_rk4(params, Y0, dt, 40)
     last = max(k for k, y in enumerate(states) if np.all(np.isfinite(y)))
     assert last > 3
+    assert exc.value.t_last == last * dt
+
+
+def test_blowup_after_more_than_one_row_block():
+    """A step just above the largest at which RK4 keeps this orbit bounded
+    grows the state slowly, so it overflows only after more than one
+    block of ``flow.ROWS`` steps; ``t_last`` is still the time of the last
+    finite state of the array-form reference."""
+    params, dt = TopParams(), 2.4237825
+    with pytest.raises(FlowBlowupError) as exc:
+        integrate_flow(params, Y0, dt, 4 * flow.ROWS * dt)
+    states = _array_rk4(params, Y0, dt, 4 * flow.ROWS)
+    last = max(k for k, y in enumerate(states) if np.all(np.isfinite(y)))
+    assert flow.ROWS < last < 4 * flow.ROWS
     assert exc.value.t_last == last * dt
 
 
