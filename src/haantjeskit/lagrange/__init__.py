@@ -1,4 +1,7 @@
-"""Concrete charts, operators and flows of the heavy symmetric top."""
+"""Concrete charts, operators and flows of the heavy symmetric top.
+
+The constructors of shared terms are memoized, about 10 kB per parameter
+set, so the pass memo, keyed on identity, evaluates each term once."""
 
 from .params import TopParams
 from .euler import euler_chart, euler_hamiltonian, euler_chain_operators

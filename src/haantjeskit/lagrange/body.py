@@ -4,6 +4,9 @@ bi-Hamiltonian ladder built on them."""
 
 from __future__ import annotations
 
+import functools
+import types
+
 import numpy as np
 
 from ..charts import (BivectorField, Chart, ScalarField, VectorField,
@@ -19,12 +22,14 @@ def body_chart() -> Chart:
     return Chart("body", 6, _BODY_COORDS)
 
 
-def integrals(params: TopParams) -> dict:
+@functools.cache
+def integrals(params: TopParams) -> types.MappingProxyType:
     """The four independent integrals: axial spin, reduced energy,
-    angular-momentum projection and the squared vertical vector."""
+    angular-momentum projection and the squared vertical vector, in a
+    read-only mapping, memoized (see :mod:`haantjeskit.lagrange`)."""
     c = params.c
     chart = body_chart()
-    return {
+    return types.MappingProxyType({
         "F1": ScalarField(chart, lambda x: x[W3]),
         "F2": ScalarField(chart, lambda x: 0.5 * (
             x[W1] ** 2 + x[W2] ** 2 + c * x[W3] ** 2) - x[G3]),
@@ -32,24 +37,19 @@ def integrals(params: TopParams) -> dict:
                           + c * x[W3] * x[G3]),
         "F4": ScalarField(chart, lambda x: x[G1] ** 2 + x[G2] ** 2
                           + x[G3] ** 2),
-    }
+    })
 
 
 def hamiltonians(params: TopParams):
-    """The three Hamiltonians, combined from the integrals by the field
-    algebra: ``F4/2 + (c-1) F1 F3``, ``-F3 - (c-1) F1 F2`` and ``F2``."""
-    return _recorded(params)[4:]
-
-
-def _recorded(params: TopParams) -> tuple:
-    """F1..F4, h0, h1 and h2, the Hamiltonians built on the same integral
-    fields, so a pass that reads all seven evaluates each integral once."""
+    """The three Hamiltonians, combined from the fields of :func:`integrals`
+    by the field algebra: ``F4/2 + (c-1) F1 F3``, ``-F3 - (c-1) F1 F2``
+    and ``F2``."""
     F = integrals(params)
     cF1 = scale_field(params.c - 1.0, F["F1"])  # built once, shared
     h0 = add_fields(scale_field(0.5, F["F4"]), scale_field(cF1, F["F3"]))
     h1 = add_fields(scale_field(-1.0, F["F3"]),
                     scale_field(-1.0, scale_field(cF1, F["F2"])))
-    return (*F.values(), h0, h1, F["F2"])
+    return h0, h1, F["F2"]
 
 
 def lagrange_vector_field(params: TopParams) -> VectorField:

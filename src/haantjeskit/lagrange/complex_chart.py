@@ -7,6 +7,8 @@ Coordinate order: ``(x1, x2, y1, y2, F1, F4)``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..charts import (BivectorField, Chart, ChartMap, OperatorField,
@@ -79,6 +81,7 @@ def body_to_complex(params: TopParams) -> ChartMap:
     return ChartMap(body_chart(), complex_chart(params), forward, inverse)
 
 
+@functools.cache
 def complex_integrals(params: TopParams):
     """Second and third integrals written directly in the adapted chart
     (the first and fourth are coordinates here)."""
@@ -116,6 +119,7 @@ def _on_leaf(block):
     return out
 
 
+@functools.cache
 def p1_complex(params: TopParams) -> BivectorField:
     return BivectorField(complex_chart(params),
                          lambda x: _on_leaf(_p1_block(x)))
@@ -130,6 +134,7 @@ def _p0_block(x):
             [i, -i * x1, 0.0, 0.0]]
 
 
+@functools.cache
 def x_fields_complex(params: TopParams):
     """The ladder fields expressed in the adapted chart: ``P1 d(-F3)`` and
     ``P1 dF2``, images of the integral gradients under the first
@@ -140,6 +145,7 @@ def x_fields_complex(params: TopParams):
             hamiltonian_field(P1c, F2c))
 
 
+@functools.cache
 def _p0_terms(params: TopParams):
     """``P0`` in the adapted chart, its transversal term ``X1 ^ Z2``, which
     ``Q`` subtracts as the same object, and the frame ``Z2``."""
@@ -166,6 +172,7 @@ def deformation(params: TopParams):
     return Z1, Z2, add_fields(P0, scale_field(-1.0, transversal))
 
 
+@functools.cache
 def nijenhuis_operator(params: TopParams) -> OperatorField:
     """The torsion-free recursion operator: leaf block equal to the ratio of
     the two leaf Poisson blocks, transversal block solved in closed form."""

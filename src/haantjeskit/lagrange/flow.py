@@ -10,7 +10,7 @@ import numpy as np
 
 from .. import charts
 from ..sampling import _real
-from .body import _recorded, body_chart, lagrange_vector_field
+from .body import body_chart, hamiltonians, integrals, lagrange_vector_field
 from .params import TopParams
 
 CSV_HEADER = "t,w1,w2,w3,g1,g2,g3,F1,F2,F3,F4,h0,h1,h2"
@@ -133,7 +133,8 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
     times = np.arange(n_steps + 1) * dt
     # one pass evaluates each integral once for all seven
     recorded = charts._derived(charts.VectorField, lambda *v: np.stack(v),
-                               *_recorded(params))
+                               *integrals(params).values(),
+                               *hamiltonians(params))
     for i in range(0, n_steps + 1, PASS):
         invariants[i:i + PASS] = recorded(charts.Point(
             body_chart(), tuple(states[i:i + PASS].T))).real

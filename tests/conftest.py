@@ -1,4 +1,5 @@
-"""Shared fixtures and the finite-difference oracle used only by tests."""
+"""Shared fixtures and the finite-difference and Cauchy-integral oracles
+used only by tests."""
 
 from __future__ import annotations
 
@@ -170,3 +171,59 @@ def kernel_error(kernel, reference, power, Lc, Ld):
     scale = (1 + _max_abs(Lc)) ** power * (1 + _max_abs(Ld))
     return (_max_abs(kernel(Lc, Ld) - reference(Lc, Ld)) / scale
             / (n ** 3 * np.finfo(float).eps))
+
+
+def cauchy_jacobian(values, p, r, nodes):
+    """Partials of a holomorphic field from Cauchy's integral by the
+    trapezoid rule, ``d f / d x_k ~ (1/M) sum_m f(x + r w_m e_k) / (r w_m)``
+    with ``w_m = exp(2 pi i m / M)``: ``values`` maps a sample to the
+    field's components, and the result is ``(N,) + shape + (dim,)``, the
+    last index the variable, as a seeded read gives.  The error falls as
+    ``(r / R)^M``, ``R`` the distance to the nearest singularity, as long
+    as no circle reaches one (see :func:`disk_clear`)."""
+    w = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    cols = []
+    for k in range(p.chart.dim):
+        acc = 0.0
+        for wm in w:
+            coords = list(p.coords)
+            coords[k] = coords[k] + r * wm
+            acc = acc + values(Point(p.chart, tuple(coords))) / (r * wm)
+        cols.append(acc / nodes)
+    return np.stack(cols, axis=-1)
+
+
+def disk_clear(p, r, zeros=(), cuts=(), nodes=256):
+    """Which points of ``p`` keep every disk ``|t| <= r`` along each
+    coordinate ``x + t e_k`` off the zeros of the functions ``zeros`` and
+    off the branch cut ``(-inf, 0]`` of the square roots of ``cuts``.
+
+    Each function is holomorphic in ``t``, so the real part of any fixed
+    rotation of it is harmonic and takes its minimum over the disk on the
+    circle: values on the circle that lie in an open half-plane, facing
+    the centre's value for ``zeros`` and the right, upper or lower one for
+    ``cuts``, keep the whole disk there.  The circle is read at ``nodes``
+    points, and a zero's half-plane keeps a margin of a tenth of the
+    centre's modulus for what falls between them."""
+    w = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    ok = np.ones(len(p), dtype=bool)
+
+    def circle(s, k):
+        """``s`` on the circle around each point, ``(nodes, N)``."""
+        out = []
+        for wm in w:
+            coords = list(p.coords)
+            coords[k] = coords[k] + r * wm
+            out.append(s(coords))
+        return np.array(out)
+
+    for k in range(p.chart.dim):
+        for s in zeros:
+            centre = s(list(p.coords))
+            ok &= np.all((circle(s, k) * np.conj(centre)).real
+                         > 0.1 * np.abs(centre) ** 2, axis=0)
+        for s in cuts:
+            b = circle(s, k)
+            ok &= (np.all(b.real > 0, axis=0) | np.all(b.imag > 0, axis=0)
+                   | np.all(b.imag < 0, axis=0))
+    return ok

@@ -621,6 +621,20 @@ def test_jet_equals_value_and_jacobian(c):
             assert np.array_equal(jac, F.gradient(sample)), name
 
 
+def test_seeded_keeps_a_partial_of_one_point_that_is_not_exactly_0_or_1():
+    """On a one-point sample every partial is a ``(1,)`` array.  Only an
+    exact 0 or 1 among them becomes that number, for the jets'
+    exact-constant rules; the partial 2.0 stays a jet over its array."""
+    x = jets.lift(point(Chart("t2", 2), 0.3 + 0.1j, -0.5).coords)
+    _, grads = charts._seeded(lambda x: [2.0 * x[0] + x[1], x[1]], x)
+    two = grads[0, 0]
+    assert isinstance(two, jets.Jet) and two.val.shape == (1,)
+    assert two.val[0] == 2.0
+    for g, exact in ((grads[0, 1], 1.0), (grads[1, 0], 0.0),
+                     (grads[1, 1], 1.0)):
+        assert type(g) is float and g == exact
+
+
 def _stacked(read, sample):
     """One read per point of ``sample``, stacked along the sample axis."""
     return np.concatenate([read(sample[i]) for i in range(len(sample))])

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from haantjeskit import charts
-from haantjeskit import (ChartMismatchError, OperatorField, ScalarField,
-                         SingularPointError, apply_transpose, differential,
-                         hamiltonian_field, identity_operator, is_haantjes,
-                         is_nijenhuis, operator_polynomial, scale_field)
+from haantjeskit import (ChartMismatchError, OperatorField, Point,
+                         ScalarField, SingularPointError, apply_transpose,
+                         differential, hamiltonian_field, identity_operator,
+                         is_haantjes, is_nijenhuis, operator_polynomial,
+                         scale_field)
 from haantjeskit.algebra import (algebra_rank, check_abelian,
                                  check_module_condition, check_ring_condition)
 from haantjeskit.lagrange import (TopParams, benenti_operators,
@@ -28,7 +29,13 @@ from haantjeskit.sampling import sample_points
 from haantjeskit.suites import (LEAF_C1, LEAF_C4, SuiteConfig, _random_field,
                                 run_suite)
 
-from conftest import point
+from haantjeskit.lagrange.complex_chart import _discriminant, _p0_terms
+
+from conftest import cauchy_jacobian, disk_clear, point
+
+# the memoized constructors: equal parameters give the same objects
+CONSTRUCTORS = (integrals, complex_integrals, p1_complex, x_fields_complex,
+                _p0_terms, nijenhuis_operator)
 
 
 @pytest.fixture(scope="module")
@@ -212,8 +219,9 @@ def _embedded_leaf_sample(tp, seed, points=5):
 def test_deformed_bivector_reads_its_transversal_term_once(
         tp, csample, monkeypatch):
     """``Q = P0 - X1 ^ Z2`` subtracts the term object that ``P0`` adds to
-    its leaf block, so one read of ``Q`` evaluates ``X1 = P1 d(-F3)``, and
-    with it the first bivector's block, once."""
+    its leaf block, and the memoized constructors hand every caller the
+    same ``P1`` and ``X1 = P1 d(-F3)``, so one pass reading ``P1``, ``X1``,
+    ``P0`` and ``Q`` runs the first bivector's block once per mode."""
     module = importlib.import_module("haantjeskit.lagrange.complex_chart")
     block, calls = module._p1_block, []
 
@@ -222,11 +230,93 @@ def test_deformed_bivector_reads_its_transversal_term_once(
         return block(x)
 
     monkeypatch.setattr(module, "_p1_block", counting)
-    _, _, Q = deformation(tp)
-    for read in (Q, Q.jet):
+    fields = [p1_complex(tp), x_fields_complex(tp)[0], p0_complex(tp),
+              deformation(tp)[2]]
+    for seeded in (False, True):
         calls.clear()
-        read(csample)
-        assert len(calls) == 1, read
+        charts._once(lambda: [f.jet(csample) if seeded else f(csample)
+                              for f in fields])
+        assert len(calls) == 1, seeded
+
+
+@pytest.mark.parametrize("make", CONSTRUCTORS, ids=lambda f: f.__name__)
+def test_constructors_return_one_object_per_parameter_set(make):
+    """Equal parameters, an int, a float or a positive symbol ``c``, give
+    the same object; other parameters give another."""
+    sp = pytest.importorskip("sympy")
+    for c in (3, 0.7, sp.Symbol("c", positive=True)):
+        assert make(TopParams(c)) is make(TopParams(c)), c
+    assert make(TopParams(3)) is make(TopParams(3.0))
+    assert make(TopParams(3)) is not make(TopParams(0.7))
+
+
+def test_integrals_are_a_read_only_mapping():
+    """``integrals`` hands every caller one mapping, so none may change
+    it."""
+    F = integrals(TopParams(2))
+    assert F is integrals(TopParams(2.0))
+    with pytest.raises(TypeError):
+        F["F1"] = F["F2"]
+    assert list(F) == ["F1", "F2", "F3", "F4"]
+
+
+def test_reports_do_not_depend_on_memoized_terms():
+    """A report built on terms that earlier reports built equals one built
+    on fresh terms, bit for bit."""
+    cfg = SuiteConfig(points=20)
+    run_suite("euler-poisson", cfg)
+    warm = run_suite("euler-poisson", cfg).to_json()
+    for make in CONSTRUCTORS:
+        make.cache_clear()
+    assert run_suite("euler-poisson", cfg).to_json() == warm
+
+
+def _cauchy_cases(tp):
+    """``(field values, field partials, sample, zeros, cuts)`` for three
+    model fields: a body integral, polynomial; the recursion operator,
+    rational, with poles on the complex chart's singular sets; and the
+    separation map, through the square root of the discriminant."""
+    F3 = integrals(tp)["F3"]
+    N = nijenhuis_operator(tp)
+    sep = separation_map(tp, LEAF_C1, LEAF_C4)
+    leaf = sample_points(sep.src, 20, 43)
+    return {
+        "F3": (F3, lambda p: F3.jet(p)[1],
+               sample_points(body_chart(), 20, 41), (), ()),
+        "N": (N, lambda p: N.jet(p)[1], sample_points(N.chart, 20, 42),
+              N.chart.singular, ()),
+        "separation": (lambda q: np.array(sep.apply(q).coords).T,
+                       sep.jacobian, leaf, sep.src.singular,
+                       (_discriminant,)),
+    }
+
+
+@pytest.mark.parametrize("name", ["F3", "N", "separation"])
+def test_jets_match_cauchys_integral(tp, name):
+    """First partials from the jets equal those of Cauchy's integral, an
+    oracle that shares no code with them, to 1e-12 of the largest partial,
+    on the points whose disks of radius 0.02 along every coordinate keep
+    off the singular sets and the square root's cut.  The oracle's own
+    control: too few nodes, or a radius that reaches a singularity, moves
+    it by more than 1e-6."""
+    values, partials, p, zeros, cuts = _cauchy_cases(tp)[name]
+    r = 0.02
+    clear = np.flatnonzero(disk_clear(p, r, zeros, cuts))
+    assert len(clear) >= 15, len(clear)
+    q = Point(p.chart, tuple(c[clear] for c in p.coords))
+    exact = partials(q)
+    scale = np.abs(exact).max()
+
+    def error(p, r, nodes):
+        return np.abs(cauchy_jacobian(values, p, r, nodes)
+                      - partials(p)).max() / scale
+
+    assert error(q, r, 32) <= 1e-12
+    # F3 is affine in each coordinate, so two nodes are already exact
+    assert error(q, r, 1 if name == "F3" else 2) > 1e-6
+    if zeros:
+        assert not disk_clear(p, 1.0, zeros, cuts).all()
+        assert error(p, 1.0, 32) > 1e-6
 
 
 def test_raw_second_bivector_does_not_restrict(tp):

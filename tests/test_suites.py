@@ -307,7 +307,7 @@ def test_each_check_runs_a_component_function_once_per_sample_and_mode(
     points, else inside each call ``at(sample)``, which is one pass.
     Reads stay one per pass, so only the count of evaluations depends on
     the sample size."""
-    for points, evaluations in [(20, 427), (charts.SHARED + 1, 726)]:
+    for points, evaluations in [(20, 388), (charts.SHARED + 1, 710)]:
         with monkeypatch.context() as mp:
             calls, offenders = _evaluations_and_repeats(mp, points)
         assert calls == {"evaluate": evaluations, "read": 230}, points
