@@ -8,9 +8,11 @@ Exit codes: 0 all checks pass (findings do not fail), 1 at least one check
 failed, 2 usage error (a value that ``SuiteConfig``, ``TopParams`` or
 ``integrate_flow`` rejects, as the CLI only parses, or a sample or a
 trajectory too large for memory), 3 I/O error, 4 numerical failure: the
-flow blew up, or a check raised a chart error (such as a singular point),
-a linear-algebra error, a value error or an arithmetic error (such as an
-overflow; numpy floating-point errors raise, not warn, inside ``verify``).
+flow blew up, a recorded invariant of a finite trajectory overflowed, or a
+check raised a chart error (such as a singular point), a linear-algebra
+error, a value error or an arithmetic error (such as an overflow; numpy
+floating-point errors raise, not warn, inside ``verify`` and
+``integrate``).
 ``verify --suite all`` judges its tables in worker processes, and here
 again any table a worker could not judge, so it exits as a run in one
 process would (see ``suites.run_suite``).
@@ -111,17 +113,24 @@ def _cmd_integrate(args) -> int:
     except ValueError:
         return _usage_error("--init must be six comma-separated numbers")
     try:
-        traj = integrate_flow(TopParams(c=args.c), values, args.dt,
-                              args.tmax)
+        # an invariant that overflows on a finite trajectory raises, as in
+        # verify, so it ends in one error line and no CSV
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            traj = integrate_flow(TopParams(c=args.c), values, args.dt,
+                                  args.tmax)
+            drift = max_relative_drift(traj)
     except ValueError as exc:
         return _usage_error(str(exc))
     except FlowBlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ArithmeticError as exc:
+        print(f"error: invariants: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     except MemoryError:
         # the trajectory array is allocated before the first step
         return _usage_error("--tmax / --dt is more steps than memory holds")
-    drift = max_relative_drift(traj)
     print(f"integrated {len(traj.times) - 1} steps to t = "
           f"{traj.times[-1]:.6g}; max relative invariant drift "
           f"{drift:.3e}")

@@ -53,6 +53,13 @@ def hamiltonians(params: TopParams):
 
 
 def lagrange_vector_field(params: TopParams) -> VectorField:
+    """The body-frame equations of motion of the heavy symmetric top.
+
+    :func:`~haantjeskit.lagrange.flow.integrate_flow` writes this component
+    function out as the float form of its four RK4 stages, with the same
+    expressions in the same operand order; the tests hold the two bit for
+    bit equal, so a change here is a change there.
+    """
     one_minus_c = 1.0 - params.c
     c_minus_one = -one_minus_c
 

@@ -187,6 +187,21 @@ def test_integrate_blowup_exit_4():
     assert code == 4
 
 
+def test_integrate_invariant_overflow_exit_4(tmp_path):
+    """A finite trajectory whose recorded invariants overflow, here the
+    fixed point w1 = 1e200 where F2 = inf, is a numerical failure: exit 4
+    with one line on standard error, no numpy warning and no CSV."""
+    out = tmp_path / "t.csv"
+    r = run_cli("integrate", "--init=1e200,0,0,0,0,0", "--tmax", "1",
+                "--csv", str(out))
+    assert r.returncode == 4, r.stderr
+    assert r.stderr.startswith("error: invariants: FloatingPointError:")
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert r.stdout == ""
+    assert not out.exists()
+
+
 def test_integrate_too_many_steps_exit_2(monkeypatch, capsys):
     """A step count whose trajectory cannot be allocated is a usage error
     with one line on standard error, not a traceback."""

@@ -205,28 +205,33 @@ def test_csv_output(tmp_path):
     np.testing.assert_allclose(row[1:7], Y0, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
-def test_float_steps_equal_array_reference_bit_for_bit(c):
-    """The steps run on Python floats; they give bit for bit what the array
-    form of classical RK4 gives, in the same order of operations."""
-    params = TopParams(c=c)
-    rhs = lagrange_vector_field(params).fn
-    dt, steps = 1e-2, 300
-    traj = integrate_flow(params, Y0, dt, steps * dt)
-
-    def f(y):
-        return np.array(rhs(y))
-
-    y = Y0.copy()
-    states = [y]
-    for _ in range(steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(y)
-    assert np.array_equal(traj.states, np.array(states))
+@pytest.mark.parametrize("c, y0, dt", [
+    pytest.param(0.5, Y0, 1e-2, id="0.5"),
+    pytest.param(2.0, Y0, 1e-2, id="2.0"),
+    pytest.param(10.0, Y0, 1e-2, id="10.0"),
+    # neither 1 - c nor w3 is a power of two (w3 = 0.5 in Y0), and the
+    # step is long enough for a last-bit change of one rate to reach the
+    # state, so a regrouped product shows
+    pytest.param(0.7, (0.3, -0.7, 0.2, 0.5, 0.4, -0.6), 0.5, id="0.7"),
+    # 1 - c is 0.0 and its negation -0.0
+    pytest.param(1.0, Y0, 1e-2, id="1.0"),
+    # w3 = -0.0 with further exact zeros, and all signed zeros: the sign
+    # of a zero shows in the states only if w3 + 0.0 is carried from the
+    # second stage of the first step on, and only if c - 1 is -(1 - c)
+    pytest.param(2.0, (0.3, -0.7, -0.0, 0.5, 0.4, 0.0), 1e-2,
+                 id="2.0-w3=-0"),
+    pytest.param(2.0, (-0.0, 0.0, -0.0, 0.0, 0.0, -0.0), 1e-2,
+                 id="2.0-zeros"),
+    pytest.param(1.0, (0.0, -0.0, -0.0, -0.0, -0.0, -0.25), 1e-2,
+                 id="1.0-w3=-0")])
+def test_float_steps_equal_array_reference_bit_for_bit(c, y0, dt):
+    """The stages run on Python floats; they give byte for byte what the
+    array form of classical RK4 on :func:`lagrange_vector_field` gives, in
+    the same order of operations, signs of zero included."""
+    params, steps = TopParams(c=c), 300
+    traj = integrate_flow(params, y0, dt, steps * dt)
+    reference = np.array(_array_rk4(params, y0, dt, steps))
+    assert traj.states.tobytes() == reference.tobytes()
     assert np.array_equal(traj.times, np.array([k * dt
                                                 for k in range(steps + 1)]))
 
