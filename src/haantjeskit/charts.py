@@ -31,10 +31,13 @@ Reads share their work within a pass: one read, or one call of a sample
 function by :func:`~haantjeskit.report.sampled`.  In a pass each component
 function, subfields included, runs once per coordinate list and mode, and
 each sample is lifted once and seeded once.  The memo ends with the pass,
-but for samples of at most ``SHARED`` points
-:func:`~haantjeskit.suites.run_suite` keeps the evaluations (component
-functions, lifted and seeded coordinates) until a whole table is judged,
-so the checks of one table share them as well; reads stay one per pass.
+but :func:`~haantjeskit.suites.run_suite` keeps evaluations until a whole
+table is judged, so the checks of one table share them as well; reads
+stay one per pass.  For samples of at most ``SHARED`` points it keeps
+them all (component functions, lifted, seeded and mapped coordinates);
+above, only those of source fields (the component functions given to a
+field or :class:`ChartMap`, not the combinations the field algebra
+builds) and the coordinates, for one sample or block at a time.
 
 Real charts embed with zero imaginary parts; every evaluation is pure and
 deterministic.
@@ -214,6 +217,11 @@ class BivectorField(_Field):
 _memo = None
 # the evaluations shared by the checks of one table, or None (see `_sharing`)
 _table = None
+# whether `_table` keeps every evaluation, as for a table of at most SHARED
+# points (True while none is open), and when it does not, the sample or
+# block whose evaluations it holds
+_whole = True
+_judged = None
 
 # Points per pass: `report.sampled` calls its sample function on blocks of
 # at most BLOCK points, so BLOCK bounds the memory of a pass (the
@@ -227,44 +235,56 @@ _table = None
 BLOCK = 256
 
 
-# Points up to which the checks of one table share their evaluations (see
-# `_sharing`).  Shared evaluations outlive the pass, so SHARED is set by
-# memory: no sample size may need more than per-call passes do at BLOCK
-# points.  Traced with tracemalloc per `run_suite` at c = 2 (Python 3.11.7,
-# numpy 2.4.6), the largest suite, euler-poisson, peaked at 3.19 MB with
-# shared evaluations at 100 points, the default `--points`, and at 3.29 MB
-# with per-call passes at 256 points; shared at 200 points it peaked at
-# 6.09 MB, against 2.59 MB per call.
+# Points up to which the checks of one table share every evaluation,
+# combinations included, across all its samples (see `_sharing`); above
+# it they share those of source fields on one sample or block at a time.
+# Shared evaluations outlive the pass, so SHARED is set by memory: no
+# sample size may need more than per-call passes do at BLOCK points.
+# Traced with tracemalloc per `run_suite` at c = 2 (Python 3.11.7, numpy
+# 2.4.6), the largest suite, euler-poisson, peaked at 3.19 MB with every
+# evaluation shared at 100 points, the default `--points`, and at 3.29 MB
+# with per-call passes at 256 points; with every evaluation shared at 200
+# points it peaked at 6.09 MB, against 2.59 MB per call.  Combinations
+# hold most of that memory, so above SHARED they stay per pass: sharing
+# the rest, euler-poisson peaked at 2.66 MB at 200 points, 3.37 MB at 256
+# and 3.26 MB at 513, against 3.16 MB with no sharing at 256, measured
+# after a first run had built the model's memoized terms.
 SHARED = 100
 
 
 @contextlib.contextmanager
 def _sharing(points):
-    """Within the block, for a sample of at most ``SHARED`` points, keep the
-    evaluations of every pass (component functions, lifted and seeded
-    coordinates) until the block ends, so reads on the same coordinate
-    lists share them across passes; reads and sample-function results stay
-    one per pass.  Larger samples keep each pass's memo alone."""
-    global _table
-    if points > SHARED:
-        yield
-        return
-    _table = {}
+    """While the context is open, keep the evaluations of its passes, so
+    reads on the same coordinate lists share them across passes; reads
+    and sample-function results stay one per pass.  For a table of at
+    most ``SHARED`` points that is every evaluation until the context
+    ends: each component function's run, combinations included, and each
+    lifted, seeded or mapped coordinate list.  Above ``SHARED``, runs of
+    combinations (see `_combination`) stay per pass, and the rest is kept
+    for one sample or block at a time: a pass of `report.sampled` on
+    another one drops it first (see `_once`)."""
+    global _table, _whole, _judged
+    _table, _whole = {}, points <= SHARED
     try:
         yield
     finally:
-        _table = None
+        _table, _whole, _judged = None, True, None
 
 
-def _once(make, *args, shared=False):
+def _once(make, *args, shared=False, judged=False):
     """``make(*args)``, computed once per pass for the same ``make`` and the
     same argument objects.  The outermost call opens the pass and closes it
     when it returns, so nothing outlives the evaluation that asked for it;
     only a ``shared`` call, an evaluation (a component function's run, a
-    lift, a seed), made while `_sharing` is open is kept until that
-    ends."""
-    global _memo
+    lift, a seed, a preimage), made while `_sharing` is open is kept until
+    that ends.  A ``judged`` call opens a pass that judges the sample
+    ``args[0]``: above ``SHARED``, on another sample than the last, it
+    first drops what the table holds."""
+    global _memo, _judged
     if _memo is None:
+        if judged and not _whole and args[0] is not _judged:
+            _table.clear()
+            _judged = args[0]
         _memo = {}
         try:
             return _once(make, *args, shared=shared)
@@ -290,7 +310,17 @@ def _components(fn, x):
     ``x``, and every later caller gets the same array, so no component
     function or derived field may write into what this returns: build a
     new array instead."""
-    return _once(_evaluate, fn, x, shared=True)
+    return _once(_evaluate, fn, x,
+                 shared=_whole or not hasattr(fn, "combination"))
+
+
+def _combination(fn):
+    """``fn``, marked as the component function of a combination that the
+    field algebra builds from other fields' (`_derived`, `differential`,
+    `lie_bracket`, `ChartMap.push`); above ``SHARED`` points its runs stay
+    per pass (see `_sharing`)."""
+    fn.combination = True
+    return fn
 
 
 def _read(fn, coords, seeded):
@@ -363,8 +393,9 @@ def _derived(kind, combine, *fields, coefficients=()):
     for q in parts[1:]:
         if isinstance(q, _Field):
             _same_chart(parts[0].chart, q.chart)
-    return kind(parts[0].chart, lambda x: combine(*(
-        _components(q.fn, x) if isinstance(q, _Field) else q for q in parts)))
+    return kind(parts[0].chart, _combination(lambda x: combine(*(
+        _components(q.fn, x) if isinstance(q, _Field) else q
+        for q in parts))))
 
 
 def _coefficient(s):
@@ -376,7 +407,8 @@ def _coefficient(s):
 
 
 def differential(f: ScalarField) -> OneFormField:
-    return OneFormField(f.chart, lambda x: _seeded(f.fn, x)[1])
+    return OneFormField(f.chart,
+                        _combination(lambda x: _seeded(f.fn, x)[1]))
 
 
 def exterior_derivative(alpha: OneFormField, p: Point) -> np.ndarray:
@@ -405,6 +437,7 @@ def apply_transpose(L: OperatorField, alpha: OneFormField) -> OneFormField:
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     _same_chart(X.chart, Y.chart)
 
+    @_combination
     def fn(x):
         xv, xg = _seeded(X.fn, x)
         yv, yg = _seeded(Y.fn, x)
@@ -513,6 +546,7 @@ class ChartMap:
             raise TypeError(f"{T!r} is not a field")
         _same_chart(self.src, T.chart)
 
+        @_combination
         def fn(xi):
             x = _once(list, _components(self.inverse, xi), shared=True)
             out = _components(T.fn, x)

@@ -122,7 +122,7 @@ def sampled(sample, at, tol):
              (sample[i:i + block] for i in range(0, n, block)))
     blocks = []  # the worst point of each block
     for part in parts:
-        r, *magnitudes = charts._once(at, part)
+        r, *magnitudes = charts._once(at, part, judged=True)
         scale = np.maximum(1.0, functools.reduce(np.maximum, magnitudes))
         j = np.argmax(r / scale / tol)  # the key of `worst`; a NaN first
         blocks.append(SampledResidual(_entry(r, j), tol, _entry(scale, j), n))

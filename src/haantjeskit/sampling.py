@@ -51,7 +51,8 @@ def sample_points(chart: Chart, n_points: int, seed: int, *,
     The try budget is ``TRIES_PER_POINT`` per requested point, and at least
     ``MIN_TRIES``; a sample the budget cannot fill raises
     :class:`~haantjeskit.charts.ChartError`.  A size or seed that is not an
-    integer, or is a ``bool``, raises ``ValueError``.
+    integer, or is a ``bool``, raises ``ValueError``, and a size whose
+    block of tries does not fit in memory :class:`MemoryError`.
     """
     n_points = _integer("sample size", n_points)
     if n_points <= 0:
@@ -70,8 +71,12 @@ def sample_points(chart: Chart, n_points: int, seed: int, *,
                 f"tight")
         block = min(max(2 * (n_points - count), 8), budget - tries)
         tries += block
-        # low + range * u, as Generator.uniform computes it
-        u = rng.random((block, per_try))
+        try:
+            # low + range * u, as Generator.uniform computes it
+            u = rng.random((block, per_try))
+        except ValueError:
+            # numpy refuses a shape beyond its index range before allocating
+            raise MemoryError(f"{block} tries do not fit in memory") from None
         coords = np.zeros((dim, block), dtype=complex)
         coords.real = (-BOX + 2.0 * BOX * u[:, :dim]).T
         if not real:

@@ -8,15 +8,17 @@ over the sample and returns its
 :func:`~haantjeskit.report.sampled` with a sample function that returns the
 residual at each point.  Entries share only the set-up, so each can be
 judged alone and in any order; :func:`run_suite` judges them in order and
-builds the report, and on samples of at most ``charts.SHARED`` points the
-entries of a table share their evaluations while it judges them, which
-changes no result.  The tables themselves are independent, so ``all``
-judges them on up to min(tables, usable CPUs) processes and gives the
-same bytes, or raises the same error, on any number; ``taskset -c 0``
-runs everything in one process, for profilers.  A check whose id ends
-in ``_finding`` adjudicates a known ambiguity: its judge returns a pair,
-the check's result and a companion whose residual fills its
-description, and it always reports and never fails a run.
+builds the report, and the entries of a table share their evaluations
+while it judges them, which changes no result: every evaluation on
+samples of at most ``charts.SHARED`` points, and above, those of source
+fields on one sample or block at a time (see ``charts._sharing``).  The
+tables themselves are independent, so ``all`` judges them on up to
+min(tables, usable CPUs) processes and gives the same bytes, or raises
+the same error, on any number; ``taskset -c 0`` runs everything in one
+process, for profilers.  A check whose id ends in ``_finding``
+adjudicates a known ambiguity: its judge returns a pair, the check's
+result and a companion whose residual fills its description, and it
+always reports and never fails a run.
 """
 
 from __future__ import annotations

@@ -157,6 +157,16 @@ def test_sampler_budget_scales_with_sample_size():
         sample_points(chart, 3, 4, margin=np.inf)
 
 
+@pytest.mark.parametrize("n_points", [2 ** 63 - 1, 10 ** 20 - 1])
+def test_sampler_maps_a_size_beyond_the_index_range_to_memory_error(
+        n_points):
+    """A sample whose first block of tries numpy refuses as beyond its
+    index range, before allocating anything, raises ``MemoryError``, as one
+    that memory cannot hold does."""
+    with pytest.raises(MemoryError):
+        sample_points(Chart("s", 2), n_points, 0)
+
+
 def test_scalar_gradient_matches_fd(chart3, sample3):
     f = ScalarField(chart3, lambda x: x[0] * x[1] ** 2 + x[2] / (x[0] + 4.0))
     sample = sample3[:10]

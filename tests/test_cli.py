@@ -263,6 +263,23 @@ def test_verify_out_of_memory_exits_2(monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_verify_points_beyond_the_index_range_exit_2(monkeypatch, capsys):
+    """A ``--points`` beyond numpy's index range is the usage error of a
+    sample memory cannot hold, exit 2 with one line: for one suite, and for
+    ``all``, where the tables that raised in the worker are judged again
+    in this process."""
+    message = "error: --points is more than memory holds\n"
+    assert main(["verify", "--suite", "torsion",
+                 "--points", str(10 ** 20 - 1)]) == 2
+    assert capsys.readouterr() == ("", message)
+    use_cpus(monkeypatch, 2)
+    with tables_in_workers(lambda name: None) as worker_tables:
+        assert main(["verify", "--points", str(2 ** 63 - 1)]) == 2
+        assert worker_tables()
+    assert capsys.readouterr() == ("", message)
+    no_worker_left()
+
+
 def _raise(exc):
     raise exc
 

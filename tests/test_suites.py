@@ -226,18 +226,25 @@ def _evaluations_and_repeats(monkeypatch, points):
     ``run_suite("all", SuiteConfig(points=points))``, and the repeated
     evaluations charged to each check.  A repeat is an evaluation of a
     component function on a coordinate list and mode it already ran on in
-    the same scope: the judging of a whole table when ``points`` is at most
-    ``charts.SHARED``, else one call ``at(sample)`` of the sampled-identity
-    primitive.  Repeats are charged to the next check built, which is the
-    one whose judge made them."""
-    scope = None  # (fn, arrays) -> x of each evaluation in the open scope
+    the same scope.  When ``points`` is at most ``charts.SHARED`` the scope
+    is the judging of a whole table.  Above it, the scope of a combination
+    that the field algebra built is one call ``at(sample)`` of the
+    sampled-identity primitive, and that of any other component function
+    the calls in a row, within one table, on the same sample.  Repeats are
+    charged to the next check built, which is the one whose judge made
+    them."""
+    kept = in_pass = None  # (fn, arrays) -> x of each evaluation in scope
+    last = None  # the sample of the table's last call ``at(sample)``
     repeats = collections.Counter()  # since the last check was built
     per_check = []
     calls = collections.Counter()
     evaluate, read = charts._evaluate, charts._read
+    sharing, real_sampled = charts._sharing, report_module.sampled
 
     def counting_evaluate(fn, x):
         calls["evaluate"] += 1
+        scope = (in_pass if points > charts.SHARED
+                 and hasattr(fn, "combination") else kept)
         if scope is not None:
             key = (fn, _arrays(x))
             if key in scope:
@@ -250,38 +257,35 @@ def _evaluations_and_repeats(monkeypatch, points):
         return read(*args)
 
     @contextlib.contextmanager
-    def scoped():
-        nonlocal scope
-        scope = {}
+    def counting_sharing(n):
+        nonlocal kept, last
+        kept = {}
         try:
-            yield
+            with sharing(n):
+                yield
         finally:
-            scope = None
+            kept = last = None
+
+    def counting_sampled(sample, at, *args, **kwargs):
+        def counted(p):
+            nonlocal in_pass, last
+            if points > charts.SHARED and p is not last:
+                kept.clear()
+                last = p
+            in_pass = {}
+            try:
+                return at(p)
+            finally:
+                in_pass = None
+        return real_sampled(sample, counted, *args, **kwargs)
 
     monkeypatch.setattr(charts, "_evaluate", counting_evaluate)
     monkeypatch.setattr(charts, "_read", counting_read)
-    if points <= charts.SHARED:
-        real_sharing = charts._sharing
-
-        @contextlib.contextmanager
-        def counting_sharing(n):
-            with real_sharing(n), scoped():
-                yield
-
-        monkeypatch.setattr(charts, "_sharing", counting_sharing)
-    else:
-        real_sampled = report_module.sampled
-
-        def counting_sampled(sample, at, *args, **kwargs):
-            def counted(p):
-                with scoped():
-                    return at(p)
-            return real_sampled(sample, counted, *args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if (name.startswith("haantjeskit")
-                    and getattr(module, "sampled", None) is real_sampled):
-                monkeypatch.setattr(module, "sampled", counting_sampled)
+    monkeypatch.setattr(charts, "_sharing", counting_sharing)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("haantjeskit")
+                and getattr(module, "sampled", None) is real_sampled):
+            monkeypatch.setattr(module, "sampled", counting_sampled)
 
     real_check = report_module.Check
 
@@ -304,39 +308,55 @@ def test_each_check_runs_a_component_function_once_per_sample_and_mode(
     """Every component function runs at most once per coordinate list and
     mode, subfields included, whichever readers and derived fields reach
     it: across a whole table on samples of at most ``charts.SHARED``
-    points, else inside each call ``at(sample)``, which is one pass.
-    Reads stay one per pass, so only the count of evaluations depends on
-    the sample size."""
-    for points, evaluations in [(20, 388), (charts.SHARED + 1, 710)]:
+    points.  Above it, a source field's runs once across the checks of a
+    table that read the same sample in a row, and a combination's once
+    inside each call ``at(sample)``, which is one pass.  Reads stay one
+    per pass, so only the count of evaluations depends on the sample
+    size."""
+    for points, evaluations in [(20, 388), (charts.SHARED + 1, 498)]:
         with monkeypatch.context() as mp:
             calls, offenders = _evaluations_and_repeats(mp, points)
         assert calls == {"evaluate": evaluations, "read": 230}, points
         assert not offenders, (points, offenders)
 
 
+def _no_sharing(points):
+    """`charts._sharing` patched off: every evaluation ends with its pass."""
+    return contextlib.nullcontext()
+
+
 @pytest.mark.parametrize("c", [0.5, 2.0])
 def test_report_does_not_depend_on_shared_evaluations(monkeypatch, c):
     """Sharing evaluations across a table's checks changes no byte of a
-    report, and each entry judged alone gives the result it gives inside
-    its table."""
-    cfg = SuiteConfig(points=20, c=c)
-    assert cfg.points <= charts.SHARED
-    shared = [run_suite(name, cfg).to_json() for name in _SUITES]
-    for name, suite in _SUITES.items():
-        table = suite(cfg)
-        alone = [judge() for *_, judge in reversed(table)][::-1]
-        with charts._sharing(cfg.points):
-            assert [judge() for *_, judge in table] == alone, name
-    monkeypatch.setattr(charts, "SHARED", 0)
-    assert [run_suite(name, cfg).to_json() for name in _SUITES] == shared
+    report, at most ``charts.SHARED`` points, where a table shares them
+    all, and above, on one sample and on several blocks, where its checks
+    share those of source fields; and each entry judged alone gives the
+    result it gives inside its table."""
+    sizes = (20, 200, 2 * charts.BLOCK + 1)
+    assert sizes[0] <= charts.SHARED < sizes[1] <= charts.BLOCK
+    shared = {}
+    for points in sizes:
+        cfg = SuiteConfig(points=points, c=c)
+        shared[points] = [run_suite(name, cfg).to_json() for name in _SUITES]
+        for name, suite in _SUITES.items():
+            table = suite(cfg)
+            alone = [judge() for *_, judge in reversed(table)][::-1]
+            with charts._sharing(cfg.points):
+                assert [judge() for *_, judge in table] == alone, \
+                    (points, name)
+    monkeypatch.setattr(charts, "_sharing", _no_sharing)
+    for points in sizes:
+        cfg = SuiteConfig(points=points, c=c)
+        assert [run_suite(name, cfg).to_json()
+                for name in _SUITES] == shared[points], points
 
 
 @pytest.mark.parametrize("points", [3, charts.SHARED + 1])
 def test_shared_evaluations_end_with_the_table(monkeypatch, points):
-    """A table's judges share evaluations only on samples of at most
-    ``charts.SHARED`` points, and ``run_suite`` drops them once the table
-    is judged, also when a judge raises: here twice, where the table was
-    claimed and again when ``run_suite`` judges it to raise."""
+    """A table's judges share evaluations on samples of every size, and
+    ``run_suite`` drops them once the table is judged, also when a judge
+    raises: here twice, where the table was claimed and again when
+    ``run_suite`` judges it to raise."""
     seen = []
 
     def judge():
@@ -347,15 +367,17 @@ def test_shared_evaluations_end_with_the_table(monkeypatch, points):
                         lambda cfg: [("broken", "", "", judge)])
     with pytest.raises(RuntimeError, match="judge failed"):
         run_suite("torsion", SuiteConfig(points=points))
-    assert seen == [points <= charts.SHARED] * 2
-    assert charts._table is None
+    assert seen == [True] * 2
+    assert charts._table is None and charts._judged is None
 
 
-def test_shared_evaluations_hold_no_more_than_one_block():
+def test_shared_evaluations_hold_no_more_than_one_block(monkeypatch):
     """The memory that shared evaluations hold is bounded as a pass's is:
-    every suite's traced peak at ``charts.SHARED`` points, evaluations
-    shared, stays within 10% of the euler-poisson suite's at
-    ``charts.BLOCK`` points, read in per-call passes."""
+    every suite's traced peak at ``charts.SHARED`` points, where a table
+    shares every evaluation, and at ``charts.BLOCK`` and
+    ``2 * charts.BLOCK + 1`` points, where it shares those of source
+    fields on one block at a time, stays within 10% of the euler-poisson
+    suite's at ``charts.BLOCK`` points, read in per-call passes."""
     def peak(name, points):
         tracemalloc.start()
         try:
@@ -364,8 +386,14 @@ def test_shared_evaluations_hold_no_more_than_one_block():
         finally:
             tracemalloc.stop()
 
-    bound = 1.1 * peak("euler-poisson", charts.BLOCK)
-    peaks = {name: peak(name, charts.SHARED) for name in _SUITES}
+    # a first run builds the model's memoized terms, which then stay
+    run_suite("euler-poisson", SuiteConfig(points=3))
+    with monkeypatch.context() as mp:
+        mp.setattr(charts, "_sharing", _no_sharing)
+        bound = 1.1 * peak("euler-poisson", charts.BLOCK)
+    peaks = {(name, points): peak(name, points) for name in _SUITES
+             for points in (charts.SHARED, charts.BLOCK,
+                            2 * charts.BLOCK + 1)}
     assert max(peaks.values()) <= bound, (peaks, bound)
 
 
@@ -504,6 +532,18 @@ def test_forking_gives_no_warning(monkeypatch):
         run_suite("all", SuiteConfig(points=3))
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)
                 and "fork" in str(w.message)]
+    no_worker_left()
+
+
+def test_forking_with_deprecation_warnings_as_errors(monkeypatch):
+    """``all`` on two usable CPUs, one worker forked, runs with every
+    ``DeprecationWarning`` turned into an error, so on Python 3.12 and
+    later the warning on forking a multi-threaded process would fail it
+    where it fired."""
+    use_cpus(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        assert run_suite("all", SuiteConfig(points=3)).ok
     no_worker_left()
 
 
