@@ -31,13 +31,15 @@ Reads share their work within a pass: one read, or one call of a sample
 function by :func:`~haantjeskit.report.sampled`.  In a pass each component
 function, subfields included, runs once per coordinate list and mode, and
 each sample is lifted once and seeded once.  The memo ends with the pass,
-but :func:`~haantjeskit.suites.run_suite` keeps evaluations until a whole
-table is judged, so the checks of one table share them as well; reads
-stay one per pass.  For samples of at most ``SHARED`` points it keeps
-them all (component functions, lifted, seeded and mapped coordinates);
-above, only those of source fields (the component functions given to a
-field or :class:`ChartMap`, not the combinations the field algebra
-builds) and the coordinates, for one sample or block at a time.
+but while :func:`~haantjeskit.suites.run_suite` judges a table it keeps
+evaluations for as long as its checks judge the same sample in a row, so
+they share them as well; reads stay one per pass.  On samples of at most
+``SHARED`` points that is every evaluation (component functions, lifted,
+seeded and mapped coordinates); above, only those of source fields (the
+component functions given to a field or :class:`ChartMap`, not the
+combinations the field algebra builds) and the coordinates.  A sample of
+more than ``BLOCK`` points is judged on blocks cut afresh by every check,
+so there the checks share nothing.
 
 Real charts embed with zero imaginary parts; every evaluation is pure and
 deterministic.
@@ -217,10 +219,7 @@ class BivectorField(_Field):
 _memo = None
 # the evaluations shared by the checks of one table, or None (see `_sharing`)
 _table = None
-# whether `_table` keeps every evaluation, as for a table of at most SHARED
-# points (True while none is open), and when it does not, the sample or
-# block whose evaluations it holds
-_whole = True
+# the sample or block whose evaluations `_table` holds, or None
 _judged = None
 
 # Points per pass: `report.sampled` calls its sample function on blocks of
@@ -235,40 +234,40 @@ _judged = None
 BLOCK = 256
 
 
-# Points up to which the checks of one table share every evaluation,
-# combinations included, across all its samples (see `_sharing`); above
-# it they share those of source fields on one sample or block at a time.
-# Shared evaluations outlive the pass, so SHARED is set by memory: no
-# sample size may need more than per-call passes do at BLOCK points.
-# Traced with tracemalloc per `run_suite` at c = 2 (Python 3.11.7, numpy
-# 2.4.6), the largest suite, euler-poisson, peaked at 3.19 MB with every
-# evaluation shared at 100 points, the default `--points`, and at 3.29 MB
-# with per-call passes at 256 points; with every evaluation shared at 200
-# points it peaked at 6.09 MB, against 2.59 MB per call.  Combinations
-# hold most of that memory, so above SHARED they stay per pass: sharing
-# the rest, euler-poisson peaked at 2.66 MB at 200 points, 3.37 MB at 256
-# and 3.26 MB at 513, against 3.16 MB with no sharing at 256, measured
-# after a first run had built the model's memoized terms.
+# Points up to which the checks of a table that judge the same sample in
+# a row share the runs of combinations too (see `_sharing`).  Shared
+# evaluations outlive the pass, so SHARED is set by memory: no sample size
+# may need more than per-call passes do at BLOCK points.  Traced with
+# tracemalloc per `run_suite` at c = 2 (Python 3.11.7, numpy 2.4.6), after
+# a first run had built the model's memoized terms, the largest suite,
+# euler-poisson, peaked at 3.01 MiB with per-call passes at 256 points;
+# sharing as here, at 1.89 MiB at 100 points, the default `--points`,
+# 2.54 MiB at 200, 3.22 MiB at 256 and 3.11 MiB at 513, and the other
+# suites lower.  Combinations hold most of that memory: shared at every
+# size, euler-poisson peaked at 4.60 MiB at 256 points.  Sharing them
+# below SHARED makes `verify --suite all` at 20 points about 5% faster
+# (42 ms against 44 ms in one process on a shared 2-vCPU Xeon VM).
 SHARED = 100
 
 
 @contextlib.contextmanager
-def _sharing(points):
-    """While the context is open, keep the evaluations of its passes, so
-    reads on the same coordinate lists share them across passes; reads
-    and sample-function results stay one per pass.  For a table of at
-    most ``SHARED`` points that is every evaluation until the context
-    ends: each component function's run, combinations included, and each
-    lifted, seeded or mapped coordinate list.  Above ``SHARED``, runs of
-    combinations (see `_combination`) stay per pass, and the rest is kept
-    for one sample or block at a time: a pass of `report.sampled` on
-    another one drops it first (see `_once`)."""
-    global _table, _whole, _judged
-    _table, _whole = {}, points <= SHARED
+def _sharing():
+    """While the context is open, keep the evaluations of its passes for
+    as long as `report.sampled` judges the same sample, so reads on the
+    same coordinate lists share them across passes; reads and
+    sample-function results stay one per pass.  What is kept is each
+    lifted, seeded or mapped coordinate list and each component function's
+    run, but a combination's (see `_combination`) only on a sample of at
+    most ``SHARED`` points.  A pass of `report.sampled` on another sample
+    or block drops it all first (see `_once`), and `sampled` cuts the
+    blocks of a sample of more than ``BLOCK`` points afresh on every call,
+    so at that size no two passes share anything."""
+    global _table, _judged
+    _table = {}
     try:
         yield
     finally:
-        _table, _whole, _judged = None, True, None
+        _table, _judged = None, None
 
 
 def _once(make, *args, shared=False, judged=False):
@@ -276,13 +275,13 @@ def _once(make, *args, shared=False, judged=False):
     same argument objects.  The outermost call opens the pass and closes it
     when it returns, so nothing outlives the evaluation that asked for it;
     only a ``shared`` call, an evaluation (a component function's run, a
-    lift, a seed, a preimage), made while `_sharing` is open is kept until
-    that ends.  A ``judged`` call opens a pass that judges the sample
-    ``args[0]``: above ``SHARED``, on another sample than the last, it
-    first drops what the table holds."""
+    lift, a seed, a preimage), made while `_sharing` is open is kept in
+    the table.  A ``judged`` call opens a pass that judges the sample
+    ``args[0]``: on another sample than the last, it first drops what the
+    table holds."""
     global _memo, _judged
     if _memo is None:
-        if judged and not _whole and args[0] is not _judged:
+        if judged and _table is not None and args[0] is not _judged:
             _table.clear()
             _judged = args[0]
         _memo = {}
@@ -306,19 +305,19 @@ def _evaluate(fn, x):
 def _components(fn, x):
     """``fn(x)`` as a numpy object array of numbers or jets.
 
-    Within a pass, or a table judged under `_sharing`, ``fn`` runs once on
+    Within a pass, or while `_sharing` keeps it, ``fn`` runs once on
     ``x``, and every later caller gets the same array, so no component
     function or derived field may write into what this returns: build a
     new array instead."""
-    return _once(_evaluate, fn, x,
-                 shared=_whole or not hasattr(fn, "combination"))
+    return _once(_evaluate, fn, x, shared=not hasattr(fn, "combination")
+                 or _judged is not None and len(_judged) <= SHARED)
 
 
 def _combination(fn):
     """``fn``, marked as the component function of a combination that the
     field algebra builds from other fields' (`_derived`, `differential`,
-    `lie_bracket`, `ChartMap.push`); above ``SHARED`` points its runs stay
-    per pass (see `_sharing`)."""
+    `lie_bracket`, `ChartMap.push`); on a sample of more than ``SHARED``
+    points its runs stay per pass (see `_sharing`)."""
     fn.combination = True
     return fn
 

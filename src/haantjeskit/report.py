@@ -103,7 +103,7 @@ def _max_abs(*values):
 def sampled(sample, at, tol):
     """Judge an identity over a sample, every point against its own scale.
 
-    ``at(sample)`` returns the residual at each point followed by the
+    ``at(sample)`` returns the residual at each point followed by any
     magnitudes that set the scale, ``(residual, s1, s2, ...)``, each an
     array with one entry per point (or a number, the same at every point).
     It is called once per block of at most ``charts.BLOCK`` points, so
@@ -123,7 +123,7 @@ def sampled(sample, at, tol):
     blocks = []  # the worst point of each block
     for part in parts:
         r, *magnitudes = charts._once(at, part, judged=True)
-        scale = np.maximum(1.0, functools.reduce(np.maximum, magnitudes))
+        scale = functools.reduce(np.maximum, magnitudes, 1.0)
         j = np.argmax(r / scale / tol)  # the key of `worst`; a NaN first
         blocks.append(SampledResidual(_entry(r, j), tol, _entry(scale, j), n))
     return worst(blocks)

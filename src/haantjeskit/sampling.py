@@ -51,12 +51,15 @@ def sample_points(chart: Chart, n_points: int, seed: int, *,
     The try budget is ``TRIES_PER_POINT`` per requested point, and at least
     ``MIN_TRIES``; a sample the budget cannot fill raises
     :class:`~haantjeskit.charts.ChartError`.  A size or seed that is not an
-    integer, or is a ``bool``, raises ``ValueError``, and a size whose
-    block of tries does not fit in memory :class:`MemoryError`.
+    integer, or is a ``bool``, raises ``ValueError``, as does a margin that
+    is not a real number at least 0 (NaN is not), and a size whose block of
+    tries does not fit in memory :class:`MemoryError`.
     """
     n_points = _integer("sample size", n_points)
     if n_points <= 0:
         raise ValueError("sample size must be positive")
+    if not _real("margin", margin) >= 0:
+        raise ValueError(f"margin must be at least 0, not {margin!r}")
     rng = np.random.default_rng(_integer("seed", seed))
     dim = chart.dim
     per_try = dim if real else 2 * dim

@@ -8,10 +8,11 @@ over the sample and returns its
 :func:`~haantjeskit.report.sampled` with a sample function that returns the
 residual at each point.  Entries share only the set-up, so each can be
 judged alone and in any order; :func:`run_suite` judges them in order and
-builds the report, and the entries of a table share their evaluations
-while it judges them, which changes no result: every evaluation on
-samples of at most ``charts.SHARED`` points, and above, those of source
-fields on one sample or block at a time (see ``charts._sharing``).  The
+builds the report, and the entries of a table that judge the same sample
+in a row share their evaluations, which changes no result: every
+evaluation on samples of at most ``charts.SHARED`` points, and above,
+those of source fields; above ``charts.BLOCK`` points each check judges
+blocks of its own, so nothing is shared (see ``charts._sharing``).  The
 tables themselves are independent, so ``all`` judges them on up to
 min(tables, usable CPUs) processes and gives the same bytes, or raises
 the same error, on any number; ``taskset -c 0`` runs everything in one
@@ -297,7 +298,7 @@ def suite_torsion(cfg: SuiteConfig) -> list:
          "the operator diag(x2, x1) has nonvanishing Nijenhuis torsion yet "
          "vanishing Haantjes torsion", "T(L) != 0, H(L) = 0",
          partial(sampled, sample2, lambda p: (np.maximum(
-             0.0, 1e-3 - _mag(nijenhuis_torsion(swap, p))), 1.0),
+             0.0, 1e-3 - _mag(nijenhuis_torsion(swap, p))),),
              cfg.tol_exact)),
         ("swapped_diagonal_haantjes",
          "Haantjes torsion of diag(x2, x1) vanishes", "H(L) = 0",
@@ -355,7 +356,7 @@ def suite_algebra(cfg: SuiteConfig) -> list:
         ("algebra_rank", "the span of I, N, N^2 has pointwise dimension two",
          "rank span{I, N, N^2} = 2",
          partial(sampled, sample,
-                 lambda p: (abs(algebra_rank(powers, p) - 2), 1.0), 0.5)),
+                 lambda p: (abs(algebra_rank(powers, p) - 2),), 0.5)),
         ("module_condition",
          "function-linear combinations of the generators stay Haantjes",
          "H(f Ki + g Kj) = 0",
@@ -555,7 +556,7 @@ def suite_euler_poisson(cfg: SuiteConfig) -> list:
         grads = [head.gradient(p) for head in ladder_heads]
         return _mag(*(np.einsum("si,si->s", g, z) - (1.0 if i == j else 0.0)
                       for i, z in enumerate((Z1(p), Z2(p)))
-                      for j, g in enumerate(grads))), 1.0
+                      for j, g in enumerate(grads))),
 
     checks += [
         ("complex_p1_transform",
@@ -788,7 +789,7 @@ def suite_reduced(cfg: SuiteConfig) -> list:
          "the restricted operator satisfies a quadratic on a four dimensional "
          "leaf, so each eigenvalue is double", "deg minpoly K2 = 2",
          partial(sampled, sample, lambda p: (
-             abs(minimal_polynomial(K2l, p).degree - 2), 1.0), 0.5))]
+             abs(minimal_polynomial(K2l, p).degree - 2),), 0.5))]
 
     # Open adjudication: which eigenvalue multiplies the differential of
     # which separation variable in the eigenform relation.
@@ -908,7 +909,7 @@ def _judge_table(suite, cfg: SuiteConfig, prefix: str) -> list:
     sharing evaluations across them while the table is judged (see
     ``charts._sharing``)."""
     table = suite(cfg)
-    with charts._sharing(cfg.points):
+    with charts._sharing():
         return [check_from_residual(prefix + check_id, description,
                                     reference, judge())
                 for check_id, description, reference, judge in table]

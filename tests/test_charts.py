@@ -145,6 +145,10 @@ def test_sampler_respects_margin_and_seed():
     for seed in (1.5, 3.0, True):
         with pytest.raises(ValueError):
             sample_points(chart, 50, seed)
+    # a NaN or negative margin would keep none
+    for margin in (np.nan, -1.0, -np.inf, True, "0.1", 0.1j):
+        with pytest.raises(ValueError, match="margin"):
+            sample_points(chart, 50, 3, margin=margin)
 
 
 def test_sampler_budget_scales_with_sample_size():

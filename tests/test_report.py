@@ -38,6 +38,9 @@ def test_pointwise_scale_is_the_largest_pointwise_value():
 
 def test_pointwise_scale_never_below_one():
     assert sampled(SAMPLE, lambda p: (0.0, 0.5), 1e-9).scale == 1.0
+    # a residual with no magnitudes
+    sr = sampled(SAMPLE, lambda p: (1e-12 * p,), 1e-12)
+    assert (sr.residual, sr.scale, sr.passed) == (2e-12, 1.0, False)
 
 
 def test_pointwise_scale_over_several_magnitudes():

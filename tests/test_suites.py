@@ -226,12 +226,11 @@ def _evaluations_and_repeats(monkeypatch, points):
     ``run_suite("all", SuiteConfig(points=points))``, and the repeated
     evaluations charged to each check.  A repeat is an evaluation of a
     component function on a coordinate list and mode it already ran on in
-    the same scope.  When ``points`` is at most ``charts.SHARED`` the scope
-    is the judging of a whole table.  Above it, the scope of a combination
-    that the field algebra built is one call ``at(sample)`` of the
-    sampled-identity primitive, and that of any other component function
-    the calls in a row, within one table, on the same sample.  Repeats are
-    charged to the next check built, which is the one whose judge made
+    the same scope.  The scope is the calls ``at(sample)`` of the
+    sampled-identity primitive in a row, within one table, on the same
+    sample; but that of a combination that the field algebra built is one
+    call, when the sample has more than ``charts.SHARED`` points.  Repeats
+    are charged to the next check built, which is the one whose judge made
     them."""
     kept = in_pass = None  # (fn, arrays) -> x of each evaluation in scope
     last = None  # the sample of the table's last call ``at(sample)``
@@ -243,8 +242,8 @@ def _evaluations_and_repeats(monkeypatch, points):
 
     def counting_evaluate(fn, x):
         calls["evaluate"] += 1
-        scope = (in_pass if points > charts.SHARED
-                 and hasattr(fn, "combination") else kept)
+        scope = (in_pass if hasattr(fn, "combination") and (
+            last is None or len(last) > charts.SHARED) else kept)
         if scope is not None:
             key = (fn, _arrays(x))
             if key in scope:
@@ -257,11 +256,11 @@ def _evaluations_and_repeats(monkeypatch, points):
         return read(*args)
 
     @contextlib.contextmanager
-    def counting_sharing(n):
+    def counting_sharing():
         nonlocal kept, last
         kept = {}
         try:
-            with sharing(n):
+            with sharing():
                 yield
         finally:
             kept = last = None
@@ -269,7 +268,7 @@ def _evaluations_and_repeats(monkeypatch, points):
     def counting_sampled(sample, at, *args, **kwargs):
         def counted(p):
             nonlocal in_pass, last
-            if points > charts.SHARED and p is not last:
+            if p is not last:
                 kept.clear()
                 last = p
             in_pass = {}
@@ -307,20 +306,19 @@ def test_each_check_runs_a_component_function_once_per_sample_and_mode(
         monkeypatch):
     """Every component function runs at most once per coordinate list and
     mode, subfields included, whichever readers and derived fields reach
-    it: across a whole table on samples of at most ``charts.SHARED``
-    points.  Above it, a source field's runs once across the checks of a
-    table that read the same sample in a row, and a combination's once
-    inside each call ``at(sample)``, which is one pass.  Reads stay one
-    per pass, so only the count of evaluations depends on the sample
+    it, across the checks of a table that read the same sample in a row;
+    a combination's, on a sample of more than ``charts.SHARED`` points,
+    once inside each call ``at(sample)``, which is one pass.  Reads stay
+    one per pass, so only the count of evaluations depends on the sample
     size."""
-    for points, evaluations in [(20, 388), (charts.SHARED + 1, 498)]:
+    for points, evaluations in [(20, 398), (charts.SHARED + 1, 498)]:
         with monkeypatch.context() as mp:
             calls, offenders = _evaluations_and_repeats(mp, points)
         assert calls == {"evaluate": evaluations, "read": 230}, points
         assert not offenders, (points, offenders)
 
 
-def _no_sharing(points):
+def _no_sharing():
     """`charts._sharing` patched off: every evaluation ends with its pass."""
     return contextlib.nullcontext()
 
@@ -328,10 +326,11 @@ def _no_sharing(points):
 @pytest.mark.parametrize("c", [0.5, 2.0])
 def test_report_does_not_depend_on_shared_evaluations(monkeypatch, c):
     """Sharing evaluations across a table's checks changes no byte of a
-    report, at most ``charts.SHARED`` points, where a table shares them
-    all, and above, on one sample and on several blocks, where its checks
-    share those of source fields; and each entry judged alone gives the
-    result it gives inside its table."""
+    report: at most ``charts.SHARED`` points, where checks on the same
+    sample share them all; above, on one sample, where they share those
+    of source fields; and on several blocks, where each check judges
+    blocks of its own and shares nothing.  Each entry judged alone gives
+    the result it gives inside its table."""
     sizes = (20, 200, 2 * charts.BLOCK + 1)
     assert sizes[0] <= charts.SHARED < sizes[1] <= charts.BLOCK
     shared = {}
@@ -341,7 +340,7 @@ def test_report_does_not_depend_on_shared_evaluations(monkeypatch, c):
         for name, suite in _SUITES.items():
             table = suite(cfg)
             alone = [judge() for *_, judge in reversed(table)][::-1]
-            with charts._sharing(cfg.points):
+            with charts._sharing():
                 assert [judge() for *_, judge in table] == alone, \
                     (points, name)
     monkeypatch.setattr(charts, "_sharing", _no_sharing)
@@ -371,12 +370,41 @@ def test_shared_evaluations_end_with_the_table(monkeypatch, points):
     assert charts._table is None and charts._judged is None
 
 
+def test_a_table_keeps_evaluations_for_the_sample_it_judges(monkeypatch):
+    """Shared evaluations live while a table's checks judge the same
+    sample, at every size: a table that judges sample A, then B, then A
+    again runs a source field on A twice, and after the pass on B holds
+    nothing computed on A."""
+    chart = Chart("s", 2)
+    a, b = sample_points(chart, 3, 1), sample_points(chart, 3, 2)
+    runs = []  # the coordinate lists the field ran on
+    held = []  # the arguments of the table's entries before each check
+    field = ScalarField(chart, lambda x: runs.append(x) or x[0] * x[1])
+
+    def judge(p):
+        held.append([arg for _, args in charts._table.values()
+                     for arg in args])
+        return report_module.sampled(
+            p, lambda q: (0.0 * np.abs(field(q)), np.abs(field(q))), 1e-12)
+
+    monkeypatch.setitem(_SUITES, "torsion", lambda cfg: [
+        (name, "", "", lambda p=p: judge(p))
+        for name, p in (("a", a), ("b", b), ("a_again", a))])
+    assert run_suite("torsion", SuiteConfig(points=3)).ok
+    assert len(runs) == 3
+    # after the pass on B: neither A's coordinates nor the field's run
+    # on them, but B's
+    assert not any(arg is a.coords or arg is runs[0] for arg in held[2])
+    assert any(arg is b.coords for arg in held[2])
+
+
 def test_shared_evaluations_hold_no_more_than_one_block(monkeypatch):
     """The memory that shared evaluations hold is bounded as a pass's is:
-    every suite's traced peak at ``charts.SHARED`` points, where a table
-    shares every evaluation, and at ``charts.BLOCK`` and
-    ``2 * charts.BLOCK + 1`` points, where it shares those of source
-    fields on one block at a time, stays within 10% of the euler-poisson
+    every suite's traced peak at ``charts.SHARED`` points, where checks
+    on the same sample share every evaluation, at ``charts.BLOCK``
+    points, where they share those of source fields, and at
+    ``2 * charts.BLOCK + 1`` points, where each check judges blocks of
+    its own and shares nothing, stays within 10% of the euler-poisson
     suite's at ``charts.BLOCK`` points, read in per-call passes."""
     def peak(name, points):
         tracemalloc.start()
