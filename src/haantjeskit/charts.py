@@ -82,25 +82,18 @@ class SingularPointError(ChartError):
 
 @dataclass(frozen=True)
 class Chart:
-    """A named coordinate chart of fixed dimension.
+    """A named coordinate chart of fixed dimension, its coordinates known
+    by their position.
 
     ``singular`` lists scalar functions of the coordinates whose zero sets
-    are excluded from the chart domain; samplers keep a margin away from
+    are excluded from the chart domain;
+    :func:`~haantjeskit.sampling.sample_points` keeps ``MARGIN`` away from
     them and building a :class:`Point` raises exactly on them.
     """
 
     name: str
     dim: int
-    coord_names: tuple = ()
     singular: tuple = field(default=(), compare=False)
-
-    def __post_init__(self):
-        if not self.coord_names:
-            object.__setattr__(
-                self, "coord_names",
-                tuple(f"x{i + 1}" for i in range(self.dim)))
-        if len(self.coord_names) != self.dim:
-            raise ChartError("coordinate-name count does not match dimension")
 
 
 @dataclass(frozen=True, eq=False)

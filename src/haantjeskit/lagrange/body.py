@@ -15,11 +15,9 @@ from .params import TopParams
 
 W1, W2, W3, G1, G2, G3 = range(6)
 
-_BODY_COORDS = ("w1", "w2", "w3", "g1", "g2", "g3")
-
 
 def body_chart() -> Chart:
-    return Chart("body", 6, _BODY_COORDS)
+    return Chart("body", 6)
 
 
 @functools.cache

@@ -21,8 +21,6 @@ from .params import TopParams
 
 X1C, X2C, Y1C, Y2C, F1C, F4C = range(6)
 
-_COORDS = ("x1", "x2", "y1", "y2", "F1", "F4")
-
 
 def _delta(c):
     def fn(x):
@@ -51,7 +49,7 @@ def _chart_name(kind: str, **values) -> str:
 def complex_chart(params: TopParams) -> Chart:
     """Singular where the leaf degenerates (``x2 = 0``), where the solved
     operator entries blow up, and on the eigenvalue branch cut."""
-    return Chart(_chart_name("complex", c=params.c), 6, _COORDS,
+    return Chart(_chart_name("complex", c=params.c), 6,
                  singular=(lambda x: x[X2C], _delta(params.c), _discriminant))
 
 

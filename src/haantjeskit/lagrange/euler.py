@@ -12,8 +12,6 @@ from .params import TopParams
 # coordinate order: (phi, theta, psi, p_phi, p_theta, p_psi)
 PHI, THETA, PSI, P_PHI, P_THETA, P_PSI = range(6)
 
-_EULER_COORDS = ("phi", "theta", "psi", "p_phi", "p_theta", "p_psi")
-
 
 def _sin_theta(x):
     return sin_(x[THETA])
@@ -28,7 +26,7 @@ def _momentum_gap(x):
 
 
 def euler_chart() -> Chart:
-    return Chart("euler", 6, _EULER_COORDS,
+    return Chart("euler", 6,
                  singular=(_sin_theta, _cos_theta, _momentum_gap))
 
 

@@ -15,13 +15,11 @@ from .complex_chart import (_chart_name, benenti_operators, complex_chart,
                             nijenhuis_operator, p1_complex)
 from .params import TopParams
 
-_LEAF_COORDS = ("x1", "x2", "y1", "y2")
-
 
 def leaf_chart(params: TopParams, C1: complex, C4: complex) -> Chart:
     """Singular where the complex chart is, at the pinned Casimir levels."""
     return Chart(
-        _chart_name("leaf", c=params.c, C1=C1, C4=C4), 4, _LEAF_COORDS,
+        _chart_name("leaf", c=params.c, C1=C1, C4=C4), 4,
         singular=tuple(lambda x, s=s: s(_embed(x, C1, C4))
                        for s in complex_chart(params).singular))
 
@@ -69,7 +67,7 @@ def leaf_structures(params: TopParams, C1, C4) -> dict:
 # -- separation chart -------------------------------------------------------
 
 def separation_chart_def() -> Chart:
-    return Chart("separation", 4, ("l1", "l2", "m1", "m2"),
+    return Chart("separation", 4,
                  singular=(lambda x: x[0] - x[1],
                            lambda x: x[0], lambda x: x[1]))
 

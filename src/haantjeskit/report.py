@@ -13,11 +13,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import charts
+from .sampling import _real
 
 __all__ = ["SampledResidual", "sampled", "matches", "worst",
            "Check", "VerificationReport", "check_from_residual"]
@@ -113,10 +115,14 @@ def sampled(sample, at, tol):
     passes when ``residual / scale <= tol`` at every point, and the result
     holds the residual and the scale of the worst point.  A NaN residual
     or magnitude at any point is the worst point, so the check fails.
+    An empty sample, or a ``tol`` that is not a finite positive real
+    number, raises ``ValueError``.
     """
     n = len(sample)
     if n == 0:
         raise ValueError("empty sample")
+    if not 0 < _real("tolerance", tol) < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, not {tol!r}")
     block = charts.BLOCK
     parts = ([sample] if n <= block else
              (sample[i:i + block] for i in range(0, n, block)))

@@ -16,7 +16,7 @@ BOX = 2.0
 IMAG = 1.0
 MIN_TRIES = 100000
 TRIES_PER_POINT = 100
-DEFAULT_MARGIN = 0.1
+MARGIN = 0.1
 
 
 def _integer(name: str, value) -> int:
@@ -36,33 +36,27 @@ def _real(name: str, value) -> float:
     raise ValueError(f"{name} must be a real number, not {value!r}")
 
 
-def sample_points(chart: Chart, n_points: int, seed: int, *,
-                  margin: float = DEFAULT_MARGIN, real: bool = False) -> Point:
+def sample_points(chart: Chart, n_points: int, seed: int) -> Point:
     """Draw ``n_points`` points uniformly from the chart box, rejecting any
-    point closer than ``margin`` to a declared singular set, and return them
+    point closer than ``MARGIN`` to a declared singular set, and return them
     as one sample.
 
     Real parts are uniform in ``[-BOX, BOX]``, imaginary parts in
-    ``[-IMAG, IMAG]`` (zero when ``real`` is set).  Each try draws the real
-    parts of its coordinates, then the imaginary parts; tries are drawn in
-    blocks and judged together, in order, so a given seed always yields the
-    same sample.
+    ``[-IMAG, IMAG]``.  Each try draws the real parts of its coordinates,
+    then the imaginary parts; tries are drawn in blocks and judged together,
+    in order, so a given seed always yields the same sample.
 
     The try budget is ``TRIES_PER_POINT`` per requested point, and at least
     ``MIN_TRIES``; a sample the budget cannot fill raises
     :class:`~haantjeskit.charts.ChartError`.  A size or seed that is not an
-    integer, or is a ``bool``, raises ``ValueError``, as does a margin that
-    is not a real number at least 0 (NaN is not), and a size whose block of
-    tries does not fit in memory :class:`MemoryError`.
+    integer, or is a ``bool``, raises ``ValueError``, and a size whose block
+    of tries does not fit in memory :class:`MemoryError`.
     """
     n_points = _integer("sample size", n_points)
     if n_points <= 0:
         raise ValueError("sample size must be positive")
-    if not _real("margin", margin) >= 0:
-        raise ValueError(f"margin must be at least 0, not {margin!r}")
     rng = np.random.default_rng(_integer("seed", seed))
     dim = chart.dim
-    per_try = dim if real else 2 * dim
     kept = []
     budget = max(MIN_TRIES, TRIES_PER_POINT * n_points)
     count = tries = 0
@@ -76,17 +70,16 @@ def sample_points(chart: Chart, n_points: int, seed: int, *,
         tries += block
         try:
             # low + range * u, as Generator.uniform computes it
-            u = rng.random((block, per_try))
+            u = rng.random((block, 2 * dim))
         except ValueError:
             # numpy refuses a shape beyond its index range before allocating
             raise MemoryError(f"{block} tries do not fit in memory") from None
-        coords = np.zeros((dim, block), dtype=complex)
+        coords = np.empty((dim, block), dtype=complex)
         coords.real = (-BOX + 2.0 * BOX * u[:, :dim]).T
-        if not real:
-            coords.imag = (-IMAG + 2.0 * IMAG * u[:, dim:]).T
+        coords.imag = (-IMAG + 2.0 * IMAG * u[:, dim:]).T
         ok = np.ones(block, dtype=bool)
         for s in chart.singular:
-            ok &= ~(np.abs(s(list(coords))) < margin)
+            ok &= ~(np.abs(s(list(coords))) < MARGIN)
         good = coords[:, ok][:, :n_points - count]
         kept.append(good)
         count += good.shape[1]

@@ -37,7 +37,7 @@ import numpy as np
 from . import charts
 from .algebra import (algebra_rank, check_abelian, check_module_condition,
                       check_ring_condition, minimal_polynomial)
-from .jets import Jet, value
+from .jets import Jet
 from .charts import (BivectorField, Chart, OperatorField, OneFormField,
                      ScalarField, VectorField, add_fields, apply_operator,
                      apply_transpose, constant_operator, constant_vector,
@@ -121,9 +121,9 @@ def _random_field(rng, kind, chart):
     in order, ``+ c0``; so it rounds the same, bit for bit, over every
     sample a report reads (README § "The sample axis" names the two inputs
     where the last bit can differ).  The coordinates are numbers or
-    first-order jets, batched or not: a random field has no second
-    derivatives, and reading one at depth 2 (the jet of its differential)
-    raises ``TypeError``."""
+    batched first-order jets: a random field has no second derivatives,
+    and reading one at depth 2 (the jet of its differential) raises
+    ``TypeError``."""
     n = chart.dim
     shape = (n,) * len(kind.slots)
     size = math.prod(shape)
@@ -136,9 +136,7 @@ def _random_field(rng, kind, chart):
         x2, x3 = zip(*map(_unit_axes, x))
         t = _in_order([x3[k] * quad[:, :, k] for k in range(n)]) + lin
         r = _in_order([x2[j] * _entry(t, np.s_[:, j]) for j in range(n)]) + c0
-        point = (0,) if all(np.ndim(value(v)) == 0 for v in x) else ()
-        out = np.array([_entry(r, (i,) + point) for i in range(size)],
-                       dtype=object)
+        out = np.array([_entry(r, (i,)) for i in range(size)], dtype=object)
         return out.reshape(shape)[()]  # a scalar's one entry, unwrapped
 
     return kind(chart, fn)
@@ -147,8 +145,7 @@ def _random_field(rng, kind, chart):
 def _unit_axes(v):
     """A coordinate with one and with two leading unit axes, to broadcast
     against coefficients of shape ``(size, 1)`` and ``(size, n, 1)``; a
-    number broadcasts as it is, and an unbatched jet becomes a sample of
-    one."""
+    number broadcasts as it is."""
     if not isinstance(v, Jet):
         return v, v
     g = v.grad
@@ -157,7 +154,7 @@ def _unit_axes(v):
                         "must be numbers or jets over numbers")
     return tuple(
         Jet(np.reshape(v.val, (1,) * a + (-1,)),
-            g.reshape(g.shape[:1] + (1,) * a + (g.shape[1:] or (1,)))
+            g.reshape(g.shape[:1] + (1,) * a + g.shape[1:])
             if len(g) else g)
         for a in (1, 2))
 

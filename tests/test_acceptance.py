@@ -239,7 +239,7 @@ def test_criterion_10_ad_vs_fd(capsys):
         dim = 2 + k % 3
         chart = Chart(f"fd{k}", dim)
         L = _random_field(rng, OperatorField, chart)
-        sample = sample_points(chart, 5, SEED + k, real=True)
+        sample = sample_points(chart, 5, SEED + k)
         Ld_fd = np.array([
             [fd_jacobian(lambda y, i=i: L.fn(y)[i], x) for i in range(dim)]
             for x in points_of(sample)])

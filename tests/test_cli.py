@@ -2,7 +2,6 @@
 conformance and the reported findings."""
 
 import dataclasses
-import functools
 import importlib.util
 import json
 import os
@@ -314,8 +313,7 @@ def test_sampling_failure_exits_4(monkeypatch, capsys):
     """A sample the try budget cannot fill ends with exit 4 and one error
     line, like any other chart error."""
     monkeypatch.setattr(sampling, "MIN_TRIES", 80)
-    monkeypatch.setattr(suites, "sample_points", functools.partial(
-        sampling.sample_points, margin=np.inf))
+    monkeypatch.setattr(sampling, "MARGIN", np.inf)
     code = main(["verify", "--suite", "euler", "--points", "3"])
     assert code == 4
     err = capsys.readouterr().err.strip()

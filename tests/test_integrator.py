@@ -2,9 +2,11 @@
 and CSV output."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from haantjeskit import charts
 from haantjeskit.lagrange import (TopParams, flow, integrate_flow,
@@ -245,3 +247,63 @@ def test_states_bit_for_bit_at_benchmark_length():
     assert traj.states.shape == (20001, 6)
     assert hashlib.sha256(traj.states.tobytes()).hexdigest() == (
         "f9de4a355b4a2755e6f35e7559d1a1b0bc658d4ccc532c30e52be8e7ed1fc1a7")
+
+
+def _agm(a, b):
+    """The arithmetic-geometric mean of two positive numbers."""
+    while abs(a - b) > 1e-15 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return a
+
+
+def _nutation(c, y):
+    """The exact period of ``g3``, and the roots ``e1 >= e2 > e3`` of its
+    cubic, from the state ``y`` alone.  With the integrals F1..F4 of the
+    heavy symmetric top, Lagrange's identity gives ``g3'^2 = f(g3)`` for
+    ``f(u) = (F4 - u^2)(2 F2 + 2u - c F1^2) - (F3 - c F1 u)^2``, a cubic with
+    leading coefficient -2, so ``g3`` oscillates between ``e2`` and ``e1``
+    with period ``sqrt(2) pi / AGM(sqrt(e1 - e3), sqrt(e2 - e3))``
+    (Goldstein, Classical Mechanics, 3rd ed., 5.7; Abramowitz & Stegun,
+    17.6)."""
+    w1, w2, w3, g1, g2, g3 = y
+    F1 = w3
+    F2 = 0.5 * (w1 * w1 + w2 * w2 + c * w3 * w3) - g3
+    F3 = w1 * g1 + w2 * g2 + c * w3 * g3
+    F4 = g1 * g1 + g2 * g2 + g3 * g3
+    u = Polynomial([0.0, 1.0])
+    f = ((F4 - u ** 2) * (2.0 * F2 + 2.0 * u - c * F1 ** 2)
+         - (F3 - c * F1 * u) ** 2)
+    e3, e2, e1 = np.sort(f.roots().real)
+    period = math.sqrt(2.0) * math.pi / _agm(math.sqrt(e1 - e3),
+                                             math.sqrt(e2 - e3))
+    return period, (e1, e2, e3)
+
+
+def _measured_period(g3, dt):
+    """The mean spacing of the maxima of ``g3`` sampled at steps of ``dt``,
+    each maximum refined by the parabola through its three samples."""
+    i = np.flatnonzero((g3[1:-1] > g3[:-2]) & (g3[1:-1] >= g3[2:])) + 1
+    assert len(i) >= 3, "too few maxima to measure a period"
+    a, b, d = g3[i - 1], g3[i], g3[i + 1]
+    t = (i + 0.5 * (a - d) / (a - 2.0 * b + d)) * dt
+    return (t[-1] - t[0]) / (len(t) - 1)
+
+
+def test_nutation_period_matches_the_elliptic_quadrature():
+    """A known answer that drift cannot see: the nutation period of ``g3``
+    measured on the trajectory equals the exact period of the quadrature to
+    1e-9 relative.  A vector field scaled by ``1 + eps`` keeps every
+    invariant; read as steps of ``dt (1 + 1e-6)``, the same trajectories
+    keep their drift and fail on the period."""
+    rng, dt = np.random.default_rng(0), 1e-3
+    for c in (0.5, 2.0, 3.0, 10.0):
+        y0 = rng.uniform(-1.0, 1.0, 6)
+        period, (e1, e2, _) = _nutation(c, y0)
+        # not a sleeping top: g3 swings far enough for sharp maxima
+        assert e1 - e2 > 0.05, (c, e1, e2)
+        traj = integrate_flow(TopParams(c=c), y0, dt, 20.0)
+        assert max_relative_drift(traj) < 1e-8
+        g3 = traj.states[:, 5]
+        assert abs(_measured_period(g3, dt) / period - 1.0) < 1e-9, c
+        assert abs(_measured_period(g3, dt * (1.0 + 1e-6)) / period
+                   - 1.0) > 1e-9, c

@@ -123,6 +123,25 @@ def test_nan_residual_fails_at_any_point(where):
         "x", "", "", sampled(SAMPLE, at, 1e-9)).status == "fail"
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, NAN, math.inf, -math.inf,
+                                 True, "1e-3", 1e-3j, None])
+def test_tolerance_must_be_finite_and_positive(tol):
+    """A tolerance that is not a finite positive real number is refused
+    where it enters, by ``sampled`` and so by every judge that hands its
+    ``tol`` on: the worst point is the one with the largest
+    ``residual / scale / tol``, which only a finite positive ``tol`` keeps
+    the one with the largest ``residual / scale``."""
+    sample = np.arange(4.0)
+    residuals = np.array([0.0, 1e-3, 0.0, 2.0])
+    with pytest.raises(ValueError, match="tolerance"):
+        sampled(sample, lambda p: (residuals,), tol)
+    L = OperatorField(Chart("tol2", 2), lambda x: [[x[1], 0.0], [0.0, x[0]]])
+    with pytest.raises(ValueError, match="tolerance"):
+        is_haantjes(L, sample_points(L.chart, 4, 0), tol)
+    sr = sampled(sample, lambda p: (residuals,), 1e-3)
+    assert (sr.residual, sr.passed) == (2.0, False)
+
+
 def test_nan_magnitude_fails():
     sr = sampled(SAMPLE, lambda p: (0.0, np.where(p == 1, NAN, 1.0)), 1e-9)
     assert math.isnan(sr.scale)

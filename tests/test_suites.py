@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -191,10 +192,47 @@ def test_random_field_refuses_a_second_order_read():
         differential(f).jet(p)
 
 
-@pytest.mark.parametrize("c", [1e-6, 0.5, 1.5, 3.0, 10.0, 100.0])
+DECADES = [float(f"1e{k}") for k in range(-12, 13)]
+_CHAIN = ("open, ROADMAP item 12: the chain checks' scales miss the "
+          "cancellation in d(-F3) that K2 amplifies, so r/tol grows in "
+          "proportion to c; a fix makes this pass")
+_MINIMAL = ("open, ROADMAP item 18: algebra.minimal_polynomial thresholds a "
+            "least-squares fit on powers of N, whose size grows like c^2, "
+            "and loses the O(1) coefficients; a fix makes this pass")
+# The checks of `all` that fail at 20 points, on seed 42 or 7, from a
+# decade of c on, each with its defect.  At c = 1e7 the ladder relation
+# still passes, at r/tol 0.64 to 0.72.
+HUGE_C_DEFECTS = {
+    "algebra.minimal_polynomial": (1e7, _MINIMAL),
+    "euler-poisson.oneform_chain_closed": (1e7, _CHAIN),
+    "euler-poisson.oneform_chain_step": (1e7, _CHAIN),
+    "euler-poisson.gz_P0_dmF3_is_P1_dF2": (1e8, _CHAIN),
+}
+
+
+@functools.cache
+def _failed_ids(c):
+    """The ids of the checks of `all` that fail at 20 points on seed 42
+    or on seed 7."""
+    return frozenset(ch.id for seed in (42, 7) for ch in run_suite(
+        "all", SuiteConfig(points=20, seed=seed, c=c)).failed)
+
+
+@pytest.mark.parametrize("c", sorted({0.5, 1.5, 3.0, *DECADES}))
 def test_checks_pass_across_inertia_ratios(c):
-    report = run_suite("all", SuiteConfig(points=4, c=c))
-    assert report.ok, [ch.id for ch in report.failed]
+    """Every check passes at every decade of c from 1e-12 to 1e12, but
+    the known defects of ``HUGE_C_DEFECTS``, each a strict xfail below."""
+    assert _failed_ids(c) <= {i for i, (start, _) in HUGE_C_DEFECTS.items()
+                              if c >= start}
+
+
+@pytest.mark.parametrize("c, check_id", [
+    pytest.param(c, i, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=reason))
+    for c in DECADES for i, (start, reason) in HUGE_C_DEFECTS.items()
+    if c >= start])
+def test_known_defects_at_huge_inertia_ratios(c, check_id):
+    assert check_id not in _failed_ids(c)
 
 
 @pytest.mark.parametrize("name, points", [("euler", 200),
