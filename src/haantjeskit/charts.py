@@ -205,7 +205,7 @@ class BivectorField(_Field):
 # -- jet-generic internal evaluation (inputs may already be jets) -----------
 #
 # Derived fields reach the same subfields many times in a pass (the bracket
-# form of the Haantjes torsion reaches its operator 52 times); the pass memo
+# form of the Haantjes torsion reaches its operator 20 times); the pass memo
 # turns those into one evaluation each.
 
 # the open pass's results, or None between passes; evaluation is one thread

@@ -29,7 +29,7 @@ def _jacobi(Pc: np.ndarray, Pd: np.ndarray) -> np.ndarray:
     # Pd[s, i, j, l] = d_l P^{ij} at the s-th point;
     # term[s, i, j, k] = P^{il} d_l P^{jk}, one batched `@` over the
     # flattened (j, k) pair.  The cyclic sum is reduced in slices of
-    # `report.SLICE` points by `_sliced_max`
+    # `report.SLICE` entries by `_sliced_max`
     s, n = Pc.shape[:2]
     term = (Pc @ Pd.reshape(s, n * n, n).swapaxes(-1, -2)).reshape(
         s, n, n, n)

@@ -24,9 +24,10 @@ from .sampling import _real
 __all__ = ["SampledResidual", "sampled", "matches", "worst",
            "Check", "VerificationReport", "check_from_residual"]
 
-# Points per slice of a kernel that builds arrays of shape (N, n, n, n),
-# the torsions and the Jacobi sum, reduced slice by slice in `_sliced_max`.
-# Those temporaries, beside the arrays a read holds, set a check's memory.
+# Entries per slice of a kernel that builds arrays of shape (N, n, n, n),
+# the torsions and the Jacobi sum, reduced slice by slice in `_sliced_max`:
+# a slice holds max(1, SLICE // n**3) points, 32 at n = 6.  Those
+# temporaries, beside the arrays a read holds, set a check's memory.
 # Traced with tracemalloc at 200 points of the Euler chart (n = 6), with
 # `charts.BLOCK` = 256 and the kernels as batched `@` products, the
 # Haantjes check of K3 peaked 3.41 MB above what its suite held before it
@@ -34,19 +35,27 @@ __all__ = ["SampledResidual", "sampled", "matches", "worst",
 # On a shared 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), 3 alternating
 # 10-s `bench/run.py --workload geometry-large --seed 42` runs a side gave
 # a peak RSS of 42.9-43.3 MB with slices of 32 and 45.9-46.0 MB unsliced,
-# at a norm_wall_s of 0.089-0.099 s and 0.095-0.105 s.
-SLICE = 32
+# at a norm_wall_s of 0.089-0.099 s and 0.095-0.105 s.  A budget of
+# entries, not of points, keeps that bound at every n and runs a smaller
+# chart's kernels in fewer slices: 1, 1, 2 and 7 at 200 points for n = 2,
+# 3, 4 and 6.  Traced the same way at 200 points (a random diagonal
+# operator at n = 2, 3 and 4, K3 at n = 6), one Haantjes check peaked
+# 0.17, 0.51, 0.77 and 1.28 MB, against 0.11, 0.27, 0.52 and 1.28 MB in
+# slices of 32 points.
+SLICE = 32 * 6 ** 3
 
 
 def _sliced_max(kernel, *arrays):
     """Largest absolute entry at each point of ``kernel(*arrays)``, the
-    kernel called on slices of at most ``SLICE`` points of the arrays
-    (sample axis first), so its temporaries never span more points.  The
-    kernel must act on each point alone; then the result is the same as
-    over the whole sample, bit for bit."""
+    kernel called on slices of the arrays (sample axis first, the first
+    array an operator or bivector of dimension n) of at most
+    ``max(1, SLICE // n**3)`` points, so its (N, n, n, n) temporaries
+    never span more than ``SLICE`` entries.  The kernel must act on each point alone; then the result is
+    the same as over the whole sample, bit for bit."""
+    step = max(1, SLICE // arrays[0].shape[-1] ** 3)
     return np.concatenate([
-        _max_abs(kernel(*(a[i:i + SLICE] for a in arrays)))
-        for i in range(0, len(arrays[0]), SLICE)])
+        _max_abs(kernel(*(a[i:i + step] for a in arrays)))
+        for i in range(0, len(arrays[0]), step)])
 
 
 def _first_order(F, sample, tol, kernel, power):

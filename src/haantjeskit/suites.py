@@ -30,7 +30,7 @@ import math
 import os
 import pickle
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -206,28 +206,35 @@ def _lie_matches(Z, P, W):
 
 # -- definitional torsion oracle (vector-field brackets) --------------------
 
-def _bracket_nijenhuis(L, X, Y) -> VectorField:
-    """Torsion through its defining bracket combination
-    ``[LX, LY] - L[LX, Y] - L[X, LY] + L^2 [X, Y]``."""
-    LX, LY = apply_operator(L, X), apply_operator(L, Y)
-    t = lie_bracket(LX, LY)
-    t = add_fields(t, scale_field(-1.0, apply_operator(L, lie_bracket(LX, Y))))
-    t = add_fields(t, scale_field(-1.0, apply_operator(L, lie_bracket(X, LY))))
-    t = add_fields(t, apply_operator(L, apply_operator(L, lie_bracket(X, Y))))
-    return t
+def _bracket_torsions(L, X, Y) -> tuple:
+    """The torsions ``T(X, Y)`` and ``H(X, Y)`` of ``L`` through their
+    defining bracket combinations, ``T(A, B) = [LA, LB] - L[LA, B]
+    - L[A, LB] + L^2 [A, B]`` and ``H(X, Y) = L^2 T(X, Y) + T(LX, LY)
+    - L T(LX, Y) - L T(X, LY)``.  Each image ``L A``, each bracket
+    ``[A, B]`` and each ``T(A, B)`` is built once, keyed by the identity
+    of its fields, so the two torsions share them: ``H(X, Y)`` is built on
+    ``T(X, Y)`` itself, and its four torsions share the images ``LX``,
+    ``LY``, ``L^2 X`` and ``L^2 Y``, the 9 distinct brackets of these and
+    ``X`` and ``Y``, and the brackets' images, such as ``L[LX, Y]`` of
+    ``T(X, Y)`` and ``T(LX, Y)``; built apart, the two fields build 20
+    brackets.  A pass evaluates each shared field once."""
+    image = cache(partial(apply_operator, L))
+    bracket = cache(lie_bracket)
 
+    @cache
+    def torsion(A, B):
+        LA, LB = image(A), image(B)
+        t = bracket(LA, LB)
+        t = add_fields(t, scale_field(-1.0, image(bracket(LA, B))))
+        t = add_fields(t, scale_field(-1.0, image(bracket(A, LB))))
+        return add_fields(t, image(image(bracket(A, B))))
 
-def _bracket_haantjes(L, X, Y) -> VectorField:
-    """``L^2 T(X,Y) + T(LX,LY) - L T(LX,Y) - L T(X,LY)`` with ``T`` the
-    bracket-form torsion."""
-    LX, LY = apply_operator(L, X), apply_operator(L, Y)
-    h = apply_operator(L, apply_operator(L, _bracket_nijenhuis(L, X, Y)))
-    h = add_fields(h, _bracket_nijenhuis(L, LX, LY))
-    h = add_fields(h, scale_field(
-        -1.0, apply_operator(L, _bracket_nijenhuis(L, LX, Y))))
-    h = add_fields(h, scale_field(
-        -1.0, apply_operator(L, _bracket_nijenhuis(L, X, LY))))
-    return h
+    LX, LY = image(X), image(Y)
+    h = image(image(torsion(X, Y)))
+    h = add_fields(h, torsion(LX, LY))
+    h = add_fields(h, scale_field(-1.0, image(torsion(LX, Y))))
+    h = add_fields(h, scale_field(-1.0, image(torsion(X, LY))))
+    return torsion(X, Y), h
 
 
 # -- torsion suite ----------------------------------------------------------
@@ -272,7 +279,7 @@ def suite_torsion(cfg: SuiteConfig) -> list:
     # the vector-field bracket form applied to random fields
     X = _random_field(rng, VectorField, chart3)
     Y = _random_field(rng, VectorField, chart3)
-    fields = (_bracket_nijenhuis(L, X, Y), _bracket_haantjes(L, X, Y))
+    fields = _bracket_torsions(L, X, Y)
 
     def definitional(p):
         T, H = nijenhuis_torsion(L, p), haantjes_torsion(L, p)

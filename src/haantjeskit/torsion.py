@@ -25,7 +25,7 @@ __all__ = [
 # (N, n, n, n) arrays, so BLAS does the contractions and sets their
 # summation order.  They sum their terms in place, so a sample holds few
 # such arrays at a time; a sampled check reduces them in slices of
-# `report.SLICE` points.
+# `report.SLICE` entries.
 
 def _left(Lc: np.ndarray, A: np.ndarray) -> np.ndarray:
     # (L A)[s, i, j, k] = L[s, i, a] A[s, a, j, k]

@@ -80,14 +80,33 @@ def test_large_sample_is_judged_in_blocks():
     assert (ok.residual, ok.passed) == (1e-12, True)
 
 
-@pytest.mark.parametrize(
-    "points", sorted({1, SLICE - 1, SLICE, SLICE + 1, 63, 64, 65, 200}))
-def test_sliced_kernels_match_the_whole_sample(points):
+# Points per kernel call at each dimension n, SLICE // n**3: a slice of
+# an (N, n, n, n) temporary holds at most SLICE entries.
+SLICE_POINTS = {2: 864, 3: 256, 4: 108, 6: 32}
+
+
+def _slice_cases():
+    """Sizes on both sides of each dimension's slice length, and the
+    200 points of a large geometry run; the cases at n = 6 are named by
+    their size alone."""
+    for n, step in SLICE_POINTS.items():
+        sizes = {1, step - 1, step, step + 1, 200}
+        if n == 6:
+            sizes |= {2 * step - 1, 2 * step, 2 * step + 1}
+        for points in sorted(sizes):
+            yield pytest.param(n, points,
+                               id=str(points) if n == 6 else f"n{n}-{points}")
+
+
+@pytest.mark.parametrize("n, points", _slice_cases())
+def test_sliced_kernels_match_the_whole_sample(n, points):
     """The torsion and Jacobi kernels reduced slice by slice give the
-    per-point maxima of the kernel over the whole sample, bit for bit, and
-    no kernel call spans more than ``SLICE`` points."""
+    per-point maxima of the kernel over the whole sample, bit for bit; no
+    kernel call spans more than ``SLICE`` entries of an (N, n, n, n)
+    array, and a sample takes as few calls as that allows: at 200 points,
+    1, 1, 2 and 7 at n = 2, 3, 4 and 6."""
+    assert SLICE_POINTS[n] == SLICE // n ** 3
     rng = np.random.default_rng(points)
-    n = 6
     Lc, Pc = (random_complex(rng, points, n, n) for _ in range(2))
     Ld, Pd = (random_complex(rng, points, n, n, n) for _ in range(2))
     for kernel, c, d in [(_nijenhuis_components, Lc, Ld),
@@ -102,8 +121,8 @@ def test_sliced_kernels_match_the_whole_sample(points):
         sliced = _sliced_max(seen, c, d)
         assert sliced.shape == (points,)
         assert np.array_equal(sliced, _max_abs(kernel(c, d)))
-        assert max(len(a) for a, _ in calls) <= SLICE
-        assert len(calls) == -(-points // SLICE)
+        assert max(len(a) for a, _ in calls) * n ** 3 <= SLICE
+        assert len(calls) == -(-points // SLICE_POINTS[n])
 
 
 def test_empty_sample_rejected():

@@ -10,7 +10,7 @@ from haantjeskit import (Chart, ChartMap, OperatorField, ScalarField,
                          is_nijenhuis, nijenhuis_torsion)
 from haantjeskit.report import _max_abs
 from haantjeskit.sampling import sample_points
-from haantjeskit.suites import _bracket_nijenhuis, _random_field
+from haantjeskit.suites import _bracket_torsions, _random_field
 from haantjeskit.torsion import _haantjes_components, _nijenhuis_components
 
 from conftest import kernel_error, point, random_complex
@@ -88,7 +88,7 @@ def test_local_formula_matches_bracket_definition(chart3, sample3):
                                          [x[2], 0.0, x[0] + x[1]]])
     X = VectorField(chart3, lambda x: [x[1], 1.0, x[0] * x[2]])
     Y = VectorField(chart3, lambda x: [1.0, x[2] ** 2, x[1]])
-    T_def = _bracket_nijenhuis(L, X, Y)
+    T_def = _bracket_torsions(L, X, Y)[0]
     p = sample3[:8]
     got = np.einsum("sijk,sj,sk->si", nijenhuis_torsion(L, p), X(p), Y(p))
     assert np.max(np.abs(got - T_def(p))) < 1e-9
