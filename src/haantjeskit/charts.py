@@ -23,10 +23,12 @@ their partials (last index the variable).  Results are read-only numeric
 arrays with the sample axis first: ``(N,) + shape`` for the components
 and ``(N,) + shape + (dim,)`` for the partials.  ``f.jacobian(p)`` is
 ``f.jet(p)[1]``, and a scalar field's ``gradient`` is its ``jacobian``.
-Derived fields and chart maps take partials through the same seeded pass,
-:func:`_seeded`, which also accepts coordinates that are already jets; a
-partial exactly 0 or 1 at every point comes out as that number, so the
-zeros of a chart map's jacobians cost no jet arithmetic.
+Every combined field comes from one constructor, :func:`_derived`, which
+reads its parts plain or seeded; the seeded read, :func:`_seeded`, also
+accepts coordinates that are already jets, so differentials, Lie brackets
+and the jacobians of a chart map differentiate to any depth.  A partial
+exactly 0 or 1 at every point comes out as that number, so the zeros of a
+chart map's jacobians cost no jet arithmetic.
 Reads share their work within a pass: one read, or one call of a sample
 function by :func:`~haantjeskit.report.sampled`.  In a pass each component
 function, subfields included, runs once per coordinate list and mode, and
@@ -48,6 +50,8 @@ deterministic.
 from __future__ import annotations
 
 import contextlib
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -80,6 +84,23 @@ class SingularPointError(ChartError):
     pass
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python ``int``; a ``bool`` or a value that is not an
+    integer, ``3.0`` included, raises ``ValueError``."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a Python ``float``; a ``bool`` or a value that is not a
+    real number raises ``ValueError``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class Chart:
     """A named coordinate chart of fixed dimension, its coordinates known
@@ -88,12 +109,20 @@ class Chart:
     ``singular`` lists scalar functions of the coordinates whose zero sets
     are excluded from the chart domain;
     :func:`~haantjeskit.sampling.sample_points` keeps ``MARGIN`` away from
-    them and building a :class:`Point` raises exactly on them.
+    them and building a :class:`Point` raises exactly on them.  ``dim`` is
+    a positive integer, kept as a Python ``int``; anything else, a ``bool``
+    included, raises ``ValueError``.
     """
 
     name: str
     dim: int
     singular: tuple = field(default=(), compare=False)
+
+    def __post_init__(self):
+        dim = _integer("chart dimension", self.dim)
+        if dim <= 0:
+            raise ValueError(f"chart dimension must be positive, not {dim}")
+        object.__setattr__(self, "dim", dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,9 +337,9 @@ def _components(fn, x):
 
 def _combination(fn):
     """``fn``, marked as the component function of a combination that the
-    field algebra builds from other fields' (`_derived`, `differential`,
-    `lie_bracket`, `ChartMap.push`); on a sample of more than ``SHARED``
-    points its runs stay per pass (see `_sharing`)."""
+    field algebra builds from other fields' (`_derived`, `ChartMap.push`);
+    on a sample of more than ``SHARED`` points its runs stay per pass (see
+    `_sharing`)."""
     fn.combination = True
     return fn
 
@@ -346,10 +375,11 @@ def _objects(entries, shape):
 
 
 def _seeded(fn, x):
-    """One pass of ``fn`` at the seeded ``x`` (plain values or jets): object
-    arrays of the components and their partials at the level of ``x``, the
-    last index being the variable.  Within a pass ``x`` is seeded once, so
-    sibling subfields share the seeded coordinates and their components."""
+    """The seeded read of `_derived`, its only caller: ``fn`` at the seeded
+    ``x`` (plain values or jets), as object arrays of the components and
+    their partials at the level of ``x``, the last index being the
+    variable.  Within a pass ``x`` is seeded once, so sibling subfields
+    share the seeded coordinates and their components."""
     n = len(x)
     out = _components(fn, _once(jets.seed, x, shared=True))
     vals = _objects([jets.value(v) for v in out.flat], out.shape)
@@ -372,22 +402,30 @@ def _exact(g):
 # expression.  Jets go on the right of arrays (``arr * jet``): a jet on the
 # left would take the whole array as one value.
 
-def _derived(kind, combine, *fields, coefficients=()):
-    """The one rule for combining fields: a ``kind`` field on the chart of
-    ``fields``, with components ``combine`` of the fields' and then of the
-    coefficients' (each field read once per pass through the memo, each
-    number as it is).  Anything but a field among ``fields``, a coefficient
-    that `_coefficient` refuses, or a part on another chart raises here."""
+def _derived(kind, combine, *fields, coefficients=(), seeded=False):
+    """The one rule for combining fields: a field on the chart of
+    ``fields``, of the kind ``kind`` gives for the tuple of their slots,
+    with components ``combine`` of the fields' and then of the
+    coefficients'.  Each field is read once per pass through the memo,
+    plain as its components, or ``seeded`` as the pair of its components
+    and their partials; each number is passed as it is.  Anything but a
+    field among ``fields``, fields of kinds for which ``kind`` gives None,
+    a coefficient that `_coefficient` refuses, or a part on another chart
+    raises here."""
     for q in fields:
         if not isinstance(q, _Field):
             raise TypeError(f"{q!r} is not a field")
+    made = kind(tuple(q.slots for q in fields))
+    if made is None:
+        kinds = ", ".join(type(q).__name__ for q in fields)
+        raise TypeError(f"fields of kinds {kinds} do not combine here")
     parts = [*fields, *map(_coefficient, coefficients)]
     for q in parts[1:]:
         if isinstance(q, _Field):
             _same_chart(parts[0].chart, q.chart)
-    return kind(parts[0].chart, _combination(lambda x: combine(*(
-        _components(q.fn, x) if isinstance(q, _Field) else q
-        for q in parts))))
+    return made(parts[0].chart, _combination(lambda x: combine(*(
+        (_seeded if seeded else _components)(q.fn, x)
+        if isinstance(q, _Field) else q for q in parts))))
 
 
 def _coefficient(s):
@@ -398,9 +436,12 @@ def _coefficient(s):
     return s
 
 
-def differential(f: ScalarField) -> OneFormField:
-    return OneFormField(f.chart,
-                        _combination(lambda x: _seeded(f.fn, x)[1]))
+def differential(F) -> _Field:
+    """``dF``: a scalar field gives its one-form ``[k] = d_k F``, a vector
+    field its jacobian operator ``[i, k] = d_k F^i``; a field of another
+    kind raises ``TypeError``."""
+    return _derived({("",): OneFormField, ("u",): OperatorField}.get,
+                    lambda f: f[1], F, seeded=True)
 
 
 def exterior_derivative(alpha: OneFormField, p: Point) -> np.ndarray:
@@ -415,67 +456,69 @@ def wedge(X: VectorField, Z: VectorField) -> BivectorField:
         outer = np.outer(u, v)
         return outer - outer.T
 
-    return _derived(BivectorField, antisymmetrized, X, Z)
+    return _derived({("u", "u"): BivectorField}.get, antisymmetrized, X, Z)
 
 
-def apply_operator(L: OperatorField, X: VectorField) -> VectorField:
-    return _derived(VectorField, lambda m, v: m @ v, L, X)
+def apply_operator(L, X) -> VectorField:
+    """``L X`` for an operator and a vector field, or ``P alpha`` for a
+    bivector and a one-form."""
+    return _derived({("ud", "u"): VectorField, ("uu", "d"): VectorField}.get,
+                    lambda m, v: m @ v, L, X)
 
 
 def apply_transpose(L: OperatorField, alpha: OneFormField) -> OneFormField:
-    return _derived(OneFormField, lambda m, a: m.T @ a, L, alpha)
+    return _derived({("ud", "d"): OneFormField}.get,
+                    lambda m, a: m.T @ a, L, alpha)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    _same_chart(X.chart, Y.chart)
-
-    @_combination
-    def fn(x):
-        xv, xg = _seeded(X.fn, x)
-        yv, yg = _seeded(Y.fn, x)
+    def bracket(x, y):
+        (xv, xg), (yv, yg) = x, y
         # one elementwise sum, so the rounding follows the index order
         return (xv * yg - yv * xg).sum(axis=1)
 
-    return VectorField(X.chart, fn)
+    return _derived({("u", "u"): VectorField}.get, bracket, X, Y,
+                    seeded=True)
 
 
 def add_fields(a, b):
-    if type(a) is not type(b):
-        raise TypeError("can only add fields of the same kind")
-    return _derived(type(a), lambda u, v: u + v, a, b)
+    """``a + b``, two fields of one kind."""
+    return _derived(lambda s: type(a) if s[0] == s[1] else None,
+                    lambda u, v: u + v, a, b)
 
 
 def scale_field(s, f):
-    """Multiply a field by a coefficient ``s``: a number, or a scalar field
-    on ``f``'s chart, read through the pass like ``f``."""
-    return _derived(type(f), lambda v, c: v * c, f, coefficients=[s])
+    """Multiply a field of any kind by a coefficient ``s``: a number, or a
+    scalar field on ``f``'s chart, read through the pass like ``f``."""
+    return _derived(lambda _: type(f), lambda v, c: v * c, f,
+                    coefficients=[s])
 
 
 def compose_operators(L: OperatorField, M: OperatorField) -> OperatorField:
-    return _derived(OperatorField, lambda m, n: m @ n, L, M)
+    return _derived({("ud", "ud"): OperatorField}.get,
+                    lambda m, n: m @ n, L, M)
 
 
 def operator_polynomial(L: OperatorField, coeffs: Sequence) -> OperatorField:
     """``sum_k coeffs[k] L^k``; each coefficient as for :func:`scale_field`."""
-    n = L.chart.dim
-
     def polynomial(m, *cs):
         # Python floats: an object-dtype np.eye or np.zeros would hold ints;
         # the zero operator is the sum of no terms
-        power = np.eye(n).astype(object)
-        acc = np.zeros((n, n)).astype(object)
+        power = np.eye(len(m)).astype(object)
+        acc = np.zeros(m.shape).astype(object)
         for k, c in enumerate(cs):
             if k > 0:
                 power = m if k == 1 else power @ m
             acc = acc + power * c
         return acc
 
-    return _derived(OperatorField, polynomial, L, coefficients=coeffs)
+    return _derived({("ud",): OperatorField}.get, polynomial, L,
+                    coefficients=coeffs)
 
 
 def diagonal_operator(V: VectorField) -> OperatorField:
     """The operator with ``V``'s components on its diagonal."""
-    return _derived(OperatorField, np.diag, V)
+    return _derived({("u",): OperatorField}.get, np.diag, V)
 
 
 # -- simple constructors ----------------------------------------------------
@@ -515,6 +558,9 @@ class ChartMap:
         self.inverse = inverse
         self._forward = VectorField(src, forward)
         self._inverse = VectorField(dst, inverse)
+        # J[dst_i][src_k] and Jinv[src_k][dst_j], one run of each per pass
+        self._J = differential(self._forward)
+        self._Jinv = differential(self._inverse)
 
     def apply(self, p: Point) -> Point:
         return Point(self.dst, tuple(self._forward(p).T))
@@ -533,7 +579,10 @@ class ChartMap:
         ``J`` and a lower one with the inverse map's jacobian ``Jinv``, so
         a bivector goes to ``J @ P @ J.T`` and an operator to
         ``J @ L @ Jinv``; a scalar keeps its value.  Pushed fields share one
-        preimage per coordinate list, and so the evaluations of their parts."""
+        preimage per coordinate list, and so the evaluations of their parts,
+        and one run of each jacobian.  A push reads its part at the
+        preimage, not where it is read, so it keeps a rule apart from
+        `_derived`."""
         if not isinstance(T, _Field):
             raise TypeError(f"{T!r} is not a field")
         _same_chart(self.src, T.chart)
@@ -543,9 +592,8 @@ class ChartMap:
             x = _once(list, _components(self.inverse, xi), shared=True)
             out = _components(T.fn, x)
             for k, slot in enumerate(T.slots):
-                # J[dst_i][src_k], Jinv[src_k][dst_j]
-                A = (_seeded(self.forward, x)[1] if slot == "u"
-                     else _seeded(self.inverse, xi)[1].T)
+                A = (_components(self._J.fn, x) if slot == "u"
+                     else _components(self._Jinv.fn, xi).T)
                 out = A @ out if k == 0 else out @ A.T
             return out
 

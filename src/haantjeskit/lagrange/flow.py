@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import charts
-from ..sampling import _real
+from ..charts import _real
 from .body import body_chart, hamiltonians, integrals
 from .params import TopParams
 
@@ -154,9 +154,9 @@ def integrate_flow(params: TopParams, y0, dt: float, t_max: float) -> Trajectory
         states[start + 1:stop + 1] = rows
     times = np.arange(n_steps + 1) * dt
     # one pass evaluates each integral once for all seven
-    recorded = charts._derived(charts.VectorField, lambda *v: np.stack(v),
-                               *integrals(params).values(),
-                               *hamiltonians(params))
+    parts = (*integrals(params).values(), *hamiltonians(params))
+    recorded = charts._derived({("",) * len(parts): charts.VectorField}.get,
+                               lambda *v: np.stack(v), *parts)
     for i in range(0, n_steps + 1, PASS):
         invariants[i:i + PASS] = recorded(charts.Point(
             body_chart(), tuple(states[i:i + PASS].T))).real

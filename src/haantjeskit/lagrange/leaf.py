@@ -8,7 +8,7 @@ with the two Casimir levels pinned to constants.
 
 from __future__ import annotations
 
-from ..charts import Chart, ChartMap, ScalarField, _components
+from ..charts import Chart, ChartMap, ScalarField, VectorField, _derived
 from ..jets import sqrt_
 from .complex_chart import (_chart_name, benenti_operators, complex_chart,
                             complex_integrals, deformation,
@@ -100,11 +100,11 @@ def separation_fields(params: TopParams, C1, C4, printed: bool = False):
     """The separation variables ``(l1, l2, m1, m2)`` as scalar fields on the
     leaf chart, so brackets and differentials come from jets; with
     ``printed`` the momenta are the circulated ones.  The four are
-    components of one evaluation per pass."""
-    chart = leaf_chart(params, C1, C4)
-    fn = _printed if printed else _separation
-    return [ScalarField(chart, lambda x, a=a: _components(fn, x)[a])
-            for a in range(4)]
+    components of one vector field, so of one evaluation per pass."""
+    variables = VectorField(leaf_chart(params, C1, C4),
+                            _printed if printed else _separation)
+    return [_derived({("u",): ScalarField}.get, lambda v, a=a: v[a],
+                     variables) for a in range(4)]
 
 
 def separation_map(params: TopParams, C1, C4) -> ChartMap:

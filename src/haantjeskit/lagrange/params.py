@@ -6,7 +6,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from ..sampling import _real
+from ..charts import _real
 
 
 @dataclass(frozen=True)

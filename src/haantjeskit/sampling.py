@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import contextlib
-import numbers
-import operator
-
 import numpy as np
 
-from .charts import Chart, ChartError, Point
+from .charts import Chart, ChartError, Point, _integer
 
 __all__ = ["sample_points"]
 
@@ -17,23 +13,6 @@ IMAG = 1.0
 MIN_TRIES = 100000
 TRIES_PER_POINT = 100
 MARGIN = 0.1
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python ``int``; a ``bool`` or a value that is not an
-    integer, ``3.0`` included, raises ``ValueError``."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise ValueError(f"{name} must be an integer, not {value!r}")
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a Python ``float``; a ``bool`` or a value that is not a
-    real number raises ``ValueError``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{name} must be a real number, not {value!r}")
 
 
 def sample_points(chart: Chart, n_points: int, seed: int) -> Point:

@@ -42,13 +42,14 @@ from .charts import (BivectorField, Chart, OperatorField, OneFormField,
                      ScalarField, VectorField, add_fields, apply_operator,
                      apply_transpose, constant_operator, constant_vector,
                      diagonal_operator, differential, identity_operator,
-                     lie_bracket, operator_polynomial, scale_field, wedge)
+                     _integer, _real, lie_bracket, operator_polynomial,
+                     scale_field, wedge)
 from .poisson import (check_chain_closed, check_compatibility, check_jacobi,
                       check_skew, check_skew_compositions, hamiltonian_field,
                       lie_derivative, poisson_bracket, r_tensor)
 from .report import (VerificationReport, _max_abs as _mag,
                      check_from_residual, matches, sampled, worst)
-from .sampling import _integer, _real, sample_points
+from .sampling import sample_points
 from .torsion import (haantjes_torsion, is_haantjes, is_nijenhuis,
                       nijenhuis_torsion)
 from .lagrange import (TopParams, benenti_operators, bihamiltonian_fields,

@@ -35,6 +35,12 @@ def test_point_validation():
         Point(chart, (1.0,))
     with pytest.raises(ChartError):
         Point(chart, (float("nan"), 0.0))
+    # a chart's dimension is a positive integer, refused when it is built
+    for dim in (-2, 0, 2.0, 2.5, True, "2", None):
+        with pytest.raises(ValueError):
+            Chart("x", dim)
+    dim = Chart("x", np.int64(3)).dim
+    assert type(dim) is int and dim == 3
 
 
 def test_chart_mismatch_raises():
@@ -271,7 +277,23 @@ CONSTRUCTORS = {
     "operator_polynomial": (
         lambda L, X, Y, A, f: operator_polynomial(L, [1.0, f]), "Lf"),
     "diagonal_operator": (lambda L, X, Y, A, f: diagonal_operator(X), "X"),
+    "differential": (lambda L, X, Y, A, f: differential(f), "f"),
+    "lie_bracket": (lambda L, X, Y, A, f: lie_bracket(X, Y), "XY"),
 }
+
+
+def _parts(chart):
+    """The parts ``CONSTRUCTORS`` take, on ``chart``."""
+    return {"L": OperatorField(chart, lambda x: np.eye(3).tolist()),
+            "X": VectorField(chart, lambda x: [x[0], 1.0, x[2]]),
+            "Y": VectorField(chart, lambda x: [1.0, x[1], 0.0]),
+            "A": OneFormField(chart, lambda x: [x[2], 0.0, 1.0]),
+            "f": ScalarField(chart, lambda x: x[0] * x[1])}
+
+
+def _bivector(x):
+    """Components of a bivector, the kind no constructor above takes."""
+    return [[0.0, x[0], 0.0], [-x[0], 0.0, 1.0], [0.0, -1.0, 0.0]]
 
 
 @pytest.mark.parametrize("moved", "LXYAf")
@@ -281,11 +303,7 @@ def test_field_algebra_refuses_parts_on_other_charts(name, moved, chart3):
     built, so no part is read at another chart's coordinates.  Parts on one
     chart give a field on it."""
     other = Chart("elsewhere", 3)
-    parts = {"L": OperatorField(chart3, lambda x: np.eye(3).tolist()),
-             "X": VectorField(chart3, lambda x: [x[0], 1.0, x[2]]),
-             "Y": VectorField(chart3, lambda x: [1.0, x[1], 0.0]),
-             "A": OneFormField(chart3, lambda x: [x[2], 0.0, 1.0]),
-             "f": ScalarField(chart3, lambda x: x[0] * x[1])}
+    parts = _parts(chart3)
     parts[moved] = type(parts[moved])(other, parts[moved].fn)
     build, uses = CONSTRUCTORS[name]
     if moved in uses and len(set(uses)) > 1:
@@ -294,6 +312,30 @@ def test_field_algebra_refuses_parts_on_other_charts(name, moved, chart3):
     else:
         assert build(**parts).chart == (other if set(uses) == {moved}
                                         else chart3)
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_field_algebra_refuses_a_part_of_another_kind(name, chart3):
+    """Each constructor refuses a part of a kind it cannot combine with
+    ``TypeError`` when the field is built: here each part it takes in turn,
+    replaced by a field of every other kind.  Only a scaled field takes
+    every kind, and a differential a vector field as well as a scalar."""
+    build, uses = CONSTRUCTORS[name]
+    parts = _parts(chart3)
+    kinds = {type(q): q.fn for q in parts.values()}
+    kinds[BivectorField] = _bivector
+    allowed = {("scale_field", "L"): set(kinds),
+               ("differential", "f"): {VectorField}}
+    for part in set(uses):
+        for kind, fn in kinds.items():
+            if kind is type(parts[part]):
+                continue
+            swapped = {**parts, part: kind(chart3, fn)}
+            if kind in allowed.get((name, part), ()):
+                assert build(**swapped).chart == chart3
+            else:
+                with pytest.raises(TypeError):
+                    build(**swapped)
 
 
 def test_field_algebra_refuses_a_bad_coefficient_when_built(chart3):
@@ -313,21 +355,40 @@ def test_field_algebra_refuses_a_bad_coefficient_when_built(chart3):
 
 
 def test_field_algebra_refuses_a_non_field_when_built(chart3):
-    """Where a constructor takes a field it takes a field, and a number
-    only where a coefficient stands: anything else raises ``TypeError``
-    when the field is built, not an ``IndexError`` or a read of a list as
-    a constant."""
-    L = OperatorField(chart3, lambda x: np.eye(3).tolist())
-    X = VectorField(chart3, lambda x: [x[0], 1.0, x[2]])
+    """Where a constructor takes a field it takes a field of a kind it can
+    combine, and a number only where a coefficient stands: anything else
+    raises ``TypeError`` when the field is built, not an ``IndexError``, a
+    read of a list as a constant or a field of the wrong shape."""
+    L, X, A, f = map(_parts(chart3).get, "LXAf")
+    P = BivectorField(chart3, _bivector)
     for build in (lambda: scale_field(2.0, 3.0),
                   lambda: add_fields(1.0, 2.0),
                   lambda: diagonal_operator([1.0, 2.0]),
+                  lambda: diagonal_operator(L),
                   lambda: apply_operator(L, [1.0, 2.0, 3.0]),
+                  lambda: apply_operator(L, A),
+                  lambda: apply_operator(P, X),
+                  lambda: apply_transpose(L, X),
                   lambda: wedge(X, [1.0, 2.0, 3.0]),
                   lambda: wedge(X, 2.0),
-                  lambda: compose_operators(L, 2.0)):
+                  lambda: wedge(X, A),
+                  lambda: compose_operators(L, 2.0),
+                  lambda: compose_operators(L, X),
+                  lambda: compose_operators(L, P),
+                  lambda: operator_polynomial(X, [1.0, 2.0]),
+                  lambda: lie_bracket(X, f),
+                  lambda: lie_bracket(X, A),
+                  lambda: differential(2.0)):
         with pytest.raises(TypeError):
             build()
+    # the kinds each takes give a field of the kind it makes
+    for built, kind in ((apply_operator(L, X), VectorField),
+                        (apply_operator(P, A), VectorField),
+                        (apply_transpose(L, A), OneFormField),
+                        (differential(f), OneFormField),
+                        (differential(X), OperatorField),
+                        (lie_bracket(X, X), VectorField)):
+        assert type(built) is kind
 
 
 def test_diagonal_operator(chart3, sample3):

@@ -290,7 +290,7 @@ def _evaluations_and_repeats(monkeypatch, points):
     repeats = collections.Counter()  # since the last check was built
     per_check = []
     calls = collections.Counter()
-    evaluate, read = charts._evaluate, charts._read
+    evaluate, read, seeded = charts._evaluate, charts._read, charts._seeded
     sharing, real_sampled = charts._sharing, report_module.sampled
 
     def counting_evaluate(fn, x):
@@ -307,6 +307,10 @@ def _evaluations_and_repeats(monkeypatch, points):
     def counting_read(*args):
         calls["read"] += 1
         return read(*args)
+
+    def counting_seeded(*args):
+        calls["seeded"] += 1
+        return seeded(*args)
 
     @contextlib.contextmanager
     def counting_sharing():
@@ -333,6 +337,7 @@ def _evaluations_and_repeats(monkeypatch, points):
 
     monkeypatch.setattr(charts, "_evaluate", counting_evaluate)
     monkeypatch.setattr(charts, "_read", counting_read)
+    monkeypatch.setattr(charts, "_seeded", counting_seeded)
     monkeypatch.setattr(charts, "_sharing", counting_sharing)
     for name, module in list(sys.modules.items()):
         if (name.startswith("haantjeskit")
@@ -363,11 +368,15 @@ def test_each_check_runs_a_component_function_once_per_sample_and_mode(
     a combination's, on a sample of more than ``charts.SHARED`` points,
     once inside each call ``at(sample)``, which is one pass.  Reads stay
     one per pass, so only the count of evaluations depends on the sample
-    size."""
-    for points, evaluations in [(20, 366), (charts.SHARED + 1, 466)]:
+    size.  The seeded reads that `_derived` converts into object arrays
+    are pinned too: fields pushed along one chart map share the run of its
+    jacobians."""
+    for points, evaluations, seeded in [(20, 376, 55),
+                                        (charts.SHARED + 1, 495, 89)]:
         with monkeypatch.context() as mp:
             calls, offenders = _evaluations_and_repeats(mp, points)
-        assert calls == {"evaluate": evaluations, "read": 230}, points
+        assert calls == {"evaluate": evaluations, "read": 230,
+                         "seeded": seeded}, points
         assert not offenders, (points, offenders)
 
 
@@ -730,20 +739,30 @@ def test_bracket_torsions_share_their_brackets(monkeypatch):
     L = _random_field(rng, OperatorField, chart)
     X, Y = (_random_field(rng, VectorField, chart) for _ in range(2))
     sample = sample_points(chart, 10, 42)
-    brackets = collections.Counter()
+    built, runs = set(), []
     evaluate = charts._evaluate
 
+    def recording_bracket(A, B):
+        field = charts.lie_bracket(A, B)
+        built.add(field.fn)
+        return field
+
     def counting(fn, x):
-        brackets[fn.__qualname__ == "lie_bracket.<locals>.fn"] += 1
+        runs.append(fn in built)
         return evaluate(fn, x)
 
+    # the oracle and the unshared definitions below build their brackets
+    # through these names
+    monkeypatch.setattr(sys.modules["haantjeskit.suites"], "lie_bracket",
+                        recording_bracket)
+    monkeypatch.setitem(globals(), "lie_bracket", recording_bracket)
     monkeypatch.setattr(charts, "_evaluate", counting)
 
     def bracket_runs(T, H):
         """Lie bracket runs in one read, so one pass, of both fields."""
-        brackets.clear()
+        runs.clear()
         add_fields(T, H)(sample)
-        return brackets[True]
+        return sum(runs)
 
     T, H = _bracket_torsions(L, X, Y)
     T0, H0 = _unshared_nijenhuis(L, X, Y), _unshared_haantjes(L, X, Y)
