@@ -92,17 +92,6 @@ def _vec_powers(m: np.ndarray, count: int):
     return out
 
 
-def _least_squares(A: np.ndarray, b: np.ndarray):
-    """Minimum-norm least-squares solutions of ``A[s] c = b[s]`` for a stack
-    of matrices; singular values below the cut of ``numpy.linalg.lstsq``'s
-    default are dropped."""
-    u, s, vh = np.linalg.svd(A, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(A.shape[-2:]) * s[:, :1]
-    sinv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    return np.einsum("sji,sj->si", vh.conj(),
-                     sinv * np.einsum("ski,sk->si", u.conj(), b))
-
-
 def minimal_polynomial(L: OperatorField, p: Point) -> MinimalPolynomial:
     """Smallest monic polynomial annihilating ``L`` at each point of ``p``,
     found by least squares on the vectorized power sequence, one degree at
@@ -113,10 +102,13 @@ def minimal_polynomial(L: OperatorField, p: Point) -> MinimalPolynomial:
     norm = np.maximum(1.0, _max_abs(m))
     degree = np.zeros(size, dtype=int)
     coeffs = np.zeros((size, n), dtype=complex)
+    # minimum-norm least squares on the n^2 x d systems, singular values
+    # cut where `numpy.linalg.lstsq` cuts them, at eps * max(n^2, d)
+    cut = np.finfo(float).eps * n * n
     for d in range(1, n + 1):
         A = np.stack(vecs[:d], axis=-1)
         b = vecs[d]
-        c = _least_squares(A, -b)
+        c = (np.linalg.pinv(A, rcond=cut) @ -b[..., None])[..., 0]
         res = np.abs(np.einsum("ski,si->sk", A, c) + b).max(axis=1)
         new = (degree == 0) & (res <= RANK_RTOL * np.maximum(1.0, norm ** d))
         degree[new] = d

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .charts import (BivectorField, OneFormField, OperatorField, Point,
-                     ScalarField, VectorField, apply_operator, differential)
+                     ScalarField, VectorField, apply_operator,
+                     apply_transpose, differential)
 from .report import (SampledResidual, _first_order, _max_abs, _sliced_max,
                      sampled, worst)
 
@@ -136,20 +137,15 @@ def r_tensor(P: BivectorField, N: OperatorField, alpha: OneFormField,
              Y: VectorField, p: Point) -> np.ndarray:
     """Compatibility tensor of a bivector and an operator applied to a
     one-form and a vector:
-    ``L_{P a}(N) Y - P (L_Y (N^T a) - L_{N Y} a)``, from one jet of each
-    argument; ``P a``, ``N^T a`` and ``N Y`` take their partials by the
-    product rule."""
-    (Pc, Pd), (Nc, Nd) = P.jet(p), N.jet(p)
-    (ac, ad), (yc, yd) = alpha.jet(p), Y.jet(p)
-    pa = np.einsum("sij,sj->si", Pc, ac)
-    pa_d = np.einsum("sijk,sj->sik", Pd, ac) + Pc @ ad
-    nta = np.einsum("sij,si->sj", Nc, ac)
-    nta_d = np.einsum("sijk,si->sjk", Nd, ac) + Nc.swapaxes(-1, -2) @ ad
-    ny = np.einsum("sij,sj->si", Nc, yc)
-    ny_d = np.einsum("sijk,sj->sik", Nd, yc) + Nc @ yd
-    inner = _lie(yc, yd, nta, nta_d, "d") - _lie(ny, ny_d, ac, ad, "d")
-    return (np.einsum("sij,sj->si", _lie(pa, pa_d, Nc, Nd, "ud"), yc)
-            - np.einsum("sij,sj->si", Pc, inner))
+    ``L_{P a}(N) Y - P (L_Y (N^T a) - L_{N Y} a)``; ``P a``, ``N^T a`` and
+    ``N Y`` are fields of the field algebra, so each Lie derivative reads
+    one jet of each of its two fields."""
+    inner = (lie_derivative(Y, apply_transpose(N, alpha), p)
+             - lie_derivative(apply_operator(N, Y), alpha, p))
+    return (np.einsum("sij,sj->si",
+                      lie_derivative(apply_operator(P, alpha), N, p),
+                      Y.jet(p)[0])
+            - np.einsum("sij,sj->si", P.jet(p)[0], inner))
 
 
 # -- Magri chains -----------------------------------------------------------

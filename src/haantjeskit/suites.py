@@ -34,7 +34,7 @@ from functools import cache, partial, reduce
 
 import numpy as np
 
-from . import charts
+from . import charts, jets
 from .algebra import (algebra_rank, check_abelian, check_module_condition,
                       check_ring_condition, minimal_polynomial)
 from .jets import Jet
@@ -113,67 +113,49 @@ def _random_field(rng, kind, chart):
     call, component after component, ``c0``, ``lin`` and ``Q`` by rows,
     each as its real and imaginary part uniform in [-1, 1].
 
-    One call of the component function evaluates every component at once:
-    the coefficients are arrays with the component first, the coordinates
-    jets with leading unit axes, and the jet arithmetic broadcasts between
-    them.  Each component takes the same operations in the same order as
-    the object-array form ``c0 + x @ (lin + Q @ x)``: ``x_k * Q[:, k]``
-    summed over ``k`` in order, ``+ lin``, ``x_j * t_j`` summed over ``j``
-    in order, ``+ c0``; so it rounds the same, bit for bit, over every
-    sample a report reads (README § "The sample axis" names the two inputs
-    where the last bit can differ).  The coordinates are numbers or
-    batched first-order jets: a random field has no second derivatives,
-    and reading one at depth 2 (the jet of its differential) raises
-    ``TypeError``."""
+    One call of the component function computes every component over the
+    whole sample in closed form: the values from the coordinates' values,
+    and in a seeded pass the exact partials ``lin + (Q + Q^T) x``, chained
+    through the coordinates' own first-order partials.  The values come
+    from the same arithmetic in both passes, so a plain and a seeded read
+    agree bit for bit.  It returns one jet per component, plain in a plain
+    pass, and numbers for coordinates that are all numbers.  The
+    coordinates are numbers or first-order jets: a random field has no
+    second derivatives, and reading one at depth 2 (the jet of its
+    differential) raises ``TypeError``."""
     n = chart.dim
     shape = (n,) * len(kind.slots)
     size = math.prod(shape)
     coeffs = rng.uniform(-1.0, 1.0, 2 * size * (1 + n + n * n))
-    c = coeffs.view(complex).reshape(size, -1, 1)
+    c = coeffs.view(complex).reshape(size, -1)
     c0, lin = c[:, 0], c[:, 1:n + 1]
-    quad = c[:, n + 1:].reshape(size, n, n, 1)
+    quad = c[:, n + 1:].reshape(size, n, n)
+    sym = quad + quad.transpose(0, 2, 1)
 
     def fn(x):
-        x2, x3 = zip(*map(_unit_axes, x))
-        t = _in_order([x3[k] * quad[:, :, k] for k in range(n)]) + lin
-        r = _in_order([x2[j] * _entry(t, np.s_[:, j]) for j in range(n)]) + c0
-        out = np.array([_entry(r, (i,)) for i in range(size)], dtype=object)
-        return out.reshape(shape)[()]  # a scalar's one entry, unwrapped
+        if any(isinstance(v, Jet) and (isinstance(v.val, Jet)
+                                       or v.grad.dtype == object) for v in x):
+            raise TypeError("random fields are first-order: their "
+                            "coordinates must be numbers or jets over "
+                            "numbers")
+        y = np.array(np.broadcast_arrays(*map(jets.value, x)))
+        e = (...,) + (None,) * (y.ndim - 1)  # a sample axis, if y has one
+        t = lin[e] + np.einsum("sjk,k...->sj...", quad, y)
+        values = c0[e] + np.einsum("sj...,j...->s...", t, y)
+        width = max((len(v.grad) for v in x if isinstance(v, Jet)), default=0)
+        if width:  # d_m f = (lin + (Q + Q^T) x)_k d_m x_k
+            g = lin[e] + np.einsum("sjk,k...->sj...", sym, y)
+            dy = np.zeros((n, width) + y.shape[1:], dtype=complex)
+            for k, v in enumerate(x):
+                if isinstance(v, Jet):
+                    dy[k] = v.grad
+            entries = list(map(Jet, values,
+                               np.einsum("sk...,km...->sm...", g, dy)))
+        else:  # plain jets, or numbers
+            entries = jets.lift(list(values))
+        return np.array(entries, dtype=object).reshape(shape)[()]
 
     return kind(chart, fn)
-
-
-def _unit_axes(v):
-    """A coordinate with one and with two leading unit axes, to broadcast
-    against coefficients of shape ``(size, 1)`` and ``(size, n, 1)``; a
-    number broadcasts as it is."""
-    if not isinstance(v, Jet):
-        return v, v
-    g = v.grad
-    if isinstance(v.val, Jet) or g.dtype == object:
-        raise TypeError("random fields are first-order: their coordinates "
-                        "must be numbers or jets over numbers")
-    return tuple(
-        Jet(np.reshape(v.val, (1,) * a + (-1,)),
-            g.reshape(g.shape[:1] + (1,) * a + g.shape[1:])
-            if len(g) else g)
-        for a in (1, 2))
-
-
-def _in_order(terms):
-    """``terms[0] + terms[1] + ...`` from the left, a jet kept left of an
-    array (an array on the left would make an object array of the sum)."""
-    return reduce(lambda a, b: b + a if isinstance(b, Jet)
-                  and not isinstance(a, Jet) else a + b, terms)
-
-
-def _entry(a, index):
-    """``a[index]`` of an array, or of a jet's value and the same entries of
-    its gradient (after the variable axis)."""
-    if not isinstance(a, Jet):
-        return a[index]
-    g = a.grad
-    return Jet(a.val[index], g[(slice(None),) + index] if len(g) else g)
 
 
 def _mv(m, v):
@@ -770,15 +752,12 @@ def suite_reduced(cfg: SuiteConfig) -> list:
         return (_mag(l1 + l2 - x1 / x2, l1 * l2 + 1.0 / x2),
                 1.0 + abs(l1) + abs(l2))
 
-    def by_real_then_imag(z):
-        return np.take_along_axis(
-            z, np.lexsort((z.imag, z.real), axis=-1), axis=-1)
-
     def eigen_numeric(p):
         l1, l2, _, _ = sep.apply(p).coords
         ev = np.linalg.eigvals(K2l(p))
         ours = np.stack([l1, l1, l2, l2], axis=-1)
-        return (_mag(by_real_then_imag(ours) - by_real_then_imag(ev)),
+        # numpy sorts complex numbers by real part, then imaginary part
+        return (_mag(np.sort(ours, axis=-1) - np.sort(ev, axis=-1)),
                 1.0 + _mag(ev))
 
     checks += [

@@ -367,3 +367,32 @@ def test_report_grid_exits_1_when_a_report_fails(monkeypatch, capsys):
     assert out[0].endswith("exit 0")
     assert out[2].startswith("integrate csv exit 2  ")
     assert out[-1] == "1 reports exited non-zero"
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_benchmark_calls_pass(monkeypatch, capsys, tmp_path, seed):
+    """One pass of every workload of ``bench/workloads.py``, each call
+    through ``cli.main`` as the benchmark makes it, passes the benchmark's
+    own judge: no failed operation and no problem.  Among them are calls
+    no other test makes, such as ``all`` at 2 and 3 points at c = 1 and
+    c = 3 and seed ``seed + 1``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, make in workloads.WORKLOADS.items():
+        calls = make(seed)
+
+        def report(i):
+            return tmp_path / f"{name}-{i}.json"
+
+        results = []
+        for i, call in enumerate(calls):
+            code = main(call.args(report(i)))
+            captured = capsys.readouterr()
+            results.append((code, captured.out + captured.err))
+        checked = workloads.check_pass(calls, results, report)
+        assert checked.failed == 0 and not checked.problems, \
+            (name, checked.problems)

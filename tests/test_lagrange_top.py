@@ -273,10 +273,12 @@ def test_reports_do_not_depend_on_memoized_terms():
 
 
 def _cauchy_cases(tp):
-    """``(field values, field partials, sample, zeros, cuts)`` for model
-    fields at first order: a body integral, polynomial; the recursion
+    """``(field values, field partials, sample, zeros, cuts)`` for fields
+    at first order: a body integral, polynomial; the recursion
     operator, rational, with poles on the complex chart's singular sets;
-    and the separation map, through the square root of the discriminant.
+    the separation map, through the square root of the discriminant; and a
+    random quadratic operator of the suites, whose partials are closed
+    forms.
     At second order, partials of fields whose plain read already takes
     partials, so their jets are nested: the Hessian of the integral, as
     the jet of its differential; the leaf's ``K2`` pushed to the
@@ -291,6 +293,8 @@ def _cauchy_cases(tp):
     K2 = sep.push(leaf_structures(tp, LEAF_C1, LEAF_C4)["K2"])
     X1, X2 = x_fields_complex(tp)
     bracket = lie_bracket(apply_operator(N, X1), X2)
+    random = _random_field(np.random.default_rng(5), OperatorField,
+                           Chart("r6", 6))
 
     def at_preimage(s):
         return lambda q: s(sep.inverse(q))
@@ -313,15 +317,17 @@ def _cauchy_cases(tp):
                       (at_preimage(_discriminant),)),
         "bracket": (bracket, lambda p: bracket.jet(p)[1],
                     sample_points(N.chart, 20, 42), N.chart.singular, ()),
+        "random operator": (random, lambda p: random.jet(p)[1],
+                            sample_points(random.chart, 20, 44), (), ()),
     }
 
 
-# affine in each coordinate, so two nodes are already exact
-_AFFINE = ("F3", "dF3", "pushed K2")
+# affine or quadratic in each coordinate, so two nodes are already exact
+_QUADRATIC = ("F3", "dF3", "pushed K2", "random operator")
 
 
 @pytest.mark.parametrize("name", ["F3", "N", "separation", "dF3",
-                                  "pushed K2", "bracket"])
+                                  "pushed K2", "bracket", "random operator"])
 def test_jets_match_cauchys_integral(tp, name):
     """Partials from the jets, first and nested, equal those of Cauchy's
     integral, an oracle that shares no code with them, to 1e-12 of the
@@ -345,7 +351,7 @@ def test_jets_match_cauchys_integral(tp, name):
                       - partials(p)).max() / scale
 
     assert error(q, r, 32) <= (1e-11 if name == "pushed K2" else 1e-12)
-    assert error(q, r, 1 if name in _AFFINE else 2) > 1e-6
+    assert error(q, r, 1 if name in _QUADRATIC else 2) > 1e-6
     if zeros:
         assert not disk_clear(p, 1.0, zeros, cuts).all()
         assert error(p, 1.0, 32) > 1e-6

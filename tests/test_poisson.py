@@ -5,11 +5,10 @@ import pytest
 
 from haantjeskit import (BivectorField, Chart, ChartMismatchError,
                          OneFormField, OperatorField, ScalarField, VectorField,
-                         apply_operator, apply_transpose, check_chain_closed,
-                         check_compatibility, check_jacobi, check_skew,
-                         check_skew_compositions, hamiltonian_field,
-                         identity_operator, jacobi_residual, lie_bracket,
-                         lie_derivative, lie_derivative_operator,
+                         check_chain_closed, check_compatibility, check_jacobi,
+                         check_skew, check_skew_compositions,
+                         hamiltonian_field, identity_operator, jacobi_residual,
+                         lie_bracket, lie_derivative, lie_derivative_operator,
                          poisson_bracket, r_tensor)
 from haantjeskit.poisson import _jacobi
 from haantjeskit.sampling import sample_points
@@ -208,9 +207,36 @@ def test_r_tensor_vanishes_for_darboux_pair(canonical, chart4, sample4):
     assert np.max(np.abs(r_tensor(canonical, N, a, Y, sample4[:5]))) < 1e-11
 
 
+def _r_tensor_by_product_rule(P, N, a, Y, p):
+    """``r_tensor`` from one jet of each argument: the partials of
+    ``P a``, ``N^T a`` and ``N Y`` by the product rule, and each Lie
+    derivative written out."""
+    (Pc, Pd), (Nc, Nd), (ac, ad), (yc, yd) = (F.jet(p) for F in (P, N, a, Y))
+    pa = np.einsum("sij,sj->si", Pc, ac)
+    pa_d = np.einsum("sijk,sj->sik", Pd, ac) + Pc @ ad
+    nta = np.einsum("sij,si->sj", Nc, ac)
+    nta_d = np.einsum("sijk,si->sjk", Nd, ac) + Nc.swapaxes(-1, -2) @ ad
+    ny = np.einsum("sij,sj->si", Nc, yc)
+    ny_d = np.einsum("sijk,sj->sik", Nd, yc) + Nc @ yd
+
+    def lie_form(z, zd, b, bd):
+        # (L_z b)_j = z^k d_k b_j + b_k d_j z^k
+        return (np.einsum("sk,sjk->sj", z, bd)
+                + np.einsum("sk,skj->sj", b, zd))
+
+    # (L_{Pa} N)^i_j = (Pa)^k d_k N^i_j - N^k_j d_k (Pa)^i + N^i_k d_j (Pa)^k
+    lie_n = (np.einsum("sk,sijk->sij", pa, Nd)
+             - np.einsum("skj,sik->sij", Nc, pa_d)
+             + np.einsum("sik,skj->sij", Nc, pa_d))
+    inner = lie_form(yc, yd, nta, nta_d) - lie_form(ny, ny_d, ac, ad)
+    return (np.einsum("sij,sj->si", lie_n, yc)
+            - np.einsum("sij,sj->si", Pc, inner))
+
+
 def test_r_tensor_matches_derived_field_formula(chart4, sample4):
-    """The product-rule kernel against the tensor built from derived fields
-    and the public Lie derivatives, on a pair where it does not vanish."""
+    """The tensor built from derived fields and the public Lie derivatives
+    against its product-rule form on the arguments' jets, on a pair where
+    it does not vanish."""
     P = BivectorField(chart4, lambda x: [[0, x[0], 0, 1],
                                          [-x[0], 0, x[1], 0],
                                          [0, -x[1], 0, x[2] * x[3]],
@@ -222,12 +248,7 @@ def test_r_tensor_matches_derived_field_formula(chart4, sample4):
     a = OneFormField(chart4, lambda x: [x[1], x[2] ** 2, 1.0, x[0]])
     Y = VectorField(chart4, lambda x: [1.0, x[3], x[0] * x[1], x[2]])
     p = sample4[:5]
-    first = np.einsum("sij,sj->si",
-                      lie_derivative(apply_operator(P, a), N, p),
-                      Y(p))
-    inner = (lie_derivative(Y, apply_transpose(N, a), p)
-             - lie_derivative(apply_operator(N, Y), a, p))
-    want = first - np.einsum("sij,sj->si", P(p), inner)
+    want = _r_tensor_by_product_rule(P, N, a, Y, p)
     assert np.all(np.max(np.abs(want), axis=1) > 1e-3)
     assert np.max(np.abs(r_tensor(P, N, a, Y, p) - want)) < 1e-12
 
