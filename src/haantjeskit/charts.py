@@ -23,12 +23,17 @@ their partials (last index the variable).  Results are read-only numeric
 arrays with the sample axis first: ``(N,) + shape`` for the components
 and ``(N,) + shape + (dim,)`` for the partials.  ``f.jacobian(p)`` is
 ``f.jet(p)[1]``, and a scalar field's ``gradient`` is its ``jacobian``.
+A read (:func:`_read`) allocates those arrays and writes each component
+as one row of their transposed views: a jet's value and partials as the
+jet holds them, a constant broadcast along the sample.
 Every combined field comes from one constructor, :func:`_derived`, which
-reads its parts plain or seeded; the seeded read, :func:`_seeded`, also
-accepts coordinates that are already jets, so differentials, Lie brackets
-and the jacobians of a chart map differentiate to any depth.  A partial
-exactly 0 or 1 at every point comes out as that number, so the zeros of a
-chart map's jacobians cost no jet arithmetic.
+reads its parts plain or seeded; the seeded read, :func:`_seeded`, splits
+each component into its value and its partials in one sweep, as object
+arrays at the level of the coordinates.  It also accepts coordinates that
+are already jets, so differentials, Lie brackets and the jacobians of a
+chart map differentiate to any depth.  A partial exactly 0 or 1 at every
+point comes out as that number, so the zeros of a chart map's jacobians
+cost no jet arithmetic.
 Reads share their work within a pass: one read, or one call of a sample
 function by :func:`~haantjeskit.report.sampled`.  In a pass each component
 function, subfields included, runs once per coordinate list and mode, and
@@ -50,6 +55,7 @@ deterministic.
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -348,52 +354,66 @@ def _read(fn, coords, seeded):
     """One read of ``fn`` over a sample's coordinate arrays: the components
     as a read-only complex array with the sample axis first, and with
     ``seeded`` also their read-only partials, the last index being the
-    variable.  Constant entries broadcast along the sample.  The readers
-    call it through `_once`, and it lifts and seeds the sample through
-    `_once`, so a derived field that seeds ``F`` shares ``F.jet(p)``'s."""
+    variable.  The results are allocated zeroed, sample axis first, and
+    written through their transposed views, ``(K, N)`` and ``(K, n, N)``
+    for ``K`` components: each jet's value and partials, as the jet holds
+    them, as one row of each, and each constant but ``+0.0``, which the
+    zeros hold already, broadcast along its row.  The readers call it
+    through `_once`, and it lifts and seeds the sample through `_once`, so
+    a derived field that seeds ``F`` shares ``F.jet(p)``'s."""
     size, width = len(coords[0]), len(coords) if seeded else 0
     x = _once(jets.lift, coords, shared=True)
     out = _components(fn, _once(jets.seed, x, shared=True) if seeded else x)
-    vals = np.empty((size, out.size), dtype=complex)
+    vals = np.zeros((size, out.size), dtype=complex)
     grads = np.zeros((size, out.size, width), dtype=complex)
+    rows, partials = vals.T, grads.transpose(1, 2, 0)
     for k, e in enumerate(out.flat):
-        vals[:, k] = jets.value(e)
         if isinstance(e, jets.Jet):
-            grads[:, k] = e.grad.T
+            rows[k] = e.val
+            if seeded:
+                partials[k] = e.grad
+        elif not _zero(e):
+            rows[k] = e
     vals = vals.reshape((size,) + out.shape)
     grads = grads.reshape((size,) + out.shape + (width,))
     vals.flags.writeable = grads.flags.writeable = False
     return (vals, grads) if seeded else vals
 
 
-def _objects(entries, shape):
-    """Object array of batched entries; numeric arrays among them become
-    plain jets, so numpy never splits an entry into its points."""
-    arr = np.empty(len(entries), dtype=object)
-    arr[:] = jets.lift(entries)
-    return arr.reshape(shape)
+def _zero(e) -> bool:
+    """``e`` is the float ``+0.0``, the bytes a zeroed entry holds already,
+    and most constants: the products an exact 0 absorbs.  Any other
+    constant, ``-0.0`` and NaN included, is written."""
+    return type(e) is float and e == 0 and math.copysign(1.0, e) > 0
 
 
 def _seeded(fn, x):
     """The seeded read of `_derived`, its only caller: ``fn`` at the seeded
     ``x`` (plain values or jets), as object arrays of the components and
     their partials at the level of ``x``, the last index being the
-    variable.  Within a pass ``x`` is seeded once, so sibling subfields
-    share the seeded coordinates and their components."""
+    variable.  One sweep over the components splits each jet into its
+    value and its partials; a number keeps its value and has partials
+    ``0.0``.  Numeric arrays among them become plain jets, so numpy never
+    splits an entry into its points, and nested jets and numbers pass
+    unchanged.  A partial broadcast along the sample (a ``(1,)`` array)
+    that is exactly 0 or 1 comes out as that number, for the jets'
+    exact-constant rules; any other keeps its array, so its rounding.
+    Within a pass ``x`` is seeded once, so sibling subfields share the
+    seeded coordinates and their components."""
     n = len(x)
     out = _components(fn, _once(jets.seed, x, shared=True))
-    vals = _objects([jets.value(v) for v in out.flat], out.shape)
-    grads = _objects([_exact(g) for v in out.flat
-                      for g in jets.gradient(v, n)], out.shape + (n,))
-    return vals, grads
-
-
-def _exact(g):
-    """A ``(1,)`` partial exactly 0 or 1 as that number, for the jets'
-    exact-constant rules; any other keeps its array, so its rounding."""
-    if isinstance(g, np.ndarray) and g.shape == (1,) and g[0] in (0, 1):
-        return 1.0 if g[0] == 1 else 0.0
-    return g
+    vals = np.empty(out.size, dtype=object)
+    grads = np.full((out.size, n), 0.0, dtype=object)
+    for k, v in enumerate(out.flat):
+        if isinstance(v, jets.Jet):
+            v, g = v.val, v.grad
+            if g.ndim == 2 and g.shape[1] == 1:
+                g = [1.0 if c == 1 else 0.0 if c == 0 else r
+                     for r, c in zip(g, g[:, 0].tolist())]
+            grads[k] = jets.lift(g)
+        vals[k] = v
+    vals[:] = jets.lift(vals)
+    return vals.reshape(out.shape), grads.reshape(out.shape + (n,))
 
 
 # -- field algebra ----------------------------------------------------------

@@ -194,10 +194,3 @@ def seed(values):
 
 def value(v):
     return v.val if isinstance(v, Jet) else v
-
-
-def gradient(v, n):
-    """The ``n`` partials of ``v`` as a list, zeros for a constant."""
-    if isinstance(v, Jet):
-        return list(v.grad)
-    return [0.0] * n

@@ -107,15 +107,17 @@ def check_skew_compositions(Ki: OperatorField, Kj: OperatorField,
 
 def _lie(Zc, Zd, Tc, Td, slots: str) -> np.ndarray:
     # Zd[s, i, k] = d_k Z^i, Td[s, ..., k] = d_k T^{...}; `slots` names
-    # T's indices in order, "u" upper and "d" lower, at most two
-    idx = "ij"[:len(slots)]
-    L = np.einsum(f"sk,s{idx}k->s{idx}", Zc, Td)
-    for a, (slot, i) in enumerate(zip(slots, idx)):
-        t = f"s{idx[:a]}k{idx[a + 1:]}"
-        if slot == "u":
-            L = L - np.einsum(f"{t},s{i}k->s{idx}", Tc, Zd)
-        else:
-            L = L + np.einsum(f"{t},sk{i}->s{idx}", Tc, Zd)
+    # T's indices in order, "u" upper and "d" lower, at most two.  Each
+    # term is one batched `@` over T's other indices: Z^k d_k T contracts
+    # the last index of Td, and a slot moves its index last and contracts
+    # it with Zd^T (upper) or Zd (lower)
+    s, n = Zc.shape
+    L = (Td.reshape(s, -1, n) @ Zc[:, :, None]).reshape(Tc.shape)
+    for a, slot in enumerate(slots, 1):
+        T = np.moveaxis(Tc, a, -1)
+        A = Zd.swapaxes(-1, -2) if slot == "u" else Zd
+        term = np.moveaxis((T.reshape(s, -1, n) @ A).reshape(T.shape), -1, a)
+        L = L - term if slot == "u" else L + term
     return L
 
 
@@ -163,9 +165,11 @@ def check_chain_closed(generators, H: ScalarField, sample,
     dH = differential(H)
 
     def jacobian(Kc, Kd, h, hd):
-        # J[i, k] = sum_j d_k K[j, i] h[j] + K[j, i] d_k h[j]
-        return (np.einsum("sjik,sj->sik", Kd, h)
-                + np.einsum("sji,sjk->sik", Kc, hd))
+        # J[i, k] = sum_j d_k K[j, i] h[j] + K[j, i] d_k h[j], each sum
+        # one batched `@` over j
+        s, n = h.shape
+        return ((h[:, None] @ Kd.reshape(s, n, n * n)).reshape(s, n, n)
+                + Kc.swapaxes(-1, -2) @ hd)
 
     def closedness(K):
         def at(p):

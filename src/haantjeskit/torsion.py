@@ -54,7 +54,7 @@ def _haantjes_components(Lc: np.ndarray, Ld: np.ndarray) -> np.ndarray:
     # T(X, LY) = -T(LY, X) from the antisymmetry of T:
     # H = T(LX, LY) + L (L T(X, Y) - T(LX, Y) + T(LY, X))
     T = _nijenhuis_components(Lc, Ld)
-    TL = Lc.swapaxes(-1, -2)[:, None] @ T  # T(LX, Y)
+    TL = _right(T.swapaxes(-1, -2), Lc).swapaxes(-1, -2)  # T(LX, Y)
     inner = _left(Lc, T)
     del T
     inner -= TL

@@ -17,7 +17,8 @@ from haantjeskit.algebra import algebra_rank, check_ring_condition
 from haantjeskit.lagrange import (TopParams, body_chart, body_to_complex,
                                   complex_chart, complex_integrals, integrals,
                                   lagrange_vector_field, leaf_chart,
-                                  leaf_map, nijenhuis_operator, p0_complex,
+                                  leaf_map, leaf_structures,
+                                  nijenhuis_operator, p0_complex,
                                   p1_complex, poisson_bivectors,
                                   separation_map, x_fields_complex)
 from haantjeskit.poisson import check_compatibility, check_jacobi
@@ -574,7 +575,8 @@ def test_field_algebra_matches_index_loops(chart3, sample3):
                  for j in range(len(B[0]))] for i in range(len(A))]
 
     def partials(fn, x):
-        return [jets.gradient(v, len(x)) for v in fn(jets.seed(x))]
+        return [list(v.grad) if isinstance(v, jets.Jet) else [0.0] * len(x)
+                for v in fn(jets.seed(x))]
 
     def bracket(x):
         xv, yv = X.fn(x), Z.fn(x)
@@ -704,6 +706,134 @@ def test_seeded_keeps_a_partial_of_one_point_that_is_not_exactly_0_or_1():
     for g, exact in ((grads[0, 1], 1.0), (grads[1, 0], 0.0),
                      (grads[1, 1], 1.0)):
         assert type(g) is float and g == exact
+
+
+# The per-entry reads that `charts._read` and `charts._seeded` replaced,
+# kept as references: `_read` wrote one strided column per entry, and
+# `_seeded` split each entry's value and partials in two comprehensions.
+
+def _reference_read(fn, coords, seeded):
+    size, width = len(coords[0]), len(coords) if seeded else 0
+    x = charts._once(jets.lift, coords, shared=True)
+    out = charts._components(
+        fn, charts._once(jets.seed, x, shared=True) if seeded else x)
+    vals = np.empty((size, out.size), dtype=complex)
+    grads = np.zeros((size, out.size, width), dtype=complex)
+    for k, e in enumerate(out.flat):
+        vals[:, k] = jets.value(e)
+        if isinstance(e, jets.Jet):
+            grads[:, k] = e.grad.T
+    vals = vals.reshape((size,) + out.shape)
+    grads = grads.reshape((size,) + out.shape + (width,))
+    vals.flags.writeable = grads.flags.writeable = False
+    return (vals, grads) if seeded else vals
+
+
+def _reference_seeded(fn, x):
+    def objects(entries, shape):
+        arr = np.empty(len(entries), dtype=object)
+        arr[:] = jets.lift(entries)
+        return arr.reshape(shape)
+
+    def exact(g):
+        if isinstance(g, np.ndarray) and g.shape == (1,) and g[0] in (0, 1):
+            return 1.0 if g[0] == 1 else 0.0
+        return g
+
+    def gradient(v, n):
+        return list(v.grad) if isinstance(v, jets.Jet) else [0.0] * n
+
+    n = len(x)
+    out = charts._components(fn, charts._once(jets.seed, x, shared=True))
+    vals = objects([jets.value(v) for v in out.flat], out.shape)
+    grads = objects([exact(g) for v in out.flat for g in gradient(v, n)],
+                    out.shape + (n,))
+    return vals, grads
+
+
+def _bitwise_cases(size):
+    """Fields of every kind, each with a sample of ``size`` points of its
+    chart: the model's, an operator of constants of every type beside
+    bare coordinates, and three fields read at depth 2."""
+    params = TopParams(c=2.0)
+    chart = complex_chart(params)
+    t3 = Chart("t3", 3)
+    N = nijenhuis_operator(params)
+    X1, X2 = x_fields_complex(params)
+    F2, F3 = complex_integrals(params)
+    constants = OperatorField(t3, lambda x: [
+        [0, 0.0, -0.0],
+        [complex(-0.0, 0.0), 1, np.float64(2.5)],
+        [float("nan"), x[0], x[1] * x[2] - x[0]]])
+    bare = VectorField(t3, lambda x: [x[1], 0.0, x[0] * x[2]])
+    sep = separation_map(params, LEAF_C1, LEAF_C4)
+    K2 = sep.push(leaf_structures(params, LEAF_C1, LEAF_C4)["K2"])
+    body_F3 = integrals(params)["F3"]
+    sample = sample_points(chart, size, 17)
+    cases = {
+        "scalar": (F2, sample),
+        "vector": (X1, sample),
+        "one-form": (differential(F3), sample),
+        "operator": (N, sample),
+        "bivector": (p0_complex(params), sample),
+        "constants": (constants, sample_points(t3, size, 18)),
+        "bare coordinates": (bare, sample_points(t3, size, 18)),
+        "dF3 (depth 2)": (differential(body_F3),
+                          sample_points(body_chart(), size, 19)),
+        "bracket (depth 2)": (lie_bracket(apply_operator(N, X1), X2),
+                              sample),
+        "pushed (depth 2)": (K2, sep.apply(sample_points(sep.src, size,
+                                                         20))),
+    }
+    return cases
+
+
+def _same_bytes(a, b) -> bool:
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("size", [1, 300])
+def test_reads_match_the_per_entry_reads_bit_for_bit(monkeypatch, size):
+    """Plain and seeded reads of every field kind give byte for byte what
+    the per-entry reads gave, signed zeros and NaN bits included: constants
+    ``0``, ``0.0``, ``-0.0``, ``complex(-0.0, 0.0)``, ``1``, a numpy float
+    and NaN, bare coordinates, whose partials broadcast along the sample,
+    and reads at depth 2, on samples of 1 and 300 points."""
+    for name, (F, p) in _bitwise_cases(size).items():
+        got = (F(p), *F.jet(p))
+        with monkeypatch.context() as m:
+            m.setattr(charts, "_read", _reference_read)
+            m.setattr(charts, "_seeded", _reference_seeded)
+            want = (F(p), *F.jet(p))
+        for g, w in zip(got, want):
+            assert _same_bytes(g, w), name
+            assert g.flags.c_contiguous and not g.flags.writeable, name
+
+
+def _same_entry(a, b) -> bool:
+    """The same number-or-jet type and the same bytes, entry by entry and
+    slot by slot."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, jets.Jet):
+        return _same_entry(a.val, b.val) and _same_entry(a.grad, b.grad)
+    if isinstance(a, np.ndarray) and a.dtype == object:
+        return a.shape == b.shape and all(map(_same_entry, a.flat, b.flat))
+    return _same_bytes(np.asarray(a), np.asarray(b))
+
+
+@pytest.mark.parametrize("size", [1, 300])
+def test_seeded_split_matches_the_per_entry_split(size):
+    """`charts._seeded` splits every field's components into the same
+    object arrays as the two comprehensions it replaced, on plain
+    coordinates and on jets (depth 2)."""
+    for name, (F, p) in _bitwise_cases(size).items():
+        plain = jets.lift(p.coords)
+        for x in (plain, jets.seed(plain)):
+            got, want = charts._seeded(F.fn, x), _reference_seeded(F.fn, x)
+            for g, w in zip(got, want):
+                assert g.dtype == object and _same_entry(g, w), name
 
 
 def _stacked(read, sample):

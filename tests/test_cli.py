@@ -334,6 +334,53 @@ def test_extreme_inertia_ratio_exits_4():
         assert len(r.stderr.splitlines()) == 1, (suite, r.stderr)
 
 
+def test_report_grid_freezes_and_diffs_per_check_id(monkeypatch, capsys,
+                                                    tmp_path):
+    """``--freeze FILE`` writes each report's checks by id; ``--against
+    FILE`` prints nothing moved for the same code, and a status change and
+    the move of each tolerance, over the tolerance, when checks are judged
+    at other tolerances, then one line per moved id."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_grid.py"
+    spec = importlib.util.spec_from_file_location("report_grid", path)
+    report_grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_grid)
+    monkeypatch.setattr(report_grid, "grid",
+                        lambda: iter([("euler", 3, 42, 2.0)]))
+    frozen = tmp_path / "grid.json"
+    assert report_grid.main(["--freeze", str(frozen)]) == 0
+    checks = json.loads(frozen.read_text())["euler points 3 seed 42 c 2"]
+    report = cli.run_suite("euler", suites.SuiteConfig(points=3, seed=42))
+    assert list(checks) == [c.id for c in report.checks]
+    for c in report.checks:
+        assert checks[c.id] == {"status": c.status,
+                                "residual": c.max_residual,
+                                "tolerance": c.tolerance,
+                                "points": c.points_sampled}
+    capsys.readouterr()
+    assert report_grid.main(["--against", str(frozen)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 check ids moved"
+    run_suite = cli.run_suite
+    monkeypatch.setattr(cli, "run_suite", lambda name, cfg: run_suite(
+        name, dataclasses.replace(cfg, tol_exact=1e-300, tol_deriv=1e-300)))
+    assert report_grid.main(["--against", str(frozen)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    strict = cli.run_suite("euler", suites.SuiteConfig(
+        points=3, seed=42, tol_exact=1e-300, tol_deriv=1e-300))
+    changed = [c.id for c in strict.checks if c.status != checks[c.id][
+        "status"]]
+    moved = [c for c in strict.checks
+             if c.tolerance != checks[c.id]["tolerance"]]
+    assert changed and moved
+    for i in changed:
+        status = f"{checks[i]['status']} -> fail"
+        assert f"euler points 3 seed 42 c 2  {i}: status {status}" in out
+    for c in moved:
+        assert f"moved {c.id}: 1 reports, largest |d|/tol 0.00e+00 " \
+            "(euler points 3 seed 42 c 2)" in out
+    assert out[-2:] == [f"{len(moved)} check ids moved",
+                        "1 reports exited non-zero"]
+
+
 def test_report_grid_exits_1_when_a_report_fails(monkeypatch, capsys):
     """``tools/report_grid.py`` exits 0 when every call passes and 1 when
     any exits non-zero: here a report judged at tolerances no residual

@@ -9,9 +9,9 @@ another BLAS or another way of contracting the torsions.  A check whose
 residual is at rounding level picks its worst point by rounding, and its
 tolerance follows the scale at that point, so the tolerance itself can
 move by more than rounding, as the Haantjes checks,
-``torsion_antisymmetry``, ``torsion_definitional_oracle`` and
-``euler_family_ring`` do.  Such a change refreezes the files and lists
-each moved value.
+``torsion_antisymmetry``, ``torsion_definitional_oracle``,
+``euler_family_ring`` and ``oneform_chain_closed`` do.  Such a change
+refreezes the files and lists each moved value.
 
 The frozen files are the output of
 ``haantjeskit verify --suite all --points 3 --c C --json FILE``.

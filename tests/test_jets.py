@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haantjeskit import jets
+from haantjeskit import Chart, Point, ScalarField, jets
 from haantjeskit.jets import Jet, cos_, sin_, sqrt_
 
 from conftest import fd_gradient
@@ -42,7 +42,7 @@ def test_polynomial_gradient_matches_fd(coords):
         return acc
 
     xs = jets.seed(list(coords))
-    got = np.array(jets.gradient(fn(xs), len(coords)), dtype=complex)
+    got = np.array(list(fn(xs).grad), dtype=complex)
     want = fd_gradient(fn, coords, h=1e-5)
     assert np.max(np.abs(got - want)) < 1e-6 * (1.0 + np.max(np.abs(want)))
 
@@ -88,8 +88,12 @@ def test_integer_powers_only():
 
 
 def test_value_and_gradient_of_constants():
+    """A number is its own value, and a constant among jets is read with
+    zero partials."""
     assert jets.value(3.5) == 3.5
-    assert jets.gradient(3.5, 2) == [0.0, 0.0]
+    F = ScalarField(Chart("t2", 2), lambda x: 3.5)
+    val, grad = F.jet(Point(F.chart, (0.5, -1.0)))
+    assert val.tolist() == [3.5] and grad.tolist() == [[0.0, 0.0]]
 
 
 @given(finite_complex, finite_complex)

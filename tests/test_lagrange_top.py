@@ -284,7 +284,12 @@ def _cauchy_cases(tp):
     the jet of its differential; the leaf's ``K2`` pushed to the
     separation chart, read at the preimage through the map's jacobians;
     and the Lie bracket of the first ladder field's image under ``N`` and
-    the second ladder field, which do not commute."""
+    the second ladder field, which do not commute.  Then the bivectors
+    whose jets the Jacobi checks read, each built from fields whose plain
+    read takes partials: ``P0``, whose transversal term ``X1 ^ Z2`` has
+    the pole of ``X1`` at ``x2 = 0``; the deformed ``Q``, affine once
+    that term cancels; and the leaf's ``P1``, affine, read at the
+    preimage through the leaf map's jacobians."""
     F3 = integrals(tp)["F3"]
     N = nijenhuis_operator(tp)
     sep = separation_map(tp, LEAF_C1, LEAF_C4)
@@ -295,6 +300,8 @@ def _cauchy_cases(tp):
     bracket = lie_bracket(apply_operator(N, X1), X2)
     random = _random_field(np.random.default_rng(5), OperatorField,
                            Chart("r6", 6))
+    P0, (_, _, Q) = p0_complex(tp), deformation(tp)
+    leaf_P1 = leaf_map(tp, LEAF_C1, LEAF_C4).push(p1_complex(tp))
 
     def at_preimage(s):
         return lambda q: s(sep.inverse(q))
@@ -319,15 +326,23 @@ def _cauchy_cases(tp):
                     sample_points(N.chart, 20, 42), N.chart.singular, ()),
         "random operator": (random, lambda p: random.jet(p)[1],
                             sample_points(random.chart, 20, 44), (), ()),
+        # only the first singular set of the chart, x2 = 0, is a pole of P0
+        "P0": (P0, lambda p: P0.jet(p)[1], sample_points(P0.chart, 20, 45),
+               P0.chart.singular[:1], ()),
+        "Q": (Q, lambda p: Q.jet(p)[1], sample_points(Q.chart, 20, 46),
+              (), ()),
+        "leaf P1": (leaf_P1, lambda p: leaf_P1.jet(p)[1],
+                    sample_points(leaf_P1.chart, 20, 47), (), ()),
     }
 
 
 # affine or quadratic in each coordinate, so two nodes are already exact
-_QUADRATIC = ("F3", "dF3", "pushed K2", "random operator")
+_QUADRATIC = ("F3", "dF3", "pushed K2", "random operator", "Q", "leaf P1")
 
 
 @pytest.mark.parametrize("name", ["F3", "N", "separation", "dF3",
-                                  "pushed K2", "bracket", "random operator"])
+                                  "pushed K2", "bracket", "random operator",
+                                  "P0", "Q", "leaf P1"])
 def test_jets_match_cauchys_integral(tp, name):
     """Partials from the jets, first and nested, equal those of Cauchy's
     integral, an oracle that shares no code with them, to 1e-12 of the

@@ -19,17 +19,28 @@ line, so trajectories are compared the same way; an ``integrate`` call that
 exits non-zero fails the run too, and its exit code stands in place of its
 digest.
 
-Run from a checkout, with no options::
+With ``--freeze FILE`` it also writes, per report and check id, the
+status, residual, tolerance and points sampled to ``FILE`` as JSON.  With
+``--against FILE``, a file that ``--freeze`` wrote (from another checkout,
+say), it prints after the digests a per-id diff of this grid against that
+one: each status change, and each residual or tolerance that moved, with
+``|residual - residual(FILE)| / tolerance``; then, per moved check id, the
+number of reports where it moved and its largest such move.  The diff is
+information: it leaves the exit code as it is.
 
-    python3 tools/report_grid.py
+Run from a checkout::
+
+    python3 tools/report_grid.py [--freeze FILE] [--against FILE]
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import itertools
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -55,12 +66,59 @@ INTEGRATE = (("2.0", "0.3,-0.7,0.2,0.5,0.4,-0.6", "1e-3", "20"),
              ("0.5", "0.1,0.7,-0.2,0.9,0.4,-0.6", "1e-3", "5"))
 
 
-def main() -> int:
+def _same(a, b) -> bool:
+    """Equal values, two NaNs included."""
+    return a == b or a != a and b != b
+
+
+def moves(base: dict, head: dict):
+    """Lines of the per-id diff of the frozen grid ``head`` against
+    ``base``: each report or id on one side only, each status change and
+    each moved residual or tolerance, then one line per moved id."""
+    largest = {}  # id -> (reports where it moved, largest move, where)
+    for label, checks in head.items():
+        was = base.get(label)
+        if was is None:
+            yield f"{label}: not in the frozen grid"
+            continue
+        for i in sorted(was.keys() ^ checks.keys()):
+            yield f"{label}  {i}: only {'here' if i in checks else 'frozen'}"
+        for i in sorted(was.keys() & checks.keys()):
+            b, h = was[i], checks[i]
+            if b["status"] != h["status"]:
+                yield f"{label}  {i}: status {b['status']} -> {h['status']}"
+            if _same(b["residual"], h["residual"]) and _same(
+                    b["tolerance"], h["tolerance"]):
+                continue
+            move = abs(h["residual"] - b["residual"]) / h["tolerance"]
+            yield (f"{label}  {i}: residual {b['residual']:.3e} -> "
+                   f"{h['residual']:.3e}, tolerance {b['tolerance']:.3e} -> "
+                   f"{h['tolerance']:.3e}, |d|/tol {move:.2e}")
+            count, top, where = largest.get(i, (0, -1.0, ""))
+            largest[i] = ((count + 1, move, label) if move > top
+                          else (count + 1, top, where))
+    for label in sorted(base.keys() - head.keys()):
+        yield f"{label}: only in the frozen grid"
+    for i, (count, top, where) in sorted(largest.items()):
+        yield (f"moved {i}: {count} reports, largest |d|/tol {top:.2e} "
+               f"({where})")
+    yield f"{len(largest)} check ids moved"
+
+
+def main(argv=()) -> int:
+    parser = argparse.ArgumentParser(prog="tools/report_grid.py")
+    parser.add_argument("--freeze", metavar="FILE",
+                        help="write each report's checks to FILE as JSON")
+    parser.add_argument("--against", metavar="FILE",
+                        help="print a per-id diff against a frozen FILE")
+    args = parser.parse_args(argv)
+    base = json.loads(Path(args.against).read_text()) if args.against else None
     sys.path.insert(0, str(SRC))
     from haantjeskit import cli
 
     combined = hashlib.sha256()
     failed = 0
+    frozen = {}  # report label -> check id -> what --freeze writes
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         for suite, points, seed, c in grid():
@@ -69,8 +127,16 @@ def main() -> int:
                 code = cli.main(["verify", "--suite", suite, "--points",
                                  str(points), "--seed", str(seed),
                                  "--c", repr(c), "--json", str(path)])
-            report = hashlib.sha256(path.read_bytes()).hexdigest()
+            data = path.read_bytes()
+            report = hashlib.sha256(data).hexdigest()
             printed = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            label = f"{suite} points {points} seed {seed} c {c:g}"
+            frozen[label] = {
+                ch["id"]: {"status": ch["status"],
+                           "residual": ch["max_residual"],
+                           "tolerance": ch["tolerance"],
+                           "points": ch["points_sampled"]}
+                for ch in json.loads(data)["checks"]}
             line = (f"{suite:13s} points {points:3d} seed {seed:2d} "
                     f"c {c:4g}  json {report}  stdout {printed}  "
                     f"exit {code}")
@@ -91,10 +157,15 @@ def main() -> int:
                         hashlib.sha256(csv.read_bytes()).hexdigest())
             csv.unlink(missing_ok=True)
     print(f"integrate csv {'  '.join(csvs)}")
+    if args.freeze:
+        Path(args.freeze).write_text(json.dumps(frozen, indent=1) + "\n")
+    if base is not None:
+        for line in moves(base, frozen):
+            print(line)
     if failed:
         print(f"{failed} reports exited non-zero")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
